@@ -31,6 +31,7 @@ from .config import (
     serialize_config,
 )
 from .diagnostics import (
+    _fmt,
     accuracy,
     mode_coverage,
     posterior_mean,
@@ -43,10 +44,6 @@ from .diagnostics import (
 from .runner import RunError, run
 
 __all__ = ["main", "cmd_run", "cmd_report", "cmd_fit"]
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def _fail(message: str, code: int) -> int:

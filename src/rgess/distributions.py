@@ -1,7 +1,7 @@
 """Multivariate Gaussian, Student's-t, inverse-gamma and mixture densities.
 
 Everything here is immutable after construction and pure given an explicit
-``numpy.random.Generator``, so instances can be shared freely across threads.
+``numpy.random.Generator``, so instances can be shared freely between chains.
 Cholesky factors and normalizing constants are cached at construction time
 because the samplers evaluate these densities in tight loops.
 """

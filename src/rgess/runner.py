@@ -1,24 +1,23 @@
 """Multi-chain orchestration: lockstep iterations across K chains with
 periodic mixture adaptation at synchronization barriers.
 
-Chains are share-nothing workers, each holding its own state and random
-generator; the mixture snapshot they read is immutable. Results are therefore
-bit-identical for any worker-pool size, including the size read from the
-``RGESS_THREADS`` environment variable.
+Chains share nothing but the immutable mixture snapshot between barriers;
+each holds its own state and random generator. Stepping chain 0 through a
+whole segment between barriers, then chain 1, and so on, therefore gives the
+same traces as the lockstep order ``run`` uses: the execution layout never
+changes results.
 """
 
 from __future__ import annotations
 
 import enum
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import adaptation as ad
 from .adaptation import AdaptationConfig, Scheme
-from .diagnostics import TraceRecord, rejection_rate_series
+from .diagnostics import TraceRecord
 from .distributions import Gaussian, MixtureModel
 from .samplers import (
     ChainState,
@@ -119,7 +118,6 @@ class RunConfig:
 class RunResult:
     traces: list
     mixture_history: list
-    summary: dict
 
 
 def pooled_snapshot(chains) -> list:
@@ -128,21 +126,6 @@ def pooled_snapshot(chains) -> list:
     if not chains:
         raise ValueError("no chains to snapshot")
     return [np.array(state.point, copy=True) for state in chains]
-
-
-def worker_count(chains: int) -> int:
-    """Worker-pool size: RGESS_THREADS when set, else a modest default.
-
-    The pool size must never change results; it only rebalances work.
-    """
-    env = os.environ.get("RGESS_THREADS")
-    if env:
-        try:
-            requested = int(env)
-        except ValueError as exc:
-            raise ValueError(f"RGESS_THREADS is not an integer: {env!r}") from exc
-        return max(1, min(requested, chains))
-    return max(1, min(os.cpu_count() or 1, chains, 8))
 
 
 def _initial_mixture(config: RunConfig, points, adapt_rng) -> MixtureModel | None:
@@ -181,6 +164,29 @@ def _refit_mixture(config: RunConfig, mixture, points, adapt_rng, update_index: 
     raise ValueError(f"unknown adaptation scheme {scheme}")
 
 
+def _step_function(config: RunConfig, target: TargetDensity):
+    """The configured kernel as ``step(state, mixture, rng)``.
+
+    The step functions are read from this module's globals when this is
+    called, not at import, so a replaced attribute (a timing wrapper, say)
+    is the one ``run`` steps with.
+    """
+    kernel = config.kernel
+    if kernel is Kernel.ESS:
+        step, prior, log_likelihood = ess_step, target.prior, target.log_likelihood
+        return lambda state, _mixture, rng: step(state, prior, log_likelihood, rng)
+    if kernel is Kernel.MH:
+        step, cov = mh_step, np.asarray(config.mh_proposal_cov, dtype=float)
+        return lambda state, _mixture, rng: step(state, cov, target, rng)
+    if kernel is Kernel.REGIONAL_MH:
+        step = regional_mh_step
+    elif kernel is Kernel.GMRGESS:
+        step = gmrgess_step
+    else:  # TMRGESS and its single-component special case
+        step = tmrgess_step
+    return lambda state, mixture, rng: step(state, mixture, target, rng)
+
+
 def run(config: RunConfig, target: TargetDensity,
         _chain_seeds=None) -> RunResult:
     """Execute the configured multi-chain run against ``target``.
@@ -212,105 +218,51 @@ def run(config: RunConfig, target: TargetDensity,
     adapt_rng = np.random.default_rng(children[k_chains])
 
     acfg = config.adaptation
+    states = [ChainState(point=config.init.sample(rng)) for rng in rngs]
     mixture = None
-    states = []
-    for k in range(k_chains):
-        point = config.init.sample(rngs[k])
-        states.append(ChainState(point=point, region=0))
-
     uses_mixture = config.kernel in _MIXTURE_KERNELS
     if uses_mixture:
         mixture = _initial_mixture(config, [s.point for s in states], adapt_rng)
-        states = [
-            s._replace(region=mixture.assign_region(s.point)) for s in states
-        ]
+        states = [s._replace(region=mixture.assign_region(s.point)) for s in states]
 
-    mh_cov = (
-        np.asarray(config.mh_proposal_cov, dtype=float)
-        if config.mh_proposal_cov is not None
-        else None
-    )
-
-    def step_chain(k: int, snapshot, iteration: int):
-        state = states[k]
-        rng = rngs[k]
-        rejections = 0
-        try:
-            for _ in range(config.steps_per_iteration):
-                if config.kernel is Kernel.ESS:
-                    outcome = ess_step(state, target.prior, target.log_likelihood, rng)
-                elif config.kernel is Kernel.MH:
-                    outcome = mh_step(state, mh_cov, target, rng)
-                elif config.kernel is Kernel.REGIONAL_MH:
-                    outcome = regional_mh_step(state, snapshot, target, rng)
-                elif config.kernel is Kernel.GMRGESS:
-                    outcome = gmrgess_step(state, snapshot, target, rng)
-                else:  # TMRGESS and its single-component special case
-                    outcome = tmrgess_step(state, snapshot, target, rng)
-                state = outcome.next
-                rejections += outcome.rejections
-        except ValueError as exc:
-            raise RunError(k, iteration, exc) from exc
-        states[k] = state
-        return rejections
-
+    step = _step_function(config, target)
     first_adapt = max(acfg.interval, 2 * acfg.components)
-    workers = worker_count(k_chains)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-
     traces = [[] for _ in range(k_chains)]
     mixture_history = []
     if uses_mixture:
         mixture_history.append((0, mixture))
     update_index = 0
 
-    try:
-        for n in range(1, config.iterations + 1):
-            if uses_mixture and n % acfg.interval == 0 and n >= first_adapt:
-                snapshot_points = pooled_snapshot(states)
-                update_index += 1
-                mixture = _refit_mixture(
-                    config, mixture, snapshot_points, adapt_rng, update_index
-                )
-                mixture_history.append((n, mixture))
-                states[:] = [
-                    s._replace(region=mixture.assign_region(s.point)) for s in states
-                ]
+    for n in range(1, config.iterations + 1):
+        if uses_mixture and n % acfg.interval == 0 and n >= first_adapt:
+            update_index += 1
+            mixture = _refit_mixture(
+                config, mixture, pooled_snapshot(states), adapt_rng, update_index
+            )
+            mixture_history.append((n, mixture))
+            states = [s._replace(region=mixture.assign_region(s.point)) for s in states]
 
-            snapshot = mixture
-            if pool is None:
-                rejections = [step_chain(k, snapshot, n) for k in range(k_chains)]
-            else:
-                rejections = list(
-                    pool.map(
-                        lambda k, snap=snapshot, it=n: step_chain(k, snap, it),
-                        range(k_chains),
+        record = n % config.thinning == 0
+        for k in range(k_chains):
+            state, rng = states[k], rngs[k]
+            rejections = 0
+            try:
+                for _ in range(config.steps_per_iteration):
+                    outcome = step(state, mixture, rng)
+                    state = outcome.next
+                    rejections += outcome.rejections
+            except ValueError as exc:
+                raise RunError(k, n, exc) from exc
+            states[k] = state
+            if record:
+                traces[k].append(
+                    TraceRecord(
+                        chain=k,
+                        iteration=n,
+                        point=np.array(state.point, copy=True),
+                        rejections=rejections,
+                        region=state.region,
                     )
                 )
 
-            if n % config.thinning == 0:
-                for k in range(k_chains):
-                    traces[k].append(
-                        TraceRecord(
-                            chain=k,
-                            iteration=n,
-                            point=np.array(states[k].point, copy=True),
-                            rejections=rejections[k],
-                            region=states[k].region,
-                        )
-                    )
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    window = acfg.interval if uses_mixture else 10
-    total_steps = config.iterations * config.steps_per_iteration
-    all_rej = [rec.rejections for chain in traces for rec in chain]
-    summary = {
-        "mean_rejections_per_iteration": float(np.mean(all_rej)) if all_rej else 0.0,
-        "zero_rejection_fraction": float(np.mean([r == 0 for r in all_rej])) if all_rej else 0.0,
-        "total_kernel_steps": total_steps * k_chains,
-        "rejection_rate_window": window,
-        "rejection_rate_series": rejection_rate_series(traces, window) if all_rej else [],
-    }
-    return RunResult(traces=traces, mixture_history=mixture_history, summary=summary)
+    return RunResult(traces=traces, mixture_history=mixture_history)

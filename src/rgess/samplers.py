@@ -1,8 +1,8 @@
 """One-step MCMC transition kernels.
 
 All kernels are pure functions of ``(state, parameters, rng)``: nothing is
-mutated except the caller's rng, so chains holding their own generators can
-step concurrently against a shared, immutable mixture snapshot.
+mutated except the caller's rng, so a chain's trajectory depends only on its
+own state and generator and on the immutable mixture snapshot it reads.
 
 The elliptical-slice family proposes points on the ellipse through the
 current state and an auxiliary draw, shrinking the angle bracket toward zero
@@ -62,7 +62,7 @@ class ChainState(NamedTuple):
     Immutable; a named tuple because kernels build one per step and a
     frozen dataclass costs about three times as much to construct.
 
-    ``cache`` is written by the regional ESS kernels only: the target and
+    ``cache`` is written by the regional kernels only: the target and
     component log densities they already computed at ``point``. A kernel
     reuses it only for the same point, mixture and ``log_pi`` objects, so a
     new mixture (a runner barrier) or a replaced point invalidates it.
@@ -266,9 +266,11 @@ def tmrgess_step(state: ChainState, mixture: MixtureModel, target: TargetDensity
         raise ValueError("tmrgess_step requires Student's-t mixture components")
     log_pi_x, comp_at_x = _current_point_values(state, mixture, target)
     comp = mixture.components[state.region]
-    # The same draw as sample_inverse_gamma(t_auxiliary_params(...), rng);
-    # the finite current point makes both parameters positive.
+    # The same draw as sample_inverse_gamma(t_auxiliary_params(...), rng).
     alpha, beta = _t_auxiliary_shape_rate(comp, state.point)
+    if not math.isfinite(beta):
+        # A finite but huge point can overflow the Mahalanobis term.
+        raise ValueError(f"auxiliary rate is not finite ({beta}) at current point")
     s = 1.0 / rng.gamma(alpha, 1.0 / beta)
     v = comp.mean + math.sqrt(s) * (comp.chol @ rng.standard_normal(comp.dim))
     return _regional_ellipse_step(
@@ -284,27 +286,29 @@ def regional_mh_step(state: ChainState, mixture: MixtureModel,
     same formula covers within-region moves (I = J), where it is the usual
     importance-weighted independence ratio.
     """
+    log_pi_x, comp_at_x = _current_point_values(state, mixture, target)
     x = state.point
     i = state.region
-    log_pi_x = _require_finite(float(target.log_pi(x)), "log target at current point")
+    log_pi = target.log_pi
     x_prop = mixture.components[i].sample(rng)
-    log_pi_prop = float(target.log_pi(x_prop))
-
-    accepted = False
-    j = i
-    if log_pi_prop > -np.inf:
-        comp_at_x = mixture.component_log_densities(x)
-        comp_at_prop = mixture.component_log_densities(x_prop)
+    log_pi_prop = float(log_pi(x_prop))
+    if log_pi_prop > -math.inf:
+        comp_at_prop = mixture._log_densities(x_prop)
         if mixture.weighted_regions:
-            j = int(np.argmax(comp_at_prop + mixture._log_weights))
+            j = int((comp_at_prop + mixture._log_weights).argmax())
         else:
-            j = int(np.argmax(comp_at_prop))
+            j = int(comp_at_prop.argmax())
         log_alpha = log_pi_prop + comp_at_x[j] - log_pi_x - comp_at_prop[i]
-        accepted = math.log(1.0 - rng.random()) < min(0.0, log_alpha)
-
-    if accepted:
-        return StepOutcome(next=ChainState(point=x_prop, region=j), rejections=0)
-    return StepOutcome(next=state, rejections=1)
+        if _log_uniform(rng) < min(0.0, log_alpha):
+            next_state = ChainState(
+                point=x_prop, region=j,
+                cache=(x_prop, mixture, log_pi, log_pi_prop, comp_at_prop),
+            )
+            return StepOutcome(next=next_state, rejections=0)
+    next_state = ChainState(
+        point=x, region=i, cache=(x, mixture, log_pi, log_pi_x, comp_at_x)
+    )
+    return StepOutcome(next=next_state, rejections=1)
 
 
 def mh_step(state: ChainState, proposal_cov, target: TargetDensity,

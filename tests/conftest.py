@@ -10,7 +10,7 @@ _CRITERIA = {
     "test_criterion_06": "6  outlier robustness of the SA fitter",
     "test_criterion_07": "7  litter-model bimodality and rejection decay",
     "test_criterion_08": "8  logistic inference beats the stalled MH baseline",
-    "test_criterion_09": "9  bit-identical traces across worker-pool sizes",
+    "test_criterion_09": "9  execution layout never changes traces",
     "test_criterion_10": "10 fitter and persistence unit suites",
 }
 

@@ -5,9 +5,20 @@ import math
 import numpy as np
 from scipy.special import logsumexp
 
-from rgess import samplers
+from rgess import runner, samplers
 from rgess.adaptation import sa_update_directions
+from rgess.diagnostics import TraceRecord, write_trace_csv
 from rgess.distributions import Gaussian, MixtureModel, sample_inverse_gamma
+from rgess.runner import Kernel
+from rgess.samplers import (
+    ChainState,
+    StepOutcome,
+    ess_step,
+    gmrgess_step,
+    mh_step,
+    regional_mh_step,
+    tmrgess_step,
+)
 
 
 def two_cluster_samples(rng, n_per=500, center=10.0, sd=1.0):
@@ -184,3 +195,108 @@ def reference_regional_ess_step(kind, point, region, mixture, log_pi, rng):
             theta_max = theta
         theta = rng.uniform(theta_min, theta_max)
     return x, i, rejections, 0.0
+
+
+def reference_regional_mh_step(state, mixture, target, rng):
+    """Straightforward regional independence MH step, the oracle for the
+    cached ``regional_mh_step``: it re-evaluates the target and the checked
+    component densities at the current point on every step."""
+    x = state.point
+    i = state.region
+    log_pi_x = float(target.log_pi(x))
+    if not np.isfinite(log_pi_x):
+        raise ValueError("log target at current point is not finite")
+    x_prop = mixture.components[i].sample(rng)
+    log_pi_prop = float(target.log_pi(x_prop))
+
+    accepted = False
+    j = i
+    if log_pi_prop > -np.inf:
+        comp_at_x = mixture.component_log_densities(x)
+        comp_at_prop = mixture.component_log_densities(x_prop)
+        if mixture.weighted_regions:
+            j = int(np.argmax(comp_at_prop + mixture._log_weights))
+        else:
+            j = int(np.argmax(comp_at_prop))
+        log_alpha = log_pi_prop + comp_at_x[j] - log_pi_x - comp_at_prop[i]
+        accepted = math.log(1.0 - rng.random()) < min(0.0, log_alpha)
+
+    if accepted:
+        return StepOutcome(next=ChainState(point=x_prop, region=j), rejections=0)
+    return StepOutcome(next=state, rejections=1)
+
+
+def trace_csv_bytes(traces, history, out_dir):
+    """Write ``trace.csv`` and ``mixtures.csv`` into the new directory
+    ``out_dir`` (a ``pathlib.Path``); return their bytes, in that order."""
+    out_dir.mkdir()
+    write_trace_csv(traces, history, out_dir / "trace.csv",
+                    mixtures_path=out_dir / "mixtures.csv")
+    return [(out_dir / name).read_bytes() for name in ("trace.csv", "mixtures.csv")]
+
+
+def reference_chain_major_run(config, target):
+    """Chain-major oracle for ``rgess.runner.run``; returns ``(traces,
+    mixture_history)``.
+
+    Seeds, barriers and refits are those of ``run``, but between two barriers
+    chain 0 takes all of the segment's iterations, then chain 1, and so on,
+    instead of every chain taking one iteration in turn. Chains that share
+    nothing between barriers give the same traces in either order.
+    """
+    k_chains = config.chains
+    children = np.random.SeedSequence(config.master_seed).spawn(k_chains + 1)
+    rngs = [np.random.default_rng(child) for child in children[:k_chains]]
+    adapt_rng = np.random.default_rng(children[k_chains])
+    acfg = config.adaptation
+    kernel = config.kernel
+
+    states = [ChainState(point=config.init.sample(rng)) for rng in rngs]
+    uses_mixture = kernel in runner._MIXTURE_KERNELS
+    mixture = None
+    history = []
+    barriers = []
+    if uses_mixture:
+        mixture = runner._initial_mixture(config, [s.point for s in states], adapt_rng)
+        states = [s._replace(region=mixture.assign_region(s.point)) for s in states]
+        history.append((0, mixture))
+        first_adapt = max(acfg.interval, 2 * acfg.components)
+        barriers = [n for n in range(first_adapt, config.iterations + 1)
+                    if n % acfg.interval == 0]
+
+    def step(state, rng):
+        if kernel is Kernel.ESS:
+            return ess_step(state, target.prior, target.log_likelihood, rng)
+        if kernel is Kernel.MH:
+            cov = np.asarray(config.mh_proposal_cov, dtype=float)
+            return mh_step(state, cov, target, rng)
+        if kernel is Kernel.REGIONAL_MH:
+            return regional_mh_step(state, mixture, target, rng)
+        if kernel is Kernel.GMRGESS:
+            return gmrgess_step(state, mixture, target, rng)
+        return tmrgess_step(state, mixture, target, rng)
+
+    traces = [[] for _ in range(k_chains)]
+    starts = [1] + barriers
+    ends = barriers + [config.iterations + 1]
+    for update_index, (start, end) in enumerate(zip(starts, ends)):
+        if update_index > 0:
+            points = [np.array(s.point, copy=True) for s in states]
+            mixture = runner._refit_mixture(config, mixture, points, adapt_rng, update_index)
+            history.append((start, mixture))
+            states = [s._replace(region=mixture.assign_region(s.point)) for s in states]
+        for k in range(k_chains):
+            state = states[k]
+            for n in range(start, end):
+                rejections = 0
+                for _ in range(config.steps_per_iteration):
+                    outcome = step(state, rngs[k])
+                    state = outcome.next
+                    rejections += outcome.rejections
+                if n % config.thinning == 0:
+                    traces[k].append(TraceRecord(
+                        chain=k, iteration=n, point=np.array(state.point, copy=True),
+                        rejections=rejections, region=state.region,
+                    ))
+            states[k] = state
+    return traces, history

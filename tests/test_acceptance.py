@@ -3,7 +3,7 @@
 Each ``test_criterion_NN`` enforces one release criterion at its stated
 tolerance and runtime bound; the conftest hook prints a PASS/FAIL line per
 criterion at the end of the session. Expensive preset runs are executed once
-per worker-pool size and shared across criteria.
+and shared across criteria.
 """
 
 import math
@@ -23,6 +23,8 @@ from helpers import (
     outlier_fixture,
     outlier_fixture_true_mixture,
     random_sa_instance,
+    reference_chain_major_run,
+    trace_csv_bytes,
 )
 from rgess.adaptation import LearningRateSchedule, em_gmm_fit, sa_gmm_update, AdaptationConfig, Scheme
 from rgess.cli import build_target, main as cli_main, resolve_config_source
@@ -60,30 +62,18 @@ LITTER_MODE_LOGLIK = -691.164809
 
 @pytest.fixture(scope="module")
 def preset_runs(tmp_path_factory):
-    """Run a bundled preset through the CLI once per worker-pool size."""
+    """Run a bundled preset through the CLI once and share the output."""
     cache = {}
 
-    def runner(name, threads, overrides=()):
-        key = (name, threads, tuple(overrides))
-        if key not in cache:
-            out = tmp_path_factory.mktemp(f"{name}-t{threads}")
-            saved = os.environ.get("RGESS_THREADS")
-            os.environ["RGESS_THREADS"] = str(threads)
-            try:
-                args = ["run", name, "--out", str(out)]
-                for item in overrides:
-                    args += ["--set", item]
-                started = time.perf_counter()
-                code = cli_main(args)
-                elapsed = time.perf_counter() - started
-            finally:
-                if saved is None:
-                    os.environ.pop("RGESS_THREADS", None)
-                else:
-                    os.environ["RGESS_THREADS"] = saved
+    def runner(name):
+        if name not in cache:
+            out = tmp_path_factory.mktemp(name)
+            started = time.perf_counter()
+            code = cli_main(["run", name, "--out", str(out)])
+            elapsed = time.perf_counter() - started
             assert code == 0, f"preset {name} failed"
-            cache[key] = (out, elapsed)
-        return cache[key]
+            cache[name] = (out, elapsed)
+        return cache[name]
 
     return runner
 
@@ -212,7 +202,7 @@ def _coverage_from_dir(out_dir, burn_in):
 def test_criterion_04(preset_runs):
     """The regional t-mixture preset finds all four modes; the single
     pseudo-prior baseline misses at least one."""
-    out_dir, elapsed = preset_runs("gauss-mix-tmrgess", 4)
+    out_dir, elapsed = preset_runs("gauss-mix-tmrgess")
     assert elapsed < 120.0, f"runtime {elapsed:.1f}s"
     _traces, fractions = _coverage_from_dir(out_dir, burn_in=100)
     assert all(f >= 0.05 for f in fractions), f"coverage {fractions}"
@@ -225,7 +215,7 @@ def test_criterion_04(preset_runs):
     assert len(set(cols)) == 4
     assert np.all(cost[rows, cols] < 3.0), f"matched distances {cost[rows, cols]}"
 
-    gess_dir, _ = preset_runs("gauss-mix-gess", 4)
+    gess_dir, _ = preset_runs("gauss-mix-gess")
     _t, gess_fractions = _coverage_from_dir(gess_dir, burn_in=100)
     assert min(gess_fractions) < 0.01, f"baseline coverage {gess_fractions}"
 
@@ -290,7 +280,7 @@ def test_criterion_07(preset_runs):
     rows, cols = linear_sum_assignment(cost)
     assert np.all(cost[rows, cols] < 1e-3)
 
-    out_dir, elapsed = preset_runs("litter-em-tmrgess", 4)
+    out_dir, elapsed = preset_runs("litter-em-tmrgess")
     assert elapsed < 300.0, f"runtime {elapsed:.1f}s"
     traces, _ = read_trace_csv(
         os.path.join(out_dir, "trace.csv"),
@@ -400,17 +390,21 @@ def test_criterion_08(tmp_path):
     assert 0.50 <= reported <= 0.70, f"covtype accuracy {reported}"
 
 
-def test_criterion_09(preset_runs):
-    """Worker-pool size never changes the emitted traces."""
+def test_criterion_09(preset_runs, tmp_path):
+    """Execution layout never changes the emitted traces: the lockstep
+    ``rgess run`` output equals, byte for byte, a chain-major reference that
+    steps each chain through a whole segment between barriers in turn."""
     for preset in ("gauss-mix-tmrgess", "litter-em-tmrgess"):
-        dir_t1, _ = preset_runs(preset, 1)
-        dir_t4, _ = preset_runs(preset, 4)
-        for name in ("trace.csv", "mixtures.csv"):
-            with open(os.path.join(dir_t1, name), "rb") as fh:
-                bytes_t1 = fh.read()
-            with open(os.path.join(dir_t4, name), "rb") as fh:
-                bytes_t4 = fh.read()
-            assert bytes_t1 == bytes_t4, f"{preset}/{name} differs across pools"
+        run_dir, _ = preset_runs(preset)
+        exp = build_experiment(resolve_config_source(preset))
+        target, _extras = build_target(exp)
+        traces, history = reference_chain_major_run(exp.run_config, target)
+        expected = trace_csv_bytes(traces, history, tmp_path / preset)
+        for name, ref_bytes in zip(("trace.csv", "mixtures.csv"), expected):
+            with open(os.path.join(run_dir, name), "rb") as fh:
+                assert fh.read() == ref_bytes, (
+                    f"{preset}/{name} differs from the chain-major reference"
+                )
 
 
 def test_criterion_10():

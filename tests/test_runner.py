@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import reference_chain_major_run, trace_csv_bytes
 from rgess.adaptation import AdaptationConfig, Scheme
 from rgess.distributions import Gaussian, MixtureModel
 from rgess.runner import Kernel, RunConfig, RunError, pooled_snapshot, run
@@ -96,9 +97,7 @@ class TestSingleChainEquivalence:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("threads", ["1", "4"])
-    def test_thread_count_does_not_change_traces(self, monkeypatch, threads):
-        monkeypatch.setenv("RGESS_THREADS", threads)
+    def test_chain_major_order_does_not_change_traces(self, tmp_path):
         config = RunConfig(
             chains=8, iterations=60, burn_in=10, kernel=Kernel.GMRGESS,
             init=Gaussian([0.0], [[4.0]]),
@@ -108,11 +107,11 @@ class TestDeterminism:
             master_seed=2718,
         )
         result = run(config, _bimodal_target_1d())
-        key = [(rec.iteration, rec.rejections, tuple(rec.point), rec.region)
-               for chain in result.traces for rec in chain]
-        if not hasattr(self, "_reference"):
-            type(self)._reference = key
-        assert key == type(self)._reference
+        traces, history = reference_chain_major_run(config, _bimodal_target_1d())
+        assert [it for it, _ in history] == [0, 15, 30, 45, 60]
+        assert trace_csv_bytes(result.traces, result.mixture_history, tmp_path / "run") == (
+            trace_csv_bytes(traces, history, tmp_path / "reference")
+        )
 
     def test_same_config_twice_identical(self):
         config = RunConfig(
@@ -200,22 +199,6 @@ class TestBarriers:
 
 
 class TestBookkeeping:
-    def test_summary_matches_recomputed_series(self):
-        from rgess.diagnostics import rejection_rate_series
-
-        config = RunConfig(
-            chains=3, iterations=30, burn_in=0, kernel=Kernel.TMRGESS,
-            init=Gaussian([0.0], [[4.0]]),
-            adaptation=AdaptationConfig(
-                scheme=Scheme.EM_TMM, components=2, interval=10, reg_radius=0.1
-            ),
-            master_seed=8,
-        )
-        result = run(config, _bimodal_target_1d())
-        assert result.summary["rejection_rate_series"] == rejection_rate_series(
-            result.traces, result.summary["rejection_rate_window"]
-        )
-
     def test_trace_lengths_equal_and_thinning(self):
         config = RunConfig(
             chains=3, iterations=30, burn_in=0, kernel=Kernel.MH,

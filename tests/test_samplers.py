@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import reference_regional_ess_step
+from helpers import reference_regional_ess_step, reference_regional_mh_step
 from rgess.distributions import Gaussian, MixtureModel, StudentT
 from rgess.samplers import (
     MAX_SHRINK_ITERS,
@@ -272,24 +272,36 @@ class TestTmrgessStep:
         np.testing.assert_array_equal(a.next.point, b.next.point)
 
 
-@pytest.mark.parametrize(
+_ENTRY_STEPS = pytest.mark.parametrize(
     "step, make_mixture",
     [(gmrgess_step, _gaussian_pair_mixture), (tmrgess_step, _t_pair_mixture)],
     ids=["gmrgess", "tmrgess"],
 )
-class TestRegionalStepEntry:
-    """A non-finite current point is a ValueError at step entry, which the
-    runner reports as a RunError with chain and iteration."""
 
+
+class TestRegionalStepEntry:
+    """A current point the step cannot start from is a ValueError at step
+    entry, which the runner reports as a RunError with chain and iteration."""
+
+    @_ENTRY_STEPS
     def test_nan_current_point_raises(self, step, make_mixture):
         state = ChainState(point=np.array([np.nan]), region=0)
         with pytest.raises(ValueError, match="non-finite current point"):
             step(state, make_mixture(), _bimodal_target(), np.random.default_rng(0))
 
+    @_ENTRY_STEPS
     def test_inf_current_point_raises(self, step, make_mixture):
         state = ChainState(point=np.array([np.inf]), region=1)
         with pytest.raises(ValueError, match="non-finite current point"):
             step(state, make_mixture(), _bimodal_target(), np.random.default_rng(0))
+
+    def test_tmrgess_overflowing_current_point_raises(self):
+        # [1e200] is finite, but its Mahalanobis term overflows, so the rate
+        # of the inverse-gamma auxiliary scale is infinite.
+        state = ChainState(point=np.array([1e200]), region=1)
+        flat = TargetDensity(dim=1, log_pi=lambda _x: 0.0)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="auxiliary rate"):
+            tmrgess_step(state, _t_pair_mixture(), flat, np.random.default_rng(0))
 
 
 # Pseudo-prior mixtures and target of the criterion-3 stationarity check.
@@ -302,20 +314,23 @@ _C3_MIXTURES = {
         [StudentT([-2.5], [[4.0]], 5.0), StudentT([2.5], [[6.25]], 7.0)],
     ),
 }
+_C3_MIXTURES["regional_mh"] = _C3_MIXTURES["gaussian"]
 _C3_TARGET = MixtureModel(
     [0.6, 0.4], [Gaussian([-2.5], [[1.0]]), Gaussian([2.5], [[2.25]])]
 ).log_density
 
-_KERNELS = {"gaussian": gmrgess_step, "student_t": tmrgess_step}
+_KERNELS = {
+    "gaussian": gmrgess_step, "student_t": tmrgess_step, "regional_mh": regional_mh_step,
+}
 
 
 def _weighted_2d_mixture(kind):
     means = ([-2.0, 0.0], [2.0, 1.0], [0.0, 3.0])
     covs = ([[1.5, 0.4], [0.4, 1.0]], [[2.0, -0.3], [-0.3, 0.8]], np.eye(2))
-    if kind == "gaussian":
-        comps = [Gaussian(m, c) for m, c in zip(means, covs)]
-    else:
+    if kind == "student_t":
         comps = [StudentT(m, c, dof) for m, c, dof in zip(means, covs, (4.0, 6.0, 9.0))]
+    else:
+        comps = [Gaussian(m, c) for m, c in zip(means, covs)]
     return MixtureModel([0.5, 0.2, 0.3], comps, weighted_regions=True)
 
 
@@ -329,6 +344,8 @@ _SWAPPED_MIXTURES = {
     ),
 }
 
+_SWAPPED_MIXTURES["regional_mh"] = _SWAPPED_MIXTURES["gaussian"]
+
 _TARGET_2D = MixtureModel(
     [0.3, 0.7],
     [Gaussian([-2.0, 0.5], [[1.0, 0.2], [0.2, 0.5]]), Gaussian([1.5, 2.0], np.eye(2))],
@@ -338,6 +355,16 @@ _TARGET_2D = MixtureModel(
 def _truncated_c3_target(x):
     # zero density right of 1.5: proposals there must be rejected outright
     return -np.inf if x[0] > 1.5 else _C3_TARGET(x)
+
+
+def _reference_step(kind, point, region, mixture, log_pi, rng):
+    if kind != "regional_mh":
+        return reference_regional_ess_step(kind, point, region, mixture, log_pi, rng)
+    out = reference_regional_mh_step(
+        ChainState(point=point, region=region), mixture,
+        TargetDensity(dim=len(point), log_pi=log_pi), rng,
+    )
+    return out.next.point, out.next.region, out.rejections, out.angle_final
 
 
 def _compare_with_reference(kind, mixture_at, log_pi, x0, n_steps, seed):
@@ -360,7 +387,7 @@ def _compare_with_reference(kind, mixture_at, log_pi, x0, n_steps, seed):
             state = state._replace(region=mixture.assign_region(state.point))
             region = mixture.assign_region(point)
         out = step(state, mixture, target, rng)
-        point, region, rej, angle = reference_regional_ess_step(
+        point, region, rej, angle = _reference_step(
             kind, point, region, mixture, log_pi, rng_ref
         )
         assert np.array_equal(out.next.point, point), f"step {n}"
@@ -373,30 +400,41 @@ def _compare_with_reference(kind, mixture_at, log_pi, x0, n_steps, seed):
     return np.array(rejections)
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "student_t"])
-class TestRegionalKernelsMatchReference:
-    """The regional ESS kernels reproduce the straightforward reference
-    step exactly: points, regions, rejections and final angles."""
+_ALL_KINDS = pytest.mark.parametrize("kind", ["gaussian", "student_t", "regional_mh"])
+_ESS_KINDS = pytest.mark.parametrize("kind", ["gaussian", "student_t"])
 
+
+class TestRegionalKernelsMatchReference:
+    """The regional kernels reproduce the straightforward reference step
+    exactly: points, regions, rejections and final angles. Kind "gaussian" is
+    ``gmrgess_step``, "student_t" is ``tmrgess_step``, and "regional_mh" is
+    ``regional_mh_step`` against its uncached reference."""
+
+    @_ALL_KINDS
     def test_criterion_3_mixtures(self, kind):
         mixture = _C3_MIXTURES[kind]()
         rej = _compare_with_reference(
             kind, lambda _n: mixture, _C3_TARGET, np.array([-2.5]), 2000, 1003
         )
-        assert rej.max() > 1
+        # MH steps reject at most once; ESS steps also shrink repeatedly
+        assert rej.min() == 0
+        assert rej.max() > (0 if kind == "regional_mh" else 1)
 
+    @_ALL_KINDS
     def test_weighted_regions_in_two_dimensions(self, kind):
         mixture = _weighted_2d_mixture(kind)
         _compare_with_reference(
             kind, lambda _n: mixture, _TARGET_2D, np.array([-2.0, 0.5]), 500, 11
         )
 
+    @_ALL_KINDS
     def test_target_with_zero_density_region(self, kind):
         mixture = _C3_MIXTURES[kind]()
         _compare_with_reference(
             kind, lambda _n: mixture, _truncated_c3_target, np.array([-2.5]), 500, 12
         )
 
+    @_ESS_KINDS
     def test_shrinkage_cap(self, kind, monkeypatch):
         monkeypatch.setattr("rgess.samplers.MAX_SHRINK_ITERS", 2)
         mixture = _C3_MIXTURES[kind]()
@@ -405,6 +443,7 @@ class TestRegionalKernelsMatchReference:
         )
         assert np.any(rej == 2) and np.any(rej < 2)
 
+    @_ALL_KINDS
     def test_mixture_swapped_between_steps(self, kind):
         # a stale density cache would change the acceptance thresholds
         first, second = _C3_MIXTURES[kind](), _SWAPPED_MIXTURES[kind]()
