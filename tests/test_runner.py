@@ -1,5 +1,7 @@
 """Multi-chain runner: seeding, barriers, determinism and validation."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -97,7 +99,11 @@ class TestSingleChainEquivalence:
 
 
 class TestDeterminism:
-    def test_chain_major_order_does_not_change_traces(self, tmp_path):
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_thread_count_does_not_change_traces(self, threads, tmp_path):
+        # ``run`` steps chains in lockstep; the chain-major reference steps
+        # each chain through a whole barrier segment before the next. The
+        # bytes must agree, also when several runs share the process at once.
         config = RunConfig(
             chains=8, iterations=60, burn_in=10, kernel=Kernel.GMRGESS,
             init=Gaussian([0.0], [[4.0]]),
@@ -106,12 +112,19 @@ class TestDeterminism:
             ),
             master_seed=2718,
         )
-        result = run(config, _bimodal_target_1d())
         traces, history = reference_chain_major_run(config, _bimodal_target_1d())
         assert [it for it, _ in history] == [0, 15, 30, 45, 60]
-        assert trace_csv_bytes(result.traces, result.mixture_history, tmp_path / "run") == (
-            trace_csv_bytes(traces, history, tmp_path / "reference")
-        )
+        expected = trace_csv_bytes(traces, history, tmp_path / "reference")
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(
+                lambda _: run(config, _bimodal_target_1d()), range(threads)
+            ))
+        for i, result in enumerate(results):
+            got = trace_csv_bytes(
+                result.traces, result.mixture_history, tmp_path / f"run{i}"
+            )
+            assert got == expected
 
     def test_same_config_twice_identical(self):
         config = RunConfig(
