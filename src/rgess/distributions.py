@@ -181,6 +181,8 @@ class MixtureModel:
         "_log_weights",
         "_means",
         "_chol_inv",
+        "_chols",
+        "_offsets",
         "_log_norms",
         "_dofs",
         "_half_dof_plus_dim",
@@ -220,6 +222,7 @@ class MixtureModel:
         # (M D, D) matvec through the shared whitening map z = A x + b.
         self._means = np.stack([c.mean for c in components])
         self._chol_inv = np.stack([c._chol_inv for c in components])
+        self._chols = np.stack([c.chol for c in components])
         self._log_norms = np.array([c._log_norm for c in components])
         dim = components[0].dim
         self._m = len(components)
@@ -227,6 +230,7 @@ class MixtureModel:
         self._shape = (dim,)
         self._whiten_mat = self._chol_inv.reshape(len(components) * dim, dim)
         self._whiten_off = np.concatenate([c._offset for c in components])
+        self._offsets = self._whiten_off.reshape(len(components), dim)
         if isinstance(components[0], StudentT):
             self._dofs = np.array([c.dof for c in components])
             self._half_dof_plus_dim = 0.5 * (self._dofs + dim)
@@ -255,16 +259,25 @@ class MixtureModel:
 
     def _log_densities(self, x: np.ndarray) -> np.ndarray:
         """:meth:`component_log_densities` without the input check, for
-        callers that have already checked that ``x`` has shape (D,)."""
-        z = self._whiten_mat @ x + self._whiten_off
+        callers that have already checked that ``x`` has shape (D,).
+
+        Also takes a batch of shape (n, D) and returns shape (n, M); every
+        row equals the single-point call bit for bit. Each row is whitened
+        by its own matrix-vector product: a single (n, D) @ (D, M D) matrix
+        product rounds differently.
+        """
+        if x.ndim == 1:
+            z = self._whiten_mat @ x + self._whiten_off
+        else:
+            z = (self._whiten_mat @ x[:, :, None])[:, :, 0] + self._whiten_off
         z2 = z * z
         dim = self._dim
         if dim == 1:
             quad = z2
         elif dim == 2:
-            quad = z2[0::2] + z2[1::2]
+            quad = z2[..., 0::2] + z2[..., 1::2]
         else:
-            quad = z2.reshape(self._m, dim).sum(axis=1)
+            quad = z2.reshape(z2.shape[:-1] + (self._m, dim)).sum(axis=-1)
         if self._dofs is None:
             return self._log_norms - 0.5 * quad
         return self._log_norms - self._half_dof_plus_dim * np.log1p(quad / self._dofs)

@@ -6,6 +6,14 @@ each holds its own state and random generator. Stepping chain 0 through a
 whole segment between barriers, then chain 1, and so on, therefore gives the
 same traces as the lockstep order ``run`` uses: the execution layout never
 changes results.
+
+The regional ESS kernels (gmrgess, tmrgess and gess) advance all chains as
+one batch: the runner keeps their points, regions and target and component
+log densities as arrays, and :func:`rgess.samplers.regional_ess_batch`
+evaluates each shrinkage round for all chains still shrinking in one call.
+Each chain still draws from its own generator in the per-chain kernel's
+order, so the traces equal those of the per-chain kernels bit for bit. The
+ess, mh and regional_mh kernels step one chain at a time.
 """
 
 from __future__ import annotations
@@ -19,12 +27,15 @@ from . import adaptation as ad
 from .adaptation import AdaptationConfig, Scheme
 from .diagnostics import TraceRecord
 from .distributions import Gaussian, MixtureModel
-from .samplers import (
+from .samplers import (  # noqa: F401 (gmrgess_step and tmrgess_step: see below)
+    ChainFailure,
     ChainState,
     TargetDensity,
+    _mh_step,
     ess_step,
     gmrgess_step,
-    mh_step,
+    log_pi_rows,
+    regional_ess_batch,
     regional_mh_step,
     tmrgess_step,
 )
@@ -48,6 +59,9 @@ class Kernel(str, enum.Enum):
 _GAUSSIAN_MIXTURE_KERNELS = {Kernel.GMRGESS, Kernel.REGIONAL_MH}
 _T_MIXTURE_KERNELS = {Kernel.TMRGESS, Kernel.GESS}
 _MIXTURE_KERNELS = _GAUSSIAN_MIXTURE_KERNELS | _T_MIXTURE_KERNELS
+# Stepped by regional_ess_batch. The per-chain gmrgess_step and tmrgess_step
+# stay importable from this module, where the benchmark's tracer wraps them.
+_BATCHED_KERNELS = {Kernel.GMRGESS, Kernel.TMRGESS, Kernel.GESS}
 
 
 class RunError(RuntimeError):
@@ -164,27 +178,74 @@ def _refit_mixture(config: RunConfig, mixture, points, adapt_rng, update_index: 
     raise ValueError(f"unknown adaptation scheme {scheme}")
 
 
-def _step_function(config: RunConfig, target: TargetDensity):
-    """The configured kernel as ``step(state, mixture, rng)``.
+class _PerChain:
+    """Chains stepped one at a time with the configured kernel."""
 
-    The step functions are read from this module's globals when this is
-    called, not at import, so a replaced attribute (a timing wrapper, say)
-    is the one ``run`` steps with.
-    """
-    kernel = config.kernel
-    if kernel is Kernel.ESS:
-        step, prior, log_likelihood = ess_step, target.prior, target.log_likelihood
-        return lambda state, _mixture, rng: step(state, prior, log_likelihood, rng)
-    if kernel is Kernel.MH:
-        step, cov = mh_step, np.asarray(config.mh_proposal_cov, dtype=float)
-        return lambda state, _mixture, rng: step(state, cov, target, rng)
-    if kernel is Kernel.REGIONAL_MH:
-        step = regional_mh_step
-    elif kernel is Kernel.GMRGESS:
-        step = gmrgess_step
-    else:  # TMRGESS and its single-component special case
-        step = tmrgess_step
-    return lambda state, mixture, rng: step(state, mixture, target, rng)
+    def __init__(self, config: RunConfig, target: TargetDensity, points, mixture):
+        self.states = [ChainState(point=p) for p in points]
+        if mixture is not None:
+            self.set_mixture(mixture)
+        kernel = config.kernel
+        if kernel is Kernel.ESS:
+            prior, log_likelihood = target.prior, target.log_likelihood
+            self._step = lambda state, rng: ess_step(state, prior, log_likelihood, rng)
+        elif kernel is Kernel.MH:
+            chol = np.linalg.cholesky(np.asarray(config.mh_proposal_cov, dtype=float))
+            self._step = lambda state, rng: _mh_step(state, chol, target, rng)
+        else:
+            self._step = lambda state, rng: regional_mh_step(state, self.mixture, target, rng)
+
+    def set_mixture(self, mixture: MixtureModel):
+        self.mixture = mixture
+        self.states = [s._replace(region=mixture.assign_region(s.point)) for s in self.states]
+
+    def snapshot(self) -> list:
+        return pooled_snapshot(self.states)
+
+    def step(self, rngs) -> list:
+        rejections = []
+        for k, rng in enumerate(rngs):
+            try:
+                outcome = self._step(self.states[k], rng)
+            except ValueError as exc:
+                raise ChainFailure(k, exc) from exc
+            self.states[k] = outcome.next
+            rejections.append(outcome.rejections)
+        return rejections
+
+    def records(self):
+        """``(point copy, region)`` of every chain."""
+        return [(np.array(s.point, copy=True), s.region) for s in self.states]
+
+
+class _Batched:
+    """Chains of a regional ESS kernel, stepped together by
+    :func:`rgess.samplers.regional_ess_batch`."""
+
+    def __init__(self, target: TargetDensity, points, mixture: MixtureModel):
+        self.target = target
+        self.points = np.array(points, dtype=float)
+        self.log_pis = log_pi_rows(target, self.points, range(len(self.points)))
+        self.set_mixture(mixture)
+
+    def set_mixture(self, mixture: MixtureModel):
+        # Every row equals MixtureModel.assign_region's scores at that point.
+        self.mixture = mixture
+        self.comps = mixture._log_densities(self.points)
+        scores = self.comps
+        if mixture.weighted_regions:
+            scores = scores + mixture._log_weights
+        self.regions = scores.argmax(axis=1)
+
+    def snapshot(self) -> list:
+        return list(self.points.copy())
+
+    def step(self, rngs) -> list:
+        return regional_ess_batch(self.points, self.regions, self.log_pis, self.comps,
+                                  self.mixture, self.target, rngs)
+
+    def records(self):
+        return zip(self.points.copy(), self.regions.tolist())
 
 
 def run(config: RunConfig, target: TargetDensity,
@@ -218,14 +279,19 @@ def run(config: RunConfig, target: TargetDensity,
     adapt_rng = np.random.default_rng(children[k_chains])
 
     acfg = config.adaptation
-    states = [ChainState(point=config.init.sample(rng)) for rng in rngs]
+    points = [config.init.sample(rng) for rng in rngs]
     mixture = None
     uses_mixture = config.kernel in _MIXTURE_KERNELS
     if uses_mixture:
-        mixture = _initial_mixture(config, [s.point for s in states], adapt_rng)
-        states = [s._replace(region=mixture.assign_region(s.point)) for s in states]
+        mixture = _initial_mixture(config, points, adapt_rng)
+    try:
+        if config.kernel in _BATCHED_KERNELS:
+            chains = _Batched(target, points, mixture)
+        else:
+            chains = _PerChain(config, target, points, mixture)
+    except ChainFailure as exc:
+        raise RunError(exc.chain, 1, exc.cause) from exc
 
-    step = _step_function(config, target)
     first_adapt = max(acfg.interval, 2 * acfg.components)
     traces = [[] for _ in range(k_chains)]
     mixture_history = []
@@ -237,32 +303,22 @@ def run(config: RunConfig, target: TargetDensity,
         if uses_mixture and n % acfg.interval == 0 and n >= first_adapt:
             update_index += 1
             mixture = _refit_mixture(
-                config, mixture, pooled_snapshot(states), adapt_rng, update_index
+                config, mixture, chains.snapshot(), adapt_rng, update_index
             )
             mixture_history.append((n, mixture))
-            states = [s._replace(region=mixture.assign_region(s.point)) for s in states]
+            chains.set_mixture(mixture)
 
-        record = n % config.thinning == 0
-        for k in range(k_chains):
-            state, rng = states[k], rngs[k]
-            rejections = 0
-            try:
-                for _ in range(config.steps_per_iteration):
-                    outcome = step(state, mixture, rng)
-                    state = outcome.next
-                    rejections += outcome.rejections
-            except ValueError as exc:
-                raise RunError(k, n, exc) from exc
-            states[k] = state
-            if record:
-                traces[k].append(
-                    TraceRecord(
-                        chain=k,
-                        iteration=n,
-                        point=np.array(state.point, copy=True),
-                        rejections=rejections,
-                        region=state.region,
-                    )
-                )
+        rejections = [0] * k_chains
+        try:
+            for _ in range(config.steps_per_iteration):
+                rejections = [a + b for a, b in zip(rejections, chains.step(rngs))]
+        except ChainFailure as exc:
+            raise RunError(exc.chain, n, exc.cause) from exc
+        if n % config.thinning == 0:
+            for k, (point, region) in enumerate(chains.records()):
+                traces[k].append(TraceRecord(
+                    chain=k, iteration=n, point=point,
+                    rejections=rejections[k], region=region,
+                ))
 
     return RunResult(traces=traces, mixture_history=mixture_history)

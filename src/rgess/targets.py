@@ -66,8 +66,32 @@ class GaussMixTarget:
             return -np.inf
         return self.mixture.log_density(x)
 
+    def log_density_batch(self, points) -> np.ndarray:
+        """:meth:`log_density` at each row of an (n, 2) array, bit for bit.
+
+        The same log-sum-exp as ``MixtureModel.log_density``, taken row-wise
+        over the batched component densities; non-finite rows give -inf.
+        """
+        points = np.asarray(points, dtype=float)
+        finite = np.isfinite(points).all(axis=1)
+        if finite.all():
+            return self._log_density_rows(points)
+        out = np.full(len(points), -np.inf)
+        out[finite] = self._log_density_rows(points[finite])
+        return out
+
+    def _log_density_rows(self, points) -> np.ndarray:
+        mixture = self.mixture
+        terms = mixture._log_weights + mixture._log_densities(points)
+        m = terms.max(axis=1)
+        # Rows whose terms are all -inf give nan here; they keep m below.
+        with np.errstate(invalid="ignore"):
+            lse = m + np.log(np.exp(terms - m[:, None]).sum(axis=1))
+        return np.where(np.isfinite(m), lse, m)
+
     def as_target_density(self) -> TargetDensity:
-        return TargetDensity(dim=2, log_pi=self.log_density)
+        return TargetDensity(dim=2, log_pi=self.log_density,
+                             log_pi_batch=self.log_density_batch)
 
 
 def gauss_mix_target() -> GaussMixTarget:

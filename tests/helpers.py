@@ -226,6 +226,27 @@ def reference_regional_mh_step(state, mixture, target, rng):
     return StepOutcome(next=state, rejections=1)
 
 
+def reference_mh_step(state, proposal_cov, target, rng):
+    """Straightforward random-walk MH step, the oracle for the cached
+    ``mh_step``: it factorizes the proposal covariance and evaluates the
+    target at the current point on every step."""
+    x = state.point
+    log_pi_x = float(target.log_pi(x))
+    if not np.isfinite(log_pi_x):
+        raise ValueError("log target at current point is not finite")
+    chol = np.linalg.cholesky(np.asarray(proposal_cov, dtype=float))
+    x_prop = x + chol @ rng.standard_normal(x.shape[0])
+    log_pi_prop = float(target.log_pi(x_prop))
+
+    accepted = (
+        log_pi_prop > -np.inf
+        and math.log(1.0 - rng.random()) < min(0.0, log_pi_prop - log_pi_x)
+    )
+    if accepted:
+        return StepOutcome(next=ChainState(point=x_prop, region=state.region), rejections=0)
+    return StepOutcome(next=state, rejections=1)
+
+
 def trace_csv_bytes(traces, history, out_dir):
     """Write ``trace.csv`` and ``mixtures.csv`` into the new directory
     ``out_dir`` (a ``pathlib.Path``); return their bytes, in that order."""
@@ -242,7 +263,9 @@ def reference_chain_major_run(config, target):
     Seeds, barriers and refits are those of ``run``, but between two barriers
     chain 0 takes all of the segment's iterations, then chain 1, and so on,
     instead of every chain taking one iteration in turn. Chains that share
-    nothing between barriers give the same traces in either order.
+    nothing between barriers give the same traces in either order. Every
+    kernel is stepped one chain at a time with its public per-chain step
+    function, also those ``run`` steps as one batch.
     """
     k_chains = config.chains
     children = np.random.SeedSequence(config.master_seed).spawn(k_chains + 1)

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from rgess.distributions import (
@@ -246,6 +249,42 @@ class TestRegionAssign:
         x = np.array([2.2])  # just past the unweighted midpoint
         assert plain.assign_region(x) == 1
         assert lopsided.assign_region(x) == 0
+
+
+@st.composite
+def _mixture_and_batch(draw):
+    """A random Gaussian or Student-t mixture with M in 1..4 components of
+    dimension D in 1..9, random SPD scales, and an (n, D) batch, n in 1..64."""
+    kind = draw(st.sampled_from(["gaussian", "student_t"]))
+    m = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    comps = []
+    for _ in range(m):
+        a = rng.normal(size=(d, d))
+        scale = 10.0 ** rng.uniform(-2.0, 2.0) * (a @ a.T / d + 0.05 * np.eye(d))
+        mean = rng.normal(scale=5.0, size=d)
+        if kind == "gaussian":
+            comps.append(Gaussian(mean, scale))
+        else:
+            comps.append(StudentT(mean, scale, rng.uniform(0.5, 30.0)))
+    mixture = MixtureModel(rng.dirichlet(np.ones(m)), comps)
+    coords = st.one_of(st.floats(-50.0, 50.0), st.floats(-1e6, 1e6))
+    points = draw(hnp.arrays(np.float64, (n, d), elements=coords))
+    return mixture, points
+
+
+class TestBatchedComponentDensities:
+    @settings(deadline=None, max_examples=200)
+    @given(_mixture_and_batch())
+    def test_rows_equal_single_point_calls_bitwise(self, case):
+        mixture, points = case
+        batch = mixture._log_densities(points)
+        assert batch.shape == (len(points), mixture.n_components)
+        for row, x in zip(batch, points):
+            single = mixture.component_log_densities(x.copy())
+            assert row.tobytes() == single.tobytes()
 
 
 class TestMixtureNormalization:

@@ -5,11 +5,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from helpers import reference_chain_major_run, trace_csv_bytes
+from helpers import reference_chain_major_run, reference_mh_step, trace_csv_bytes
 from rgess.adaptation import AdaptationConfig, Scheme
 from rgess.distributions import Gaussian, MixtureModel
 from rgess.runner import Kernel, RunConfig, RunError, pooled_snapshot, run
-from rgess.samplers import ChainState, TargetDensity, mh_step
+from rgess.samplers import ChainState, TargetDensity
+from rgess.targets import gauss_mix_target
 
 
 def _std_normal_target(dim):
@@ -21,6 +22,55 @@ def _bimodal_target_1d():
         [0.5, 0.5], [Gaussian([-4.0], [[1.0]]), Gaussian([4.0], [[1.0]])]
     )
     return TargetDensity(dim=1, log_pi=mix.log_density)
+
+
+def _skewed_target_1d():
+    # unequal mode masses and widths: weighted and plain regions differ often
+    mix = MixtureModel([0.8, 0.2], [Gaussian([-2.0], [[4.0]]), Gaussian([3.0], [[0.25]])])
+    return TargetDensity(dim=1, log_pi=mix.log_density)
+
+
+def _truncated_target_2d():
+    # zero density right of x0 = 1: proposals there must be rejected outright
+    mix = MixtureModel(
+        [0.3, 0.7],
+        [Gaussian([-2.0, 0.5], [[1.0, 0.2], [0.2, 0.5]]), Gaussian([0.5, 2.0], np.eye(2))],
+    )
+    return TargetDensity(
+        dim=2, log_pi=lambda x: -np.inf if x[0] > 1.0 else mix.log_density(x)
+    )
+
+
+def _determinism_cases():
+    """``(name, config, make_target, shrink_cap)`` inputs of the chain-major
+    comparison; ``shrink_cap`` replaces ``MAX_SHRINK_ITERS`` when not None."""
+    def config(kernel, scheme, components, init, seed, weighted_regions=False, **kwargs):
+        adaptation = AdaptationConfig(
+            scheme=scheme, components=components, interval=15, reg_radius=0.1,
+            weighted_regions=weighted_regions,
+        )
+        return RunConfig(chains=8, iterations=60, burn_in=10, kernel=kernel, init=init,
+                         adaptation=adaptation, master_seed=seed, **kwargs)
+
+    wide_1d = Gaussian([0.0], [[4.0]])
+    return [
+        ("gmrgess", config(Kernel.GMRGESS, Scheme.EM_GMM, 2, wide_1d, 2718),
+         _bimodal_target_1d, None),
+        ("gess", config(Kernel.GESS, Scheme.EM_TMM, 1, wide_1d, 31,
+                        steps_per_iteration=2, thinning=2),
+         _bimodal_target_1d, None),
+        ("gmrgess-weighted", config(Kernel.GMRGESS, Scheme.EM_GMM, 2, wide_1d, 32,
+                                    weighted_regions=True),
+         _skewed_target_1d, None),
+        ("tmrgess-2d-zero-region",
+         config(Kernel.TMRGESS, Scheme.EM_TMM, 2, Gaussian([-1.5, 0.5], 0.1 * np.eye(2)), 33),
+         _truncated_target_2d, None),
+        ("tmrgess-shrink-cap-2", config(Kernel.TMRGESS, Scheme.EM_TMM, 2, wide_1d, 34),
+         _bimodal_target_1d, 2),
+        ("tmrgess-batched-target",
+         config(Kernel.TMRGESS, Scheme.EM_TMM, 2, Gaussian([5.0, 5.0], 10.0 * np.eye(2)), 35),
+         lambda: gauss_mix_target().as_target_density(), None),
+    ]
 
 
 class TestValidation:
@@ -87,44 +137,50 @@ class TestSingleChainEquivalence:
         )
         result = run(config, target)
 
+        # The runner factorizes the proposal covariance once and carries
+        # log_pi at the current point; the reference does neither.
         children = np.random.SeedSequence(314).spawn(2)
         rng = np.random.default_rng(children[0])
         state = ChainState(point=init.sample(rng))
         expected = []
         for _ in range(100):
-            state = mh_step(state, 0.5 * np.eye(2), target, rng).next
-            expected.append(state.point)
-        for rec, point in zip(result.traces[0], expected):
+            outcome = reference_mh_step(state, 0.5 * np.eye(2), target, rng)
+            state = outcome.next
+            expected.append((state.point, outcome.rejections))
+        assert len(result.traces[0]) == len(expected)
+        for rec, (point, rejections) in zip(result.traces[0], expected):
             np.testing.assert_array_equal(rec.point, point)
+            assert rec.rejections == rejections
 
 
 class TestDeterminism:
     @pytest.mark.parametrize("threads", [1, 4])
-    def test_thread_count_does_not_change_traces(self, threads, tmp_path):
-        # ``run`` steps chains in lockstep; the chain-major reference steps
-        # each chain through a whole barrier segment before the next. The
+    def test_thread_count_does_not_change_traces(self, threads, tmp_path, monkeypatch):
+        # ``run`` steps chains in lockstep, the regional ESS kernels as one
+        # batch; the chain-major reference steps each chain through a whole
+        # barrier segment before the next with the per-chain kernels. The
         # bytes must agree, also when several runs share the process at once.
-        config = RunConfig(
-            chains=8, iterations=60, burn_in=10, kernel=Kernel.GMRGESS,
-            init=Gaussian([0.0], [[4.0]]),
-            adaptation=AdaptationConfig(
-                scheme=Scheme.EM_GMM, components=2, interval=15, reg_radius=0.1
-            ),
-            master_seed=2718,
-        )
-        traces, history = reference_chain_major_run(config, _bimodal_target_1d())
-        assert [it for it, _ in history] == [0, 15, 30, 45, 60]
-        expected = trace_csv_bytes(traces, history, tmp_path / "reference")
+        for name, config, make_target, shrink_cap in _determinism_cases():
+            with monkeypatch.context() as patch:
+                if shrink_cap is not None:
+                    # read by both the batched and the per-chain kernels at call time
+                    patch.setattr("rgess.samplers.MAX_SHRINK_ITERS", shrink_cap)
+                traces, history = reference_chain_major_run(config, make_target())
+                assert [it for it, _ in history] == [0, 15, 30, 45, 60]
+                expected = trace_csv_bytes(traces, history, tmp_path / f"{name}-reference")
+                if shrink_cap is not None:
+                    hits = [rec.rejections for chain in traces for rec in chain]
+                    assert shrink_cap in hits and min(hits) < shrink_cap
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda _: run(config, _bimodal_target_1d()), range(threads)
-            ))
-        for i, result in enumerate(results):
-            got = trace_csv_bytes(
-                result.traces, result.mixture_history, tmp_path / f"run{i}"
-            )
-            assert got == expected
+                with ThreadPoolExecutor(max_workers=threads) as pool:
+                    results = list(pool.map(
+                        lambda _: run(config, make_target()), range(threads)
+                    ))
+            for i, result in enumerate(results):
+                got = trace_csv_bytes(
+                    result.traces, result.mixture_history, tmp_path / f"{name}-run{i}"
+                )
+                assert got == expected, name
 
     def test_same_config_twice_identical(self):
         config = RunConfig(
@@ -254,12 +310,18 @@ class TestRunErrors:
             return 0.0 if abs(x[0]) < 1.0 else -np.inf
 
         target = TargetDensity(dim=1, log_pi=truncated)
-        config = RunConfig(
-            chains=2, iterations=5, burn_in=0, kernel=Kernel.MH,
-            init=Gaussian([50.0], [[0.01]]), master_seed=3,
-            mh_proposal_cov=np.eye(1),
-        )
-        with pytest.raises(RunError) as info:
-            run(config, target)
-        assert info.value.iteration == 1
-        assert 0 <= info.value.chain < 2
+        init = Gaussian([50.0], [[0.01]])
+        configs = [
+            RunConfig(chains=2, iterations=5, burn_in=0, kernel=Kernel.MH, init=init,
+                      master_seed=3, mh_proposal_cov=np.eye(1)),
+            RunConfig(chains=2, iterations=5, burn_in=0, kernel=Kernel.TMRGESS, init=init,
+                      master_seed=3, adaptation=AdaptationConfig(scheme=Scheme.EM_TMM)),
+            RunConfig(chains=2, iterations=5, burn_in=0, kernel=Kernel.GMRGESS, init=init,
+                      master_seed=3, adaptation=AdaptationConfig(scheme=Scheme.EM_GMM)),
+        ]
+        for config in configs:
+            with pytest.raises(RunError) as info:
+                run(config, target)
+            assert info.value.iteration == 1, config.kernel
+            assert 0 <= info.value.chain < 2
+            assert "not finite" in str(info.value.cause)

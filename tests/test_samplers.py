@@ -11,11 +11,14 @@ from helpers import reference_regional_ess_step, reference_regional_mh_step
 from rgess.distributions import Gaussian, MixtureModel, StudentT
 from rgess.samplers import (
     MAX_SHRINK_ITERS,
+    ChainFailure,
     ChainState,
     TargetDensity,
     ess_step,
     gmrgess_step,
+    log_pi_rows,
     mh_step,
+    regional_ess_batch,
     regional_log_ratio,
     regional_mh_step,
     t_auxiliary_params,
@@ -302,6 +305,35 @@ class TestRegionalStepEntry:
         flat = TargetDensity(dim=1, log_pi=lambda _x: 0.0)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="auxiliary rate"):
             tmrgess_step(state, _t_pair_mixture(), flat, np.random.default_rng(0))
+        # The batched step names the lowest chain that cannot start.
+        with pytest.raises(ChainFailure, match="auxiliary rate") as info:
+            _batch_step([[0.5], [1e200], [np.nan]], _t_pair_mixture(), flat)
+        assert info.value.chain == 1
+
+    def test_gmrgess_overflowing_current_point_raises(self):
+        # At [1e200] the quadratic forms overflow, so every Gaussian component
+        # log density is -inf and no proposal could clear the slice threshold.
+        state = ChainState(point=np.array([1e200]), region=1)
+        flat = TargetDensity(dim=1, log_pi=lambda _x: 0.0)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="current region"):
+            gmrgess_step(state, _gaussian_pair_mixture(), flat, np.random.default_rng(0))
+        with pytest.raises(ChainFailure, match="current region") as info:
+            _batch_step([[0.5], [1e200], [np.nan]], _gaussian_pair_mixture(), flat)
+        assert info.value.chain == 1
+        with pytest.raises(ChainFailure, match="non-finite current point") as info:
+            _batch_step([[np.nan], [1e200]], _gaussian_pair_mixture(), flat)
+        assert info.value.chain == 0
+
+
+def _batch_step(points, mixture, target):
+    """One ``regional_ess_batch`` step from ``points``, regions assigned."""
+    points = np.array(points, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        comps = mixture._log_densities(points)
+    regions = comps.argmax(axis=1)
+    log_pis = log_pi_rows(target, points, range(len(points)))
+    rngs = [np.random.default_rng(k) for k in range(len(points))]
+    return regional_ess_batch(points, regions, log_pis, comps, mixture, target, rngs)
 
 
 # Pseudo-prior mixtures and target of the criterion-3 stationarity check.

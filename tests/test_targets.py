@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import gammaln
 
 from rgess.distributions import Gaussian, MixtureModel
@@ -72,6 +75,29 @@ def _standardized_design(rng, n, d):
     x = rng.normal(size=(n, d))
     x = (x - x.mean(axis=0)) / x.std(axis=0)
     return x
+
+
+_GAUSS_MIX_COORDS = st.one_of(
+    st.floats(-20.0, 80.0),
+    st.floats(-1e200, 1e200),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+class TestGaussMixBatch:
+    @settings(deadline=None, max_examples=200)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 64), st.just(2)),
+                      elements=_GAUSS_MIX_COORDS))
+    def test_batch_rows_equal_log_density_bitwise(self, points):
+        target = GaussMixTarget()
+        density = target.as_target_density()
+        with np.errstate(over="ignore"):
+            batch = density.log_pi_batch(points)
+            singles = [np.float64(density.log_pi(x.copy())) for x in points]
+        assert batch.shape == (len(points),)
+        for value, single in zip(batch, singles):
+            assert value.tobytes() == single.tobytes()
+        assert np.all(batch[~np.isfinite(points).all(axis=1)] == -np.inf)
 
 
 class TestLogisticLikelihood:
