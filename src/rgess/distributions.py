@@ -296,10 +296,15 @@ class MixtureModel:
         Ties break to the lowest index. With ``weighted_regions`` the argmax
         is taken over the weighted component densities instead.
         """
-        scores = self.component_log_densities(x)
+        return int(self._region_of(self.component_log_densities(x)))
+
+    def _region_of(self, comp_log_densities: np.ndarray):
+        """The region rule: argmax over the last axis of component log
+        densities of shape (M,) or (n, M), plain or, with
+        ``weighted_regions``, after adding the log weights."""
         if self.weighted_regions:
-            scores = scores + self._log_weights
-        return int(np.argmax(scores))
+            comp_log_densities = comp_log_densities + self._log_weights
+        return comp_log_densities.argmax(axis=-1)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         idx = int(rng.choice(self.n_components, p=self.weights))

@@ -229,13 +229,9 @@ class _Batched:
         self.set_mixture(mixture)
 
     def set_mixture(self, mixture: MixtureModel):
-        # Every row equals MixtureModel.assign_region's scores at that point.
         self.mixture = mixture
         self.comps = mixture._log_densities(self.points)
-        scores = self.comps
-        if mixture.weighted_regions:
-            scores = scores + mixture._log_weights
-        self.regions = scores.argmax(axis=1)
+        self.regions = mixture._region_of(self.comps)
 
     def snapshot(self) -> list:
         return list(self.points.copy())

@@ -227,18 +227,15 @@ def _regional_ellipse_step(state, mixture, target, log_pi_x, comp_at_x, v, rng,
     i = state.region
     log_pi = target.log_pi
     log_u = _log_uniform(rng)
-    log_weights = mixture._log_weights if mixture.weighted_regions else None
     log_densities = mixture._log_densities
+    region_of = mixture._region_of
 
     def accept(x_prop):
         log_pi_prop = float(log_pi(x_prop))
         if log_pi_prop == -math.inf:
             return None
         comp_at_prop = log_densities(x_prop)
-        if log_weights is None:
-            j = int(comp_at_prop.argmax())
-        else:
-            j = int((comp_at_prop + log_weights).argmax())
+        j = int(region_of(comp_at_prop))
         # Residual-form test: log R_I(x') > log R_J(x) + log u, with the
         # threshold recomputed per proposal because J depends on x'.
         if log_pi_prop - comp_at_prop[i] > log_pi_x - comp_at_x[j] + log_u:
@@ -428,8 +425,8 @@ def regional_ess_batch(points, regions, log_pis, comps, mixture: MixtureModel,
     theta_min = [t - two_pi for t in theta]
     theta_max = list(theta)
     rejections = [0] * k_chains
-    log_weights = mixture._log_weights if mixture.weighted_regions else None
     log_densities = mixture._log_densities
+    region_of = mixture._region_of
     cap = MAX_SHRINK_ITERS
     active = list(range(k_chains))
     while active:
@@ -442,8 +439,7 @@ def regional_ess_batch(points, regions, log_pis, comps, mixture: MixtureModel,
         x_prop = e[:, 0] * cos_t + e[:, 1] * sin_t + e[:, 2]
         log_pi_prop = log_pi_rows(target, x_prop, active)
         comp_prop = log_densities(x_prop)
-        scores = comp_prop if log_weights is None else comp_prop + log_weights
-        j = scores.argmax(axis=1)
+        j = region_of(comp_prop)
         # A -inf target value fails the test without the per-chain early
         # exit: the left side is -inf, or nan when the density is -inf too.
         with np.errstate(invalid="ignore"):
@@ -488,10 +484,7 @@ def regional_mh_step(state: ChainState, mixture: MixtureModel,
     log_pi_prop = float(log_pi(x_prop))
     if log_pi_prop > -math.inf:
         comp_at_prop = mixture._log_densities(x_prop)
-        if mixture.weighted_regions:
-            j = int((comp_at_prop + mixture._log_weights).argmax())
-        else:
-            j = int(comp_at_prop.argmax())
+        j = int(mixture._region_of(comp_at_prop))
         log_alpha = log_pi_prop + comp_at_x[j] - log_pi_x - comp_at_prop[i]
         if _log_uniform(rng) < min(0.0, log_alpha):
             next_state = ChainState(
