@@ -5,7 +5,11 @@ Student's-t mixtures.
 EM and VI refit from scratch on every call; the SA update applies a single
 learning-rate-scaled correction to an existing mixture, which keeps the
 estimate anchored to its history and therefore robust to transient outliers
-in the snapshot. Every fitted covariance goes through the same hygiene pass:
+in the snapshot. Gaussian-mixture EM is Student's-t-mixture EM with every
+expected precision u held at 1, so both run one EM body. EM and SA evaluate
+component densities with :meth:`MixtureModel._log_densities`, the same
+batched routine the kernels sample with. Every fitted covariance goes
+through the same hygiene pass:
 symmetrize, add ``reg_radius * I``, and repair to the nearest PSD matrix if
 the Cholesky factorization fails.
 """
@@ -17,7 +21,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
 from scipy.special import digamma, gammaln, logsumexp
 
@@ -104,6 +107,8 @@ class AdaptationConfig:
             raise ValueError(f"components must be >= 1, got {self.components}")
         if self.reg_radius < 0:
             raise ValueError(f"reg_radius must be >= 0, got {self.reg_radius}")
+        if self.em_max_iters < 1:
+            raise ValueError(f"em_max_iters must be >= 1, got {self.em_max_iters}")
         if self.fixed_dof is not None and not self.fixed_dof > 0:
             raise ValueError(f"fixed_dof must be positive, got {self.fixed_dof}")
 
@@ -158,31 +163,24 @@ def _kmeanspp_centers(x: np.ndarray, m: int, rng: np.random.Generator) -> np.nda
     return np.stack(centers)
 
 
-def _gauss_log_densities(x: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """(N, M) matrix of per-component Gaussian log densities."""
-    n, d = x.shape
-    m = means.shape[0]
-    out = np.empty((n, m))
-    for k in range(m):
-        chol = np.linalg.cholesky(covs[k])
-        z = solve_triangular(chol, (x - means[k]).T, lower=True)
-        log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-        out[:, k] = -0.5 * (d * np.log(2 * np.pi) + log_det + np.sum(z * z, axis=0))
-    return out
+def _mixture(weights, means, scales, dofs=None,
+             weighted_regions: bool = False) -> MixtureModel:
+    """Gaussian mixture, or Student's-t mixture when ``dofs`` is given."""
+    if dofs is None:
+        comps = [Gaussian(mu, s) for mu, s in zip(means, scales)]
+    else:
+        comps = [StudentT(mu, s, nu) for mu, s, nu in zip(means, scales, dofs)]
+    return MixtureModel(weights, comps, weighted_regions=weighted_regions)
 
 
 def _degenerate_surrogate(x: np.ndarray, m: int, reg_radius: float,
-                          kind: str, dof: float) -> MixtureModel:
+                          dof: float | None = None) -> MixtureModel:
     """Point-mass surrogate for all-identical samples: every component sits at
-    the common point with covariance reg_radius * I, uniform weights."""
-    d = x.shape[1]
-    cov = _clean_cov(reg_radius * np.eye(d), 0.0)
-    point = x[0]
-    if kind == "gaussian":
-        comps = [Gaussian(point, cov) for _ in range(m)]
-    else:
-        comps = [StudentT(point, cov, dof) for _ in range(m)]
-    return MixtureModel(np.full(m, 1.0 / m), comps)
+    the common point with covariance reg_radius * I, uniform weights; t
+    components with ``dof`` when it is given."""
+    cov = _clean_cov(reg_radius * np.eye(x.shape[1]), 0.0)
+    dofs = None if dof is None else [dof] * m
+    return _mixture(np.full(m, 1.0 / m), [x[0]] * m, [cov] * m, dofs)
 
 
 def _is_degenerate(x: np.ndarray) -> bool:
@@ -190,108 +188,8 @@ def _is_degenerate(x: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# EM for Gaussian mixtures
+# EM for Gaussian and Student's-t mixtures
 # ---------------------------------------------------------------------------
-
-
-def em_gmm_fit(samples, m: int, config: AdaptationConfig,
-               rng: np.random.Generator) -> FitResult:
-    """Maximum-likelihood Gaussian mixture fit by expectation maximization.
-
-    Initialization is k-means++ seeding from ``rng``; iteration stops when the
-    largest absolute parameter change drops below ``config.em_tol`` or after
-    ``config.em_max_iters`` rounds. Components whose responsibility mass
-    collapses are re-seeded at a random sample.
-    """
-    x = _as_sample_matrix(samples, m)
-    n, d = x.shape
-    reg = config.reg_radius
-    if _is_degenerate(x):
-        return FitResult(
-            mixture=_degenerate_surrogate(x, m, reg, "gaussian", 0.0),
-            converged=True, iterations_used=0, log_likelihood=None,
-        )
-
-    means = _kmeanspp_centers(x, m, rng)
-    global_cov = _clean_cov(np.cov(x, rowvar=False, bias=True).reshape(d, d), reg)
-    covs = np.stack([global_cov.copy() for _ in range(m)])
-    weights = np.full(m, 1.0 / m)
-
-    history = []
-    converged = False
-    it = 0
-    for it in range(1, config.em_max_iters + 1):
-        log_comp = _gauss_log_densities(x, means, covs)
-        log_joint = log_comp + np.log(weights)
-        log_norm = logsumexp(log_joint, axis=1)
-        history.append(float(log_norm.sum()))
-        resp = np.exp(log_joint - log_norm[:, None])
-
-        nk = resp.sum(axis=0)
-        new_weights = nk / n
-        new_means = means.copy()
-        new_covs = covs.copy()
-        for k in range(m):
-            if nk[k] < _EMPTY_RESP:
-                logger.warning("EM component %d collapsed; re-seeding", k)
-                new_means[k] = x[rng.integers(n)]
-                new_covs[k] = _clean_cov(reg * np.eye(d), 0.0)
-                new_weights[k] = 1.0 / n
-                continue
-            new_means[k] = resp[:, k] @ x / nk[k]
-            diff = x - new_means[k]
-            cov = (resp[:, k][:, None] * diff).T @ diff / nk[k]
-            new_covs[k] = _clean_cov(cov, reg)
-        new_weights = new_weights / new_weights.sum()
-
-        delta = max(
-            np.max(np.abs(new_weights - weights)),
-            np.max(np.abs(new_means - means)),
-            np.max(np.abs(new_covs - covs)),
-        )
-        weights, means, covs = new_weights, new_means, new_covs
-        if delta < config.em_tol:
-            converged = True
-            break
-
-    mixture = MixtureModel(
-        weights, [Gaussian(means[k], covs[k]) for k in range(m)],
-        weighted_regions=config.weighted_regions,
-    )
-    final_ll = float(
-        logsumexp(_gauss_log_densities(x, means, covs) + np.log(weights), axis=1).sum()
-    )
-    return FitResult(
-        mixture=mixture, converged=converged, iterations_used=it,
-        log_likelihood=final_ll, objective_history=tuple(history),
-    )
-
-
-# ---------------------------------------------------------------------------
-# EM for Student's-t mixtures
-# ---------------------------------------------------------------------------
-
-
-def _t_log_densities(x, means, scales, dofs):
-    """(N, M) matrix of per-component Student's-t log densities, plus the
-    (N, M) matrix of squared Mahalanobis distances."""
-    n, d = x.shape
-    m = means.shape[0]
-    logdens = np.empty((n, m))
-    mahal = np.empty((n, m))
-    for k in range(m):
-        chol = np.linalg.cholesky(scales[k])
-        z = solve_triangular(chol, (x - means[k]).T, lower=True)
-        quad = np.sum(z * z, axis=0)
-        mahal[:, k] = quad
-        log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-        nu = dofs[k]
-        logdens[:, k] = (
-            gammaln(0.5 * (nu + d)) - gammaln(0.5 * nu)
-            - 0.5 * d * np.log(nu * np.pi) - 0.5 * log_det
-            - 0.5 * (nu + d) * np.log1p(quad / nu)
-        )
-    return logdens, mahal
 
 
 def _solve_dof(nu_old: float, d: int, resp_k: np.ndarray, u_k: np.ndarray) -> float:
@@ -320,6 +218,98 @@ def _solve_dof(nu_old: float, d: int, resp_k: np.ndarray, u_k: np.ndarray) -> fl
         return nu_old
 
 
+def _em_fit(samples, m: int, config: AdaptationConfig,
+            rng: np.random.Generator, student_t: bool) -> FitResult:
+    """The EM body of :func:`em_gmm_fit` and :func:`em_tmm_fit`.
+
+    EM for Student's-t mixtures (Peel & McLachlan 2000) with
+    ``student_t=True``; with ``student_t=False`` the same iteration with
+    every expected precision u held at 1, which is Gaussian-mixture EM.
+    Each iteration evaluates the iterate's components through
+    :meth:`MixtureModel._log_densities`, the routine the kernels sample with.
+    """
+    x = _as_sample_matrix(samples, m)
+    n, d = x.shape
+    reg = config.reg_radius
+    dof0 = None
+    if student_t:
+        dof0 = config.fixed_dof if config.fixed_dof is not None else 10.0
+    if _is_degenerate(x):
+        return FitResult(
+            mixture=_degenerate_surrogate(x, m, reg, dof0),
+            converged=True, iterations_used=0, log_likelihood=None,
+        )
+
+    means = _kmeanspp_centers(x, m, rng)
+    global_cov = _clean_cov(np.cov(x, rowvar=False, bias=True).reshape(d, d), reg)
+    scales = np.repeat(global_cov[None], m, axis=0)
+    dofs = None if dof0 is None else np.full(m, float(dof0))
+    weights = np.full(m, 1.0 / m)
+    solve_dofs = student_t and config.fixed_dof is None
+
+    history = []
+    converged = False
+    for it in range(1, config.em_max_iters + 1):
+        mixture = _mixture(weights, means, scales, dofs)
+        log_joint = mixture._log_densities(x) + mixture._log_weights
+        log_norm = logsumexp(log_joint, axis=1)
+        history.append(float(log_norm.sum()))
+        resp = np.exp(log_joint - log_norm[:, None])
+        # expected precisions u = (nu + D) / (nu + mahalanobis^2); 1 for
+        # Gaussian components
+        u = 1.0 if dofs is None else (dofs + d) / (dofs + mixture._mahalanobis_sq(x))
+        ru = resp * u
+
+        nk = resp.sum(axis=0)
+        new_weights = nk / n
+        new_means = means.copy()
+        new_scales = scales.copy()
+        new_dofs = None if dofs is None else dofs.copy()
+        for k in range(m):
+            if nk[k] < _EMPTY_RESP:
+                logger.warning("EM component %d collapsed; re-seeding", k)
+                new_means[k] = x[rng.integers(n)]
+                new_scales[k] = _clean_cov(reg * np.eye(d), 0.0)
+                new_weights[k] = 1.0 / n
+                continue
+            new_means[k] = ru[:, k] @ x / ru[:, k].sum()
+            diff = x - new_means[k]
+            new_scales[k] = _clean_cov((ru[:, k][:, None] * diff).T @ diff / nk[k], reg)
+            if solve_dofs:
+                new_dofs[k] = _solve_dof(dofs[k], d, resp[:, k], u[:, k])
+        new_weights = new_weights / new_weights.sum()
+
+        changes = [new_weights - weights, new_means - means, new_scales - scales]
+        if dofs is not None:
+            changes.append(new_dofs - dofs)
+        delta = max(np.max(np.abs(c)) for c in changes)
+        weights, means, scales, dofs = new_weights, new_means, new_scales, new_dofs
+        if delta < config.em_tol:
+            converged = True
+            break
+
+    mixture = _mixture(weights, means, scales, dofs, config.weighted_regions)
+    final_ll = float(
+        logsumexp(mixture._log_densities(x) + mixture._log_weights, axis=1).sum()
+    )
+    return FitResult(
+        mixture=mixture, converged=converged, iterations_used=it,
+        log_likelihood=final_ll, objective_history=tuple(history),
+    )
+
+
+def em_gmm_fit(samples, m: int, config: AdaptationConfig,
+               rng: np.random.Generator) -> FitResult:
+    """Maximum-likelihood Gaussian mixture fit by expectation maximization.
+
+    Initialization is k-means++ seeding from ``rng``; iteration stops when the
+    largest absolute parameter change drops below ``config.em_tol`` or after
+    ``config.em_max_iters`` rounds. Components whose responsibility mass
+    collapses are re-seeded at a random sample.
+    """
+    return _em_fit(samples, m, config, rng, student_t=False)
+
+
 def em_tmm_fit(samples, m: int, config: AdaptationConfig,
                rng: np.random.Generator) -> FitResult:
     """EM for Student's-t mixtures with latent inverse-gamma scales.
@@ -329,76 +319,7 @@ def em_tmm_fit(samples, m: int, config: AdaptationConfig,
     scale matrices. Degrees of freedom are held at ``config.fixed_dof`` when
     given, otherwise updated by root-finding on [0.1, 200].
     """
-    x = _as_sample_matrix(samples, m)
-    n, d = x.shape
-    reg = config.reg_radius
-    dof0 = config.fixed_dof if config.fixed_dof is not None else 10.0
-    if _is_degenerate(x):
-        return FitResult(
-            mixture=_degenerate_surrogate(x, m, reg, "student_t", dof0),
-            converged=True, iterations_used=0, log_likelihood=None,
-        )
-
-    means = _kmeanspp_centers(x, m, rng)
-    global_cov = _clean_cov(np.cov(x, rowvar=False, bias=True).reshape(d, d), reg)
-    scales = np.stack([global_cov.copy() for _ in range(m)])
-    dofs = np.full(m, float(dof0))
-    weights = np.full(m, 1.0 / m)
-
-    history = []
-    converged = False
-    it = 0
-    for it in range(1, config.em_max_iters + 1):
-        log_comp, mahal = _t_log_densities(x, means, scales, dofs)
-        log_joint = log_comp + np.log(weights)
-        log_norm = logsumexp(log_joint, axis=1)
-        history.append(float(log_norm.sum()))
-        resp = np.exp(log_joint - log_norm[:, None])
-        u = (dofs[None, :] + d) / (dofs[None, :] + mahal)
-
-        nk = resp.sum(axis=0)
-        new_weights = nk / n
-        new_means = means.copy()
-        new_scales = scales.copy()
-        new_dofs = dofs.copy()
-        for k in range(m):
-            if nk[k] < _EMPTY_RESP:
-                logger.warning("EM-TMM component %d collapsed; re-seeding", k)
-                new_means[k] = x[rng.integers(n)]
-                new_scales[k] = _clean_cov(reg * np.eye(d), 0.0)
-                new_weights[k] = 1.0 / n
-                continue
-            ru = resp[:, k] * u[:, k]
-            new_means[k] = ru @ x / ru.sum()
-            diff = x - new_means[k]
-            scale = (ru[:, None] * diff).T @ diff / nk[k]
-            new_scales[k] = _clean_cov(scale, reg)
-            if config.fixed_dof is None:
-                new_dofs[k] = _solve_dof(dofs[k], d, resp[:, k], u[:, k])
-        new_weights = new_weights / new_weights.sum()
-
-        delta = max(
-            np.max(np.abs(new_weights - weights)),
-            np.max(np.abs(new_means - means)),
-            np.max(np.abs(new_scales - scales)),
-            np.max(np.abs(new_dofs - dofs)),
-        )
-        weights, means, scales, dofs = new_weights, new_means, new_scales, new_dofs
-        if delta < config.em_tol:
-            converged = True
-            break
-
-    mixture = MixtureModel(
-        weights,
-        [StudentT(means[k], scales[k], dofs[k]) for k in range(m)],
-        weighted_regions=config.weighted_regions,
-    )
-    log_comp, _ = _t_log_densities(x, means, scales, dofs)
-    final_ll = float(logsumexp(log_comp + np.log(weights), axis=1).sum())
-    return FitResult(
-        mixture=mixture, converged=converged, iterations_used=it,
-        log_likelihood=final_ll, objective_history=tuple(history),
-    )
+    return _em_fit(samples, m, config, rng, student_t=True)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +353,7 @@ def vi_gmm_fit(samples, m: int, config: AdaptationConfig,
     hp = config.vi_hyperparams
     if _is_degenerate(x):
         return FitResult(
-            mixture=_degenerate_surrogate(x, m, reg, "gaussian", 0.0),
+            mixture=_degenerate_surrogate(x, m, reg),
             converged=True, iterations_used=0, lower_bound=None,
         )
 
@@ -563,13 +484,12 @@ def sa_update_directions(current: MixtureModel, samples):
     m = current.n_components
     weights = current.weights
     means = current._means
-    log_joint = np.empty((k_n, m))
-    for idx in range(k_n):
-        log_joint[idx] = current._log_weights + current.component_log_densities(x[idx])
-    log_norm = logsumexp(log_joint, axis=1)
-    # -inf minus -inf yields NaN here when a sample overflows every component;
+    # A huge sample overflows every component's quadratic form, so its log
+    # densities are -inf and -inf minus -inf yields NaN responsibilities;
     # the caller detects the non-finite direction and skips the step.
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_joint = current._log_weights + current._log_densities(x)
+        log_norm = logsumexp(log_joint, axis=1)
         resp = np.exp(log_joint - log_norm[:, None])
 
     dw_raw = resp.mean(axis=0) / weights

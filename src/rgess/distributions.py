@@ -257,14 +257,13 @@ class MixtureModel:
             raise ValueError(f"dimension mismatch: {x.shape} vs {self._shape}")
         return self._log_densities(x)
 
-    def _log_densities(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`component_log_densities` without the input check, for
-        callers that have already checked that ``x`` has shape (D,).
+    def _mahalanobis_sq(self, x: np.ndarray) -> np.ndarray:
+        """Squared Mahalanobis distance of ``x`` to every component: shape
+        (M,) for ``x`` of shape (D,), (n, M) for a batch of shape (n, D).
 
-        Also takes a batch of shape (n, D) and returns shape (n, M); every
-        row equals the single-point call bit for bit. Each row is whitened
-        by its own matrix-vector product: a single (n, D) @ (D, M D) matrix
-        product rounds differently.
+        Every row of a batch equals the single-point call bit for bit. Each
+        row is whitened by its own matrix-vector product: a single
+        (n, D) @ (D, M D) matrix product rounds differently.
         """
         if x.ndim == 1:
             z = self._whiten_mat @ x + self._whiten_off
@@ -273,11 +272,21 @@ class MixtureModel:
         z2 = z * z
         dim = self._dim
         if dim == 1:
-            quad = z2
-        elif dim == 2:
-            quad = z2[..., 0::2] + z2[..., 1::2]
-        else:
-            quad = z2.reshape(z2.shape[:-1] + (self._m, dim)).sum(axis=-1)
+            return z2
+        if dim == 2:
+            return z2[..., 0::2] + z2[..., 1::2]
+        return z2.reshape(z2.shape[:-1] + (self._m, dim)).sum(axis=-1)
+
+    def _log_densities(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`component_log_densities` without the input check, for
+        callers that have already checked that ``x`` has shape (D,).
+
+        Also takes a batch of shape (n, D) and returns shape (n, M); every
+        row equals the single-point call bit for bit. This is the one
+        component-density routine: the kernels and the mixture fitters
+        both call it.
+        """
+        quad = self._mahalanobis_sq(x)
         if self._dofs is None:
             return self._log_norms - 0.5 * quad
         return self._log_norms - self._half_dof_plus_dim * np.log1p(quad / self._dofs)

@@ -3,12 +3,20 @@
 import math
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.linalg import solve_triangular
+from scipy.special import gammaln, logsumexp
 
 from rgess import runner, samplers
-from rgess.adaptation import sa_update_directions
+from rgess.adaptation import (
+    _EMPTY_RESP,
+    _as_sample_matrix,
+    _clean_cov,
+    _kmeanspp_centers,
+    _solve_dof,
+    sa_update_directions,
+)
 from rgess.diagnostics import TraceRecord, write_trace_csv
-from rgess.distributions import Gaussian, MixtureModel, sample_inverse_gamma
+from rgess.distributions import Gaussian, MixtureModel, StudentT, sample_inverse_gamma
 from rgess.runner import Kernel
 from rgess.samplers import (
     ChainState,
@@ -137,6 +145,181 @@ def random_sa_instance(seed, m=2, d=2, k=20):
     mixture = MixtureModel(weights, comps)
     samples = rng.normal(scale=1.5, size=(k, d))
     return mixture, samples
+
+
+def reference_sa_update_directions(current, samples):
+    """Row-loop oracle for ``sa_update_directions``: the component densities
+    of one sample at a time, through the checked single-point call."""
+    x = _as_sample_matrix(samples, 1)
+    k_n, d = x.shape
+    m = current.n_components
+    log_joint = np.empty((k_n, m))
+    for idx in range(k_n):
+        log_joint[idx] = current._log_weights + current.component_log_densities(x[idx])
+    log_norm = logsumexp(log_joint, axis=1)
+    with np.errstate(invalid="ignore"):
+        resp = np.exp(log_joint - log_norm[:, None])
+    dw_raw = resp.mean(axis=0) / current.weights
+    dw = dw_raw - dw_raw.mean()
+    dmeans = np.empty((m, d))
+    dcovs = np.empty((m, d, d))
+    for j in range(m):
+        comp = current.components[j]
+        prec = comp._chol_inv.T @ comp._chol_inv
+        diff = x - current._means[j]
+        dmeans[j] = (resp[:, j][:, None] * diff).mean(axis=0) @ prec
+        outer = np.einsum("n,ni,nj->ij", resp[:, j], diff, diff) / k_n
+        dcovs[j] = outer - resp[:, j].mean() * comp.cov
+    return dw_raw, dw, dmeans, dcovs
+
+
+def _reference_gauss_log_densities(x, means, covs):
+    """(N, M) Gaussian log densities by a Cholesky solve per component."""
+    n, d = x.shape
+    out = np.empty((n, means.shape[0]))
+    for k in range(means.shape[0]):
+        chol = np.linalg.cholesky(covs[k])
+        z = solve_triangular(chol, (x - means[k]).T, lower=True)
+        log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+        out[:, k] = -0.5 * (d * np.log(2 * np.pi) + log_det + np.sum(z * z, axis=0))
+    return out
+
+
+def _reference_t_log_densities(x, means, scales, dofs):
+    """(N, M) Student's-t log densities and squared Mahalanobis distances by
+    a Cholesky solve per component."""
+    n, d = x.shape
+    m = means.shape[0]
+    logdens = np.empty((n, m))
+    mahal = np.empty((n, m))
+    for k in range(m):
+        chol = np.linalg.cholesky(scales[k])
+        z = solve_triangular(chol, (x - means[k]).T, lower=True)
+        quad = np.sum(z * z, axis=0)
+        mahal[:, k] = quad
+        log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+        nu = dofs[k]
+        logdens[:, k] = (
+            gammaln(0.5 * (nu + d)) - gammaln(0.5 * nu)
+            - 0.5 * d * np.log(nu * np.pi) - 0.5 * log_det
+            - 0.5 * (nu + d) * np.log1p(quad / nu)
+        )
+    return logdens, mahal
+
+
+def reference_em_gmm_fit(samples, m, config, rng):
+    """Separate-loop Gaussian-mixture EM with its own density code, the
+    oracle for ``em_gmm_fit`` on non-degenerate samples. Returns
+    ``(weights, means, covs, iterations_used, converged)``."""
+    x = _as_sample_matrix(samples, m)
+    n, d = x.shape
+    reg = config.reg_radius
+    means = _kmeanspp_centers(x, m, rng)
+    global_cov = _clean_cov(np.cov(x, rowvar=False, bias=True).reshape(d, d), reg)
+    covs = np.stack([global_cov.copy() for _ in range(m)])
+    weights = np.full(m, 1.0 / m)
+    converged = False
+    for it in range(1, config.em_max_iters + 1):
+        log_joint = _reference_gauss_log_densities(x, means, covs) + np.log(weights)
+        log_norm = logsumexp(log_joint, axis=1)
+        resp = np.exp(log_joint - log_norm[:, None])
+        nk = resp.sum(axis=0)
+        new_weights = nk / n
+        new_means = means.copy()
+        new_covs = covs.copy()
+        for k in range(m):
+            if nk[k] < _EMPTY_RESP:
+                new_means[k] = x[rng.integers(n)]
+                new_covs[k] = _clean_cov(reg * np.eye(d), 0.0)
+                new_weights[k] = 1.0 / n
+                continue
+            new_means[k] = resp[:, k] @ x / nk[k]
+            diff = x - new_means[k]
+            cov = (resp[:, k][:, None] * diff).T @ diff / nk[k]
+            new_covs[k] = _clean_cov(cov, reg)
+        new_weights = new_weights / new_weights.sum()
+        delta = max(
+            np.max(np.abs(new_weights - weights)),
+            np.max(np.abs(new_means - means)),
+            np.max(np.abs(new_covs - covs)),
+        )
+        weights, means, covs = new_weights, new_means, new_covs
+        if delta < config.em_tol:
+            converged = True
+            break
+    return weights, means, covs, it, converged
+
+
+def reference_em_tmm_fit(samples, m, config, rng):
+    """Separate-loop Student's-t-mixture EM with its own density code, the
+    oracle for ``em_tmm_fit`` on non-degenerate samples. Returns
+    ``(weights, means, scales, dofs, iterations_used, converged)``."""
+    x = _as_sample_matrix(samples, m)
+    n, d = x.shape
+    reg = config.reg_radius
+    dof0 = config.fixed_dof if config.fixed_dof is not None else 10.0
+    means = _kmeanspp_centers(x, m, rng)
+    global_cov = _clean_cov(np.cov(x, rowvar=False, bias=True).reshape(d, d), reg)
+    scales = np.stack([global_cov.copy() for _ in range(m)])
+    dofs = np.full(m, float(dof0))
+    weights = np.full(m, 1.0 / m)
+    converged = False
+    for it in range(1, config.em_max_iters + 1):
+        log_comp, mahal = _reference_t_log_densities(x, means, scales, dofs)
+        log_joint = log_comp + np.log(weights)
+        log_norm = logsumexp(log_joint, axis=1)
+        resp = np.exp(log_joint - log_norm[:, None])
+        u = (dofs[None, :] + d) / (dofs[None, :] + mahal)
+        nk = resp.sum(axis=0)
+        new_weights = nk / n
+        new_means = means.copy()
+        new_scales = scales.copy()
+        new_dofs = dofs.copy()
+        for k in range(m):
+            if nk[k] < _EMPTY_RESP:
+                new_means[k] = x[rng.integers(n)]
+                new_scales[k] = _clean_cov(reg * np.eye(d), 0.0)
+                new_weights[k] = 1.0 / n
+                continue
+            ru = resp[:, k] * u[:, k]
+            new_means[k] = ru @ x / ru.sum()
+            diff = x - new_means[k]
+            scale = (ru[:, None] * diff).T @ diff / nk[k]
+            new_scales[k] = _clean_cov(scale, reg)
+            if config.fixed_dof is None:
+                new_dofs[k] = _solve_dof(dofs[k], d, resp[:, k], u[:, k])
+        new_weights = new_weights / new_weights.sum()
+        delta = max(
+            np.max(np.abs(new_weights - weights)),
+            np.max(np.abs(new_means - means)),
+            np.max(np.abs(new_scales - scales)),
+            np.max(np.abs(new_dofs - dofs)),
+        )
+        weights, means, scales, dofs = new_weights, new_means, new_scales, new_dofs
+        if delta < config.em_tol:
+            converged = True
+            break
+    return weights, means, scales, dofs, it, converged
+
+
+def assert_fit_matches_reference(fit, reference, rel_tol=1e-10):
+    """``fit`` (a ``FitResult``) against the output of ``reference_em_*_fit``:
+    equal iteration count and convergence flag, and every parameter array
+    within ``rel_tol`` of the reference, relative to the array's largest
+    magnitude."""
+    *params, iterations, converged = reference
+    assert fit.iterations_used == iterations
+    assert fit.converged == converged
+    comps = fit.mixture.components
+    fitted = [
+        fit.mixture.weights,
+        np.stack([c.mean for c in comps]),
+        np.stack([c.scale if isinstance(c, StudentT) else c.cov for c in comps]),
+    ]
+    if len(params) == 4:
+        fitted.append(np.array([c.dof for c in comps]))
+    for got, want in zip(fitted, params, strict=True):
+        assert np.max(np.abs(got - want)) <= rel_tol * np.max(np.abs(want))
 
 
 def reference_regional_ess_step(kind, point, region, mixture, log_pi, rng):

@@ -1,14 +1,21 @@
 """Mixture fitters: EM, variational Bayes, stochastic approximation and the
 Student's-t EM variant."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from helpers import (
+    assert_fit_matches_reference,
     assert_sa_matches_fd,
     min_distance_to_outliers,
     outlier_fixture,
     outlier_fixture_true_mixture,
+    random_sa_instance,
+    reference_em_gmm_fit,
+    reference_em_tmm_fit,
+    reference_sa_update_directions,
     two_cluster_samples,
 )
 from rgess.adaptation import (
@@ -31,6 +38,30 @@ def _config(**kwargs):
     defaults = dict(scheme=Scheme.EM_GMM, components=1, reg_radius=0.0)
     defaults.update(kwargs)
     return AdaptationConfig(**defaults)
+
+
+# Five points in 1-D on which four-component EM re-seeds a collapsed
+# component (at rng seed 288, reg_radius 0.01).
+COLLAPSE_SAMPLES = np.array([
+    0.4646202490186573, 1.1349235599799652, 0.011848969992453075,
+    0.020085048490946805, -0.011561306510268795,
+])[:, None]
+
+
+def _reference_case(name):
+    """``(samples, m, config keywords, rng seed)`` of a fitter-vs-reference case."""
+    if name == "two_clusters":
+        return two_cluster_samples(np.random.default_rng(1)), 2, {}, 2
+    if name == "outliers":
+        samples = np.vstack([outlier_fixture(), [[500.0, 500.0]]])
+        return samples, 3, {"reg_radius": 0.1}, 5
+    if name == "collapse":
+        return COLLAPSE_SAMPLES, 4, {"reg_radius": 0.01}, 288
+    if name == "heavy_tails":
+        return np.random.default_rng(19).standard_t(3.0, size=(400, 2)), 2, {}, 20
+    if name == "fixed_dof":
+        return two_cluster_samples(np.random.default_rng(15)), 2, {"fixed_dof": 5.0}, 16
+    raise ValueError(name)
 
 
 def _assert_mixture_clean(mixture):
@@ -85,6 +116,18 @@ class TestEmGmm:
         samples = np.vstack([outlier_fixture(), [[500.0, 500.0]]])
         fit = em_gmm_fit(samples, 3, _config(reg_radius=0.1), np.random.default_rng(5))
         _assert_mixture_clean(fit.mixture)
+
+
+    @pytest.mark.parametrize("case", ["two_clusters", "outliers", "collapse"])
+    def test_matches_separate_loop_reference(self, case, caplog):
+        samples, m, kwargs, seed = _reference_case(case)
+        config = _config(**kwargs)
+        with caplog.at_level(logging.WARNING, logger="rgess.adaptation"):
+            fit = em_gmm_fit(samples, m, config, np.random.default_rng(seed))
+        collapsed = any("collapsed" in r.getMessage() for r in caplog.records)
+        assert collapsed == (case == "collapse")
+        reference = reference_em_gmm_fit(samples, m, config, np.random.default_rng(seed))
+        assert_fit_matches_reference(fit, reference)
 
 
 class TestViGmm:
@@ -196,6 +239,15 @@ class TestSaGmm:
         overflow = np.array([[1e200]])
         assert sa_gmm_update(current, overflow, 0.1) is current
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_directions_equal_row_loop(self, seed):
+        m, d = 1 + seed % 4, 1 + seed % 9
+        current, samples = random_sa_instance(seed, m=m, d=d, k=7 + seed)
+        got = sa_update_directions(current, samples)
+        want = reference_sa_update_directions(current, samples)
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_array_equal(a, b)
+
     def test_rejects_t_mixture(self):
         current = MixtureModel([1.0], [StudentT([0.0], [[1.0]], 5.0)])
         with pytest.raises(ValueError):
@@ -248,6 +300,24 @@ class TestEmTmm:
             assert comp.mean[0] == 1.0
             assert comp.dof == 7.0
             assert comp.scale[0, 0] == pytest.approx(0.3, abs=1e-9)
+
+
+    @pytest.mark.parametrize(
+        "case", ["two_clusters", "outliers", "heavy_tails", "fixed_dof"]
+    )
+    def test_matches_separate_loop_reference(self, case):
+        samples, m, kwargs, seed = _reference_case(case)
+        config = _config(scheme=Scheme.EM_TMM, **kwargs)
+        fit = em_tmm_fit(samples, m, config, np.random.default_rng(seed))
+        reference = reference_em_tmm_fit(samples, m, config, np.random.default_rng(seed))
+        assert_fit_matches_reference(fit, reference)
+
+
+class TestAdaptationConfig:
+    @pytest.mark.parametrize("iters", [0, -1])
+    def test_rejects_em_max_iters_below_one(self, iters):
+        with pytest.raises(ValueError, match="em_max_iters"):
+            _config(em_max_iters=iters)
 
 
 class TestMomentFits:

@@ -109,6 +109,13 @@ class TestCmdRun:
         assert main(["run", cfg, "--out", out]) == 1
         assert not os.path.exists(out)
 
+    def test_zero_em_max_iters_exits_one(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(["run", "gauss-mix-vi-gmrgess", "--out", out,
+                     "--set", "adaptation.em_max_iters=0"]) == 1
+        assert "em_max_iters" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_missing_config_exits_one(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1
 
@@ -231,6 +238,16 @@ class TestCmdFit:
         bad.write_text("1.0,2.0\n1.0,oops\n")
         assert main(["fit", str(bad), "--scheme", "em_gmm",
                      "--components", "1"]) == 1
+
+    @pytest.mark.parametrize("scheme", ["em_gmm", "vi_gmm", "em_tmm"])
+    def test_zero_max_iters_exits_one(self, tmp_path, capsys, scheme):
+        samples = np.random.default_rng(3).normal(size=(20, 2))
+        csv_path = _write_samples_csv(tmp_path / "s.csv", samples)
+        out = tmp_path / "m.csv"
+        assert main(["fit", csv_path, "--scheme", scheme, "-M", "2",
+                     "--max-iters", "0", "--out", str(out)]) == 1
+        assert "em_max_iters" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sa_requires_init(self, tmp_path):
         csv_path = _write_samples_csv(tmp_path / "s.csv", np.zeros((5, 1)))
