@@ -24,7 +24,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import digamma, gammaln, logsumexp
 
-from .distributions import Gaussian, MixtureModel, StudentT, ensure_spd, regularize_cov
+from .distributions import (Gaussian, MixtureModel, StudentT, _mixture,
+                            ensure_spd, regularize_cov)
 
 __all__ = [
     "Scheme",
@@ -161,16 +162,6 @@ def _kmeanspp_centers(x: np.ndarray, m: int, rng: np.random.Generator) -> np.nda
         else:
             centers.append(x[rng.choice(n, p=d2 / total)])
     return np.stack(centers)
-
-
-def _mixture(weights, means, scales, dofs=None,
-             weighted_regions: bool = False) -> MixtureModel:
-    """Gaussian mixture, or Student's-t mixture when ``dofs`` is given."""
-    if dofs is None:
-        comps = [Gaussian(mu, s) for mu, s in zip(means, scales)]
-    else:
-        comps = [StudentT(mu, s, nu) for mu, s, nu in zip(means, scales, dofs)]
-    return MixtureModel(weights, comps, weighted_regions=weighted_regions)
 
 
 def _degenerate_surrogate(x: np.ndarray, m: int, reg_radius: float,
@@ -453,9 +444,8 @@ def vi_gmm_fit(samples, m: int, config: AdaptationConfig,
 
     exp_weights = alpha / alpha.sum()
     exp_covs = [np.linalg.inv(nu[k] * wk[k]) for k in range(m)]
-    mixture = MixtureModel(
-        exp_weights,
-        [Gaussian(mk[k], _clean_cov(exp_covs[k], reg)) for k in range(m)],
+    mixture = _mixture(
+        exp_weights, mk, [_clean_cov(exp_covs[k], reg) for k in range(m)],
         weighted_regions=config.weighted_regions,
     )
     return FitResult(
@@ -532,14 +522,13 @@ def sa_gmm_update(current: MixtureModel, samples, r_n: float,
     new_weights = np.clip(new_weights, _WEIGHT_FLOOR, 1.0)
     new_weights = new_weights / new_weights.sum()
     try:
-        comps = [
-            Gaussian(new_means[j], _clean_cov(new_covs[j], reg_radius))
-            for j in range(current.n_components)
-        ]
+        return _mixture(
+            new_weights, new_means, [_clean_cov(c, reg_radius) for c in new_covs],
+            weighted_regions=current.weighted_regions,
+        )
     except np.linalg.LinAlgError:
         logger.warning("SA update produced an irreparable covariance; skipping step")
         return current
-    return MixtureModel(new_weights, comps, weighted_regions=current.weighted_regions)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .diagnostics import (
     write_mixtures_csv,
     write_trace_csv,
 )
-from .runner import RunError, run
+from .runner import RunError, _check_target, run
 
 __all__ = ["main", "cmd_run", "cmd_report", "cmd_fit"]
 
@@ -133,6 +133,7 @@ def cmd_run(args) -> int:
             entries["output.dir"] = args.out
         exp = build_experiment(entries)
         target, extras = build_target(exp)
+        _check_target(exp.run_config, target)
     except (ConfigError, ValueError) as exc:
         return _fail(str(exc), 1)
 

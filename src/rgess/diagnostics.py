@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Gaussian, MixtureModel, StudentT
+from .distributions import Gaussian, _mixture
 
 __all__ = [
     "TraceRecord",
@@ -156,12 +156,11 @@ def write_mixtures_csv(mixture_history, path, dim: int | None = None) -> None:
         writer.writerow(header)
         for iteration, mixture in mixture_history:
             for k, comp in enumerate(mixture.components):
-                cov = comp.cov if isinstance(comp, Gaussian) else comp.scale
                 dof = "" if isinstance(comp, Gaussian) else _fmt(comp.dof)
                 writer.writerow(
                     [iteration, k, _fmt(mixture.weights[k])]
                     + [_fmt(v) for v in comp.mean]
-                    + [_fmt(v) for v in cov.reshape(-1)]
+                    + [_fmt(v) for v in comp.scale.reshape(-1)]
                     + [dof]
                 )
 
@@ -246,12 +245,10 @@ def read_mixtures_csv(path):
             rows = sorted(grouped[iteration])
             # 17-significant-digit encoding round-trips exactly, so the
             # weights still satisfy the mixture invariants as written.
-            weights = np.array([r[1] for r in rows])
-            if rows[0][4] is None:
-                comps = [Gaussian(r[2], r[3]) for r in rows]
-            else:
-                comps = [StudentT(r[2], r[3], r[4]) for r in rows]
-            mixture_history.append((iteration, MixtureModel(weights, comps)))
+            _, weights, means, scales, dofs = zip(*rows)
+            mixture = _mixture(np.array(weights), means, scales,
+                               None if dofs[0] is None else dofs)
+            mixture_history.append((iteration, mixture))
     return mixture_history
 
 

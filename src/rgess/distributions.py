@@ -4,6 +4,11 @@ Everything here is immutable after construction and pure given an explicit
 ``numpy.random.Generator``, so instances can be shared freely between chains.
 Cholesky factors and normalizing constants are cached at construction time
 because the samplers evaluate these densities in tight loops.
+
+``Gaussian`` and ``StudentT`` share one factorisation of their ``scale``.
+``MixtureModel._log_densities`` and ``MixtureModel._log_mixture`` are the
+one component-density and mixture log-density routines, and ``_mixture``
+the one builder of mixtures from parameter stacks.
 """
 
 from __future__ import annotations
@@ -40,7 +45,44 @@ def _validate_cov(cov: np.ndarray, name: str) -> np.ndarray:
     return cov
 
 
-class Gaussian:
+class _LocationScale:
+    """Location ``mean`` and SPD ``scale`` with its Cholesky factor; a
+    subclass adds ``_normaliser(d, log_det)``, ``log_density`` and ``sample``."""
+
+    __slots__ = ("mean", "scale", "chol", "_chol_inv", "_offset", "_log_norm")
+
+    def __init__(self, mean, scale, name: str):
+        mean = np.atleast_1d(np.asarray(mean, dtype=float))
+        scale = _validate_cov(scale, name)
+        if mean.ndim != 1 or scale.shape[0] != mean.shape[0]:
+            raise ValueError(
+                f"mean/{name} dimension mismatch: {mean.shape} vs {scale.shape}"
+            )
+        self.mean = mean
+        self.scale = scale
+        self.chol = np.linalg.cholesky(scale)
+        self._chol_inv = solve_triangular(self.chol, np.eye(len(mean)), lower=True)
+        # whitening as one affine map: z = L^-1 x + offset
+        self._offset = -(self._chol_inv @ mean)
+        log_det = 2.0 * np.sum(np.log(np.diag(self.chol)))
+        self._log_norm = self._normaliser(len(mean), log_det)
+
+    @property
+    def dim(self) -> int:
+        return self.mean.shape[0]
+
+    def mahalanobis_sq(self, x) -> float:
+        z = self._chol_inv @ np.asarray(x, dtype=float) + self._offset
+        return float(z @ z)
+
+    def _checked_mahalanobis_sq(self, x) -> float:
+        x = np.asarray(x, dtype=float)
+        if x.shape != self.mean.shape:
+            raise ValueError(f"dimension mismatch: {x.shape} vs {self.mean.shape}")
+        return self.mahalanobis_sq(x)
+
+
+class Gaussian(_LocationScale):
     """Multivariate normal with cached Cholesky factor.
 
     Parameters
@@ -49,92 +91,57 @@ class Gaussian:
     cov : array_like, shape (D, D)
         Symmetric positive definite; construction fails with
         ``numpy.linalg.LinAlgError`` if the Cholesky factorization does.
+        Stored as ``scale``; ``cov`` reads the same matrix.
     """
 
-    __slots__ = ("mean", "cov", "chol", "_chol_inv", "_offset", "_log_norm")
+    __slots__ = ()
 
     def __init__(self, mean, cov):
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        cov = _validate_cov(cov, "cov")
-        if mean.ndim != 1 or cov.shape[0] != mean.shape[0]:
-            raise ValueError(
-                f"mean/cov dimension mismatch: {mean.shape} vs {cov.shape}"
-            )
-        self.mean = mean
-        self.cov = cov
-        self.chol = np.linalg.cholesky(cov)
-        self._chol_inv = solve_triangular(self.chol, np.eye(len(mean)), lower=True)
-        # whitening as one affine map: z = L^-1 x + offset
-        self._offset = -(self._chol_inv @ mean)
-        log_det = 2.0 * np.sum(np.log(np.diag(self.chol)))
-        self._log_norm = -0.5 * (len(mean) * np.log(2.0 * np.pi) + log_det)
+        super().__init__(mean, cov, "cov")
+
+    def _normaliser(self, d: int, log_det):
+        return -0.5 * (d * np.log(2.0 * np.pi) + log_det)
 
     @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
+    def cov(self) -> np.ndarray:
+        return self.scale
 
     def log_density(self, x) -> float:
         """Log density at ``x``, evaluated entirely in the log domain."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.mean.shape:
-            raise ValueError(f"dimension mismatch: {x.shape} vs {self.mean.shape}")
-        z = self._chol_inv @ x + self._offset
-        return float(self._log_norm - 0.5 * (z @ z))
+        return float(self._log_norm - 0.5 * self._checked_mahalanobis_sq(x))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Draw mean + L z with z standard normal; deterministic given rng state."""
         z = rng.standard_normal(self.dim)
         return self.mean + self.chol @ z
 
-    def mahalanobis_sq(self, x) -> float:
-        z = self._chol_inv @ np.asarray(x, dtype=float) + self._offset
-        return float(z @ z)
 
-
-class StudentT:
+class StudentT(_LocationScale):
     """Multivariate Student's t with location/scale parametrization.
 
     ``dof`` is the degrees of freedom nu > 0; ``scale`` plays the role of the
     shape matrix (the covariance is ``dof/(dof-2) * scale`` for ``dof > 2``).
     """
 
-    __slots__ = ("mean", "scale", "dof", "chol", "_chol_inv", "_offset", "_log_norm")
+    __slots__ = ("dof",)
 
     def __init__(self, mean, scale, dof: float):
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        scale = _validate_cov(scale, "scale")
-        if mean.ndim != 1 or scale.shape[0] != mean.shape[0]:
-            raise ValueError(
-                f"mean/scale dimension mismatch: {mean.shape} vs {scale.shape}"
-            )
         dof = float(dof)
         if not dof > 0:
             raise ValueError(f"dof must be positive, got {dof}")
-        self.mean = mean
-        self.scale = scale
         self.dof = dof
-        self.chol = np.linalg.cholesky(scale)
-        self._chol_inv = solve_triangular(self.chol, np.eye(len(mean)), lower=True)
-        self._offset = -(self._chol_inv @ mean)
-        d = len(mean)
-        log_det = 2.0 * np.sum(np.log(np.diag(self.chol)))
-        self._log_norm = (
-            gammaln(0.5 * (dof + d))
-            - gammaln(0.5 * dof)
-            - 0.5 * d * np.log(dof * np.pi)
+        super().__init__(mean, scale, "scale")
+
+    def _normaliser(self, d: int, log_det):
+        return (
+            gammaln(0.5 * (self.dof + d))
+            - gammaln(0.5 * self.dof)
+            - 0.5 * d * np.log(self.dof * np.pi)
             - 0.5 * log_det
         )
 
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
     def log_density(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.mean.shape:
-            raise ValueError(f"dimension mismatch: {x.shape} vs {self.mean.shape}")
-        z = self._chol_inv @ x + self._offset
-        quad = z @ z
+        quad = self._checked_mahalanobis_sq(x)
         return float(self._log_norm - 0.5 * (self.dof + self.dim) * np.log1p(quad / self.dof))
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -142,10 +149,6 @@ class StudentT:
         s = sample_inverse_gamma(InverseGammaParams(0.5 * self.dof, 0.5 * self.dof), rng)
         z = rng.standard_normal(self.dim)
         return self.mean + np.sqrt(s) * (self.chol @ z)
-
-    def mahalanobis_sq(self, x) -> float:
-        z = self._chol_inv @ np.asarray(x, dtype=float) + self._offset
-        return float(z @ z)
 
 
 @dataclass(frozen=True)
@@ -235,8 +238,7 @@ class MixtureModel:
             self._dofs = np.array([c.dof for c in components])
             self._half_dof_plus_dim = 0.5 * (self._dofs + dim)
         else:
-            self._dofs = None
-            self._half_dof_plus_dim = None
+            self._dofs = self._half_dof_plus_dim = None
 
     @property
     def n_components(self) -> int:
@@ -293,11 +295,16 @@ class MixtureModel:
 
     def log_density(self, x) -> float:
         """log sum_m w_m f_m(x) via log-sum-exp."""
-        terms = self._log_weights + self.component_log_densities(x)
-        m = terms.max()
-        if not np.isfinite(m):
-            return float(m)
-        return float(m + np.log(np.sum(np.exp(terms - m))))
+        return float(self._log_mixture(self.component_log_densities(x)))
+
+    def _log_mixture(self, comp_log_densities: np.ndarray):
+        """log sum_m w_m f_m from component log densities of shape (M,) or
+        (n, M); -inf where every term is -inf."""
+        terms = self._log_weights + comp_log_densities
+        m = terms.max(axis=-1)
+        with np.errstate(invalid="ignore"):  # nan where every term is -inf
+            lse = m + np.log(np.exp(terms - m[..., None]).sum(axis=-1))
+        return np.where(np.isfinite(m), lse, m)
 
     def assign_region(self, x) -> int:
         """Index of the component whose density is largest at ``x``.
@@ -318,6 +325,17 @@ class MixtureModel:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         idx = int(rng.choice(self.n_components, p=self.weights))
         return self.components[idx].sample(rng)
+
+
+def _mixture(weights, means, scales, dofs=None,
+             weighted_regions: bool = False) -> MixtureModel:
+    """Mixture from stacks of weights, means and scale matrices: Gaussian
+    components, or Student's-t components when ``dofs`` is given."""
+    if dofs is None:
+        comps = [Gaussian(mu, s) for mu, s in zip(means, scales)]
+    else:
+        comps = [StudentT(mu, s, nu) for mu, s, nu in zip(means, scales, dofs)]
+    return MixtureModel(weights, comps, weighted_regions=weighted_regions)
 
 
 def regularize_cov(cov, r: float) -> np.ndarray:

@@ -244,6 +244,19 @@ class _Batched:
         return zip(self.points.copy(), self.regions.tolist())
 
 
+def _check_target(config: RunConfig, target: TargetDensity) -> None:
+    """Raise ``ValueError`` if ``target`` cannot be run under ``config``."""
+    if target.dim != config.init.dim:
+        raise ValueError(
+            f"target dimension {target.dim} does not match init distribution "
+            f"dimension {config.init.dim}"
+        )
+    if config.kernel is Kernel.ESS and (
+        target.log_likelihood is None or target.prior is None
+    ):
+        raise ValueError("the ess kernel requires a target with a prior/likelihood split")
+
+
 def run(config: RunConfig, target: TargetDensity,
         _chain_seeds=None) -> RunResult:
     """Execute the configured multi-chain run against ``target``.
@@ -256,15 +269,7 @@ def run(config: RunConfig, target: TargetDensity,
     ``_chain_seeds`` overrides the spawned per-chain seeds; it exists for the
     chain-independence tests only.
     """
-    if target.dim != config.init.dim:
-        raise ValueError(
-            f"target dimension {target.dim} does not match init distribution "
-            f"dimension {config.init.dim}"
-        )
-    if config.kernel is Kernel.ESS and (
-        target.log_likelihood is None or target.prior is None
-    ):
-        raise ValueError("the ess kernel requires a target with a prior/likelihood split")
+    _check_target(config, target)
 
     k_chains = config.chains
     seed_seq = np.random.SeedSequence(config.master_seed)

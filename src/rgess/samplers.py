@@ -14,6 +14,11 @@ which region the proposal lands in.
 once. It draws from each chain's generator in the per-chain kernels' order
 and evaluates each proposal round for all still-shrinking chains in one call,
 so every chain's result equals the per-chain kernel's bit for bit.
+
+:func:`gmrgess_step` and :func:`tmrgess_step` stay for single chains
+(criterion 3, the kernel-1d benchmark), which they step about three times
+faster: on criterion 3's set-up one batched chain took 120-145 us a step
+against 40-46 us for :func:`tmrgess_step` (2-CPU Xeon, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -220,8 +225,7 @@ def _current_point_values(state: ChainState, mixture: MixtureModel,
     return log_pi_x, comp_at_x
 
 
-def _regional_ellipse_step(state, mixture, target, log_pi_x, comp_at_x, v, rng,
-                           trace_brackets):
+def _regional_ellipse_step(state, mixture, target, log_pi_x, comp_at_x, v, rng):
     """Ellipse/shrinkage core shared by the Gaussian- and t-mixture kernels."""
     x = state.point
     i = state.region
@@ -243,7 +247,7 @@ def _regional_ellipse_step(state, mixture, target, log_pi_x, comp_at_x, v, rng,
         return None
 
     x_new, theta, rejections, accepted = _ellipse_shrink(
-        x, mixture.components[i].mean, v, accept, rng, trace_brackets
+        x, mixture.components[i].mean, v, accept, rng
     )
     if accepted is None:
         region_new, log_pi_new, comp_new = i, log_pi_x, comp_at_x
@@ -257,7 +261,7 @@ def _regional_ellipse_step(state, mixture, target, log_pi_x, comp_at_x, v, rng,
 
 
 def gmrgess_step(state: ChainState, mixture: MixtureModel, target: TargetDensity,
-                 rng, trace_brackets=None) -> StepOutcome:
+                 rng) -> StepOutcome:
     """Regional generalized ESS step with Gaussian-mixture pseudo-priors."""
     if mixture.kind != "gaussian":
         raise ValueError("gmrgess_step requires Gaussian mixture components")
@@ -267,9 +271,7 @@ def gmrgess_step(state: ChainState, mixture: MixtureModel, target: TargetDensity
         # density is -inf and no proposal could clear the slice threshold.
         raise ValueError(_REGION_DENSITY_NOT_FINITE.format(comp_at_x[state.region]))
     v = mixture.components[state.region].sample(rng)
-    return _regional_ellipse_step(
-        state, mixture, target, log_pi_x, comp_at_x, v, rng, trace_brackets
-    )
+    return _regional_ellipse_step(state, mixture, target, log_pi_x, comp_at_x, v, rng)
 
 
 def _t_auxiliary_shape_rate(component, x) -> tuple[float, float]:
@@ -286,7 +288,7 @@ def t_auxiliary_params(component, x) -> InverseGammaParams:
 
 
 def tmrgess_step(state: ChainState, mixture: MixtureModel, target: TargetDensity,
-                 rng, trace_brackets=None) -> StepOutcome:
+                 rng) -> StepOutcome:
     """Regional generalized ESS step with Student's-t mixture pseudo-priors.
 
     The auxiliary point is drawn through the scale-mixture representation:
@@ -303,9 +305,7 @@ def tmrgess_step(state: ChainState, mixture: MixtureModel, target: TargetDensity
         raise ValueError(f"auxiliary rate is not finite ({beta}) at current point")
     s = 1.0 / rng.gamma(alpha, 1.0 / beta)
     v = comp.mean + math.sqrt(s) * (comp.chol @ rng.standard_normal(comp.dim))
-    return _regional_ellipse_step(
-        state, mixture, target, log_pi_x, comp_at_x, v, rng, trace_brackets
-    )
+    return _regional_ellipse_step(state, mixture, target, log_pi_x, comp_at_x, v, rng)
 
 
 def log_pi_rows(target: TargetDensity, points: np.ndarray, chains) -> np.ndarray:

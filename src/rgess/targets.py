@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .distributions import Gaussian, MixtureModel
+from .distributions import _mixture
 from .samplers import TargetDensity
 
 __all__ = [
@@ -51,10 +51,7 @@ class GaussMixTarget:
 
     def __init__(self):
         cov = self.COV_SCALE * np.eye(2)
-        self.mixture = MixtureModel(
-            np.array(self.WEIGHTS),
-            [Gaussian(np.array(mu), cov) for mu in self.MEANS],
-        )
+        self.mixture = _mixture(np.array(self.WEIGHTS), self.MEANS, [cov] * len(self.MEANS))
 
     @property
     def dim(self) -> int:
@@ -69,25 +66,17 @@ class GaussMixTarget:
     def log_density_batch(self, points) -> np.ndarray:
         """:meth:`log_density` at each row of an (n, 2) array, bit for bit.
 
-        The same log-sum-exp as ``MixtureModel.log_density``, taken row-wise
-        over the batched component densities; non-finite rows give -inf.
+        ``MixtureModel._log_mixture`` of the batched component densities,
+        the routine ``log_density`` calls; non-finite rows give -inf.
         """
         points = np.asarray(points, dtype=float)
         finite = np.isfinite(points).all(axis=1)
-        if finite.all():
-            return self._log_density_rows(points)
-        out = np.full(len(points), -np.inf)
-        out[finite] = self._log_density_rows(points[finite])
-        return out
-
-    def _log_density_rows(self, points) -> np.ndarray:
         mixture = self.mixture
-        terms = mixture._log_weights + mixture._log_densities(points)
-        m = terms.max(axis=1)
-        # Rows whose terms are all -inf give nan here; they keep m below.
-        with np.errstate(invalid="ignore"):
-            lse = m + np.log(np.exp(terms - m[:, None]).sum(axis=1))
-        return np.where(np.isfinite(m), lse, m)
+        if finite.all():
+            return mixture._log_mixture(mixture._log_densities(points))
+        out = np.full(len(points), -np.inf)
+        out[finite] = mixture._log_mixture(mixture._log_densities(points[finite]))
+        return out
 
     def as_target_density(self) -> TargetDensity:
         return TargetDensity(dim=2, log_pi=self.log_density,

@@ -207,6 +207,17 @@ def _reference_t_log_densities(x, means, scales, dofs):
     return logdens, mahal
 
 
+def reference_log_mixture(log_weights, comp_log_densities):
+    """Row-wise log-sum-exp of weighted (n, M) component log densities, as
+    ``GaussMixTarget`` computed it before ``MixtureModel._log_mixture``:
+    rows whose terms are all -inf give -inf."""
+    terms = log_weights + comp_log_densities
+    m = terms.max(axis=1)
+    with np.errstate(invalid="ignore"):
+        lse = m + np.log(np.exp(terms - m[:, None]).sum(axis=1))
+    return np.where(np.isfinite(m), lse, m)
+
+
 def reference_em_gmm_fit(samples, m, config, rng):
     """Separate-loop Gaussian-mixture EM with its own density code, the
     oracle for ``em_gmm_fit`` on non-degenerate samples. Returns

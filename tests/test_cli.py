@@ -116,6 +116,14 @@ class TestCmdRun:
         assert "em_max_iters" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_ess_kernel_without_split_exits_one_writes_nothing(self, tmp_path,
+                                                                capsys):
+        out = str(tmp_path / "out")
+        assert main(["run", "gauss-mix-gess", "--out", out,
+                     "--set", "run.kernel=ess"]) == 1
+        assert "prior/likelihood split" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_missing_config_exits_one(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
 
+from helpers import reference_log_mixture
 from rgess.distributions import (
     Gaussian,
     InverseGammaParams,
@@ -285,6 +286,27 @@ class TestBatchedComponentDensities:
         for row, x in zip(batch, points):
             single = mixture.component_log_densities(x.copy())
             assert row.tobytes() == single.tobytes()
+
+
+class TestLogMixture:
+    @settings(deadline=None, max_examples=200)
+    @given(_mixture_and_batch())
+    def test_equals_reference_bitwise(self, case):
+        mixture, points = case
+        # Every quadratic form overflows at this row, so all of its component
+        # log densities are -inf.
+        points = np.vstack([points, np.full(mixture.dim, 1e200)])
+        with np.errstate(over="ignore"):
+            comps = mixture._log_densities(points)
+        assert np.all(comps[-1] == -np.inf)
+        reference = reference_log_mixture(mixture._log_weights, comps)
+        assert mixture._log_mixture(comps).tobytes() == reference.tobytes()
+        assert reference[-1] == -np.inf
+        for x, comp, expected in zip(points, comps, reference):
+            assert mixture._log_mixture(comp).tobytes() == expected.tobytes()
+            with np.errstate(over="ignore"):
+                single = np.float64(mixture.log_density(x))
+            assert single.tobytes() == expected.tobytes()
 
 
 class TestMixtureNormalization:
