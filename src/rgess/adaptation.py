@@ -7,11 +7,25 @@ learning-rate-scaled correction to an existing mixture, which keeps the
 estimate anchored to its history and therefore robust to transient outliers
 in the snapshot. Gaussian-mixture EM is Student's-t-mixture EM with every
 expected precision u held at 1, so both run one EM body. EM and SA evaluate
-component densities with :meth:`MixtureModel._log_densities`, the same
-batched routine the kernels sample with. Every fitted covariance goes
-through the same hygiene pass:
-symmetrize, add ``reg_radius * I``, and repair to the nearest PSD matrix if
-the Cholesky factorization fails.
+component densities with the batched routines the kernels sample with:
+SA calls :meth:`MixtureModel._log_densities`, and EM calls its two steps,
+``_mahalanobis_sq`` and ``_log_densities_from_quad``, so that the expected
+precisions reuse the same distances. Every fitted covariance goes
+through the same hygiene pass, ``_clean_cov``, over the stack of all M:
+symmetrize, add ``reg_radius * I``, factor in one batched Cholesky call, and
+repair a matrix to the nearest PSD one only if that fails. The fitters pass
+its factors to ``distributions._mixture``, which builds the mixture straight
+from the parameter stacks, so an EM iteration factors each covariance once,
+in one batched call, and runs no component constructor.
+
+The fitters normalise responsibilities with ``_logsumexp_rows``, which
+rounds exactly as ``scipy.special.logsumexp`` does: the largest term is
+split out and added back through ``log1p``. ``MixtureModel._log_mixture``
+takes the log of the full sum instead, which differs in the last bits.
+Switching the fitters to it would move every adapted trace; in a trial the
+gauss-mix-tmrgess outputs changed. So the two stay apart until a change
+that rewrites those traces anyway, such as exact regional kernels, merges
+them.
 """
 
 from __future__ import annotations
@@ -22,10 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import digamma, gammaln, logsumexp
+from scipy.special import digamma, gammaln
 
 from .distributions import (Gaussian, MixtureModel, StudentT, _mixture,
-                            ensure_spd, regularize_cov)
+                            nearest_psd, regularize_cov)
 
 __all__ = [
     "Scheme",
@@ -142,9 +156,49 @@ def _as_sample_matrix(samples, m: int) -> np.ndarray:
     return x
 
 
-def _clean_cov(cov: np.ndarray, reg_radius: float) -> np.ndarray:
-    cov = 0.5 * (cov + cov.T)
-    return ensure_spd(regularize_cov(cov, reg_radius))
+def _clean_cov(covs: np.ndarray, reg_radius: float):
+    """The hygiene pass over a stack of M covariance matrices, (M, D, D):
+    symmetrize, add ``reg_radius * I`` and factor all M in one batched
+    Cholesky call. Only when that fails is each matrix factored on its own,
+    and one whose factorization fails is replaced by its :func:`nearest_psd`
+    repair and factored once more; a second failure propagates as
+    ``LinAlgError``. Returns ``(covs, chols)``, the cleaned stack and its
+    Cholesky factors, for :func:`_mixture`."""
+    covs = regularize_cov(0.5 * (covs + covs.transpose(0, 2, 1)), reg_radius)
+    try:
+        return covs, np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError:
+        pass
+    chols = np.empty_like(covs)
+    for k, cov in enumerate(covs):
+        try:
+            chols[k] = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            covs[k] = nearest_psd(cov)
+            chols[k] = np.linalg.cholesky(covs[k])
+    return covs, chols
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp(a, axis=1)`` for a real (n, M) array, bit
+    for bit, without scipy's array-API layer.
+
+    As in scipy, each row's largest term (counted once per tie) is split out
+    of the sum and added back through ``log1p``, and a row whose result is
+    not finite gets ``log(sum(exp(row)))`` directly, so a row of all -inf
+    gives -inf. ``MixtureModel._log_mixture`` rounds differently.
+    """
+    a_max = a.max(axis=1, keepdims=True)
+    at_max = a == a_max
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+        ties = at_max.sum(axis=1, keepdims=True)
+        out = (np.log1p(rest / ties) + np.log(ties) + a_max)[:, 0]
+    bad = ~np.isfinite(out)
+    if bad.any():
+        with np.errstate(divide="ignore", over="ignore"):
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
 
 
 def _kmeanspp_centers(x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -169,9 +223,10 @@ def _degenerate_surrogate(x: np.ndarray, m: int, reg_radius: float,
     """Point-mass surrogate for all-identical samples: every component sits at
     the common point with covariance reg_radius * I, uniform weights; t
     components with ``dof`` when it is given."""
-    cov = _clean_cov(reg_radius * np.eye(x.shape[1]), 0.0)
+    cov, chol = _clean_cov(reg_radius * np.eye(x.shape[1])[None], 0.0)
     dofs = None if dof is None else [dof] * m
-    return _mixture(np.full(m, 1.0 / m), [x[0]] * m, [cov] * m, dofs)
+    return _mixture(np.full(m, 1.0 / m), [x[0]] * m, np.repeat(cov, m, axis=0),
+                    dofs, chols=np.repeat(chol, m, axis=0))
 
 
 def _is_degenerate(x: np.ndarray) -> bool:
@@ -216,8 +271,11 @@ def _em_fit(samples, m: int, config: AdaptationConfig,
     EM for Student's-t mixtures (Peel & McLachlan 2000) with
     ``student_t=True``; with ``student_t=False`` the same iteration with
     every expected precision u held at 1, which is Gaussian-mixture EM.
-    Each iteration evaluates the iterate's components through
-    :meth:`MixtureModel._log_densities`, the routine the kernels sample with.
+    Each iteration builds its iterate with :func:`_mixture` from the
+    parameter stacks and the Cholesky factors of the previous M-step's
+    :func:`_clean_cov`, so every scale matrix is factored once. It computes
+    the squared Mahalanobis distances once, and takes the component
+    densities from them with the density formula the kernels sample with.
     """
     x = _as_sample_matrix(samples, m)
     n, d = x.shape
@@ -232,8 +290,10 @@ def _em_fit(samples, m: int, config: AdaptationConfig,
         )
 
     means = _kmeanspp_centers(x, m, rng)
-    global_cov = _clean_cov(np.cov(x, rowvar=False, bias=True).reshape(d, d), reg)
-    scales = np.repeat(global_cov[None], m, axis=0)
+    global_cov, global_chol = _clean_cov(
+        np.cov(x, rowvar=False, bias=True).reshape(1, d, d), reg)
+    scales = np.repeat(global_cov, m, axis=0)
+    chols = np.repeat(global_chol, m, axis=0)
     dofs = None if dof0 is None else np.full(m, float(dof0))
     weights = np.full(m, 1.0 / m)
     solve_dofs = student_t and config.fixed_dof is None
@@ -241,47 +301,51 @@ def _em_fit(samples, m: int, config: AdaptationConfig,
     history = []
     converged = False
     for it in range(1, config.em_max_iters + 1):
-        mixture = _mixture(weights, means, scales, dofs)
-        log_joint = mixture._log_densities(x) + mixture._log_weights
-        log_norm = logsumexp(log_joint, axis=1)
+        mixture = _mixture(weights, means, scales, dofs, chols=chols)
+        quad = mixture._mahalanobis_sq(x)
+        log_joint = mixture._log_densities_from_quad(quad) + mixture._log_weights
+        log_norm = _logsumexp_rows(log_joint)
         history.append(float(log_norm.sum()))
         resp = np.exp(log_joint - log_norm[:, None])
         # expected precisions u = (nu + D) / (nu + mahalanobis^2); 1 for
         # Gaussian components
-        u = 1.0 if dofs is None else (dofs + d) / (dofs + mixture._mahalanobis_sq(x))
+        u = 1.0 if dofs is None else (dofs + d) / (dofs + quad)
         ru = resp * u
 
         nk = resp.sum(axis=0)
         new_weights = nk / n
         new_means = means.copy()
-        new_scales = scales.copy()
+        # A collapsed component keeps a zero matrix here, which the
+        # hygiene pass turns into reg * I.
+        new_scales = np.zeros_like(scales)
         new_dofs = None if dofs is None else dofs.copy()
         for k in range(m):
             if nk[k] < _EMPTY_RESP:
                 logger.warning("EM component %d collapsed; re-seeding", k)
                 new_means[k] = x[rng.integers(n)]
-                new_scales[k] = _clean_cov(reg * np.eye(d), 0.0)
                 new_weights[k] = 1.0 / n
                 continue
             new_means[k] = ru[:, k] @ x / ru[:, k].sum()
             diff = x - new_means[k]
-            new_scales[k] = _clean_cov((ru[:, k][:, None] * diff).T @ diff / nk[k], reg)
+            new_scales[k] = (ru[:, k][:, None] * diff).T @ diff / nk[k]
             if solve_dofs:
                 new_dofs[k] = _solve_dof(dofs[k], d, resp[:, k], u[:, k])
+        new_scales, new_chols = _clean_cov(new_scales, reg)
         new_weights = new_weights / new_weights.sum()
 
         changes = [new_weights - weights, new_means - means, new_scales - scales]
         if dofs is not None:
             changes.append(new_dofs - dofs)
-        delta = max(np.max(np.abs(c)) for c in changes)
-        weights, means, scales, dofs = new_weights, new_means, new_scales, new_dofs
+        delta = max(np.abs(c).max() for c in changes)
+        weights, means, scales, dofs, chols = (
+            new_weights, new_means, new_scales, new_dofs, new_chols)
         if delta < config.em_tol:
             converged = True
             break
 
-    mixture = _mixture(weights, means, scales, dofs, config.weighted_regions)
+    mixture = _mixture(weights, means, scales, dofs, config.weighted_regions, chols)
     final_ll = float(
-        logsumexp(mixture._log_densities(x) + mixture._log_weights, axis=1).sum()
+        _logsumexp_rows(mixture._log_densities(x) + mixture._log_weights).sum()
     )
     return FitResult(
         mixture=mixture, converged=converged, iterations_used=it,
@@ -397,7 +461,7 @@ def vi_gmm_fit(samples, m: int, config: AdaptationConfig,
             diff = x - mk[k]
             quad[:, k] = d / beta[k] + nu[k] * np.einsum("ni,ij,nj->n", diff, wk[k], diff)
         log_rho = ln_pi_tilde + 0.5 * ln_lambda_tilde - 0.5 * d * ln2pi - 0.5 * quad
-        log_resp = log_rho - logsumexp(log_rho, axis=1)[:, None]
+        log_resp = log_rho - _logsumexp_rows(log_rho)[:, None]
         resp = np.exp(log_resp)
 
         # ----- evidence lower bound -----
@@ -443,11 +507,10 @@ def vi_gmm_fit(samples, m: int, config: AdaptationConfig,
         history.append(float(elbo))
 
     exp_weights = alpha / alpha.sum()
-    exp_covs = [np.linalg.inv(nu[k] * wk[k]) for k in range(m)]
-    mixture = _mixture(
-        exp_weights, mk, [_clean_cov(exp_covs[k], reg) for k in range(m)],
-        weighted_regions=config.weighted_regions,
-    )
+    exp_covs, chols = _clean_cov(
+        np.stack([np.linalg.inv(nu[k] * wk[k]) for k in range(m)]), reg)
+    mixture = _mixture(exp_weights, mk, exp_covs,
+                       weighted_regions=config.weighted_regions, chols=chols)
     return FitResult(
         mixture=mixture, converged=converged, iterations_used=it,
         lower_bound=float(history[-1]), objective_history=tuple(history),
@@ -479,7 +542,7 @@ def sa_update_directions(current: MixtureModel, samples):
     # the caller detects the non-finite direction and skips the step.
     with np.errstate(over="ignore", invalid="ignore"):
         log_joint = current._log_weights + current._log_densities(x)
-        log_norm = logsumexp(log_joint, axis=1)
+        log_norm = _logsumexp_rows(log_joint)
         resp = np.exp(log_joint - log_norm[:, None])
 
     dw_raw = resp.mean(axis=0) / weights
@@ -522,10 +585,9 @@ def sa_gmm_update(current: MixtureModel, samples, r_n: float,
     new_weights = np.clip(new_weights, _WEIGHT_FLOOR, 1.0)
     new_weights = new_weights / new_weights.sum()
     try:
-        return _mixture(
-            new_weights, new_means, [_clean_cov(c, reg_radius) for c in new_covs],
-            weighted_regions=current.weighted_regions,
-        )
+        covs, chols = _clean_cov(new_covs, reg_radius)
+        return _mixture(new_weights, new_means, covs,
+                        weighted_regions=current.weighted_regions, chols=chols)
     except np.linalg.LinAlgError:
         logger.warning("SA update produced an irreparable covariance; skipping step")
         return current
@@ -544,7 +606,8 @@ def moment_fit_gaussian(samples, reg_radius: float) -> Gaussian:
         cov = np.zeros((x.shape[1], x.shape[1]))
     else:
         cov = np.cov(x, rowvar=False, bias=True).reshape(x.shape[1], x.shape[1])
-    return Gaussian(mean, _clean_cov(cov, reg_radius))
+    covs, _ = _clean_cov(cov[None], reg_radius)
+    return Gaussian(mean, covs[0])
 
 
 def moment_fit_student_t(samples, reg_radius: float, dof: float) -> StudentT:

@@ -209,7 +209,13 @@ def _parse_row(path, lineno, row, n_fields):
 
 
 def read_mixtures_csv(path):
-    """Read a mixture-bank CSV back into ``(iteration, MixtureModel)`` pairs."""
+    """Read a mixture-bank CSV back into ``(iteration, MixtureModel)`` pairs.
+
+    The file may come from outside the program, so each iteration must list
+    components 0..M-1 once each, give a dof for all of them or for none,
+    and make a valid mixture; otherwise a ``ValueError`` names the file and
+    the iteration.
+    """
     mixture_history = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -242,12 +248,24 @@ def read_mixtures_csv(path):
                 raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from exc
             grouped.setdefault(iteration, []).append((component, weight, mean, cov, dof))
         for iteration in sorted(grouped):
-            rows = sorted(grouped[iteration])
+            rows = sorted(grouped[iteration], key=lambda r: r[0])
+            where = f"{path}: iteration {iteration}"
+            indices = [r[0] for r in rows]
+            if indices != list(range(len(rows))):
+                raise ValueError(
+                    f"{where}: component indices {indices} are not 0..{len(rows) - 1} "
+                    "once each"
+                )
             # 17-significant-digit encoding round-trips exactly, so the
             # weights still satisfy the mixture invariants as written.
             _, weights, means, scales, dofs = zip(*rows)
-            mixture = _mixture(np.array(weights), means, scales,
-                               None if dofs[0] is None else dofs)
+            if len({dof is None for dof in dofs}) != 1:
+                raise ValueError(f"{where}: some components have a dof and some do not")
+            try:
+                mixture = _mixture(np.array(weights), means, scales,
+                                   None if dofs[0] is None else dofs)
+            except ValueError as exc:
+                raise ValueError(f"{where}: invalid mixture ({exc})") from exc
             mixture_history.append((iteration, mixture))
     return mixture_history
 

@@ -5,10 +5,17 @@ Everything here is immutable after construction and pure given an explicit
 Cholesky factors and normalizing constants are cached at construction time
 because the samplers evaluate these densities in tight loops.
 
-``Gaussian`` and ``StudentT`` share one factorisation of their ``scale``.
+Factorisation lives in one private routine, ``_factorise``. It checks a
+stack of M means and scale matrices, factors the stack in one batched
+Cholesky call (or takes factors already computed), inverts each factor with
+the LAPACK routine that ``scipy.linalg.solve_triangular`` wraps, and computes
+the whitening offsets and log normalisers. ``Gaussian`` and ``StudentT``
+call it on a stack of one, and ``_mixture``, the one builder of mixtures
+from parameter stacks, on the whole stack. So a mixture built from stacks
+equals one built from component objects bit for bit, and the mixture
+fitters build each iterate without constructing its components one by one.
 ``MixtureModel._log_densities`` and ``MixtureModel._log_mixture`` are the
-one component-density and mixture log-density routines, and ``_mixture``
-the one builder of mixtures from parameter stacks.
+one component-density and mixture log-density routines.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.special import gammaln
 
 __all__ = [
@@ -32,40 +39,96 @@ __all__ = [
 
 _SYMMETRY_ATOL = 1e-10
 _PSD_JITTER = 1e-10
+_LOG_2PI = np.log(2.0 * np.pi)
 
 
-def _validate_cov(cov: np.ndarray, name: str) -> np.ndarray:
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {cov.shape}")
-    if not np.all(np.isfinite(cov)):
+def _check_weights(weights: np.ndarray, m: int) -> None:
+    if m < 1:
+        raise ValueError("mixture needs at least one component")
+    if weights.shape != (m,):
+        raise ValueError(f"{len(weights)} weights for {m} components")
+    if (weights < 0).any():
+        raise ValueError("mixture weights must be nonnegative")
+    if abs(weights.sum() - 1.0) > 1e-10:
+        raise ValueError(f"mixture weights sum to {weights.sum()!r}, not 1")
+
+
+def _factorise(means: np.ndarray, scales: np.ndarray, dofs, name: str,
+               chols=None):
+    """Check and factor a stack of M location-scale components: the one
+    factorisation of every ``Gaussian``, ``StudentT`` and mixture.
+
+    ``means`` is (M, D), ``scales`` is (M, D, D), and ``dofs`` is (M,) for
+    Student's-t components or None for Gaussian ones. ``chols``, when given,
+    must be the Cholesky factors of ``scales``, which are then not factored
+    again. Returns ``(chols, chol_invs, offsets, log_norms)``: the (M, D, D)
+    factors L, lists of the M inverse factors L^-1 and whitening offsets
+    -L^-1 mean, and the (M,) log normalising constants.
+
+    Each L^-1 is the LAPACK ``trtrs`` solution of L X = I, called as
+    ``scipy.linalg.solve_triangular`` calls it on a C-ordered factor, and
+    kept in the Fortran order that routine returns. Each offset is computed
+    from that array: a C-ordered copy or one batched product rounds the
+    whitening differently.
+    """
+    if dofs is not None and not (dofs > 0).all():
+        raise ValueError(f"dof must be positive, got {float(dofs[~(dofs > 0)][0])}")
+    if scales.ndim != 3 or scales.shape[1] != scales.shape[2]:
+        raise ValueError(f"{name} must be a square matrix, got shape {scales.shape[1:]}")
+    if not np.isfinite(scales).all():
         raise ValueError(f"{name} contains non-finite entries")
-    if np.max(np.abs(cov - cov.T)) > _SYMMETRY_ATOL:
+    if np.abs(scales - scales.transpose(0, 2, 1)).max() > _SYMMETRY_ATOL:
         raise ValueError(f"{name} is not symmetric within {_SYMMETRY_ATOL}")
-    return cov
+    if means.ndim != 2 or scales.shape[1] != means.shape[1]:
+        raise ValueError(
+            f"mean/{name} dimension mismatch: {means.shape[1:]} vs {scales.shape[1:]}"
+        )
+    if chols is None:
+        chols = np.linalg.cholesky(scales)
+    d = means.shape[1]
+    eye = np.eye(d)
+    chol_invs, offsets = [], []
+    for chol, mean in zip(chols, means):
+        # L X = I as the transposed upper-triangular system, without a copy
+        chol_inv, info = dtrtrs(chol.T, eye, lower=False, trans=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"singular {name} factor")
+        chol_invs.append(chol_inv)
+        offsets.append(-(chol_inv @ mean))
+    log_dets = 2.0 * np.log(chols.diagonal(axis1=1, axis2=2)).sum(axis=1)
+    if dofs is None:
+        log_norms = -0.5 * (d * _LOG_2PI + log_dets)
+    else:
+        log_norms = (
+            gammaln(0.5 * (dofs + d))
+            - gammaln(0.5 * dofs)
+            - 0.5 * d * np.log(dofs * np.pi)
+            - 0.5 * log_dets
+        )
+    return chols, chol_invs, offsets, log_norms
 
 
 class _LocationScale:
     """Location ``mean`` and SPD ``scale`` with its Cholesky factor; a
-    subclass adds ``_normaliser(d, log_det)``, ``log_density`` and ``sample``."""
+    subclass adds ``log_density`` and ``sample``."""
 
     __slots__ = ("mean", "scale", "chol", "_chol_inv", "_offset", "_log_norm")
 
-    def __init__(self, mean, scale, name: str):
+    def __init__(self, mean, scale, name: str, dof=None):
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        scale = _validate_cov(scale, name)
-        if mean.ndim != 1 or scale.shape[0] != mean.shape[0]:
-            raise ValueError(
-                f"mean/{name} dimension mismatch: {mean.shape} vs {scale.shape}"
-            )
+        scale = np.asarray(scale, dtype=float)
+        dofs = None if dof is None else np.array([dof])
+        factors = _factorise(mean[None], scale[None], dofs, name)
+        self._set_factors(mean, scale, *(part[0] for part in factors))
+
+    def _set_factors(self, mean, scale, chol, chol_inv, offset, log_norm):
         self.mean = mean
         self.scale = scale
-        self.chol = np.linalg.cholesky(scale)
-        self._chol_inv = solve_triangular(self.chol, np.eye(len(mean)), lower=True)
+        self.chol = chol
         # whitening as one affine map: z = L^-1 x + offset
-        self._offset = -(self._chol_inv @ mean)
-        log_det = 2.0 * np.sum(np.log(np.diag(self.chol)))
-        self._log_norm = self._normaliser(len(mean), log_det)
+        self._chol_inv = chol_inv
+        self._offset = offset
+        self._log_norm = log_norm
 
     @property
     def dim(self) -> int:
@@ -99,9 +162,6 @@ class Gaussian(_LocationScale):
     def __init__(self, mean, cov):
         super().__init__(mean, cov, "cov")
 
-    def _normaliser(self, d: int, log_det):
-        return -0.5 * (d * np.log(2.0 * np.pi) + log_det)
-
     @property
     def cov(self) -> np.ndarray:
         return self.scale
@@ -126,19 +186,8 @@ class StudentT(_LocationScale):
     __slots__ = ("dof",)
 
     def __init__(self, mean, scale, dof: float):
-        dof = float(dof)
-        if not dof > 0:
-            raise ValueError(f"dof must be positive, got {dof}")
-        self.dof = dof
-        super().__init__(mean, scale, "scale")
-
-    def _normaliser(self, d: int, log_det):
-        return (
-            gammaln(0.5 * (self.dof + d))
-            - gammaln(0.5 * self.dof)
-            - 0.5 * d * np.log(self.dof * np.pi)
-            - 0.5 * log_det
-        )
+        self.dof = float(dof)
+        super().__init__(mean, scale, "scale", self.dof)
 
     def log_density(self, x) -> float:
         quad = self._checked_mahalanobis_sq(x)
@@ -199,23 +248,28 @@ class MixtureModel:
     def __init__(self, weights, components, weighted_regions: bool = False):
         weights = np.asarray(weights, dtype=float)
         components = tuple(components)
-        if len(components) < 1:
-            raise ValueError("mixture needs at least one component")
-        if weights.shape != (len(components),):
-            raise ValueError(
-                f"{len(weights)} weights for {len(components)} components"
-            )
-        if np.any(weights < 0):
-            raise ValueError("mixture weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > 1e-10:
-            raise ValueError(f"mixture weights sum to {weights.sum()!r}, not 1")
+        _check_weights(weights, len(components))
         kinds = {type(c) for c in components}
         if len(kinds) != 1 or kinds.pop() not in (Gaussian, StudentT):
             raise ValueError("components must be all Gaussian or all StudentT")
         dims = {c.dim for c in components}
         if len(dims) != 1:
             raise ValueError(f"components have mixed dimensions: {sorted(dims)}")
+        self._fill(
+            weights, components, weighted_regions,
+            np.stack([c.mean for c in components]),
+            np.stack([c.chol for c in components]),
+            [c._chol_inv for c in components],
+            [c._offset for c in components],
+            np.array([c._log_norm for c in components]),
+            np.array([c.dof for c in components])
+            if isinstance(components[0], StudentT) else None,
+        )
 
+    def _fill(self, weights, components, weighted_regions, means, chols,
+              chol_invs, offsets, log_norms, dofs) -> None:
+        """Set every attribute from checked weights, the component tuple and
+        the stacked parameters and factors that ``_factorise`` returns."""
         self.weights = weights
         self.components = components
         self.weighted_regions = bool(weighted_regions)
@@ -223,22 +277,19 @@ class MixtureModel:
             self._log_weights = np.log(weights)
         # Stacked parameter caches: evaluating all M components reduces to one
         # (M D, D) matvec through the shared whitening map z = A x + b.
-        self._means = np.stack([c.mean for c in components])
-        self._chol_inv = np.stack([c._chol_inv for c in components])
-        self._chols = np.stack([c.chol for c in components])
-        self._log_norms = np.array([c._log_norm for c in components])
-        dim = components[0].dim
-        self._m = len(components)
+        m, dim = means.shape
+        self._m = m
         self._dim = dim
         self._shape = (dim,)
-        self._whiten_mat = self._chol_inv.reshape(len(components) * dim, dim)
-        self._whiten_off = np.concatenate([c._offset for c in components])
-        self._offsets = self._whiten_off.reshape(len(components), dim)
-        if isinstance(components[0], StudentT):
-            self._dofs = np.array([c.dof for c in components])
-            self._half_dof_plus_dim = 0.5 * (self._dofs + dim)
-        else:
-            self._dofs = self._half_dof_plus_dim = None
+        self._means = means
+        self._chols = chols
+        self._chol_inv = np.stack(chol_invs)
+        self._log_norms = log_norms
+        self._whiten_mat = self._chol_inv.reshape(m * dim, dim)
+        self._whiten_off = np.concatenate(offsets)
+        self._offsets = self._whiten_off.reshape(m, dim)
+        self._dofs = dofs
+        self._half_dof_plus_dim = None if dofs is None else 0.5 * (dofs + dim)
 
     @property
     def n_components(self) -> int:
@@ -288,7 +339,11 @@ class MixtureModel:
         component-density routine: the kernels and the mixture fitters
         both call it.
         """
-        quad = self._mahalanobis_sq(x)
+        return self._log_densities_from_quad(self._mahalanobis_sq(x))
+
+    def _log_densities_from_quad(self, quad: np.ndarray) -> np.ndarray:
+        """Component log densities from the squared Mahalanobis distances
+        that :meth:`_mahalanobis_sq` returns, in the same shape."""
         if self._dofs is None:
             return self._log_norms - 0.5 * quad
         return self._log_norms - self._half_dof_plus_dim * np.log1p(quad / self._dofs)
@@ -328,22 +383,41 @@ class MixtureModel:
 
 
 def _mixture(weights, means, scales, dofs=None,
-             weighted_regions: bool = False) -> MixtureModel:
+             weighted_regions: bool = False, chols=None) -> MixtureModel:
     """Mixture from stacks of weights, means and scale matrices: Gaussian
-    components, or Student's-t components when ``dofs`` is given."""
-    if dofs is None:
-        comps = [Gaussian(mu, s) for mu, s in zip(means, scales)]
-    else:
-        comps = [StudentT(mu, s, nu) for mu, s, nu in zip(means, scales, dofs)]
-    return MixtureModel(weights, comps, weighted_regions=weighted_regions)
+    components, or Student's-t components when ``dofs`` is given.
+
+    The stacks are checked and factored once, by ``_factorise``, and the
+    components share those factors; ``chols``, when given, must be the
+    Cholesky factors of ``scales``. Equal, bit for bit, to ``MixtureModel``
+    built from ``Gaussian`` or ``StudentT`` components.
+    """
+    weights = np.asarray(weights, dtype=float)
+    means = np.array(means, dtype=float)
+    scales = np.array(scales, dtype=float)
+    if dofs is not None:
+        dofs = np.array(dofs, dtype=float)
+    _check_weights(weights, len(means))
+    kind, name = (Gaussian, "cov") if dofs is None else (StudentT, "scale")
+    factors = _factorise(means, scales, dofs, name, chols)
+    components = []
+    for k, parts in enumerate(zip(means, scales, *factors)):
+        comp = kind.__new__(kind)
+        comp._set_factors(*parts)
+        if dofs is not None:
+            comp.dof = float(dofs[k])
+        components.append(comp)
+    mixture = MixtureModel.__new__(MixtureModel)
+    mixture._fill(weights, tuple(components), weighted_regions, means, *factors, dofs)
+    return mixture
 
 
 def regularize_cov(cov, r: float) -> np.ndarray:
-    """cov + r * I."""
+    """cov + r * I, for one matrix or a stack of them."""
     cov = np.asarray(cov, dtype=float)
     if r < 0:
         raise ValueError(f"regularization radius must be nonnegative, got {r}")
-    return cov + r * np.eye(cov.shape[0])
+    return cov + r * np.eye(cov.shape[-1])
 
 
 def nearest_psd(a) -> np.ndarray:

@@ -9,14 +9,22 @@ from scipy.special import gammaln, logsumexp
 from rgess import runner, samplers
 from rgess.adaptation import (
     _EMPTY_RESP,
+    FitResult,
     _as_sample_matrix,
-    _clean_cov,
+    _is_degenerate,
     _kmeanspp_centers,
     _solve_dof,
     sa_update_directions,
 )
 from rgess.diagnostics import TraceRecord, write_trace_csv
-from rgess.distributions import Gaussian, MixtureModel, StudentT, sample_inverse_gamma
+from rgess.distributions import (
+    Gaussian,
+    MixtureModel,
+    StudentT,
+    ensure_spd,
+    regularize_cov,
+    sample_inverse_gamma,
+)
 from rgess.runner import Kernel
 from rgess.samplers import (
     ChainState,
@@ -218,6 +226,137 @@ def reference_log_mixture(log_weights, comp_log_densities):
     return np.where(np.isfinite(m), lse, m)
 
 
+def reference_clean_cov(cov, reg_radius):
+    """One matrix through the covariance hygiene pass, as the fitters did it
+    before ``adaptation._clean_cov`` took a stack: symmetrize, add
+    ``reg_radius * I``, then :func:`ensure_spd`."""
+    cov = 0.5 * (cov + cov.T)
+    return ensure_spd(regularize_cov(cov, reg_radius))
+
+
+def reference_mixture(weights, means, scales, dofs=None, weighted_regions=False):
+    """A mixture built one ``Gaussian`` or ``StudentT`` object at a time."""
+    if dofs is None:
+        comps = [Gaussian(mu, s) for mu, s in zip(means, scales)]
+    else:
+        comps = [StudentT(mu, s, nu) for mu, s, nu in zip(means, scales, dofs)]
+    return MixtureModel(weights, comps, weighted_regions=weighted_regions)
+
+
+def reference_location_scale(mean, scale, dof=None):
+    """``(chol, chol_inv, offset, log_norm)`` of one component, by the
+    scipy-wrapper formulas ``Gaussian`` and ``StudentT`` used before they
+    shared ``distributions._factorise``."""
+    mean = np.asarray(mean, dtype=float)
+    d = len(mean)
+    chol = np.linalg.cholesky(scale)
+    chol_inv = solve_triangular(chol, np.eye(d), lower=True)
+    offset = -(chol_inv @ mean)
+    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+    if dof is None:
+        log_norm = -0.5 * (d * np.log(2.0 * np.pi) + log_det)
+    else:
+        log_norm = (
+            gammaln(0.5 * (dof + d)) - gammaln(0.5 * dof)
+            - 0.5 * d * np.log(dof * np.pi) - 0.5 * log_det
+        )
+    return chol, chol_inv, offset, log_norm
+
+
+def reference_em_fit(samples, m, config, rng, student_t):
+    """EM as ``adaptation._em_fit`` ran it before it built iterates from
+    parameter stacks: each iterate is built from ``Gaussian`` or ``StudentT``
+    objects, each covariance is cleaned and factored on its own, the
+    Mahalanobis distances are computed twice and the responsibilities are
+    normalised by ``scipy.special.logsumexp``. Returns a ``FitResult``."""
+    x = _as_sample_matrix(samples, m)
+    n, d = x.shape
+    reg = config.reg_radius
+    dof0 = None
+    if student_t:
+        dof0 = config.fixed_dof if config.fixed_dof is not None else 10.0
+    if _is_degenerate(x):
+        cov = reference_clean_cov(reg * np.eye(d), 0.0)
+        dofs = None if dof0 is None else [dof0] * m
+        return FitResult(
+            mixture=reference_mixture(np.full(m, 1.0 / m), [x[0]] * m, [cov] * m, dofs),
+            converged=True, iterations_used=0, log_likelihood=None,
+        )
+
+    means = _kmeanspp_centers(x, m, rng)
+    global_cov = reference_clean_cov(np.cov(x, rowvar=False, bias=True).reshape(d, d), reg)
+    scales = np.repeat(global_cov[None], m, axis=0)
+    dofs = None if dof0 is None else np.full(m, float(dof0))
+    weights = np.full(m, 1.0 / m)
+    solve_dofs = student_t and config.fixed_dof is None
+
+    history = []
+    converged = False
+    for it in range(1, config.em_max_iters + 1):
+        mixture = reference_mixture(weights, means, scales, dofs)
+        log_joint = mixture._log_densities(x) + mixture._log_weights
+        log_norm = logsumexp(log_joint, axis=1)
+        history.append(float(log_norm.sum()))
+        resp = np.exp(log_joint - log_norm[:, None])
+        u = 1.0 if dofs is None else (dofs + d) / (dofs + mixture._mahalanobis_sq(x))
+        ru = resp * u
+
+        nk = resp.sum(axis=0)
+        new_weights = nk / n
+        new_means = means.copy()
+        new_scales = scales.copy()
+        new_dofs = None if dofs is None else dofs.copy()
+        for k in range(m):
+            if nk[k] < _EMPTY_RESP:
+                new_means[k] = x[rng.integers(n)]
+                new_scales[k] = reference_clean_cov(reg * np.eye(d), 0.0)
+                new_weights[k] = 1.0 / n
+                continue
+            new_means[k] = ru[:, k] @ x / ru[:, k].sum()
+            diff = x - new_means[k]
+            new_scales[k] = reference_clean_cov(
+                (ru[:, k][:, None] * diff).T @ diff / nk[k], reg)
+            if solve_dofs:
+                new_dofs[k] = _solve_dof(dofs[k], d, resp[:, k], u[:, k])
+        new_weights = new_weights / new_weights.sum()
+
+        changes = [new_weights - weights, new_means - means, new_scales - scales]
+        if dofs is not None:
+            changes.append(new_dofs - dofs)
+        delta = max(np.max(np.abs(c)) for c in changes)
+        weights, means, scales, dofs = new_weights, new_means, new_scales, new_dofs
+        if delta < config.em_tol:
+            converged = True
+            break
+
+    mixture = reference_mixture(weights, means, scales, dofs, config.weighted_regions)
+    final_ll = float(
+        logsumexp(mixture._log_densities(x) + mixture._log_weights, axis=1).sum()
+    )
+    return FitResult(
+        mixture=mixture, converged=converged, iterations_used=it,
+        log_likelihood=final_ll, objective_history=tuple(history),
+    )
+
+
+def assert_fits_equal(fit, reference):
+    """Two ``FitResult``s agree exactly: iteration count, convergence flag,
+    objective history and log-likelihood, and every weight, mean, scale and
+    dof bit for bit."""
+    assert fit.iterations_used == reference.iterations_used
+    assert fit.converged == reference.converged
+    assert fit.objective_history == reference.objective_history
+    assert fit.log_likelihood == reference.log_likelihood
+    got, want = fit.mixture, reference.mixture
+    assert got.kind == want.kind
+    assert got.weighted_regions == want.weighted_regions
+    assert np.array_equal(got.weights, want.weights)
+    for a, b in zip(got.components, want.components, strict=True):
+        assert np.array_equal(a.mean, b.mean)
+        assert np.array_equal(a.scale, b.scale)
+        assert getattr(a, "dof", None) == getattr(b, "dof", None)
+
+
 def reference_em_gmm_fit(samples, m, config, rng):
     """Separate-loop Gaussian-mixture EM with its own density code, the
     oracle for ``em_gmm_fit`` on non-degenerate samples. Returns
@@ -226,7 +365,7 @@ def reference_em_gmm_fit(samples, m, config, rng):
     n, d = x.shape
     reg = config.reg_radius
     means = _kmeanspp_centers(x, m, rng)
-    global_cov = _clean_cov(np.cov(x, rowvar=False, bias=True).reshape(d, d), reg)
+    global_cov = reference_clean_cov(np.cov(x, rowvar=False, bias=True).reshape(d, d), reg)
     covs = np.stack([global_cov.copy() for _ in range(m)])
     weights = np.full(m, 1.0 / m)
     converged = False
@@ -241,13 +380,13 @@ def reference_em_gmm_fit(samples, m, config, rng):
         for k in range(m):
             if nk[k] < _EMPTY_RESP:
                 new_means[k] = x[rng.integers(n)]
-                new_covs[k] = _clean_cov(reg * np.eye(d), 0.0)
+                new_covs[k] = reference_clean_cov(reg * np.eye(d), 0.0)
                 new_weights[k] = 1.0 / n
                 continue
             new_means[k] = resp[:, k] @ x / nk[k]
             diff = x - new_means[k]
             cov = (resp[:, k][:, None] * diff).T @ diff / nk[k]
-            new_covs[k] = _clean_cov(cov, reg)
+            new_covs[k] = reference_clean_cov(cov, reg)
         new_weights = new_weights / new_weights.sum()
         delta = max(
             np.max(np.abs(new_weights - weights)),
@@ -270,7 +409,7 @@ def reference_em_tmm_fit(samples, m, config, rng):
     reg = config.reg_radius
     dof0 = config.fixed_dof if config.fixed_dof is not None else 10.0
     means = _kmeanspp_centers(x, m, rng)
-    global_cov = _clean_cov(np.cov(x, rowvar=False, bias=True).reshape(d, d), reg)
+    global_cov = reference_clean_cov(np.cov(x, rowvar=False, bias=True).reshape(d, d), reg)
     scales = np.stack([global_cov.copy() for _ in range(m)])
     dofs = np.full(m, float(dof0))
     weights = np.full(m, 1.0 / m)
@@ -289,14 +428,14 @@ def reference_em_tmm_fit(samples, m, config, rng):
         for k in range(m):
             if nk[k] < _EMPTY_RESP:
                 new_means[k] = x[rng.integers(n)]
-                new_scales[k] = _clean_cov(reg * np.eye(d), 0.0)
+                new_scales[k] = reference_clean_cov(reg * np.eye(d), 0.0)
                 new_weights[k] = 1.0 / n
                 continue
             ru = resp[:, k] * u[:, k]
             new_means[k] = ru @ x / ru.sum()
             diff = x - new_means[k]
             scale = (ru[:, None] * diff).T @ diff / nk[k]
-            new_scales[k] = _clean_cov(scale, reg)
+            new_scales[k] = reference_clean_cov(scale, reg)
             if config.fixed_dof is None:
                 new_dofs[k] = _solve_dof(dofs[k], d, resp[:, k], u[:, k])
         new_weights = new_weights / new_weights.sum()

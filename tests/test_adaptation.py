@@ -8,11 +8,13 @@ import pytest
 
 from helpers import (
     assert_fit_matches_reference,
+    assert_fits_equal,
     assert_sa_matches_fd,
     min_distance_to_outliers,
     outlier_fixture,
     outlier_fixture_true_mixture,
     random_sa_instance,
+    reference_em_fit,
     reference_em_gmm_fit,
     reference_em_tmm_fit,
     reference_sa_update_directions,
@@ -61,7 +63,33 @@ def _reference_case(name):
         return np.random.default_rng(19).standard_t(3.0, size=(400, 2)), 2, {}, 20
     if name == "fixed_dof":
         return two_cluster_samples(np.random.default_rng(15)), 2, {"fixed_dof": 5.0}, 16
+    if name == "collinear":
+        return COLLINEAR_SAMPLES, 3, {"reg_radius": 0.0}, 7
+    if name == "degenerate":
+        return np.tile([2.0, -1.0], (6, 1)), 2, {"reg_radius": 0.0}, 0
     raise ValueError(name)
+
+
+# 40 points on the line y = 0.5. Every covariance EM forms from them has a
+# zero row and column, so at reg_radius 0 the batched Cholesky factorization
+# of the hygiene pass fails and each matrix takes the nearest-PSD repair.
+COLLINEAR_SAMPLES = np.column_stack([
+    np.random.default_rng(31).normal(scale=3.0, size=40), np.full(40, 0.5),
+])
+
+BITWISE_CASES = ["two_clusters", "outliers", "heavy_tails", "fixed_dof",
+                 "collapse", "collinear", "degenerate"]
+
+
+def _assert_equals_reference_em(case, student_t):
+    samples, m, kwargs, seed = _reference_case(case)
+    config = _config(scheme=Scheme.EM_TMM if student_t else Scheme.EM_GMM, **kwargs)
+    fitter = em_tmm_fit if student_t else em_gmm_fit
+    fit = fitter(samples, m, config, np.random.default_rng(seed))
+    reference = reference_em_fit(samples, m, config, np.random.default_rng(seed),
+                                 student_t=student_t)
+    assert_fits_equal(fit, reference)
+    return fit
 
 
 def _assert_mixture_clean(mixture):
@@ -128,6 +156,14 @@ class TestEmGmm:
         assert collapsed == (case == "collapse")
         reference = reference_em_gmm_fit(samples, m, config, np.random.default_rng(seed))
         assert_fit_matches_reference(fit, reference)
+
+    @pytest.mark.parametrize("case", BITWISE_CASES)
+    def test_equals_object_built_em_bitwise(self, case):
+        fit = _assert_equals_reference_em(case, student_t=False)
+        if case == "collinear":
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(np.cov(COLLINEAR_SAMPLES, rowvar=False, bias=True))
+            assert fit.iterations_used > 1
 
 
 class TestViGmm:
@@ -311,6 +347,12 @@ class TestEmTmm:
         fit = em_tmm_fit(samples, m, config, np.random.default_rng(seed))
         reference = reference_em_tmm_fit(samples, m, config, np.random.default_rng(seed))
         assert_fit_matches_reference(fit, reference)
+
+    @pytest.mark.parametrize("case", BITWISE_CASES)
+    def test_equals_object_built_em_bitwise(self, case):
+        fit = _assert_equals_reference_em(case, student_t=True)
+        if case == "collinear":
+            assert fit.iterations_used > 1
 
 
 class TestAdaptationConfig:

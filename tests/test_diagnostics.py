@@ -1,5 +1,7 @@
 """Diagnostics and CSV persistence."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -243,3 +245,35 @@ class TestCsvRoundTrip:
         write_mixtures_csv([(0, m)], mpath)
         back = read_mixtures_csv(mpath)[0][1]
         np.testing.assert_array_equal(back.weights, weights)
+
+
+_MIXTURES_HEADER = "iteration,component,weight,mean0,cov0,dof\n"
+
+
+class TestReadMixturesCsvValidation:
+    """Each malformed iteration raises a ``ValueError`` that names the file
+    and the iteration."""
+
+    @staticmethod
+    def _assert_rejected(tmp_path, rows, reason):
+        path = tmp_path / "mixtures.csv"
+        path.write_text(_MIXTURES_HEADER + rows)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: iteration 20: {reason}")):
+            read_mixtures_csv(path)
+
+    @pytest.mark.parametrize("components", [(0, 0), (0, 2)])
+    def test_duplicate_or_missing_component_index(self, tmp_path, components):
+        rows = "".join(f"20,{k},0.5,{k}.0,1.0,\n" for k in components)
+        self._assert_rejected(tmp_path, rows, "component indices")
+
+    def test_gaussian_row_then_t_row(self, tmp_path):
+        rows = "20,0,0.5,0.0,1.0,\n20,1,0.5,1.0,1.0,4.0\n"
+        self._assert_rejected(tmp_path, rows, "some components have a dof")
+
+    def test_t_row_then_gaussian_row(self, tmp_path):
+        rows = "20,0,0.5,0.0,1.0,4.0\n20,1,0.5,1.0,1.0,\n"
+        self._assert_rejected(tmp_path, rows, "some components have a dof")
+
+    def test_invalid_mixture_names_file_and_iteration(self, tmp_path):
+        rows = "0,0,1.0,0.0,1.0,\n20,0,0.6,0.0,1.0,\n20,1,0.5,1.0,1.0,\n"
+        self._assert_rejected(tmp_path, rows, "invalid mixture")

@@ -9,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
+from scipy.special import logsumexp
 
-from helpers import reference_log_mixture
+from helpers import reference_location_scale, reference_log_mixture, reference_mixture
+from rgess.adaptation import _logsumexp_rows
 from rgess.distributions import (
     Gaussian,
     InverseGammaParams,
     MixtureModel,
     StudentT,
+    _mixture,
     ensure_spd,
     nearest_psd,
     regularize_cov,
@@ -252,28 +255,38 @@ class TestRegionAssign:
         assert lopsided.assign_region(x) == 0
 
 
+def _random_stacks(rng, kind, m, d):
+    """``(weights, means, scales, dofs)`` of a random M-component mixture of
+    dimension D, with SPD scales over four orders of magnitude."""
+    a = rng.normal(size=(m, d, d))
+    scales = (10.0 ** rng.uniform(-2.0, 2.0, size=(m, 1, 1))
+              * (a @ a.transpose(0, 2, 1) / d + 0.05 * np.eye(d)))
+    scales = 0.5 * (scales + scales.transpose(0, 2, 1))
+    means = rng.normal(scale=5.0, size=(m, d))
+    dofs = None if kind == "gaussian" else rng.uniform(0.5, 30.0, size=m)
+    return rng.dirichlet(np.ones(m)), means, scales, dofs
+
+
 @st.composite
-def _mixture_and_batch(draw):
-    """A random Gaussian or Student-t mixture with M in 1..4 components of
-    dimension D in 1..9, random SPD scales, and an (n, D) batch, n in 1..64."""
+def _stacks_and_batch(draw):
+    """Parameter stacks of a Gaussian or Student-t mixture, M in 1..4 and D
+    in 1..9, and an (n, D) batch, n in 1..64."""
     kind = draw(st.sampled_from(["gaussian", "student_t"]))
     m = draw(st.integers(1, 4))
     d = draw(st.integers(1, 9))
     n = draw(st.integers(1, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    comps = []
-    for _ in range(m):
-        a = rng.normal(size=(d, d))
-        scale = 10.0 ** rng.uniform(-2.0, 2.0) * (a @ a.T / d + 0.05 * np.eye(d))
-        mean = rng.normal(scale=5.0, size=d)
-        if kind == "gaussian":
-            comps.append(Gaussian(mean, scale))
-        else:
-            comps.append(StudentT(mean, scale, rng.uniform(0.5, 30.0)))
-    mixture = MixtureModel(rng.dirichlet(np.ones(m)), comps)
     coords = st.one_of(st.floats(-50.0, 50.0), st.floats(-1e6, 1e6))
     points = draw(hnp.arrays(np.float64, (n, d), elements=coords))
-    return mixture, points
+    return _random_stacks(rng, kind, m, d), points
+
+
+@st.composite
+def _mixture_and_batch(draw):
+    """The mixture of :func:`_stacks_and_batch` built from ``Gaussian`` or
+    ``StudentT`` objects, and its batch."""
+    stacks, points = draw(_stacks_and_batch())
+    return reference_mixture(*stacks), points
 
 
 class TestBatchedComponentDensities:
@@ -307,6 +320,112 @@ class TestLogMixture:
             with np.errstate(over="ignore"):
                 single = np.float64(mixture.log_density(x))
             assert single.tobytes() == expected.tobytes()
+
+
+_MIXTURE_CACHES = ("weights", "_log_weights", "_means", "_chols", "_chol_inv",
+                   "_log_norms", "_whiten_mat", "_whiten_off", "_offsets",
+                   "_dofs", "_half_dof_plus_dim")
+_COMPONENT_ATTRS = ("mean", "scale", "chol", "_chol_inv", "_offset", "_log_norm")
+
+
+def _assert_same_array(got, want):
+    """Equal bit for bit, in the same shape, dtype and memory order."""
+    if want is None:
+        assert got is None
+        return
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous == want.flags.c_contiguous
+    assert got.flags.f_contiguous == want.flags.f_contiguous
+
+
+def _assert_stacks_build_object_mixture(stacks, points):
+    """``_mixture`` on parameter stacks, with and without their Cholesky
+    factors, equals the mixture built from ``Gaussian``/``StudentT`` objects
+    bit for bit; each object equals the scipy-wrapper formulas."""
+    weights, means, scales, dofs = stacks
+    built = reference_mixture(weights, means, scales, dofs)
+    for mixture in (_mixture(weights, means, scales, dofs),
+                    _mixture(weights, means, scales, dofs,
+                             chols=np.linalg.cholesky(scales))):
+        assert mixture.kind == built.kind
+        for name in _MIXTURE_CACHES:
+            _assert_same_array(getattr(mixture, name), getattr(built, name))
+        for got, want in zip(mixture.components, built.components, strict=True):
+            assert type(got) is type(want)
+            assert getattr(got, "dof", None) == getattr(want, "dof", None)
+            for name in _COMPONENT_ATTRS:
+                _assert_same_array(getattr(got, name), getattr(want, name))
+        with np.errstate(over="ignore"):
+            rows = mixture._log_densities(points)
+            _assert_same_array(rows, built._log_densities(points))
+    references = [reference_location_scale(means[k], scales[k],
+                                           None if dofs is None else dofs[k])
+                  for k in range(len(means))]
+    for comp, reference in zip(built.components, references):
+        for name, want in zip(("chol", "_chol_inv", "_offset", "_log_norm"), reference):
+            _assert_same_array(getattr(comp, name), want)
+    # The stacked inverse factors keep the memory layout that stacking
+    # scipy's Fortran-ordered results gives, which batched products read.
+    _assert_same_array(built._chol_inv, np.stack([r[1] for r in references]))
+
+
+class TestMixtureFromStacks:
+    @settings(deadline=None, max_examples=200)
+    @given(_stacks_and_batch())
+    def test_equals_object_built_mixture_bitwise(self, case):
+        _assert_stacks_build_object_mixture(*case)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "student_t"])
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_single_component_equals_object_built_bitwise(self, kind, d):
+        # One component: a (1, D, D) stack is also Fortran-contiguous where
+        # D = 1, the layout a stacked build must not leak into the factors.
+        rng = np.random.default_rng(d)
+        points = rng.normal(scale=5.0, size=(17, d))
+        _assert_stacks_build_object_mixture(_random_stacks(rng, kind, 1, d), points)
+
+    def test_checks_match_component_checks(self):
+        eye = np.eye(2)[None]
+        with pytest.raises(ValueError, match="dof must be positive, got -1.0"):
+            _mixture([1.0], [[0.0, 0.0]], eye, [-1.0])
+        with pytest.raises(ValueError, match="cov is not symmetric"):
+            _mixture([1.0], [[0.0, 0.0]], [[[1.0, 0.5], [0.2, 1.0]]])
+        with pytest.raises(ValueError, match="scale contains non-finite"):
+            _mixture([1.0], [[0.0, 0.0]], [[[1.0, np.nan], [np.nan, 1.0]]], [3.0])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            _mixture([1.0], [[0.0, 0.0, 0.0]], eye)
+        with pytest.raises(ValueError, match="sum to"):
+            _mixture([0.5, 0.6], [[0.0, 0.0]] * 2, np.repeat(eye, 2, axis=0))
+        with pytest.raises(np.linalg.LinAlgError):
+            _mixture([1.0], [[0.0, 0.0]], [[[1.0, 2.0], [2.0, 1.0]]])
+
+
+@st.composite
+def _log_terms(draw):
+    """(n, M) log terms with ties, scattered -inf entries, values far enough
+    apart for exp to underflow, and at least one row of all -inf."""
+    n = draw(st.integers(1, 64))
+    m = draw(st.integers(1, 6))
+    elements = st.one_of(
+        st.floats(-1e3, 1e3),
+        st.sampled_from([-np.inf, -np.inf, -2.0, 0.0, 0.5, 700.0]),
+    )
+    terms = draw(hnp.arrays(np.float64, (n, m), elements=elements))
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    terms[rows] = -np.inf
+    return terms
+
+
+class TestLogsumexpRows:
+    @settings(deadline=None, max_examples=300)
+    @given(_log_terms())
+    def test_equals_scipy_bitwise(self, terms):
+        got = _logsumexp_rows(terms)
+        want = logsumexp(terms, axis=1)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.any(got == -np.inf)
 
 
 class TestMixtureNormalization:
