@@ -13,7 +13,7 @@ SA calls :meth:`MixtureModel._log_densities`, and EM calls its two steps,
 precisions reuse the same distances. Every fitted covariance goes
 through the same hygiene pass, ``_clean_cov``, over the stack of all M:
 symmetrize, add ``reg_radius * I``, factor in one batched Cholesky call, and
-repair a matrix to the nearest PSD one only if that fails. The fitters pass
+only if that fails, pass each matrix through ``ensure_spd``. The fitters pass
 its factors to ``distributions._mixture``, which builds the mixture straight
 from the parameter stacks, so an EM iteration factors each covariance once,
 in one batched call, and runs no component constructor.
@@ -39,7 +39,7 @@ from scipy.optimize import brentq
 from scipy.special import digamma, gammaln
 
 from .distributions import (Gaussian, MixtureModel, StudentT, _mixture,
-                            nearest_psd, regularize_cov)
+                            ensure_spd, regularize_cov)
 
 __all__ = [
     "Scheme",
@@ -159,11 +159,11 @@ def _as_sample_matrix(samples, m: int) -> np.ndarray:
 def _clean_cov(covs: np.ndarray, reg_radius: float):
     """The hygiene pass over a stack of M covariance matrices, (M, D, D):
     symmetrize, add ``reg_radius * I`` and factor all M in one batched
-    Cholesky call. Only when that fails is each matrix factored on its own,
-    and one whose factorization fails is replaced by its :func:`nearest_psd`
-    repair and factored once more; a second failure propagates as
-    ``LinAlgError``. Returns ``(covs, chols)``, the cleaned stack and its
-    Cholesky factors, for :func:`_mixture`."""
+    Cholesky call. Only when that fails does each matrix go through
+    :func:`ensure_spd` on its own, which repairs one that does not factor;
+    a second failure propagates as ``LinAlgError``. Returns
+    ``(covs, chols)``, the cleaned stack and its Cholesky factors, for
+    :func:`_mixture`."""
     covs = regularize_cov(0.5 * (covs + covs.transpose(0, 2, 1)), reg_radius)
     try:
         return covs, np.linalg.cholesky(covs)
@@ -171,11 +171,8 @@ def _clean_cov(covs: np.ndarray, reg_radius: float):
         pass
     chols = np.empty_like(covs)
     for k, cov in enumerate(covs):
-        try:
-            chols[k] = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            covs[k] = nearest_psd(cov)
-            chols[k] = np.linalg.cholesky(covs[k])
+        covs[k] = ensure_spd(cov)
+        chols[k] = np.linalg.cholesky(covs[k])
     return covs, chols
 
 

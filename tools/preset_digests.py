@@ -1,12 +1,12 @@
 """Print the sha256 of every bundled preset's output files.
 
-    python3 tools/preset_digests.py [PRESET ...]
+    python3 tools/preset_digests.py
 
-Runs ``rgess run <preset>`` for each named preset, by default every bundled
-preset except ``logistic-covtype`` (its data set is not bundled). Each run
-is a fresh process with BLAS pinned to one thread, uses the ``rgess`` under
-``src/`` next to this script, and writes into a temporary directory that is
-removed afterwards. The script prints one JSON line that maps each preset to
+Runs ``rgess run <preset>`` for every bundled preset except
+``logistic-covtype`` (its data set is not bundled). Each run is a fresh
+process with BLAS pinned to one thread, uses the ``rgess`` under ``src/``
+next to this script, and writes into a temporary directory that is removed
+afterwards. The script prints one JSON line that maps each preset to
 the sha256 of its ``trace.csv``, ``mixtures.csv`` and ``summary.csv``.
 
 Two trees whose outputs are byte-identical print the same line, so running
@@ -54,14 +54,13 @@ def preset_digests(preset: str, env: dict) -> dict:
         return {name: _sha256(os.path.join(out, name)) for name in FILES}
 
 
-def main(argv=None) -> int:
-    presets = list(sys.argv[1:] if argv is None else argv) or bundled_presets()
+def main() -> int:
     env = dict(os.environ)
     env.update({name: "1" for name in ONE_THREAD})
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     try:
-        digests = {preset: preset_digests(preset, env) for preset in presets}
+        digests = {preset: preset_digests(preset, env) for preset in bundled_presets()}
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
