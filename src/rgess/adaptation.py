@@ -18,14 +18,10 @@ its factors to ``distributions._mixture``, which builds the mixture straight
 from the parameter stacks, so an EM iteration factors each covariance once,
 in one batched call, and runs no component constructor.
 
-The fitters normalise responsibilities with ``_logsumexp_rows``, which
-rounds exactly as ``scipy.special.logsumexp`` does: the largest term is
-split out and added back through ``log1p``. ``MixtureModel._log_mixture``
-takes the log of the full sum instead, which differs in the last bits.
-Switching the fitters to it would move every adapted trace; in a trial the
-gauss-mix-tmrgess outputs changed. So the two stay apart until a change
-that rewrites those traces anyway, such as exact regional kernels, merges
-them.
+EM, VI and SA normalise responsibilities with ``distributions._logsumexp``,
+the log-sum-exp that ``MixtureModel._log_mixture`` is built on, and EM's
+expected precisions use the distances of ``MixtureModel._mahalanobis_sq``,
+which also set the t kernels' auxiliary rate.
 """
 
 from __future__ import annotations
@@ -38,8 +34,8 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import digamma, gammaln
 
-from .distributions import (Gaussian, MixtureModel, StudentT, _mixture,
-                            ensure_spd, regularize_cov)
+from .distributions import (Gaussian, MixtureModel, StudentT, _logsumexp,
+                            _mixture, ensure_spd, regularize_cov)
 
 __all__ = [
     "Scheme",
@@ -176,28 +172,6 @@ def _clean_cov(covs: np.ndarray, reg_radius: float):
     return covs, chols
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """``scipy.special.logsumexp(a, axis=1)`` for a real (n, M) array, bit
-    for bit, without scipy's array-API layer.
-
-    As in scipy, each row's largest term (counted once per tie) is split out
-    of the sum and added back through ``log1p``, and a row whose result is
-    not finite gets ``log(sum(exp(row)))`` directly, so a row of all -inf
-    gives -inf. ``MixtureModel._log_mixture`` rounds differently.
-    """
-    a_max = a.max(axis=1, keepdims=True)
-    at_max = a == a_max
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rest = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
-        ties = at_max.sum(axis=1, keepdims=True)
-        out = (np.log1p(rest / ties) + np.log(ties) + a_max)[:, 0]
-    bad = ~np.isfinite(out)
-    if bad.any():
-        with np.errstate(divide="ignore", over="ignore"):
-            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
-    return out
-
-
 def _kmeanspp_centers(x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: centers drawn with probability proportional to the
     squared distance from the nearest already-chosen center."""
@@ -215,15 +189,15 @@ def _kmeanspp_centers(x: np.ndarray, m: int, rng: np.random.Generator) -> np.nda
     return np.stack(centers)
 
 
-def _degenerate_surrogate(x: np.ndarray, m: int, reg_radius: float,
+def _degenerate_surrogate(x: np.ndarray, m: int, config: AdaptationConfig,
                           dof: float | None = None) -> MixtureModel:
     """Point-mass surrogate for all-identical samples: every component sits at
-    the common point with covariance reg_radius * I, uniform weights; t
-    components with ``dof`` when it is given."""
-    cov, chol = _clean_cov(reg_radius * np.eye(x.shape[1])[None], 0.0)
+    the common point with covariance reg_radius * I, uniform weights and the
+    config's region rule; t components with ``dof`` when it is given."""
+    cov, chol = _clean_cov(config.reg_radius * np.eye(x.shape[1])[None], 0.0)
     dofs = None if dof is None else [dof] * m
     return _mixture(np.full(m, 1.0 / m), [x[0]] * m, np.repeat(cov, m, axis=0),
-                    dofs, chols=np.repeat(chol, m, axis=0))
+                    dofs, config.weighted_regions, np.repeat(chol, m, axis=0))
 
 
 def _is_degenerate(x: np.ndarray) -> bool:
@@ -282,7 +256,7 @@ def _em_fit(samples, m: int, config: AdaptationConfig,
         dof0 = config.fixed_dof if config.fixed_dof is not None else 10.0
     if _is_degenerate(x):
         return FitResult(
-            mixture=_degenerate_surrogate(x, m, reg, dof0),
+            mixture=_degenerate_surrogate(x, m, config, dof0),
             converged=True, iterations_used=0, log_likelihood=None,
         )
 
@@ -301,7 +275,7 @@ def _em_fit(samples, m: int, config: AdaptationConfig,
         mixture = _mixture(weights, means, scales, dofs, chols=chols)
         quad = mixture._mahalanobis_sq(x)
         log_joint = mixture._log_densities_from_quad(quad) + mixture._log_weights
-        log_norm = _logsumexp_rows(log_joint)
+        log_norm = _logsumexp(log_joint)
         history.append(float(log_norm.sum()))
         resp = np.exp(log_joint - log_norm[:, None])
         # expected precisions u = (nu + D) / (nu + mahalanobis^2); 1 for
@@ -341,9 +315,7 @@ def _em_fit(samples, m: int, config: AdaptationConfig,
             break
 
     mixture = _mixture(weights, means, scales, dofs, config.weighted_regions, chols)
-    final_ll = float(
-        _logsumexp_rows(mixture._log_densities(x) + mixture._log_weights).sum()
-    )
+    final_ll = float(mixture._log_mixture(mixture._log_densities(x)).sum())
     return FitResult(
         mixture=mixture, converged=converged, iterations_used=it,
         log_likelihood=final_ll, objective_history=tuple(history),
@@ -405,7 +377,7 @@ def vi_gmm_fit(samples, m: int, config: AdaptationConfig,
     hp = config.vi_hyperparams
     if _is_degenerate(x):
         return FitResult(
-            mixture=_degenerate_surrogate(x, m, reg),
+            mixture=_degenerate_surrogate(x, m, config),
             converged=True, iterations_used=0, lower_bound=None,
         )
 
@@ -458,7 +430,7 @@ def vi_gmm_fit(samples, m: int, config: AdaptationConfig,
             diff = x - mk[k]
             quad[:, k] = d / beta[k] + nu[k] * np.einsum("ni,ij,nj->n", diff, wk[k], diff)
         log_rho = ln_pi_tilde + 0.5 * ln_lambda_tilde - 0.5 * d * ln2pi - 0.5 * quad
-        log_resp = log_rho - _logsumexp_rows(log_rho)[:, None]
+        log_resp = log_rho - _logsumexp(log_rho)[:, None]
         resp = np.exp(log_resp)
 
         # ----- evidence lower bound -----
@@ -539,7 +511,7 @@ def sa_update_directions(current: MixtureModel, samples):
     # the caller detects the non-finite direction and skips the step.
     with np.errstate(over="ignore", invalid="ignore"):
         log_joint = current._log_weights + current._log_densities(x)
-        log_norm = _logsumexp_rows(log_joint)
+        log_norm = _logsumexp(log_joint)
         resp = np.exp(log_joint - log_norm[:, None])
 
     dw_raw = resp.mean(axis=0) / weights

@@ -15,7 +15,11 @@ from parameter stacks, on the whole stack. So a mixture built from stacks
 equals one built from component objects bit for bit, and the mixture
 fitters build each iterate without constructing its components one by one.
 ``MixtureModel._log_densities`` and ``MixtureModel._log_mixture`` are the
-one component-density and mixture log-density routines.
+one component-density and mixture log-density routines. The first is built
+on ``MixtureModel._mahalanobis_sq``, the one squared Mahalanobis distance,
+which also gives the t kernels their auxiliary rate and EM its expected
+precisions. The second calls ``_logsumexp``, the one log-sum-exp, which
+the mixture fitters also normalise with.
 """
 
 from __future__ import annotations
@@ -51,6 +55,16 @@ def _check_weights(weights: np.ndarray, m: int) -> None:
         raise ValueError("mixture weights must be nonnegative")
     if abs(weights.sum() - 1.0) > 1e-10:
         raise ValueError(f"mixture weights sum to {weights.sum()!r}, not 1")
+
+
+def _logsumexp(terms: np.ndarray):
+    """log sum exp over the last axis of ``terms``, shape (M,) or (n, M):
+    the one log-sum-exp of the package. The largest term is shifted out
+    before the sum; -inf where every term is -inf."""
+    m = terms.max(axis=-1)
+    with np.errstate(invalid="ignore"):  # nan where every term is -inf
+        lse = m + np.log(np.exp(terms - m[..., None]).sum(axis=-1))
+    return np.where(np.isfinite(m), lse, m)
 
 
 def _factorise(means: np.ndarray, scales: np.ndarray, dofs, name: str,
@@ -234,7 +248,6 @@ class MixtureModel:
         "_means",
         "_chol_inv",
         "_chols",
-        "_offsets",
         "_log_norms",
         "_dofs",
         "_half_dof_plus_dim",
@@ -287,7 +300,6 @@ class MixtureModel:
         self._log_norms = log_norms
         self._whiten_mat = self._chol_inv.reshape(m * dim, dim)
         self._whiten_off = np.concatenate(offsets)
-        self._offsets = self._whiten_off.reshape(m, dim)
         self._dofs = dofs
         self._half_dof_plus_dim = None if dofs is None else 0.5 * (dofs + dim)
 
@@ -355,11 +367,7 @@ class MixtureModel:
     def _log_mixture(self, comp_log_densities: np.ndarray):
         """log sum_m w_m f_m from component log densities of shape (M,) or
         (n, M); -inf where every term is -inf."""
-        terms = self._log_weights + comp_log_densities
-        m = terms.max(axis=-1)
-        with np.errstate(invalid="ignore"):  # nan where every term is -inf
-            lse = m + np.log(np.exp(terms - m[..., None]).sum(axis=-1))
-        return np.where(np.isfinite(m), lse, m)
+        return _logsumexp(self._log_weights + comp_log_densities)
 
     def assign_region(self, x) -> int:
         """Index of the component whose density is largest at ``x``.

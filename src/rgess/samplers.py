@@ -13,7 +13,10 @@ which region the proposal lands in.
 :func:`regional_ess_batch` takes one regional ESS step for many chains at
 once. It draws from each chain's generator in the per-chain kernels' order
 and evaluates each proposal round for all still-shrinking chains in one call,
-so every chain's result equals the per-chain kernel's bit for bit.
+so every chain's result equals the per-chain kernel's bit for bit. Both
+t-mixture kernels take the rate of the auxiliary inverse-gamma scale,
+(nu + d^2)/2, from ``MixtureModel._mahalanobis_sq``, the squared distances
+that the component densities and EM's expected precisions are built on.
 
 :func:`gmrgess_step` and :func:`tmrgess_step` stay for single chains
 (criterion 3, the kernel-1d benchmark), which they step about three times
@@ -28,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import Gaussian, InverseGammaParams, MixtureModel
+from .distributions import Gaussian, MixtureModel
 
 __all__ = [
     "MAX_SHRINK_ITERS",
@@ -43,8 +46,6 @@ __all__ = [
     "log_pi_rows",
     "regional_mh_step",
     "mh_step",
-    "regional_log_ratio",
-    "t_auxiliary_params",
 ]
 
 # Bracket shrinkage cap: theta -> 0 recovers the current point so the slice is
@@ -182,23 +183,6 @@ def ess_step(state: ChainState, prior: Gaussian, log_likelihood, rng,
     return StepOutcome(next=next_state, rejections=rejections, angle_final=theta)
 
 
-def regional_log_ratio(mixture: MixtureModel, target: TargetDensity,
-                       x1, region1: int, x2, region2: int) -> float:
-    """log of the regional acceptance ratio for moving x1 (in S_i) to x2 (in S_j).
-
-    Equals log pi(x2) + log f_j(x1) - log pi(x1) - log f_i(x2), which is the
-    residual form R_i(x2)/R_j(x1) expanded in the log domain.
-    """
-    comp_at_x1 = mixture.component_log_densities(x1)
-    comp_at_x2 = mixture.component_log_densities(x2)
-    return (
-        float(target.log_pi(x2))
-        + comp_at_x1[region2]
-        - float(target.log_pi(x1))
-        - comp_at_x2[region1]
-    )
-
-
 _REGION_DENSITY_NOT_FINITE = (
     "log density of the current region's component is not finite ({}) at current point"
 )
@@ -274,32 +258,23 @@ def gmrgess_step(state: ChainState, mixture: MixtureModel, target: TargetDensity
     return _regional_ellipse_step(state, mixture, target, log_pi_x, comp_at_x, v, rng)
 
 
-def _t_auxiliary_shape_rate(component, x) -> tuple[float, float]:
-    return (
-        0.5 * (component.dim + component.dof),
-        0.5 * (component.dof + component.mahalanobis_sq(x)),
-    )
-
-
-def t_auxiliary_params(component, x) -> InverseGammaParams:
-    """Inverse-gamma law of the latent scale given the current point:
-    alpha' = (D + nu)/2, beta' = (nu + (x-mu)^T Sigma^-1 (x-mu))/2."""
-    return InverseGammaParams(*_t_auxiliary_shape_rate(component, x))
-
-
 def tmrgess_step(state: ChainState, mixture: MixtureModel, target: TargetDensity,
                  rng) -> StepOutcome:
     """Regional generalized ESS step with Student's-t mixture pseudo-priors.
 
     The auxiliary point is drawn through the scale-mixture representation:
-    s from :func:`t_auxiliary_params`, then v ~ N(mu_I, s Sigma_I).
+    s ~ IG((D + nu)/2, (nu + d^2)/2), with d^2 the squared Mahalanobis
+    distance of the current point to the region's component from
+    ``MixtureModel._mahalanobis_sq``, then v ~ N(mu_I, s Sigma_I).
     """
     if mixture.kind != "student_t":
         raise ValueError("tmrgess_step requires Student's-t mixture components")
     log_pi_x, comp_at_x = _current_point_values(state, mixture, target)
-    comp = mixture.components[state.region]
-    # The same draw as sample_inverse_gamma(t_auxiliary_params(...), rng).
-    alpha, beta = _t_auxiliary_shape_rate(comp, state.point)
+    i = state.region
+    comp = mixture.components[i]
+    # The same draw as sample_inverse_gamma(InverseGammaParams(alpha, beta), rng).
+    alpha = mixture._half_dof_plus_dim[i]
+    beta = 0.5 * (comp.dof + mixture._mahalanobis_sq(state.point)[i])
     if not math.isfinite(beta):
         # A finite but huge point can overflow the Mahalanobis term.
         raise ValueError(f"auxiliary rate is not finite ({beta}) at current point")
@@ -375,12 +350,11 @@ def regional_ess_batch(points, regions, log_pis, comps, mixture: MixtureModel,
     means = mixture._means[regions]
     student_t = mixture._dofs is not None
     if student_t:
-        # The rate of the inverse-gamma auxiliary scale, as in
-        # _t_auxiliary_shape_rate; a huge point can overflow it.
+        # The rate of the inverse-gamma auxiliary scale, as in tmrgess_step;
+        # a huge point can overflow it.
         with np.errstate(over="ignore", invalid="ignore"):
-            z = (mixture._chol_inv[regions] @ points[:, :, None])[:, :, 0]
-            z += mixture._offsets[regions]
-            rate = 0.5 * (mixture._dofs[regions] + (z[:, None, :] @ z[:, :, None])[:, 0, 0])
+            quad = mixture._mahalanobis_sq(points)[np.arange(k_chains), regions]
+            rate = 0.5 * (mixture._dofs[regions] + quad)
         failure = _first_entry_failure(
             points, log_pis, np.isfinite(rate),
             lambda k: f"auxiliary rate is not finite ({rate[k]}) at current point")

@@ -19,8 +19,10 @@ from rgess.adaptation import (
 from rgess.diagnostics import TraceRecord, write_trace_csv
 from rgess.distributions import (
     Gaussian,
+    InverseGammaParams,
     MixtureModel,
     StudentT,
+    _logsumexp,
     ensure_spd,
     regularize_cov,
     sample_inverse_gamma,
@@ -164,7 +166,7 @@ def reference_sa_update_directions(current, samples):
     log_joint = np.empty((k_n, m))
     for idx in range(k_n):
         log_joint[idx] = current._log_weights + current.component_log_densities(x[idx])
-    log_norm = logsumexp(log_joint, axis=1)
+    log_norm = _logsumexp(log_joint)
     with np.errstate(invalid="ignore"):
         resp = np.exp(log_joint - log_norm[:, None])
     dw_raw = resp.mean(axis=0) / current.weights
@@ -234,6 +236,19 @@ def reference_clean_cov(cov, reg_radius):
     return ensure_spd(regularize_cov(cov, reg_radius))
 
 
+def random_mixture_stacks(rng, kind, m, d):
+    """``(weights, means, scales, dofs)`` of a random M-component mixture of
+    dimension D, with SPD scales over four orders of magnitude; ``kind`` is
+    "gaussian" or "student_t"."""
+    a = rng.normal(size=(m, d, d))
+    scales = (10.0 ** rng.uniform(-2.0, 2.0, size=(m, 1, 1))
+              * (a @ a.transpose(0, 2, 1) / d + 0.05 * np.eye(d)))
+    scales = 0.5 * (scales + scales.transpose(0, 2, 1))
+    means = rng.normal(scale=5.0, size=(m, d))
+    dofs = None if kind == "gaussian" else rng.uniform(0.5, 30.0, size=m)
+    return rng.dirichlet(np.ones(m)), means, scales, dofs
+
+
 def reference_mixture(weights, means, scales, dofs=None, weighted_regions=False):
     """A mixture built one ``Gaussian`` or ``StudentT`` object at a time."""
     if dofs is None:
@@ -267,8 +282,7 @@ def reference_em_fit(samples, m, config, rng, student_t):
     """EM as ``adaptation._em_fit`` ran it before it built iterates from
     parameter stacks: each iterate is built from ``Gaussian`` or ``StudentT``
     objects, each covariance is cleaned and factored on its own, the
-    Mahalanobis distances are computed twice and the responsibilities are
-    normalised by ``scipy.special.logsumexp``. Returns a ``FitResult``."""
+    Mahalanobis distances are computed twice. Returns a ``FitResult``."""
     x = _as_sample_matrix(samples, m)
     n, d = x.shape
     reg = config.reg_radius
@@ -279,7 +293,8 @@ def reference_em_fit(samples, m, config, rng, student_t):
         cov = reference_clean_cov(reg * np.eye(d), 0.0)
         dofs = None if dof0 is None else [dof0] * m
         return FitResult(
-            mixture=reference_mixture(np.full(m, 1.0 / m), [x[0]] * m, [cov] * m, dofs),
+            mixture=reference_mixture(np.full(m, 1.0 / m), [x[0]] * m, [cov] * m, dofs,
+                                      config.weighted_regions),
             converged=True, iterations_used=0, log_likelihood=None,
         )
 
@@ -295,7 +310,7 @@ def reference_em_fit(samples, m, config, rng, student_t):
     for it in range(1, config.em_max_iters + 1):
         mixture = reference_mixture(weights, means, scales, dofs)
         log_joint = mixture._log_densities(x) + mixture._log_weights
-        log_norm = logsumexp(log_joint, axis=1)
+        log_norm = _logsumexp(log_joint)
         history.append(float(log_norm.sum()))
         resp = np.exp(log_joint - log_norm[:, None])
         u = 1.0 if dofs is None else (dofs + d) / (dofs + mixture._mahalanobis_sq(x))
@@ -330,9 +345,7 @@ def reference_em_fit(samples, m, config, rng, student_t):
             break
 
     mixture = reference_mixture(weights, means, scales, dofs, config.weighted_regions)
-    final_ll = float(
-        logsumexp(mixture._log_densities(x) + mixture._log_weights, axis=1).sum()
-    )
+    final_ll = float(_logsumexp(mixture._log_densities(x) + mixture._log_weights).sum())
     return FitResult(
         mixture=mixture, converged=converged, iterations_used=it,
         log_likelihood=final_ll, objective_history=tuple(history),
@@ -488,7 +501,10 @@ def reference_regional_ess_step(kind, point, region, mixture, log_pi, rng):
     if kind == "gaussian":
         v = comp.sample(rng)
     else:
-        s = sample_inverse_gamma(samplers.t_auxiliary_params(comp, x), rng)
+        # alpha' = (D + nu)/2, beta' = (nu + d^2)/2 at the current point
+        quad = mixture._mahalanobis_sq(x)[i]
+        params = InverseGammaParams(0.5 * (comp.dim + comp.dof), 0.5 * (comp.dof + quad))
+        s = sample_inverse_gamma(params, rng)
         v = comp.mean + math.sqrt(s) * (comp.chol @ rng.standard_normal(comp.dim))
     log_pi_x = float(log_pi(x))
     if not np.isfinite(log_pi_x):

@@ -355,6 +355,16 @@ class TestEmTmm:
             assert fit.iterations_used > 1
 
 
+class TestDegenerateSurrogate:
+    @pytest.mark.parametrize("fitter", [em_gmm_fit, em_tmm_fit, vi_gmm_fit])
+    def test_keeps_weighted_regions(self, fitter):
+        samples = np.tile([3.0, -2.0], (10, 1))
+        config = _config(reg_radius=0.1, weighted_regions=True)
+        fit = fitter(samples, 2, config, np.random.default_rng(0))
+        assert fit.iterations_used == 0
+        assert fit.mixture.weighted_regions is True
+
+
 class TestAdaptationConfig:
     @pytest.mark.parametrize("iters", [0, -1])
     def test_rejects_em_max_iters_below_one(self, iters):

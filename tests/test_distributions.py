@@ -11,13 +11,18 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 from scipy.special import logsumexp
 
-from helpers import reference_location_scale, reference_log_mixture, reference_mixture
-from rgess.adaptation import _logsumexp_rows
+from helpers import (
+    random_mixture_stacks,
+    reference_location_scale,
+    reference_log_mixture,
+    reference_mixture,
+)
 from rgess.distributions import (
     Gaussian,
     InverseGammaParams,
     MixtureModel,
     StudentT,
+    _logsumexp,
     _mixture,
     ensure_spd,
     nearest_psd,
@@ -255,18 +260,6 @@ class TestRegionAssign:
         assert lopsided.assign_region(x) == 0
 
 
-def _random_stacks(rng, kind, m, d):
-    """``(weights, means, scales, dofs)`` of a random M-component mixture of
-    dimension D, with SPD scales over four orders of magnitude."""
-    a = rng.normal(size=(m, d, d))
-    scales = (10.0 ** rng.uniform(-2.0, 2.0, size=(m, 1, 1))
-              * (a @ a.transpose(0, 2, 1) / d + 0.05 * np.eye(d)))
-    scales = 0.5 * (scales + scales.transpose(0, 2, 1))
-    means = rng.normal(scale=5.0, size=(m, d))
-    dofs = None if kind == "gaussian" else rng.uniform(0.5, 30.0, size=m)
-    return rng.dirichlet(np.ones(m)), means, scales, dofs
-
-
 @st.composite
 def _stacks_and_batch(draw):
     """Parameter stacks of a Gaussian or Student-t mixture, M in 1..4 and D
@@ -278,7 +271,7 @@ def _stacks_and_batch(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     coords = st.one_of(st.floats(-50.0, 50.0), st.floats(-1e6, 1e6))
     points = draw(hnp.arrays(np.float64, (n, d), elements=coords))
-    return _random_stacks(rng, kind, m, d), points
+    return random_mixture_stacks(rng, kind, m, d), points
 
 
 @st.composite
@@ -323,8 +316,8 @@ class TestLogMixture:
 
 
 _MIXTURE_CACHES = ("weights", "_log_weights", "_means", "_chols", "_chol_inv",
-                   "_log_norms", "_whiten_mat", "_whiten_off", "_offsets",
-                   "_dofs", "_half_dof_plus_dim")
+                   "_log_norms", "_whiten_mat", "_whiten_off", "_dofs",
+                   "_half_dof_plus_dim")
 _COMPONENT_ATTRS = ("mean", "scale", "chol", "_chol_inv", "_offset", "_log_norm")
 
 
@@ -383,7 +376,7 @@ class TestMixtureFromStacks:
         # D = 1, the layout a stacked build must not leak into the factors.
         rng = np.random.default_rng(d)
         points = rng.normal(scale=5.0, size=(17, d))
-        _assert_stacks_build_object_mixture(_random_stacks(rng, kind, 1, d), points)
+        _assert_stacks_build_object_mixture(random_mixture_stacks(rng, kind, 1, d), points)
 
     def test_checks_match_component_checks(self):
         eye = np.eye(2)[None]
@@ -417,15 +410,24 @@ def _log_terms(draw):
     return terms
 
 
-class TestLogsumexpRows:
+class TestLogsumexp:
     @settings(deadline=None, max_examples=300)
     @given(_log_terms())
-    def test_equals_scipy_bitwise(self, terms):
-        got = _logsumexp_rows(terms)
-        want = logsumexp(terms, axis=1)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-        assert np.any(got == -np.inf)
+    def test_rows_within_rounding_of_scipy(self, terms):
+        got = _logsumexp(terms)
+        assert got.shape == (len(terms),)
+        empty = np.all(terms == -np.inf, axis=1)
+        assert empty.any()
+        assert np.all(got[empty] == -np.inf)
+        for row, value in zip(terms, got):
+            assert _logsumexp(row).tobytes() == _logsumexp(row[None]).tobytes()
+            assert _logsumexp(row[None])[0] == value
+        finite = ~empty
+        want = logsumexp(terms[finite], axis=1)
+        # The largest finite term bounds the rounding of the shifted sum.
+        scale = np.maximum(1.0, np.abs(np.where(np.isfinite(terms), terms, 0.0)).max(axis=1))
+        bound = 4.0 * np.finfo(float).eps * scale[finite]
+        assert np.all(np.abs(got[finite] - want) <= bound)
 
 
 class TestMixtureNormalization:

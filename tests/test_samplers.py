@@ -5,9 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from helpers import reference_regional_ess_step, reference_regional_mh_step
+from helpers import (
+    random_mixture_stacks,
+    reference_mixture,
+    reference_regional_ess_step,
+    reference_regional_mh_step,
+)
 from rgess.distributions import Gaussian, MixtureModel, StudentT
 from rgess.samplers import (
     MAX_SHRINK_ITERS,
@@ -19,9 +26,7 @@ from rgess.samplers import (
     log_pi_rows,
     mh_step,
     regional_ess_batch,
-    regional_log_ratio,
     regional_mh_step,
-    t_auxiliary_params,
     tmrgess_step,
 )
 
@@ -222,18 +227,37 @@ class TestGmrgessStep:
         assert out.angle_final == 0.0
 
 
+def _first_t_proposal(mean, dof, x, alpha, beta, seed):
+    """The first proposal of ``tmrgess_step`` from ``x`` under the one
+    identity-scale t component (``mean``, ``dof``), and the same proposal
+    replayed with the auxiliary scale drawn from IG(``alpha``, ``beta``).
+    The target is the component itself, so the first proposal is accepted."""
+    comp = StudentT(mean, np.eye(len(mean)), dof)
+    target = TargetDensity(dim=len(mean), log_pi=comp.log_density)
+    out = tmrgess_step(ChainState(point=x, region=0), MixtureModel([1.0], [comp]),
+                       target, np.random.default_rng(seed))
+    assert out.rejections == 0
+    rng = np.random.default_rng(seed)
+    s = 1.0 / rng.gamma(alpha, 1.0 / beta)
+    noise = rng.standard_normal(len(mean))
+    rng.random()  # log u
+    theta = 2.0 * math.pi * rng.random()
+    replayed = (x - comp.mean) * math.cos(theta) + math.sqrt(s) * noise * math.sin(theta)
+    return out.next.point, replayed + comp.mean
+
+
 class TestTmrgessStep:
     def test_auxiliary_params_at_mean(self):
-        comp = StudentT([1.0, 2.0], np.eye(2), 6.0)
-        params = t_auxiliary_params(comp, np.array([1.0, 2.0]))
-        assert params.beta == pytest.approx(3.0)  # nu/2 exactly
-        assert params.alpha == pytest.approx(4.0)
+        # alpha' = (D + nu)/2 = 4 and beta' = nu/2 = 3 at the mean.
+        x = np.array([1.0, 2.0])
+        got, want = _first_t_proposal([1.0, 2.0], 6.0, x, 4.0, 3.0, seed=21)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_auxiliary_params_unit_offset(self):
-        comp = StudentT([0.0, 0.0], np.eye(2), 4.0)
-        params = t_auxiliary_params(comp, np.array([1.0, 1.0]))
-        assert params.alpha == pytest.approx(3.0)
-        assert params.beta == pytest.approx(3.0)
+        # alpha' = (2 + 4)/2 = 3 and beta' = (4 + 2)/2 = 3 at unit offset.
+        x = np.array([1.0, 1.0])
+        got, want = _first_t_proposal([0.0, 0.0], 4.0, x, 3.0, 3.0, seed=22)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_target_equals_t_pseudo_prior_samples_the_t(self):
         comp = StudentT([0.5], [[1.0]], 6.0)
@@ -334,6 +358,53 @@ def _batch_step(points, mixture, target):
     log_pis = log_pi_rows(target, points, range(len(points)))
     rngs = [np.random.default_rng(k) for k in range(len(points))]
     return regional_ess_batch(points, regions, log_pis, comps, mixture, target, rngs)
+
+
+@st.composite
+def _batch_case(draw):
+    """A random Gaussian or t pseudo-prior mixture (M in 1..4, D in 1..9,
+    either region rule), a random Gaussian-mixture target of the same
+    dimension, K in 1..6 starting points drawn from the target, and a
+    generator seed per chain."""
+    kind = draw(st.sampled_from(["gaussian", "student_t"]))
+    m = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 6))
+    weighted = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mixture = reference_mixture(*random_mixture_stacks(rng, kind, m, d),
+                                weighted_regions=weighted)
+    target_mix = reference_mixture(*random_mixture_stacks(rng, "gaussian", 3, d))
+    points = np.stack([target_mix.sample(rng) for _ in range(k)])
+    seeds = rng.integers(2**32, size=k).tolist()
+    return mixture, TargetDensity(dim=d, log_pi=target_mix.log_density), points, seeds
+
+
+class TestBatchEqualsPerChainSteps:
+    """One ``regional_ess_batch`` step over K chains equals K calls of the
+    per-chain kernel bit for bit: points, regions, rejections and the
+    generators' final states."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(_batch_case())
+    def test_one_step_bitwise(self, case):
+        mixture, target, points, seeds = case
+        step = gmrgess_step if mixture.kind == "gaussian" else tmrgess_step
+        comps = mixture._log_densities(points)
+        regions = mixture._region_of(comps)
+        log_pis = log_pi_rows(target, points, range(len(points)))
+        starts = points.copy()
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        rejections = regional_ess_batch(points, regions, log_pis, comps,
+                                        mixture, target, rngs)
+        for k, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            state = ChainState(point=starts[k], region=mixture.assign_region(starts[k]))
+            out = step(state, mixture, target, rng)
+            assert out.next.point.tobytes() == points[k].tobytes()
+            assert out.next.region == regions[k]
+            assert out.rejections == rejections[k]
+            assert rng.bit_generator.state == rngs[k].bit_generator.state
 
 
 # Pseudo-prior mixtures and target of the criterion-3 stationarity check.
@@ -575,24 +646,3 @@ class TestMhStep:
         out = mh_step(state, np.eye(2), target, np.random.default_rng(1))
         assert out.rejections == 1
         assert out.next.point is anchor
-
-
-class TestAcceptanceRatioIdentity:
-    """The residual-form threshold equals the proposal-form MH ratio."""
-
-    @pytest.mark.parametrize("kind", ["gaussian", "student_t"])
-    def test_residual_and_proposal_forms_agree(self, kind):
-        rng = np.random.default_rng(40)
-        mixture = _gaussian_pair_mixture() if kind == "gaussian" else _t_pair_mixture()
-        target = _bimodal_target()
-        for _ in range(200):
-            x1 = rng.uniform(-6.0, 6.0, size=1)
-            x2 = rng.uniform(-6.0, 6.0, size=1)
-            i = mixture.assign_region(x1)
-            j = mixture.assign_region(x2)
-            comp = mixture.component_log_densities
-            residual_form = (
-                target.log_pi(x2) - comp(x2)[i]
-            ) - (target.log_pi(x1) - comp(x1)[j])
-            proposal_form = regional_log_ratio(mixture, target, x1, i, x2, j)
-            assert abs(residual_form - proposal_form) < 1e-10

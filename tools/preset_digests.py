@@ -39,26 +39,39 @@ def _sha256(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def preset_env(root: str = ROOT) -> dict:
+    """The environment of a preset run: this process's, with BLAS on one
+    thread and the ``rgess`` under ``root/src`` first on the path."""
+    env = dict(os.environ)
+    env.update({name: "1" for name in ONE_THREAD})
+    src = os.path.join(root, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_preset(preset: str, out: str, env: dict) -> None:
+    """``rgess run preset --out out`` in a fresh process with ``env``;
+    ``RuntimeError`` when it exits non-zero."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "rgess.cli", "run", preset, "--out", out],
+        env=env, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(
+            f"rgess run {preset} exited {proc.returncode}: {proc.stderr.strip()}"
+        )
+
+
 def preset_digests(preset: str, env: dict) -> dict:
     """Run ``preset`` into a temporary directory; return ``{file: sha256}``."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
-        proc = subprocess.run(
-            [sys.executable, "-m", "rgess.cli", "run", preset, "--out", out],
-            env=env, capture_output=True, text=True,
-        )
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"rgess run {preset} exited {proc.returncode}: {proc.stderr.strip()}"
-            )
+        run_preset(preset, out, env)
         return {name: _sha256(os.path.join(out, name)) for name in FILES}
 
 
 def main() -> int:
-    env = dict(os.environ)
-    env.update({name: "1" for name in ONE_THREAD})
-    src = os.path.join(ROOT, "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = preset_env()
     try:
         digests = {preset: preset_digests(preset, env) for preset in bundled_presets()}
     except RuntimeError as exc:
