@@ -8,7 +8,8 @@ estimate anchored to its history and therefore robust to transient outliers
 in the snapshot. Gaussian-mixture EM is Student's-t-mixture EM with every
 expected precision u held at 1, so both run one EM body. EM and SA evaluate
 component densities with the batched routines the kernels sample with:
-SA calls :meth:`MixtureModel._log_densities`, and EM calls its two steps,
+SA calls :meth:`MixtureModel._log_densities` and reads the rows of the
+mixture's stacks, and EM calls the two steps of that routine,
 ``_mahalanobis_sq`` and ``_log_densities_from_quad``, so that the expected
 precisions reuse the same distances. Every fitted covariance goes
 through the same hygiene pass, ``_clean_cov``, over the stack of all M:
@@ -116,10 +117,12 @@ class AdaptationConfig:
             raise ValueError(f"adaptation interval must be >= 1, got {self.interval}")
         if self.components < 1:
             raise ValueError(f"components must be >= 1, got {self.components}")
-        if self.reg_radius < 0:
-            raise ValueError(f"reg_radius must be >= 0, got {self.reg_radius}")
+        if not 0 <= self.reg_radius < np.inf:
+            raise ValueError(f"reg_radius must be finite and >= 0, got {self.reg_radius}")
         if self.em_max_iters < 1:
             raise ValueError(f"em_max_iters must be >= 1, got {self.em_max_iters}")
+        if not self.em_tol >= 0:
+            raise ValueError(f"em_tol must be >= 0, got {self.em_tol}")
         if self.fixed_dof is not None and not self.fixed_dof > 0:
             raise ValueError(f"fixed_dof must be positive, got {self.fixed_dof}")
 
@@ -519,12 +522,12 @@ def sa_update_directions(current: MixtureModel, samples):
     dmeans = np.empty((m, d))
     dcovs = np.empty((m, d, d))
     for j in range(m):
-        comp = current.components[j]
-        prec = comp._chol_inv.T @ comp._chol_inv
+        chol_inv = current._chol_inv[j]
+        prec = chol_inv.T @ chol_inv
         diff = x - means[j]
         dmeans[j] = (resp[:, j][:, None] * diff).mean(axis=0) @ prec
         outer = np.einsum("n,ni,nj->ij", resp[:, j], diff, diff) / k_n
-        dcovs[j] = outer - resp[:, j].mean() * comp.cov
+        dcovs[j] = outer - resp[:, j].mean() * current._scales[j]
     return dw_raw, dw, dmeans, dcovs
 
 
@@ -542,7 +545,7 @@ def sa_gmm_update(current: MixtureModel, samples, r_n: float,
     _, dw, dmeans, dcovs = sa_update_directions(current, samples)
     new_weights = current.weights + r_n * dw
     new_means = current._means + r_n * dmeans
-    new_covs = np.stack([c.cov for c in current.components]) + r_n * dcovs
+    new_covs = current._scales + r_n * dcovs
     if not (
         np.all(np.isfinite(new_weights))
         and np.all(np.isfinite(new_means))

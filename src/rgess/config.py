@@ -262,7 +262,7 @@ def build_experiment(entries: dict, check_paths: bool = True) -> ExperimentConfi
             master_seed=get("run.master_seed"),
             thinning=get("run.thinning"),
             steps_per_iteration=get("run.steps_per_iteration"),
-            mh_proposal_cov=(mh_scale * np.eye(dim)) if mh_scale is not None else None,
+            mh_proposal_cov=np.diag(np.full(dim, mh_scale)) if mh_scale is not None else None,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

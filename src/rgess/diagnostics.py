@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Gaussian, _mixture
+from .distributions import _mixture
 
 __all__ = [
     "TraceRecord",
@@ -155,13 +155,13 @@ def write_mixtures_csv(mixture_history, path, dim: int | None = None) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for iteration, mixture in mixture_history:
-            for k, comp in enumerate(mixture.components):
-                dof = "" if isinstance(comp, Gaussian) else _fmt(comp.dof)
+            dofs = mixture._dofs
+            for k in range(mixture.n_components):
                 writer.writerow(
                     [iteration, k, _fmt(mixture.weights[k])]
-                    + [_fmt(v) for v in comp.mean]
-                    + [_fmt(v) for v in comp.scale.reshape(-1)]
-                    + [dof]
+                    + [_fmt(v) for v in mixture._means[k]]
+                    + [_fmt(v) for v in mixture._scales[k].reshape(-1)]
+                    + ["" if dofs is None else _fmt(dofs[k])]
                 )
 
 

@@ -5,21 +5,25 @@ Everything here is immutable after construction and pure given an explicit
 Cholesky factors and normalizing constants are cached at construction time
 because the samplers evaluate these densities in tight loops.
 
-Factorisation lives in one private routine, ``_factorise``. It checks a
-stack of M means and scale matrices, factors the stack in one batched
-Cholesky call (or takes factors already computed), inverts each factor with
-the LAPACK routine that ``scipy.linalg.solve_triangular`` wraps, and computes
-the whitening offsets and log normalisers. ``Gaussian`` and ``StudentT``
-call it on a stack of one, and ``_mixture``, the one builder of mixtures
-from parameter stacks, on the whole stack. So a mixture built from stacks
-equals one built from component objects bit for bit, and the mixture
-fitters build each iterate without constructing its components one by one.
-``MixtureModel._log_densities`` and ``MixtureModel._log_mixture`` are the
-one component-density and mixture log-density routines. The first is built
-on ``MixtureModel._mahalanobis_sq``, the one squared Mahalanobis distance,
-which also gives the t kernels their auxiliary rate and EM its expected
-precisions. The second calls ``_logsumexp``, the one log-sum-exp, which
-the mixture fitters also normalise with.
+Every density here is a stack of M >= 1 location-scale components of one
+kind, ``_LocationScale``: means, scales, Cholesky factors, the whitening
+map, log normalisers and, for Student's t, degrees of freedom. ``Gaussian``
+and ``StudentT`` are the stack of one, and ``MixtureModel`` is a stack with
+weights and a region rule, so one routine each gives the squared
+Mahalanobis distances, ``_mahalanobis_sq``, the component log densities,
+``_log_densities_from_quad``, and a draw from row i, ``_sample``. The
+kernels, the SA update and the CSV writer read rows of the stacks; a
+mixture's ``components`` are built from its rows on each read.
+
+``_factorise`` checks and factors a stack in one batched Cholesky call (or
+takes factors already computed) and inverts each factor with the LAPACK
+routine that ``scipy.linalg.solve_triangular`` wraps. ``Gaussian`` and
+``StudentT`` call it on a stack of one, and ``_mixture``, the one builder
+of mixtures from parameter stacks, on the whole stack, so a mixture built
+from stacks equals one built from components bit for bit.
+``MixtureModel._log_densities`` is the one component-density routine, and
+``MixtureModel._log_mixture`` calls ``_logsumexp``, the one log-sum-exp,
+which the mixture fitters also normalise with.
 """
 
 from __future__ import annotations
@@ -75,15 +79,16 @@ def _factorise(means: np.ndarray, scales: np.ndarray, dofs, name: str,
     ``means`` is (M, D), ``scales`` is (M, D, D), and ``dofs`` is (M,) for
     Student's-t components or None for Gaussian ones. ``chols``, when given,
     must be the Cholesky factors of ``scales``, which are then not factored
-    again. Returns ``(chols, chol_invs, offsets, log_norms)``: the (M, D, D)
-    factors L, lists of the M inverse factors L^-1 and whitening offsets
-    -L^-1 mean, and the (M,) log normalising constants.
+    again. Returns the stacks ``(chols, chol_inv, offsets, log_norms)``: the
+    (M, D, D) factors L and inverse factors L^-1, the (M D,) whitening
+    offsets -L^-1 mean, one row after another, and the (M,) log normalising
+    constants.
 
     Each L^-1 is the LAPACK ``trtrs`` solution of L X = I, called as
     ``scipy.linalg.solve_triangular`` calls it on a C-ordered factor, and
-    kept in the Fortran order that routine returns. Each offset is computed
-    from that array: a C-ordered copy or one batched product rounds the
-    whitening differently.
+    stacked in the Fortran order that routine returns. Each offset is
+    computed from that array: a C-ordered copy or one batched product rounds
+    the whitening differently.
     """
     if dofs is not None and not (dofs > 0).all():
         raise ValueError(f"dof must be positive, got {float(dofs[~(dofs > 0)][0])}")
@@ -119,208 +124,47 @@ def _factorise(means: np.ndarray, scales: np.ndarray, dofs, name: str,
             - 0.5 * d * np.log(dofs * np.pi)
             - 0.5 * log_dets
         )
-    return chols, chol_invs, offsets, log_norms
+    return chols, np.stack(chol_invs), np.concatenate(offsets), log_norms
 
 
 class _LocationScale:
-    """Location ``mean`` and SPD ``scale`` with its Cholesky factor; a
-    subclass adds ``log_density`` and ``sample``."""
+    """A stack of M >= 1 location-scale components, Gaussian (``_dofs``
+    None) or Student's t."""
 
-    __slots__ = ("mean", "scale", "chol", "_chol_inv", "_offset", "_log_norm")
+    __slots__ = ("_means", "_scales", "_chols", "_chol_inv", "_whiten_mat",
+                 "_whiten_off", "_log_norms", "_dofs", "_half_dof_plus_dim",
+                 "_m", "_dim", "_shape")
 
-    def __init__(self, mean, scale, name: str, dof=None):
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        scale = np.asarray(scale, dtype=float)
-        dofs = None if dof is None else np.array([dof])
-        factors = _factorise(mean[None], scale[None], dofs, name)
-        self._set_factors(mean, scale, *(part[0] for part in factors))
-
-    def _set_factors(self, mean, scale, chol, chol_inv, offset, log_norm):
-        self.mean = mean
-        self.scale = scale
-        self.chol = chol
-        # whitening as one affine map: z = L^-1 x + offset
-        self._chol_inv = chol_inv
-        self._offset = offset
-        self._log_norm = log_norm
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-    def mahalanobis_sq(self, x) -> float:
-        z = self._chol_inv @ np.asarray(x, dtype=float) + self._offset
-        return float(z @ z)
-
-    def _checked_mahalanobis_sq(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.mean.shape:
-            raise ValueError(f"dimension mismatch: {x.shape} vs {self.mean.shape}")
-        return self.mahalanobis_sq(x)
-
-
-class Gaussian(_LocationScale):
-    """Multivariate normal with cached Cholesky factor.
-
-    Parameters
-    ----------
-    mean : array_like, shape (D,)
-    cov : array_like, shape (D, D)
-        Symmetric positive definite; construction fails with
-        ``numpy.linalg.LinAlgError`` if the Cholesky factorization does.
-        Stored as ``scale``; ``cov`` reads the same matrix.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, mean, cov):
-        super().__init__(mean, cov, "cov")
-
-    @property
-    def cov(self) -> np.ndarray:
-        return self.scale
-
-    def log_density(self, x) -> float:
-        """Log density at ``x``, evaluated entirely in the log domain."""
-        return float(self._log_norm - 0.5 * self._checked_mahalanobis_sq(x))
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw mean + L z with z standard normal; deterministic given rng state."""
-        z = rng.standard_normal(self.dim)
-        return self.mean + self.chol @ z
-
-
-class StudentT(_LocationScale):
-    """Multivariate Student's t with location/scale parametrization.
-
-    ``dof`` is the degrees of freedom nu > 0; ``scale`` plays the role of the
-    shape matrix (the covariance is ``dof/(dof-2) * scale`` for ``dof > 2``).
-    """
-
-    __slots__ = ("dof",)
-
-    def __init__(self, mean, scale, dof: float):
-        self.dof = float(dof)
-        super().__init__(mean, scale, "scale", self.dof)
-
-    def log_density(self, x) -> float:
-        quad = self._checked_mahalanobis_sq(x)
-        return float(self._log_norm - 0.5 * (self.dof + self.dim) * np.log1p(quad / self.dof))
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw via the inverse-gamma scale mixture: s ~ IG(nu/2, nu/2), x ~ N(mean, s*scale)."""
-        s = sample_inverse_gamma(InverseGammaParams(0.5 * self.dof, 0.5 * self.dof), rng)
-        z = rng.standard_normal(self.dim)
-        return self.mean + np.sqrt(s) * (self.chol @ z)
-
-
-@dataclass(frozen=True)
-class InverseGammaParams:
-    """Shape/rate parameters of an inverse-gamma distribution."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError(f"alpha and beta must be positive, got {self.alpha}, {self.beta}")
-
-
-def sample_inverse_gamma(params: InverseGammaParams, rng: np.random.Generator) -> float:
-    """Draw from the inverse gamma with density proportional to s^(-a-1) exp(-b/s)."""
-    g = rng.gamma(shape=params.alpha, scale=1.0 / params.beta)
-    return float(1.0 / g)
-
-
-class MixtureModel:
-    """Finite mixture of Gaussian or Student's-t components (homogeneous kind).
-
-    Weights must be nonnegative and sum to one within 1e-10; all components
-    must share the same dimension. ``weighted_regions`` switches region
-    assignment from the plain component-density argmax to the weighted one.
-    """
-
-    __slots__ = (
-        "weights",
-        "components",
-        "weighted_regions",
-        "_log_weights",
-        "_means",
-        "_chol_inv",
-        "_chols",
-        "_log_norms",
-        "_dofs",
-        "_half_dof_plus_dim",
-        "_whiten_mat",
-        "_whiten_off",
-        "_m",
-        "_dim",
-        "_shape",
-    )
-
-    def __init__(self, weights, components, weighted_regions: bool = False):
-        weights = np.asarray(weights, dtype=float)
-        components = tuple(components)
-        _check_weights(weights, len(components))
-        kinds = {type(c) for c in components}
-        if len(kinds) != 1 or kinds.pop() not in (Gaussian, StudentT):
-            raise ValueError("components must be all Gaussian or all StudentT")
-        dims = {c.dim for c in components}
-        if len(dims) != 1:
-            raise ValueError(f"components have mixed dimensions: {sorted(dims)}")
-        self._fill(
-            weights, components, weighted_regions,
-            np.stack([c.mean for c in components]),
-            np.stack([c.chol for c in components]),
-            [c._chol_inv for c in components],
-            [c._offset for c in components],
-            np.array([c._log_norm for c in components]),
-            np.array([c.dof for c in components])
-            if isinstance(components[0], StudentT) else None,
-        )
-
-    def _fill(self, weights, components, weighted_regions, means, chols,
-              chol_invs, offsets, log_norms, dofs) -> None:
-        """Set every attribute from checked weights, the component tuple and
-        the stacked parameters and factors that ``_factorise`` returns."""
-        self.weights = weights
-        self.components = components
-        self.weighted_regions = bool(weighted_regions)
-        with np.errstate(divide="ignore"):
-            self._log_weights = np.log(weights)
-        # Stacked parameter caches: evaluating all M components reduces to one
-        # (M D, D) matvec through the shared whitening map z = A x + b.
+    def _fill(self, means, scales, dofs, chols, chol_inv, offsets, log_norms) -> None:
+        """Set the stacks from (M, D) means, (M, D, D) scales, (M,) dofs or
+        None, and the factors that ``_factorise`` returns."""
         m, dim = means.shape
         self._m = m
         self._dim = dim
         self._shape = (dim,)
         self._means = means
+        self._scales = scales
         self._chols = chols
-        self._chol_inv = np.stack(chol_invs)
+        self._chol_inv = chol_inv
         self._log_norms = log_norms
-        self._whiten_mat = self._chol_inv.reshape(m * dim, dim)
-        self._whiten_off = np.concatenate(offsets)
+        # Evaluating all M components reduces to one (M D, D) matvec through
+        # the shared whitening map z = A x + b. The reshape keeps the Fortran
+        # order of a stack of one and copies a taller stack to C order; BLAS
+        # rounds the two products apart, and the traces depend on both.
+        self._whiten_mat = chol_inv.reshape(m * dim, dim)
+        self._whiten_off = offsets
         self._dofs = dofs
         self._half_dof_plus_dim = None if dofs is None else 0.5 * (dofs + dim)
 
     @property
-    def n_components(self) -> int:
-        return len(self.components)
-
-    @property
     def dim(self) -> int:
-        return self.components[0].dim
+        return self._dim
 
-    @property
-    def kind(self) -> str:
-        return "student_t" if self._dofs is not None else "gaussian"
-
-    def component_log_densities(self, x) -> np.ndarray:
-        """Log density of every component at ``x``; shape (M,)."""
+    def _checked(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != self._shape:
             raise ValueError(f"dimension mismatch: {x.shape} vs {self._shape}")
-        return self._log_densities(x)
+        return x
 
     def _mahalanobis_sq(self, x: np.ndarray) -> np.ndarray:
         """Squared Mahalanobis distance of ``x`` to every component: shape
@@ -342,6 +186,159 @@ class MixtureModel:
             return z2[..., 0::2] + z2[..., 1::2]
         return z2.reshape(z2.shape[:-1] + (self._m, dim)).sum(axis=-1)
 
+    def _log_densities_from_quad(self, quad: np.ndarray) -> np.ndarray:
+        """Component log densities from the squared Mahalanobis distances
+        that :meth:`_mahalanobis_sq` returns, in the same shape."""
+        if self._dofs is None:
+            return self._log_norms - 0.5 * quad
+        return self._log_norms - self._half_dof_plus_dim * np.log1p(quad / self._dofs)
+
+    def _sample(self, i: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw from component ``i``: mean + L z with z standard normal,
+        for Student's t scaled by sqrt(s) with s ~ IG(nu/2, nu/2)."""
+        if self._dofs is None:
+            return self._means[i] + self._chols[i] @ rng.standard_normal(self._dim)
+        half_dof = 0.5 * self._dofs[i]
+        s = 1.0 / rng.gamma(half_dof, 1.0 / half_dof)  # as sample_inverse_gamma
+        return self._means[i] + np.sqrt(s) * (self._chols[i] @ rng.standard_normal(self._dim))
+
+
+class _Component(_LocationScale):
+    """One component: the stack of one, whose row ``mean``, ``scale`` and
+    ``chol`` read."""
+
+    __slots__ = ()
+
+    def __init__(self, mean, scale, name: str, dof=None):
+        means = np.atleast_1d(np.asarray(mean, dtype=float))[None]
+        scales = np.asarray(scale, dtype=float)[None]
+        dofs = None if dof is None else np.array([float(dof)])
+        self._fill(means, scales, dofs, *_factorise(means, scales, dofs, name))
+
+    mean = property(lambda self: self._means[0])
+    scale = property(lambda self: self._scales[0])
+    chol = property(lambda self: self._chols[0])
+
+    def mahalanobis_sq(self, x) -> float:
+        return float(self._mahalanobis_sq(self._checked(x))[0])
+
+    def log_density(self, x) -> float:
+        """Log density at ``x``, evaluated entirely in the log domain."""
+        return float(self._log_densities_from_quad(self._mahalanobis_sq(self._checked(x)))[0])
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """A draw, deterministic given the rng state: see :meth:`_sample`."""
+        return self._sample(0, rng)
+
+
+class Gaussian(_Component):
+    """Multivariate normal with cached Cholesky factor.
+
+    Parameters
+    ----------
+    mean : array_like, shape (D,)
+    cov : array_like, shape (D, D)
+        Symmetric positive definite; construction fails with
+        ``numpy.linalg.LinAlgError`` if the Cholesky factorization does.
+        Stored as ``scale``; ``cov`` reads the same matrix.
+    """
+
+    __slots__ = ()
+    cov = _Component.scale
+
+    def __init__(self, mean, cov):
+        super().__init__(mean, cov, "cov")
+
+
+class StudentT(_Component):
+    """Multivariate Student's t with location/scale parametrization.
+
+    ``dof`` is the degrees of freedom nu > 0; ``scale`` plays the role of the
+    shape matrix (the covariance is ``dof/(dof-2) * scale`` for ``dof > 2``).
+    """
+
+    __slots__ = ()
+    dof = property(lambda self: float(self._dofs[0]))
+
+    def __init__(self, mean, scale, dof: float):
+        super().__init__(mean, scale, "scale", dof)
+
+
+@dataclass(frozen=True)
+class InverseGammaParams:
+    """Shape/rate parameters of an inverse-gamma distribution."""
+
+    alpha: float
+    beta: float
+
+    def __post_init__(self):
+        if not (self.alpha > 0 and self.beta > 0):
+            raise ValueError(f"alpha and beta must be positive, got {self.alpha}, {self.beta}")
+
+
+def sample_inverse_gamma(params: InverseGammaParams, rng: np.random.Generator) -> float:
+    """Draw from the inverse gamma with density proportional to s^(-a-1) exp(-b/s)."""
+    g = rng.gamma(shape=params.alpha, scale=1.0 / params.beta)
+    return float(1.0 / g)
+
+
+class MixtureModel(_LocationScale):
+    """Finite mixture of Gaussian or Student's-t components (homogeneous kind).
+
+    Weights must be nonnegative and sum to one within 1e-10; all components
+    must share the same dimension. ``weighted_regions`` switches region
+    assignment from the plain component-density argmax to the weighted one.
+    The components are the rows of the stacks; ``components`` builds them as
+    ``Gaussian`` or ``StudentT`` objects on each read.
+    """
+
+    __slots__ = ("weights", "weighted_regions", "_log_weights")
+
+    def __init__(self, weights, components, weighted_regions: bool = False):
+        weights = np.asarray(weights, dtype=float)
+        components = tuple(components)
+        _check_weights(weights, len(components))
+        kinds = {type(c) for c in components}
+        if len(kinds) != 1 or kinds.pop() not in (Gaussian, StudentT):
+            raise ValueError("components must be all Gaussian or all StudentT")
+        dims = {c.dim for c in components}
+        if len(dims) != 1:
+            raise ValueError(f"components have mixed dimensions: {sorted(dims)}")
+
+        def stack(name):
+            return np.concatenate([getattr(c, name) for c in components])
+
+        self._fill(stack("_means"), stack("_scales"),
+                   None if components[0]._dofs is None else stack("_dofs"),
+                   stack("_chols"), stack("_chol_inv"), stack("_whiten_off"),
+                   stack("_log_norms"))
+        self._weigh(weights, weighted_regions)
+
+    def _weigh(self, weights, weighted_regions) -> None:
+        """Set the checked weights and the region rule."""
+        self.weights = weights
+        self.weighted_regions = bool(weighted_regions)
+        with np.errstate(divide="ignore"):
+            self._log_weights = np.log(weights)
+
+    @property
+    def components(self) -> tuple:
+        if self._dofs is None:
+            return tuple(map(Gaussian, self._means, self._scales))
+        return tuple(map(StudentT, self._means, self._scales, self._dofs))
+
+    @property
+    def n_components(self) -> int:
+        return self._m
+
+    @property
+    def kind(self) -> str:
+        return "student_t" if self._dofs is not None else "gaussian"
+
+    def component_log_densities(self, x) -> np.ndarray:
+        """Log density of every component at ``x``; shape (M,)."""
+        return self._log_densities(self._checked(x))
+
     def _log_densities(self, x: np.ndarray) -> np.ndarray:
         """:meth:`component_log_densities` without the input check, for
         callers that have already checked that ``x`` has shape (D,).
@@ -352,13 +349,6 @@ class MixtureModel:
         both call it.
         """
         return self._log_densities_from_quad(self._mahalanobis_sq(x))
-
-    def _log_densities_from_quad(self, quad: np.ndarray) -> np.ndarray:
-        """Component log densities from the squared Mahalanobis distances
-        that :meth:`_mahalanobis_sq` returns, in the same shape."""
-        if self._dofs is None:
-            return self._log_norms - 0.5 * quad
-        return self._log_norms - self._half_dof_plus_dim * np.log1p(quad / self._dofs)
 
     def log_density(self, x) -> float:
         """log sum_m w_m f_m(x) via log-sum-exp."""
@@ -386,8 +376,8 @@ class MixtureModel:
         return comp_log_densities.argmax(axis=-1)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        idx = int(rng.choice(self.n_components, p=self.weights))
-        return self.components[idx].sample(rng)
+        idx = int(rng.choice(self._m, p=self.weights))
+        return self._sample(idx, rng)
 
 
 def _mixture(weights, means, scales, dofs=None,
@@ -395,10 +385,10 @@ def _mixture(weights, means, scales, dofs=None,
     """Mixture from stacks of weights, means and scale matrices: Gaussian
     components, or Student's-t components when ``dofs`` is given.
 
-    The stacks are checked and factored once, by ``_factorise``, and the
-    components share those factors; ``chols``, when given, must be the
-    Cholesky factors of ``scales``. Equal, bit for bit, to ``MixtureModel``
-    built from ``Gaussian`` or ``StudentT`` components.
+    The stacks are checked and factored once, by ``_factorise``; ``chols``,
+    when given, must be the Cholesky factors of ``scales``. Equal, bit for
+    bit, to ``MixtureModel`` built from ``Gaussian`` or ``StudentT``
+    components.
     """
     weights = np.asarray(weights, dtype=float)
     means = np.array(means, dtype=float)
@@ -406,17 +396,10 @@ def _mixture(weights, means, scales, dofs=None,
     if dofs is not None:
         dofs = np.array(dofs, dtype=float)
     _check_weights(weights, len(means))
-    kind, name = (Gaussian, "cov") if dofs is None else (StudentT, "scale")
-    factors = _factorise(means, scales, dofs, name, chols)
-    components = []
-    for k, parts in enumerate(zip(means, scales, *factors)):
-        comp = kind.__new__(kind)
-        comp._set_factors(*parts)
-        if dofs is not None:
-            comp.dof = float(dofs[k])
-        components.append(comp)
+    name = "cov" if dofs is None else "scale"
     mixture = MixtureModel.__new__(MixtureModel)
-    mixture._fill(weights, tuple(components), weighted_regions, means, *factors, dofs)
+    mixture._fill(means, scales, dofs, *_factorise(means, scales, dofs, name, chols))
+    mixture._weigh(weights, weighted_regions)
     return mixture
 
 

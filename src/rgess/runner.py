@@ -92,13 +92,15 @@ class RunConfig:
             raise ValueError(f"chains must be >= 1, got {self.chains}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if not 0 <= self.burn_in < self.iterations:
-            raise ValueError(
-                f"burn_in must lie in [0, iterations), got {self.burn_in} "
-                f"with {self.iterations} iterations"
-            )
         if self.thinning < 1:
             raise ValueError(f"thinning must be >= 1, got {self.thinning}")
+        # The recorded iterations are the multiples of thinning.
+        last_recorded = self.iterations - self.iterations % self.thinning
+        if not 0 <= self.burn_in < last_recorded:
+            raise ValueError(
+                f"burn_in must lie in [0, {last_recorded}), the last recorded of "
+                f"{self.iterations} iterations with thinning {self.thinning}; got {self.burn_in}"
+            )
         if self.steps_per_iteration < 1:
             raise ValueError(
                 f"steps_per_iteration must be >= 1, got {self.steps_per_iteration}"
@@ -126,6 +128,12 @@ class RunConfig:
                 raise ValueError(
                     f"mh_proposal_cov shape {cov.shape} does not match dimension {self.init.dim}"
                 )
+            if not np.isfinite(cov).all():
+                raise ValueError("mh_proposal_cov contains non-finite entries")
+            try:
+                np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                raise ValueError("mh_proposal_cov is not positive definite") from None
 
 
 @dataclass(frozen=True)

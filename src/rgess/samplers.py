@@ -13,10 +13,12 @@ which region the proposal lands in.
 :func:`regional_ess_batch` takes one regional ESS step for many chains at
 once. It draws from each chain's generator in the per-chain kernels' order
 and evaluates each proposal round for all still-shrinking chains in one call,
-so every chain's result equals the per-chain kernel's bit for bit. Both
-t-mixture kernels take the rate of the auxiliary inverse-gamma scale,
-(nu + d^2)/2, from ``MixtureModel._mahalanobis_sq``, the squared distances
-that the component densities and EM's expected precisions are built on.
+so every chain's result equals the per-chain kernel's bit for bit. The
+kernels read the region's row of the mixture's stacks, and gmrgess_step and
+regional_mh_step draw from it with ``MixtureModel._sample``. Both t kernels
+take the rate of the auxiliary inverse-gamma scale, (nu + d^2)/2, from
+``MixtureModel._mahalanobis_sq``, the squared distances that the component
+densities and EM's expected precisions are built on.
 
 :func:`gmrgess_step` and :func:`tmrgess_step` stay for single chains
 (criterion 3, the kernel-1d benchmark), which they step about three times
@@ -209,8 +211,9 @@ def _current_point_values(state: ChainState, mixture: MixtureModel,
     return log_pi_x, comp_at_x
 
 
-def _regional_ellipse_step(state, mixture, target, log_pi_x, comp_at_x, v, rng):
-    """Ellipse/shrinkage core shared by the Gaussian- and t-mixture kernels."""
+def _regional_ellipse_step(state, mixture, target, log_pi_x, comp_at_x, mean, v, rng):
+    """Ellipse/shrinkage core shared by the Gaussian- and t-mixture kernels,
+    on the ellipse through the current point and ``v`` centred on ``mean``."""
     x = state.point
     i = state.region
     log_pi = target.log_pi
@@ -230,9 +233,7 @@ def _regional_ellipse_step(state, mixture, target, log_pi_x, comp_at_x, v, rng):
             return j, log_pi_prop, comp_at_prop
         return None
 
-    x_new, theta, rejections, accepted = _ellipse_shrink(
-        x, mixture.components[i].mean, v, accept, rng
-    )
+    x_new, theta, rejections, accepted = _ellipse_shrink(x, mean, v, accept, rng)
     if accepted is None:
         region_new, log_pi_new, comp_new = i, log_pi_x, comp_at_x
     else:
@@ -254,8 +255,10 @@ def gmrgess_step(state: ChainState, mixture: MixtureModel, target: TargetDensity
         # At a finite but huge point the quadratic form overflows, so this
         # density is -inf and no proposal could clear the slice threshold.
         raise ValueError(_REGION_DENSITY_NOT_FINITE.format(comp_at_x[state.region]))
-    v = mixture.components[state.region].sample(rng)
-    return _regional_ellipse_step(state, mixture, target, log_pi_x, comp_at_x, v, rng)
+    i = state.region
+    v = mixture._sample(i, rng)
+    return _regional_ellipse_step(state, mixture, target, log_pi_x, comp_at_x,
+                                  mixture._means[i], v, rng)
 
 
 def tmrgess_step(state: ChainState, mixture: MixtureModel, target: TargetDensity,
@@ -271,16 +274,17 @@ def tmrgess_step(state: ChainState, mixture: MixtureModel, target: TargetDensity
         raise ValueError("tmrgess_step requires Student's-t mixture components")
     log_pi_x, comp_at_x = _current_point_values(state, mixture, target)
     i = state.region
-    comp = mixture.components[i]
+    # Each row of the stacks is read once per step.
+    mean = mixture._means[i]
     # The same draw as sample_inverse_gamma(InverseGammaParams(alpha, beta), rng).
     alpha = mixture._half_dof_plus_dim[i]
-    beta = 0.5 * (comp.dof + mixture._mahalanobis_sq(state.point)[i])
+    beta = 0.5 * (mixture._dofs[i] + mixture._mahalanobis_sq(state.point)[i])
     if not math.isfinite(beta):
         # A finite but huge point can overflow the Mahalanobis term.
         raise ValueError(f"auxiliary rate is not finite ({beta}) at current point")
     s = 1.0 / rng.gamma(alpha, 1.0 / beta)
-    v = comp.mean + math.sqrt(s) * (comp.chol @ rng.standard_normal(comp.dim))
-    return _regional_ellipse_step(state, mixture, target, log_pi_x, comp_at_x, v, rng)
+    v = mean + math.sqrt(s) * (mixture._chols[i] @ rng.standard_normal(mixture._dim))
+    return _regional_ellipse_step(state, mixture, target, log_pi_x, comp_at_x, mean, v, rng)
 
 
 def log_pi_rows(target: TargetDensity, points: np.ndarray, chains) -> np.ndarray:
@@ -454,7 +458,7 @@ def regional_mh_step(state: ChainState, mixture: MixtureModel,
     x = state.point
     i = state.region
     log_pi = target.log_pi
-    x_prop = mixture.components[i].sample(rng)
+    x_prop = mixture._sample(i, rng)
     log_pi_prop = float(log_pi(x_prop))
     if log_pi_prop > -math.inf:
         comp_at_prop = mixture._log_densities(x_prop)

@@ -174,12 +174,11 @@ def reference_sa_update_directions(current, samples):
     dmeans = np.empty((m, d))
     dcovs = np.empty((m, d, d))
     for j in range(m):
-        comp = current.components[j]
-        prec = comp._chol_inv.T @ comp._chol_inv
+        prec = current._chol_inv[j].T @ current._chol_inv[j]
         diff = x - current._means[j]
         dmeans[j] = (resp[:, j][:, None] * diff).mean(axis=0) @ prec
         outer = np.einsum("n,ni,nj->ij", resp[:, j], diff, diff) / k_n
-        dcovs[j] = outer - resp[:, j].mean() * comp.cov
+        dcovs[j] = outer - resp[:, j].mean() * current._scales[j]
     return dw_raw, dw, dmeans, dcovs
 
 

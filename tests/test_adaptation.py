@@ -371,6 +371,16 @@ class TestAdaptationConfig:
         with pytest.raises(ValueError, match="em_max_iters"):
             _config(em_max_iters=iters)
 
+    @pytest.mark.parametrize("reg_radius", [np.nan, np.inf])
+    def test_rejects_bad_reg_radius(self, reg_radius):
+        with pytest.raises(ValueError, match="reg_radius"):
+            _config(reg_radius=reg_radius)
+
+    @pytest.mark.parametrize("em_tol", [np.nan, -1e-6])
+    def test_rejects_bad_em_tol(self, em_tol):
+        with pytest.raises(ValueError, match="em_tol"):
+            _config(em_tol=em_tol)
+
 
 class TestMomentFits:
     def test_gaussian_moment_fit(self):

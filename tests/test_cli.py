@@ -1,6 +1,7 @@
 """Command-line front end: config round-trips, presets, exit codes, outputs."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,35 @@ class TestCmdRun:
         assert main(["run", "gauss-mix-vi-gmrgess", "--out", out,
                      "--set", "adaptation.em_max_iters=0"]) == 1
         assert "em_max_iters" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+    def test_bad_mh_proposal_scale_exits_one_writes_nothing(self, tmp_path, capsys,
+                                                            scale):
+        out = str(tmp_path / "out")
+        assert main(["run", "logistic-synth-mh", "--out", out,
+                     "--set", f"run.mh_proposal_scale={scale}"]) == 1
+        assert "mh_proposal_cov" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("burn_in, thinning", [(29, 7), (3, 40)])
+    def test_thinning_past_burn_in_exits_one_writes_nothing(self, tmp_path, capsys,
+                                                            burn_in, thinning):
+        out = str(tmp_path / "out")
+        assert main(["run", "gauss-mix-tmrgess", "--out", out,
+                     "--set", "run.iterations=30", "--set", f"run.burn_in={burn_in}",
+                     "--set", f"run.thinning={thinning}"]) == 1
+        assert "burn_in must lie in" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("key, value", [("reg_radius", "nan"), ("reg_radius", "inf"),
+                                            ("em_tol", "nan"), ("em_tol", "-1e-6")])
+    def test_bad_adaptation_number_exits_one_writes_nothing(self, tmp_path, capsys,
+                                                            key, value):
+        out = str(tmp_path / "out")
+        assert main(["run", "gauss-mix-em-gmrgess", "--out", out,
+                     "--set", f"adaptation.{key}={value}"]) == 1
+        assert key in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_ess_kernel_without_split_exits_one_writes_nothing(self, tmp_path,
@@ -255,6 +285,20 @@ class TestCmdFit:
         assert main(["fit", csv_path, "--scheme", scheme, "-M", "2",
                      "--max-iters", "0", "--out", str(out)]) == 1
         assert "em_max_iters" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, name", [("--reg-radius", "nan", "reg_radius"),
+                                                   ("--reg-radius", "inf", "reg_radius"),
+                                                   ("--tol", "nan", "em_tol")])
+    def test_non_finite_setting_exits_one(self, tmp_path, capsys, flag, value, name):
+        samples = np.random.default_rng(3).normal(size=(20, 2))
+        csv_path = _write_samples_csv(tmp_path / "s.csv", samples)
+        out = tmp_path / "m.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", csv_path, "--scheme", "em_gmm", "-M", "2",
+                         flag, value, "--out", str(out)]) == 1
+        assert name in capsys.readouterr().err
         assert not out.exists()
 
     def test_sa_requires_init(self, tmp_path):

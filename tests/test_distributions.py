@@ -315,10 +315,9 @@ class TestLogMixture:
             assert single.tobytes() == expected.tobytes()
 
 
-_MIXTURE_CACHES = ("weights", "_log_weights", "_means", "_chols", "_chol_inv",
-                   "_log_norms", "_whiten_mat", "_whiten_off", "_dofs",
-                   "_half_dof_plus_dim")
-_COMPONENT_ATTRS = ("mean", "scale", "chol", "_chol_inv", "_offset", "_log_norm")
+_MIXTURE_CACHES = ("weights", "_log_weights", "_means", "_scales", "_chols",
+                   "_chol_inv", "_log_norms", "_whiten_mat", "_whiten_off",
+                   "_dofs", "_half_dof_plus_dim")
 
 
 def _assert_same_array(got, want):
@@ -347,17 +346,19 @@ def _assert_stacks_build_object_mixture(stacks, points):
         for got, want in zip(mixture.components, built.components, strict=True):
             assert type(got) is type(want)
             assert getattr(got, "dof", None) == getattr(want, "dof", None)
-            for name in _COMPONENT_ATTRS:
-                _assert_same_array(getattr(got, name), getattr(want, name))
         with np.errstate(over="ignore"):
             rows = mixture._log_densities(points)
             _assert_same_array(rows, built._log_densities(points))
     references = [reference_location_scale(means[k], scales[k],
                                            None if dofs is None else dofs[k])
                   for k in range(len(means))]
-    for comp, reference in zip(built.components, references):
-        for name, want in zip(("chol", "_chol_inv", "_offset", "_log_norm"), reference):
-            _assert_same_array(getattr(comp, name), want)
+    for mixture in (built, _mixture(weights, means, scales, dofs)):
+        for comp, (chol, chol_inv, offset, log_norm) in zip(
+                mixture.components, references, strict=True):
+            _assert_same_array(comp._chols[0], chol)
+            _assert_same_array(comp._chol_inv[0], chol_inv)
+            _assert_same_array(comp._whiten_off, offset)
+            _assert_same_array(comp._log_norms[0], log_norm)
     # The stacked inverse factors keep the memory layout that stacking
     # scipy's Fortran-ordered results gives, which batched products read.
     _assert_same_array(built._chol_inv, np.stack([r[1] for r in references]))
@@ -392,6 +393,45 @@ class TestMixtureFromStacks:
             _mixture([0.5, 0.6], [[0.0, 0.0]] * 2, np.repeat(eye, 2, axis=0))
         with pytest.raises(np.linalg.LinAlgError):
             _mixture([1.0], [[0.0, 0.0]], [[[1.0, 2.0], [2.0, 1.0]]])
+
+
+class TestComponentsAreRowsOfTheStack:
+    """Component k built on its own and read from a mixture's
+    ``components`` is the stack of one of the mixture's row k: both give
+    that row's distances, densities and draws."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(_stacks_and_batch(), st.integers(0, 2**32 - 1))
+    def test_component_equals_its_row(self, case, seed):
+        (weights, means, scales, dofs), points = case
+        mixture = _mixture(weights, means, scales, dofs)
+        with np.errstate(over="ignore"):
+            quads = mixture._mahalanobis_sq(points)
+            rows = mixture._log_densities(points)
+        for k, from_mixture in enumerate(mixture.components):
+            alone = (Gaussian(means[k], scales[k]) if dofs is None
+                     else StudentT(means[k], scales[k], dofs[k]))
+            for x, quad, row in zip(points, quads, rows):
+                got = np.array([alone.mahalanobis_sq(x), alone.log_density(x)])
+                read = np.array([from_mixture.mahalanobis_sq(x),
+                                 from_mixture.log_density(x)])
+                assert got.tobytes() == read.tobytes()
+                want = np.array([quad[k], row[k]])
+                if means.shape[0] == 1 or means.shape[1] == 1:
+                    # The mixture is the stack of one itself, or every
+                    # whitening product is a single multiplication.
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    # An M = 1 stack whitens through a Fortran-ordered (D, D)
+                    # view and a taller stack through one C-ordered (M D, D)
+                    # copy, and BLAS rounds the two products apart.
+                    tol = 1e-13 * (1.0 + quad[k] + abs(row[k]))
+                    assert np.all(np.abs(got - want) <= tol)
+            for comp in (alone, from_mixture):
+                rng = np.random.default_rng(seed)
+                rng2 = np.random.default_rng(seed)
+                assert comp.sample(rng).tobytes() == mixture._sample(k, rng2).tobytes()
+                assert rng.bit_generator.state == rng2.bit_generator.state
 
 
 @st.composite

@@ -110,6 +110,33 @@ class TestValidation:
                 init=Gaussian([0.0], [[1.0]]), mh_proposal_cov=np.eye(1),
             )
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_mh_proposal_cov_must_factor(self, scale):
+        with pytest.raises(ValueError, match="mh_proposal_cov"):
+            RunConfig(
+                chains=1, iterations=10, burn_in=0, kernel=Kernel.MH,
+                init=Gaussian([0.0, 0.0], np.eye(2)), mh_proposal_cov=np.diag([scale, scale]),
+            )
+
+    @pytest.mark.parametrize("iterations, burn_in, thinning",
+                             [(30, 29, 7), (30, 3, 40), (10, 6, 6)])
+    def test_some_recorded_iteration_lies_above_burn_in(self, iterations, burn_in,
+                                                        thinning):
+        with pytest.raises(ValueError, match="burn_in must lie in"):
+            RunConfig(
+                chains=1, iterations=iterations, burn_in=burn_in, kernel=Kernel.MH,
+                init=Gaussian([0.0], [[1.0]]), mh_proposal_cov=np.eye(1),
+                thinning=thinning,
+            )
+
+    def test_last_recorded_iteration_above_burn_in_is_enough(self):
+        config = RunConfig(
+            chains=1, iterations=30, burn_in=27, kernel=Kernel.MH,
+            init=Gaussian([0.0], [[1.0]]), mh_proposal_cov=np.eye(1), thinning=7,
+        )
+        traces = run(config, _std_normal_target(1)).traces
+        assert [rec.iteration for rec in traces[0]] == [7, 14, 21, 28]
+
     def test_chains_must_cover_components(self):
         with pytest.raises(ValueError, match="snapshot fit"):
             RunConfig(

@@ -2,11 +2,11 @@
 
     python3 tools/preset_diff.py OTHER_ROOT
 
-Runs each preset that ``tools/preset_digests.py`` covers twice, once with
+Runs each preset run that ``tools/preset_digests.py`` covers twice, once with
 the ``rgess`` under ``src/`` next to this script and once with the one under
 ``OTHER_ROOT/src``, in the same environment (BLAS on one thread), through
 that script's run helper. Outputs go to a temporary directory that is
-removed afterwards. For each preset it prints one line:
+removed afterwards. For each run it prints one line, under the run's key:
 
 - ``identical``: whether ``trace.csv``, ``mixtures.csv`` and ``summary.csv``
   are byte-identical;
@@ -30,7 +30,7 @@ import os
 import sys
 import tempfile
 
-from preset_digests import FILES, ROOT, bundled_presets, preset_env, run_preset
+from preset_digests import FILES, ROOT, covered_runs, preset_env, run_preset
 
 TRACE_KEYS = 2  # chain, iteration
 MIXTURE_KEYS = 2  # iteration, component
@@ -103,7 +103,7 @@ def compare_outputs(out_a: str, out_b: str) -> dict:
     return result
 
 
-def _format(preset: str, result: dict) -> str:
+def _format(key: str, result: dict) -> str:
     if "trace_layout" in result:
         trace = "trace.csv layout differs"
     else:
@@ -115,7 +115,7 @@ def _format(preset: str, result: dict) -> str:
     else:
         mixtures = f"max|dmix| {result['max_dmix']:.3g}"
     identical = "identical" if result["identical"] else "changed"
-    return f"{preset:24s} {identical:9s}  {trace}  {mixtures}"
+    return f"{key:24s} {identical:9s}  {trace}  {mixtures}"
 
 
 def main(argv: list[str]) -> int:
@@ -127,17 +127,17 @@ def main(argv: list[str]) -> int:
         print(f"error: {other} has no src/rgess", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        for preset in bundled_presets():
+        for key, (preset, overrides) in covered_runs().items():
             outs = []
             for side, root in (("this", ROOT), ("other", other)):
-                out = os.path.join(tmp, side, preset)
+                out = os.path.join(tmp, side, key)
                 try:
-                    run_preset(preset, out, preset_env(root))
+                    run_preset(preset, out, preset_env(root), overrides)
                 except RuntimeError as exc:
                     print(f"error ({side} tree): {exc}", file=sys.stderr)
                     return 1
                 outs.append(out)
-            print(_format(preset, compare_outputs(*outs)), flush=True)
+            print(_format(key, compare_outputs(*outs)), flush=True)
     return 0
 
 
