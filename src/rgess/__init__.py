@@ -15,14 +15,12 @@ from .adaptation import (
 )
 from .distributions import (
     Gaussian,
-    InverseGammaParams,
     MixtureModel,
     StudentT,
     nearest_psd,
     regularize_cov,
-    sample_inverse_gamma,
 )
-from .runner import Kernel, RunConfig, RunResult, pooled_snapshot, run
+from .runner import Kernel, RunConfig, RunResult, run
 from .samplers import (
     ChainState,
     StepOutcome,
@@ -41,7 +39,6 @@ __all__ = [
     "ChainState",
     "FitResult",
     "Gaussian",
-    "InverseGammaParams",
     "Kernel",
     "LearningRateSchedule",
     "MixtureModel",
@@ -58,12 +55,10 @@ __all__ = [
     "gmrgess_step",
     "mh_step",
     "nearest_psd",
-    "pooled_snapshot",
     "regional_mh_step",
     "regularize_cov",
     "run",
     "sa_gmm_update",
-    "sample_inverse_gamma",
     "tmrgess_step",
     "vi_gmm_fit",
 ]

@@ -75,8 +75,8 @@ class LearningRateSchedule:
     n0: int = 10
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError(f"learning rate c must be positive, got {self.c}")
+        if not 0 < self.c < np.inf:
+            raise ValueError(f"learning rate c must be finite and positive, got {self.c}")
         if self.n0 < 1:
             raise ValueError(f"learning rate n0 must be >= 1, got {self.n0}")
 
@@ -89,7 +89,8 @@ class VIHyperparams:
     """Dirichlet + Normal-Wishart hyperpriors for the variational fit.
 
     ``m0=None`` defaults to the sample mean, ``w0_scale=None`` to 1/D and
-    ``nu0=None`` to D+2 at fit time.
+    ``nu0=None`` to D+2 at fit time. Every number given must be finite and
+    positive; the fit also needs ``nu0 > D - 1``, a proper Wishart prior.
     """
 
     alpha0: float = 1.0
@@ -97,6 +98,19 @@ class VIHyperparams:
     m0: tuple | None = None
     w0_scale: float | None = None
     nu0: float | None = None
+
+    def __post_init__(self):
+        for name in ("alpha0", "beta0", "w0_scale", "nu0"):
+            value = getattr(self, name)
+            if value is None and name in ("w0_scale", "nu0"):
+                continue
+            if not 0 < value < np.inf:
+                raise ValueError(f"vi {name} must be finite and positive, got {value}")
+
+    def check_nu0(self, d: int) -> None:
+        """Raise ``ValueError`` unless ``nu0`` (when given) exceeds D - 1."""
+        if self.nu0 is not None and not self.nu0 > d - 1:
+            raise ValueError(f"vi nu0 must exceed D - 1 = {d - 1}, got {self.nu0}")
 
 
 @dataclass(frozen=True)
@@ -123,8 +137,8 @@ class AdaptationConfig:
             raise ValueError(f"em_max_iters must be >= 1, got {self.em_max_iters}")
         if not self.em_tol >= 0:
             raise ValueError(f"em_tol must be >= 0, got {self.em_tol}")
-        if self.fixed_dof is not None and not self.fixed_dof > 0:
-            raise ValueError(f"fixed_dof must be positive, got {self.fixed_dof}")
+        if self.fixed_dof is not None and not 0 < self.fixed_dof < np.inf:
+            raise ValueError(f"fixed_dof must be finite and positive, got {self.fixed_dof}")
 
 
 @dataclass(frozen=True)
@@ -378,6 +392,7 @@ def vi_gmm_fit(samples, m: int, config: AdaptationConfig,
     n, d = x.shape
     reg = config.reg_radius
     hp = config.vi_hyperparams
+    hp.check_nu0(d)
     if _is_degenerate(x):
         return FitResult(
             mixture=_degenerate_surrogate(x, m, config),

@@ -251,6 +251,7 @@ def build_experiment(entries: dict, check_paths: bool = True) -> ExperimentConfi
             fixed_dof=get("adaptation.fixed_dof"),
             weighted_regions=get("adaptation.weighted_regions"),
         )
+        adaptation.vi_hyperparams.check_nu0(dim)
         mh_scale = get("run.mh_proposal_scale")
         run_config = RunConfig(
             chains=get("run.chains", required=True),

@@ -1,4 +1,4 @@
-"""Multivariate Gaussian, Student's-t, inverse-gamma and mixture densities.
+"""Multivariate Gaussian, Student's-t and mixture densities.
 
 Everything here is immutable after construction and pure given an explicit
 ``numpy.random.Generator``, so instances can be shared freely between chains.
@@ -28,8 +28,6 @@ which the mixture fitters also normalise with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 from scipy.special import gammaln
@@ -37,9 +35,7 @@ from scipy.special import gammaln
 __all__ = [
     "Gaussian",
     "StudentT",
-    "InverseGammaParams",
     "MixtureModel",
-    "sample_inverse_gamma",
     "regularize_cov",
     "nearest_psd",
     "ensure_spd",
@@ -76,8 +72,9 @@ def _factorise(means: np.ndarray, scales: np.ndarray, dofs, name: str,
     """Check and factor a stack of M location-scale components: the one
     factorisation of every ``Gaussian``, ``StudentT`` and mixture.
 
-    ``means`` is (M, D), ``scales`` is (M, D, D), and ``dofs`` is (M,) for
-    Student's-t components or None for Gaussian ones. ``chols``, when given,
+    ``means`` is (M, D), ``scales`` is (M, D, D), and ``dofs`` is (M,),
+    finite and positive, for Student's-t components or None for Gaussian
+    ones. ``chols``, when given,
     must be the Cholesky factors of ``scales``, which are then not factored
     again. Returns the stacks ``(chols, chol_inv, offsets, log_norms)``: the
     (M, D, D) factors L and inverse factors L^-1, the (M D,) whitening
@@ -90,8 +87,11 @@ def _factorise(means: np.ndarray, scales: np.ndarray, dofs, name: str,
     computed from that array: a C-ordered copy or one batched product rounds
     the whitening differently.
     """
-    if dofs is not None and not (dofs > 0).all():
-        raise ValueError(f"dof must be positive, got {float(dofs[~(dofs > 0)][0])}")
+    if dofs is not None:
+        if not (dofs > 0).all():
+            raise ValueError(f"dof must be positive, got {float(dofs[~(dofs > 0)][0])}")
+        if not np.isfinite(dofs).all():
+            raise ValueError(f"dof must be finite, got {float(dofs[~np.isfinite(dofs)][0])}")
     if scales.ndim != 3 or scales.shape[1] != scales.shape[2]:
         raise ValueError(f"{name} must be a square matrix, got shape {scales.shape[1:]}")
     if not np.isfinite(scales).all():
@@ -199,7 +199,7 @@ class _LocationScale:
         if self._dofs is None:
             return self._means[i] + self._chols[i] @ rng.standard_normal(self._dim)
         half_dof = 0.5 * self._dofs[i]
-        s = 1.0 / rng.gamma(half_dof, 1.0 / half_dof)  # as sample_inverse_gamma
+        s = 1.0 / rng.gamma(half_dof, 1.0 / half_dof)  # IG(alpha, beta): 1 / Gamma(alpha, scale=1/beta)
         return self._means[i] + np.sqrt(s) * (self._chols[i] @ rng.standard_normal(self._dim))
 
 
@@ -262,24 +262,6 @@ class StudentT(_Component):
 
     def __init__(self, mean, scale, dof: float):
         super().__init__(mean, scale, "scale", dof)
-
-
-@dataclass(frozen=True)
-class InverseGammaParams:
-    """Shape/rate parameters of an inverse-gamma distribution."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError(f"alpha and beta must be positive, got {self.alpha}, {self.beta}")
-
-
-def sample_inverse_gamma(params: InverseGammaParams, rng: np.random.Generator) -> float:
-    """Draw from the inverse gamma with density proportional to s^(-a-1) exp(-b/s)."""
-    g = rng.gamma(shape=params.alpha, scale=1.0 / params.beta)
-    return float(1.0 / g)
 
 
 class MixtureModel(_LocationScale):

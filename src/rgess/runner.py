@@ -5,7 +5,10 @@ Chains share nothing but the immutable mixture snapshot between barriers;
 each holds its own state and random generator. Stepping chain 0 through a
 whole segment between barriers, then chain 1, and so on, therefore gives the
 same traces as the lockstep order ``run`` uses: the execution layout never
-changes results.
+changes results. A refit reads the chains' current points in chain order.
+The per-chain kernels never modify a point in place, so chains stepped one
+at a time hand over their points without copies; the batch updates its
+point array in place and hands over a copy.
 
 The regional ESS kernels (gmrgess, tmrgess and gess) advance all chains as
 one batch: the runner keeps their points, regions and target and component
@@ -40,7 +43,7 @@ from .samplers import (  # noqa: F401 (gmrgess_step and tmrgess_step: see below)
     tmrgess_step,
 )
 
-__all__ = ["Kernel", "RunConfig", "RunResult", "RunError", "run", "pooled_snapshot"]
+__all__ = ["Kernel", "RunConfig", "RunResult", "RunError", "run"]
 
 # Degrees of freedom of the pre-adaptation single-t pseudo-prior when the
 # configuration does not pin one; long tails help early exploration.
@@ -142,14 +145,6 @@ class RunResult:
     mixture_history: list
 
 
-def pooled_snapshot(chains) -> list:
-    """Copies of the current chain points, in chain order."""
-    chains = list(chains)
-    if not chains:
-        raise ValueError("no chains to snapshot")
-    return [np.array(state.point, copy=True) for state in chains]
-
-
 def _initial_mixture(config: RunConfig, points, adapt_rng) -> MixtureModel | None:
     """Pre-adaptation pseudo-prior bank.
 
@@ -208,7 +203,7 @@ class _PerChain:
         self.states = [s._replace(region=mixture.assign_region(s.point)) for s in self.states]
 
     def snapshot(self) -> list:
-        return pooled_snapshot(self.states)
+        return [s.point for s in self.states]
 
     def step(self, rngs) -> list:
         rejections = []
@@ -265,25 +260,20 @@ def _check_target(config: RunConfig, target: TargetDensity) -> None:
         raise ValueError("the ess kernel requires a target with a prior/likelihood split")
 
 
-def run(config: RunConfig, target: TargetDensity,
-        _chain_seeds=None) -> RunResult:
+def run(config: RunConfig, target: TargetDensity) -> RunResult:
     """Execute the configured multi-chain run against ``target``.
 
-    Per-chain seeds are spawned from the master seed; adaptation has its own
-    stream. At a barrier the mixture is refitted from the pooled points that
-    existed before the barrier's iteration, all chain regions are reassigned
-    under the new mixture, and only then do chains advance.
-
-    ``_chain_seeds`` overrides the spawned per-chain seeds; it exists for the
-    chain-independence tests only.
+    Chain k draws from the k-th of K + 1 seeds spawned from the master seed,
+    and adaptation from the last. At a barrier the mixture is refitted from
+    the pooled points that existed before the barrier's iteration, all chain
+    regions are reassigned under the new mixture, and only then do chains
+    advance.
     """
     _check_target(config, target)
 
     k_chains = config.chains
     seed_seq = np.random.SeedSequence(config.master_seed)
     children = seed_seq.spawn(k_chains + 1)
-    if _chain_seeds is not None:
-        children[:k_chains] = [np.random.SeedSequence(s) for s in _chain_seeds]
     rngs = [np.random.default_rng(children[k]) for k in range(k_chains)]
     adapt_rng = np.random.default_rng(children[k_chains])
 

@@ -8,7 +8,9 @@ The elliptical-slice family proposes points on the ellipse through the
 current state and an auxiliary draw, shrinking the angle bracket toward zero
 after every rejected proposal. The regional kernels recompute the slice
 threshold at every proposal because the reverse pseudo-prior index depends on
-which region the proposal lands in.
+which region the proposal lands in. A step draws in a fixed order: the
+auxiliary point, log u, the first angle, then one uniform per rejection, so a
+copy of the generator taken before a step replays its angle brackets.
 
 :func:`regional_ess_batch` takes one regional ESS step for many chains at
 once. It draws from each chain's generator in the per-chain kernels' order
@@ -124,7 +126,7 @@ def _require_finite(value: float, what: str) -> float:
     return value
 
 
-def _ellipse_shrink(x, mu, v, accept, rng, trace_brackets=None):
+def _ellipse_shrink(x, mu, v, accept, rng):
     """Shared angle-bracket shrinkage loop of the ESS family.
 
     ``accept(x_prop)`` returns None when a proposal misses the slice and any
@@ -134,9 +136,6 @@ def _ellipse_shrink(x, mu, v, accept, rng, trace_brackets=None):
 
     Angles are drawn as ``lo + (hi - lo) * rng.random()``, the same double
     ``rng.uniform(lo, hi)`` returns, without its argument handling.
-
-    ``trace_brackets``, if given, collects ``(theta_min, theta_max, theta)``
-    per proposal for the shrinkage-monotonicity tests.
     """
     theta = 2.0 * math.pi * rng.random()
     theta_min, theta_max = theta - 2.0 * math.pi, theta
@@ -144,8 +143,6 @@ def _ellipse_shrink(x, mu, v, accept, rng, trace_brackets=None):
     v_c = v - mu
     rejections = 0
     for _ in range(MAX_SHRINK_ITERS):
-        if trace_brackets is not None:
-            trace_brackets.append((theta_min, theta_max, theta))
         x_prop = x_c * math.cos(theta) + v_c * math.sin(theta) + mu
         accepted = accept(x_prop)
         if accepted is not None:
@@ -159,8 +156,7 @@ def _ellipse_shrink(x, mu, v, accept, rng, trace_brackets=None):
     return x, 0.0, rejections, None
 
 
-def ess_step(state: ChainState, prior: Gaussian, log_likelihood, rng,
-             trace_brackets=None) -> StepOutcome:
+def ess_step(state: ChainState, prior: Gaussian, log_likelihood, rng) -> StepOutcome:
     """Elliptical slice sampling step for a Gaussian-prior model.
 
     Draws the auxiliary point from the prior, sets the slice threshold
@@ -178,9 +174,7 @@ def ess_step(state: ChainState, prior: Gaussian, log_likelihood, rng,
     def accept(x_prop):
         return True if float(log_likelihood(x_prop)) > log_y else None
 
-    x_new, theta, rejections, _ = _ellipse_shrink(
-        x, prior.mean, v, accept, rng, trace_brackets
-    )
+    x_new, theta, rejections, _ = _ellipse_shrink(x, prior.mean, v, accept, rng)
     next_state = ChainState(point=x_new, region=state.region)
     return StepOutcome(next=next_state, rejections=rejections, angle_final=theta)
 
@@ -276,7 +270,7 @@ def tmrgess_step(state: ChainState, mixture: MixtureModel, target: TargetDensity
     i = state.region
     # Each row of the stacks is read once per step.
     mean = mixture._means[i]
-    # The same draw as sample_inverse_gamma(InverseGammaParams(alpha, beta), rng).
+    # s ~ IG(alpha, beta), drawn as 1 / Gamma(alpha, scale=1/beta).
     alpha = mixture._half_dof_plus_dim[i]
     beta = 0.5 * (mixture._dofs[i] + mixture._mahalanobis_sq(state.point)[i])
     if not math.isfinite(beta):

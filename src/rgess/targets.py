@@ -20,7 +20,6 @@ __all__ = [
     "Dataset",
     "gauss_mix_target",
     "logistic_log_likelihood",
-    "logistic_log_likelihood_grad",
     "litter_log_likelihood",
     "embedded_litter_data",
     "load_covtype",
@@ -136,14 +135,6 @@ def logistic_log_likelihood(beta, data: LogisticTarget) -> float:
     t = data.design @ beta
     # y*log p + (1-y)*log(1-p) = -log(1+exp(-t)) - (1-y)*t
     return float(np.sum(-np.logaddexp(0.0, -t) - (1.0 - data.labels) * t))
-
-
-def logistic_log_likelihood_grad(beta, data: LogisticTarget) -> np.ndarray:
-    """Gradient sum_n (y_n - p_n) x_n; used only by the verification suite."""
-    beta = np.asarray(beta, dtype=float)
-    t = data.design @ beta
-    p = 1.0 / (1.0 + np.exp(-t))
-    return (data.labels - p) @ data.design
 
 
 @dataclass(frozen=True)

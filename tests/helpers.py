@@ -1,6 +1,7 @@
 """Shared fixture builders and oracles for the unit and acceptance suites."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -19,13 +20,11 @@ from rgess.adaptation import (
 from rgess.diagnostics import TraceRecord, write_trace_csv
 from rgess.distributions import (
     Gaussian,
-    InverseGammaParams,
     MixtureModel,
     StudentT,
     _logsumexp,
     ensure_spd,
     regularize_cov,
-    sample_inverse_gamma,
 )
 from rgess.runner import Kernel
 from rgess.samplers import (
@@ -482,6 +481,24 @@ def assert_fit_matches_reference(fit, reference, rel_tol=1e-10):
         fitted.append(np.array([c.dof for c in comps]))
     for got, want in zip(fitted, params, strict=True):
         assert np.max(np.abs(got - want)) <= rel_tol * np.max(np.abs(want))
+
+
+@dataclass(frozen=True)
+class InverseGammaParams:
+    """Shape/rate parameters of an inverse-gamma distribution."""
+
+    alpha: float
+    beta: float
+
+    def __post_init__(self):
+        if not (self.alpha > 0 and self.beta > 0):
+            raise ValueError(f"alpha and beta must be positive, got {self.alpha}, {self.beta}")
+
+
+def sample_inverse_gamma(params: InverseGammaParams, rng: np.random.Generator) -> float:
+    """Draw from the inverse gamma with density proportional to s^(-a-1) exp(-b/s)."""
+    g = rng.gamma(shape=params.alpha, scale=1.0 / params.beta)
+    return float(1.0 / g)
 
 
 def reference_regional_ess_step(kind, point, region, mixture, log_pi, rng):

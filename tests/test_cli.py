@@ -146,6 +146,25 @@ class TestCmdRun:
         assert key in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("preset, setting, message", [
+        ("gauss-mix-tmrgess", "fixed_dof=inf", "fixed_dof must be finite"),
+        ("gauss-mix-vi-gmrgess", "vi_alpha0=-1", "vi alpha0 must be finite and positive"),
+        ("gauss-mix-vi-gmrgess", "vi_beta0=0", "vi beta0 must be finite and positive"),
+        ("gauss-mix-vi-gmrgess", "vi_w0_scale=-1", "vi w0_scale must be finite and positive"),
+        ("gauss-mix-vi-gmrgess", "vi_nu0=0.5", "vi nu0 must exceed D - 1 = 1"),
+        ("gauss-mix-sa-gmrgess", "sa_c=inf", "learning rate c must be finite"),
+    ])
+    def test_bad_hyperparameter_exits_one_writes_nothing(self, tmp_path, capsys,
+                                                         preset, setting, message):
+        out = str(tmp_path / "out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", preset, "--out", out, "--set", "run.iterations=60",
+                         "--set", "run.burn_in=10",
+                         "--set", f"adaptation.{setting}"]) == 1
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_ess_kernel_without_split_exits_one_writes_nothing(self, tmp_path,
                                                                 capsys):
         out = str(tmp_path / "out")
@@ -299,6 +318,17 @@ class TestCmdFit:
             assert main(["fit", csv_path, "--scheme", "em_gmm", "-M", "2",
                          flag, value, "--out", str(out)]) == 1
         assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_fixed_dof_exits_one(self, tmp_path, capsys):
+        samples = np.random.default_rng(3).normal(size=(20, 2))
+        csv_path = _write_samples_csv(tmp_path / "s.csv", samples)
+        out = tmp_path / "m.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", csv_path, "--scheme", "em_tmm", "-M", "2",
+                         "--fixed-dof", "inf", "--out", str(out)]) == 1
+        assert "fixed_dof must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sa_requires_init(self, tmp_path):

@@ -277,3 +277,7 @@ class TestReadMixturesCsvValidation:
     def test_invalid_mixture_names_file_and_iteration(self, tmp_path):
         rows = "0,0,1.0,0.0,1.0,\n20,0,0.6,0.0,1.0,\n20,1,0.5,1.0,1.0,\n"
         self._assert_rejected(tmp_path, rows, "invalid mixture")
+
+    def test_infinite_dof_names_file_and_iteration(self, tmp_path):
+        rows = "20,0,0.5,0.0,1.0,4.0\n20,1,0.5,1.0,1.0,inf\n"
+        self._assert_rejected(tmp_path, rows, "invalid mixture (dof must be finite, got inf)")

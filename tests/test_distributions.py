@@ -12,14 +12,15 @@ from scipy import stats
 from scipy.special import logsumexp
 
 from helpers import (
+    InverseGammaParams,
     random_mixture_stacks,
     reference_location_scale,
     reference_log_mixture,
     reference_mixture,
+    sample_inverse_gamma,
 )
 from rgess.distributions import (
     Gaussian,
-    InverseGammaParams,
     MixtureModel,
     StudentT,
     _logsumexp,
@@ -27,7 +28,6 @@ from rgess.distributions import (
     ensure_spd,
     nearest_psd,
     regularize_cov,
-    sample_inverse_gamma,
 )
 
 FIG2_COV = np.array([[10.0, 3.0], [3.0, 2.0]])
@@ -393,6 +393,12 @@ class TestMixtureFromStacks:
             _mixture([0.5, 0.6], [[0.0, 0.0]] * 2, np.repeat(eye, 2, axis=0))
         with pytest.raises(np.linalg.LinAlgError):
             _mixture([1.0], [[0.0, 0.0]], [[[1.0, 2.0], [2.0, 1.0]]])
+
+    def test_rejects_infinite_dof(self):
+        with pytest.raises(ValueError, match="dof must be finite, got inf"):
+            _mixture([0.5, 0.5], [[0.0], [1.0]], np.ones((2, 1, 1)), [4.0, np.inf])
+        with pytest.raises(ValueError, match="dof must be finite, got inf"):
+            StudentT([0.0], [[1.0]], np.inf)
 
 
 class TestComponentsAreRowsOfTheStack:

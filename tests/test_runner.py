@@ -8,8 +8,8 @@ import pytest
 from helpers import reference_chain_major_run, reference_mh_step, trace_csv_bytes
 from rgess.adaptation import AdaptationConfig, Scheme
 from rgess.distributions import Gaussian, MixtureModel
-from rgess.runner import Kernel, RunConfig, RunError, pooled_snapshot, run
-from rgess.samplers import ChainState, TargetDensity
+from rgess.runner import Kernel, RunConfig, RunError, run
+from rgess.samplers import ChainState, TargetDensity, mh_step
 from rgess.targets import gauss_mix_target
 
 
@@ -228,22 +228,25 @@ class TestDeterminism:
 
 class TestChainIndependence:
     def test_perturbing_one_chain_seed_is_local(self):
+        # Each chain of run() equals that chain stepped alone from its own
+        # spawned seed, so its trace depends on no other chain's seed.
         target = _std_normal_target(1)
-        base = RunConfig(
+        config = RunConfig(
             chains=4, iterations=30, burn_in=0, kernel=Kernel.MH,
             init=Gaussian([0.0], [[1.0]]), master_seed=5,
             mh_proposal_cov=np.eye(1),
         )
-        a = run(base, target, _chain_seeds=[1, 2, 3, 4])
-        b = run(base, target, _chain_seeds=[1, 2, 99, 4])
-        for k in (0, 1, 3):
-            for rec_a, rec_b in zip(a.traces[k], b.traces[k]):
-                np.testing.assert_array_equal(rec_a.point, rec_b.point)
-        diverged = any(
-            not np.array_equal(rec_a.point, rec_b.point)
-            for rec_a, rec_b in zip(a.traces[2], b.traces[2])
-        )
-        assert diverged
+        result = run(config, target)
+        seeds = np.random.SeedSequence(config.master_seed).spawn(config.chains + 1)
+        for k in range(config.chains):
+            rng = np.random.default_rng(seeds[k])
+            state = ChainState(point=config.init.sample(rng))
+            assert len(result.traces[k]) == config.iterations
+            for rec in result.traces[k]:
+                outcome = mh_step(state, config.mh_proposal_cov, target, rng)
+                state = outcome.next
+                np.testing.assert_array_equal(rec.point, state.point)
+                assert rec.rejections == outcome.rejections
 
 
 class TestBarriers:
@@ -316,18 +319,6 @@ class TestBookkeeping:
         result = run(config, _std_normal_target(1))
         max_rej = max(rec.rejections for chain in result.traces for rec in chain)
         assert 0 < max_rej <= 4
-
-    def test_pooled_snapshot_order_and_copy(self):
-        states = [
-            ChainState(point=np.array([float(k)]), region=0) for k in range(3)
-        ]
-        snap = pooled_snapshot(states)
-        assert [p[0] for p in snap] == [0.0, 1.0, 2.0]
-        snap[0][0] = 99.0
-        assert states[0].point[0] == 0.0
-        assert [p[0] for p in pooled_snapshot(states)] == [0.0, 1.0, 2.0]
-        with pytest.raises(ValueError):
-            pooled_snapshot([])
 
 
 class TestRunErrors:

@@ -1,6 +1,7 @@
 """Transition kernels: slice thresholds, shrinkage behavior, regional
 acceptance ratios and reduction properties."""
 
+import copy
 import math
 
 import numpy as np
@@ -103,8 +104,9 @@ class TestEssStep:
         state = ChainState(point=np.array([2.5, -1.5]))
         saw_multi_rejections = False
         for _ in range(50):
-            brackets = []
-            out = ess_step(state, prior, loglik, rng, trace_brackets=brackets)
+            clone = copy.deepcopy(rng)
+            out = ess_step(state, prior, loglik, rng)
+            brackets = _replay_ess_brackets(clone, prior.dim, out.rejections)
             widths = [hi - lo for lo, hi, _ in brackets]
             # The initial angle sits exactly at theta_max, so the first
             # rejection cannot shrink the bracket; afterwards every rejected
@@ -113,11 +115,32 @@ class TestEssStep:
             assert all(w2 < w1 for w1, w2 in zip(widths[1:], widths[2:]))
             lo, hi, theta = brackets[-1]
             assert lo <= theta <= hi
+            assert out.angle_final == theta
+            assert clone.bit_generator.state == rng.bit_generator.state
             if out.rejections > 1:
                 saw_multi_rejections = True
-                assert out.angle_final == pytest.approx(brackets[-1][2])
             state = out.next
         assert saw_multi_rejections
+
+
+def _replay_ess_brackets(rng, dim, rejections):
+    """``(theta_min, theta_max, theta)`` of every proposal of an accepted
+    ``ess_step`` with ``rejections`` rejections, rebuilt from a copy of the
+    generator it stepped with: the prior's noise, log u, the first angle,
+    then one uniform per rejection."""
+    rng.standard_normal(dim)
+    rng.random()
+    theta = 2.0 * math.pi * rng.random()
+    theta_min, theta_max = theta - 2.0 * math.pi, theta
+    brackets = [(theta_min, theta_max, theta)]
+    for _ in range(rejections):
+        if theta < 0.0:
+            theta_min = theta
+        else:
+            theta_max = theta
+        theta = theta_min + (theta_max - theta_min) * rng.random()
+        brackets.append((theta_min, theta_max, theta))
+    return brackets
 
 
 def _gaussian_pair_mixture():

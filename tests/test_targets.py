@@ -21,7 +21,6 @@ from rgess.targets import (
     litter_log_likelihood,
     load_covtype,
     logistic_log_likelihood,
-    logistic_log_likelihood_grad,
     make_synthetic_logistic,
 )
 
@@ -125,24 +124,6 @@ class TestLogisticLikelihood:
         p = 1.0 / (1.0 + np.exp(-(x @ beta)))
         naive = float(np.sum(y * np.log(p) + (1 - y) * np.log(1 - p)))
         assert logistic_log_likelihood(beta, data) == pytest.approx(naive, abs=1e-10)
-
-    def test_gradient_matches_central_differences(self):
-        rng = np.random.default_rng(2)
-        x = _standardized_design(rng, 40, 4)
-        y = (rng.random(40) < 0.5).astype(float)
-        data = LogisticTarget(x, y)
-        h = 1e-6
-        for _ in range(10):
-            beta = rng.normal(scale=1.5, size=4)
-            grad = logistic_log_likelihood_grad(beta, data)
-            for a in range(4):
-                e = np.zeros(4)
-                e[a] = h
-                fd = (
-                    logistic_log_likelihood(beta + e, data)
-                    - logistic_log_likelihood(beta - e, data)
-                ) / (2 * h)
-                assert abs(grad[a] - fd) <= 1e-5 * max(1.0, abs(fd))
 
     def test_unstandardized_design_rejected(self):
         with pytest.raises(ValueError):
