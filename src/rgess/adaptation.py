@@ -2,6 +2,10 @@
 stochastic-approximation updates for Gaussian mixtures, plus EM for
 Student's-t mixtures.
 
+:func:`initial_mixture` builds the first pseudo-prior and :func:`refit` each
+later one: the only code that maps a :class:`Scheme` to its fit, for
+``rgess.runner.run`` and ``rgess fit`` alike.
+
 EM and VI refit from scratch on every call; the SA update applies a single
 learning-rate-scaled correction to an existing mixture, which keeps the
 estimate anchored to its history and therefore robust to transient outliers
@@ -35,8 +39,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import digamma, gammaln
 
-from .distributions import (Gaussian, MixtureModel, StudentT, _logsumexp,
-                            _mixture, ensure_spd, regularize_cov)
+from .distributions import MixtureModel, _logsumexp, _mixture, ensure_spd, regularize_cov
 
 __all__ = [
     "Scheme",
@@ -49,8 +52,8 @@ __all__ = [
     "em_tmm_fit",
     "sa_gmm_update",
     "sa_update_directions",
-    "moment_fit_gaussian",
-    "moment_fit_student_t",
+    "initial_mixture",
+    "refit",
 ]
 
 logger = logging.getLogger(__name__)
@@ -58,6 +61,9 @@ logger = logging.getLogger(__name__)
 _EMPTY_RESP = 1e-8
 _WEIGHT_FLOOR = 1e-6
 _DOF_BOUNDS = (0.1, 200.0)
+# dof of the first single-t pseudo-prior when fixed_dof is None; long tails
+# help early exploration.
+_INITIAL_DOF = 4.0
 
 
 class Scheme(str, enum.Enum):
@@ -189,6 +195,12 @@ def _clean_cov(covs: np.ndarray, reg_radius: float):
     return covs, chols
 
 
+def _moment_cov(x: np.ndarray, reg_radius: float):
+    """:func:`_clean_cov` of the MLE covariance of (n, D) samples, a stack of one."""
+    d = x.shape[1]
+    return _clean_cov(np.cov(x, rowvar=False, bias=True).reshape(1, d, d), reg_radius)
+
+
 def _kmeanspp_centers(x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: centers drawn with probability proportional to the
     squared distance from the nearest already-chosen center."""
@@ -278,8 +290,7 @@ def _em_fit(samples, m: int, config: AdaptationConfig,
         )
 
     means = _kmeanspp_centers(x, m, rng)
-    global_cov, global_chol = _clean_cov(
-        np.cov(x, rowvar=False, bias=True).reshape(1, d, d), reg)
+    global_cov, global_chol = _moment_cov(x, reg)
     scales = np.repeat(global_cov, m, axis=0)
     chols = np.repeat(global_chol, m, axis=0)
     dofs = None if dof0 is None else np.full(m, float(dof0))
@@ -581,23 +592,35 @@ def sa_gmm_update(current: MixtureModel, samples, r_n: float,
 
 
 # ---------------------------------------------------------------------------
-# single-pass moment fits (initial mixtures for the runner)
+# the pseudo-prior lifecycle: the one map from a scheme to its fit
 # ---------------------------------------------------------------------------
 
 
-def moment_fit_gaussian(samples, reg_radius: float) -> Gaussian:
-    """Sample mean and MLE covariance, hygiene-passed."""
-    x = _as_sample_matrix(samples, 1)
-    mean = x.mean(axis=0)
-    if x.shape[0] == 1:
-        cov = np.zeros((x.shape[1], x.shape[1]))
-    else:
-        cov = np.cov(x, rowvar=False, bias=True).reshape(x.shape[1], x.shape[1])
-    covs, _ = _clean_cov(cov[None], reg_radius)
-    return Gaussian(mean, covs[0])
+def initial_mixture(config: AdaptationConfig, points, rng: np.random.Generator) -> MixtureModel:
+    """The pseudo-prior before the first refit, from the starting ``points``.
+
+    SA starts from an M-component EM fit, because its update cannot change
+    the component count. The other schemes start from one moment-fitted
+    component: Gaussian, or for ``em_tmm`` Student's t with ``fixed_dof``
+    or 4 degrees of freedom."""
+    if config.scheme is Scheme.SA_GMM:
+        return em_gmm_fit(points, config.components, config, rng).mixture
+    x = _as_sample_matrix(points, 1)
+    covs, chols = _moment_cov(x, config.reg_radius)
+    dofs = None
+    if config.scheme is Scheme.EM_TMM:
+        dofs = [_INITIAL_DOF if config.fixed_dof is None else config.fixed_dof]
+    return _mixture([1.0], [x.mean(axis=0)], covs, dofs, config.weighted_regions, chols)
 
 
-def moment_fit_student_t(samples, reg_radius: float, dof: float) -> StudentT:
-    """Moment-based single-component t fit with the given degrees of freedom."""
-    g = moment_fit_gaussian(samples, reg_radius)
-    return StudentT(g.mean, g.cov, dof)
+def refit(config: AdaptationConfig, mixture: MixtureModel, points,
+          rng: np.random.Generator, update_index: int) -> MixtureModel:
+    """The pseudo-prior after the ``update_index``-th refit (from 1) on
+    ``points``: one SA step on ``mixture`` at ``learning_rate.rate(update_index)``,
+    or an EM or VI fit from scratch that ignores ``mixture``."""
+    if config.scheme is Scheme.SA_GMM:
+        rate = config.learning_rate.rate(update_index)
+        return sa_gmm_update(mixture, points, rate, config.reg_radius)
+    # Built per call, so that a wrapper set on this module sees every refit.
+    fit = {Scheme.EM_GMM: em_gmm_fit, Scheme.VI_GMM: vi_gmm_fit, Scheme.EM_TMM: em_tmm_fit}
+    return fit[config.scheme](points, config.components, config, rng).mixture

@@ -5,6 +5,9 @@ summary CSVs; ``rgess report <dir>`` recomputes the diagnostics from the CSVs
 alone; ``rgess fit <csv>`` exposes the mixture fitters on a standalone sample
 file. ``<config>`` is a path or the name of a bundled preset.
 
+``rgess fit`` calls ``rgess.adaptation.refit``, as ``run`` does at a barrier;
+``sa_gmm`` takes ``--sa-steps`` refits, counted from 1, from ``--init``.
+
 Exit codes: 0 success, 1 configuration/validation error (nothing written),
 2 runtime failure.
 """
@@ -19,9 +22,8 @@ from importlib import resources
 
 import numpy as np
 
-from . import adaptation as ad
 from . import targets as tg
-from .adaptation import AdaptationConfig, LearningRateSchedule, Scheme
+from .adaptation import AdaptationConfig, LearningRateSchedule, Scheme, refit
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -171,6 +173,11 @@ def cmd_report(args) -> int:
         traces, _history = read_trace_csv(
             trace_path, mixtures_path=os.path.join(args.trace_dir, "mixtures.csv")
         )
+        rc = exp.run_config
+        recorded = list(range(rc.thinning, rc.iterations + 1, rc.thinning))
+        if len(traces) != rc.chains or [rec.iteration for rec in traces[0]] != recorded:
+            raise ConfigError(f"{trace_path}: config.cfg records {rc.chains} chains at the "
+                              f"multiples of {rc.thinning} up to {rc.iterations}; this file does not")
         _target, extras = build_target(exp)
         window = args.window if args.window is not None else exp.report_window
         if window < 1:
@@ -221,6 +228,8 @@ def cmd_fit(args) -> int:
             learning_rate=LearningRateSchedule(c=args.sa_c, n0=args.sa_n0),
         )
         if scheme is Scheme.SA_GMM:
+            if args.sa_steps < 0:
+                raise ConfigError(f"--sa-steps must be >= 0, got {args.sa_steps}")
             if args.init is None:
                 raise ConfigError("sa_gmm needs --init with a starting mixture CSV")
             history = read_mixtures_csv(args.init)
@@ -231,19 +240,11 @@ def cmd_fit(args) -> int:
                 raise ConfigError("sa_gmm requires a Gaussian starting mixture")
             out_history = []
             for step in range(1, args.sa_steps + 1):
-                rate = config.learning_rate.rate(step)
-                mixture = ad.sa_gmm_update(mixture, samples, rate, config.reg_radius)
+                mixture = refit(config, mixture, samples, rng, step)
                 out_history.append((step, mixture))
-            if not out_history:
-                out_history = [(0, mixture)]
+            out_history = out_history or [(0, mixture)]
         else:
-            fitters = {
-                Scheme.EM_GMM: ad.em_gmm_fit,
-                Scheme.VI_GMM: ad.vi_gmm_fit,
-                Scheme.EM_TMM: ad.em_tmm_fit,
-            }
-            fit = fitters[scheme](samples, args.components, config, rng)
-            out_history = [(0, fit.mixture)]
+            out_history = [(0, refit(config, None, samples, rng, 0))]
     except (ConfigError, ValueError, np.linalg.LinAlgError) as exc:
         return _fail(str(exc), 1)
     write_mixtures_csv(out_history, args.out)
@@ -278,15 +279,15 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=[s.value for s in Scheme])
     p_fit.add_argument("--components", "-M", type=int, required=True)
     p_fit.add_argument("--out", default="mixture.csv")
-    p_fit.add_argument("--reg-radius", type=float, default=0.0)
-    p_fit.add_argument("--max-iters", type=int, default=100)
-    p_fit.add_argument("--tol", type=float, default=1e-6)
+    p_fit.add_argument("--reg-radius", type=float, default=AdaptationConfig.reg_radius)
+    p_fit.add_argument("--max-iters", type=int, default=AdaptationConfig.em_max_iters)
+    p_fit.add_argument("--tol", type=float, default=AdaptationConfig.em_tol)
     p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--fixed-dof", type=float, default=None)
+    p_fit.add_argument("--fixed-dof", type=float, default=AdaptationConfig.fixed_dof)
     p_fit.add_argument("--init", help="starting mixture CSV (sa_gmm only)")
     p_fit.add_argument("--sa-steps", type=int, default=1)
-    p_fit.add_argument("--sa-c", type=float, default=0.5)
-    p_fit.add_argument("--sa-n0", type=int, default=10)
+    p_fit.add_argument("--sa-c", type=float, default=LearningRateSchedule.c)
+    p_fit.add_argument("--sa-n0", type=int, default=LearningRateSchedule.n0)
     p_fit.set_defaults(func=cmd_fit)
     return parser
 

@@ -47,27 +47,27 @@ _KNOWN_KEYS = {
     "run.chains": ("int", None),
     "run.iterations": ("int", None),
     "run.burn_in": ("int", None),
-    "run.master_seed": ("int", 0),
-    "run.thinning": ("int", 1),
-    "run.steps_per_iteration": ("int", 1),
+    "run.master_seed": ("int", RunConfig.master_seed),
+    "run.thinning": ("int", RunConfig.thinning),
+    "run.steps_per_iteration": ("int", RunConfig.steps_per_iteration),
     "run.mh_proposal_scale": ("float", None),
     "init.mean": ("vector", None),
     "init.cov_scale": ("float", None),
     "init.cov": ("vector", None),
-    "adaptation.scheme": ("str", "em_gmm"),
-    "adaptation.components": ("int", 1),
-    "adaptation.interval": ("int", 20),
-    "adaptation.reg_radius": ("float", 0.0),
-    "adaptation.em_max_iters": ("int", 100),
-    "adaptation.em_tol": ("float", 1e-6),
-    "adaptation.fixed_dof": ("float", None),
-    "adaptation.weighted_regions": ("bool", False),
-    "adaptation.sa_c": ("float", 0.5),
-    "adaptation.sa_n0": ("int", 10),
-    "adaptation.vi_alpha0": ("float", 1.0),
-    "adaptation.vi_beta0": ("float", 1.0),
-    "adaptation.vi_w0_scale": ("float", None),
-    "adaptation.vi_nu0": ("float", None),
+    "adaptation.scheme": ("str", AdaptationConfig.scheme.value),
+    "adaptation.components": ("int", AdaptationConfig.components),
+    "adaptation.interval": ("int", AdaptationConfig.interval),
+    "adaptation.reg_radius": ("float", AdaptationConfig.reg_radius),
+    "adaptation.em_max_iters": ("int", AdaptationConfig.em_max_iters),
+    "adaptation.em_tol": ("float", AdaptationConfig.em_tol),
+    "adaptation.fixed_dof": ("float", AdaptationConfig.fixed_dof),
+    "adaptation.weighted_regions": ("bool", AdaptationConfig.weighted_regions),
+    "adaptation.sa_c": ("float", LearningRateSchedule.c),
+    "adaptation.sa_n0": ("int", LearningRateSchedule.n0),
+    "adaptation.vi_alpha0": ("float", VIHyperparams.alpha0),
+    "adaptation.vi_beta0": ("float", VIHyperparams.beta0),
+    "adaptation.vi_w0_scale": ("float", VIHyperparams.w0_scale),
+    "adaptation.vi_nu0": ("float", VIHyperparams.nu0),
     "report.window": ("int", None),
     "report.mode_centers": ("centers", None),
     "report.mode_radius": ("float", None),

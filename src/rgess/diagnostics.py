@@ -274,7 +274,9 @@ def read_trace_csv(path, mixtures_path=None):
     """Read back traces and mixture history written by :func:`write_trace_csv`.
 
     Returns ``(traces, mixture_history)``; the mixture file is optional and an
-    empty history is returned when it is absent.
+    empty history is returned when it is absent. The chains must be numbered
+    0..K-1 and record the same iterations, each in increasing order;
+    otherwise a ``ValueError`` names the file.
     """
     per_chain = {}
     with open(path, newline="") as fh:
@@ -296,7 +298,13 @@ def read_trace_csv(path, mixtures_path=None):
                     f"increase within chain {rec.chain}"
                 )
             chain.append(rec)
-    traces = [per_chain[c] for c in sorted(per_chain)]
+    ids = sorted(per_chain)
+    if ids and (ids[0], ids[-1]) != (0, len(ids) - 1):
+        raise ValueError(f"{path}: chain ids run from {ids[0]} to {ids[-1]}, not 0..{len(ids) - 1}")
+    traces = [per_chain[c] for c in ids]
+    recorded = [[rec.iteration for rec in chain] for chain in traces]
+    if any(iterations != recorded[0] for iterations in recorded):
+        raise ValueError(f"{path}: the chains record different iterations")
 
     if mixtures_path is None:
         mixtures_path = mixtures_path_for(path)

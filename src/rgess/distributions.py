@@ -18,9 +18,11 @@ mixture's ``components`` are built from its rows on each read.
 ``_factorise`` checks and factors a stack in one batched Cholesky call (or
 takes factors already computed) and inverts each factor with the LAPACK
 routine that ``scipy.linalg.solve_triangular`` wraps. ``Gaussian`` and
-``StudentT`` call it on a stack of one, and ``_mixture``, the one builder
-of mixtures from parameter stacks, on the whole stack, so a mixture built
-from stacks equals one built from components bit for bit.
+``StudentT`` call it on a stack of one. Every mixture is built by
+``MixtureModel._build``, which calls it on the whole stack:
+``MixtureModel(weights, components)`` passes the components' stacked rows
+and factors, and ``_mixture`` the parameter stacks, so a mixture built from
+stacks equals one built from components bit for bit.
 ``MixtureModel._log_densities`` is the one component-density routine, and
 ``MixtureModel._log_mixture`` calls ``_logsumexp``, the one log-sum-exp,
 which the mixture fitters also normalise with.
@@ -290,14 +292,15 @@ class MixtureModel(_LocationScale):
         def stack(name):
             return np.concatenate([getattr(c, name) for c in components])
 
-        self._fill(stack("_means"), stack("_scales"),
-                   None if components[0]._dofs is None else stack("_dofs"),
-                   stack("_chols"), stack("_chol_inv"), stack("_whiten_off"),
-                   stack("_log_norms"))
-        self._weigh(weights, weighted_regions)
+        self._build(weights, stack("_means"), stack("_scales"),
+                    None if components[0]._dofs is None else stack("_dofs"),
+                    weighted_regions, stack("_chols"))
 
-    def _weigh(self, weights, weighted_regions) -> None:
-        """Set the checked weights and the region rule."""
+    def _build(self, weights, means, scales, dofs, weighted_regions, chols) -> None:
+        """The one build of a mixture: factor the stacks with ``_factorise``,
+        then set the caches, the checked weights and the region rule."""
+        name = "cov" if dofs is None else "scale"
+        self._fill(means, scales, dofs, *_factorise(means, scales, dofs, name, chols))
         self.weights = weights
         self.weighted_regions = bool(weighted_regions)
         with np.errstate(divide="ignore"):
@@ -370,7 +373,7 @@ def _mixture(weights, means, scales, dofs=None,
     The stacks are checked and factored once, by ``_factorise``; ``chols``,
     when given, must be the Cholesky factors of ``scales``. Equal, bit for
     bit, to ``MixtureModel`` built from ``Gaussian`` or ``StudentT``
-    components.
+    components, through the same ``MixtureModel._build``.
     """
     weights = np.asarray(weights, dtype=float)
     means = np.array(means, dtype=float)
@@ -378,10 +381,8 @@ def _mixture(weights, means, scales, dofs=None,
     if dofs is not None:
         dofs = np.array(dofs, dtype=float)
     _check_weights(weights, len(means))
-    name = "cov" if dofs is None else "scale"
     mixture = MixtureModel.__new__(MixtureModel)
-    mixture._fill(means, scales, dofs, *_factorise(means, scales, dofs, name, chols))
-    mixture._weigh(weights, weighted_regions)
+    mixture._build(weights, means, scales, dofs, weighted_regions, chols)
     return mixture
 
 

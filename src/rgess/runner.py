@@ -17,6 +17,9 @@ evaluates each shrinkage round for all chains still shrinking in one call.
 Each chain still draws from its own generator in the per-chain kernel's
 order, so the traces equal those of the per-chain kernels bit for bit. The
 ess, mh and regional_mh kernels step one chain at a time.
+
+The pseudo-prior comes from ``rgess.adaptation.initial_mixture`` and, at each
+barrier, ``rgess.adaptation.refit``; its kind follows from the scheme.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import adaptation as ad
-from .adaptation import AdaptationConfig, Scheme
+from .adaptation import AdaptationConfig, Scheme, initial_mixture, refit
 from .diagnostics import TraceRecord
 from .distributions import Gaussian, MixtureModel
 from .samplers import (  # noqa: F401 (gmrgess_step and tmrgess_step: see below)
@@ -44,10 +46,6 @@ from .samplers import (  # noqa: F401 (gmrgess_step and tmrgess_step: see below)
 )
 
 __all__ = ["Kernel", "RunConfig", "RunResult", "RunError", "run"]
-
-# Degrees of freedom of the pre-adaptation single-t pseudo-prior when the
-# configuration does not pin one; long tails help early exploration.
-_DEFAULT_INITIAL_DOF = 4.0
 
 
 class Kernel(str, enum.Enum):
@@ -143,42 +141,6 @@ class RunConfig:
 class RunResult:
     traces: list
     mixture_history: list
-
-
-def _initial_mixture(config: RunConfig, points, adapt_rng) -> MixtureModel | None:
-    """Pre-adaptation pseudo-prior bank.
-
-    EM/VI-adapted kernels start from a least-informative single-component
-    moment fit of the starting points; SA starts from a full M-component EM
-    fit because its update cannot change the component count.
-    """
-    acfg = config.adaptation
-    kernel = config.kernel
-    if kernel in _T_MIXTURE_KERNELS:
-        dof = acfg.fixed_dof if acfg.fixed_dof is not None else _DEFAULT_INITIAL_DOF
-        comp = ad.moment_fit_student_t(points, acfg.reg_radius, dof)
-        return MixtureModel([1.0], [comp], weighted_regions=acfg.weighted_regions)
-    if kernel in _GAUSSIAN_MIXTURE_KERNELS:
-        if acfg.scheme is Scheme.SA_GMM:
-            return ad.em_gmm_fit(points, acfg.components, acfg, adapt_rng).mixture
-        comp = ad.moment_fit_gaussian(points, acfg.reg_radius)
-        return MixtureModel([1.0], [comp], weighted_regions=acfg.weighted_regions)
-    return None
-
-
-def _refit_mixture(config: RunConfig, mixture, points, adapt_rng, update_index: int):
-    acfg = config.adaptation
-    scheme = acfg.scheme
-    if scheme is Scheme.SA_GMM:
-        rate = acfg.learning_rate.rate(update_index)
-        return ad.sa_gmm_update(mixture, points, rate, acfg.reg_radius)
-    if scheme is Scheme.EM_GMM:
-        return ad.em_gmm_fit(points, acfg.components, acfg, adapt_rng).mixture
-    if scheme is Scheme.VI_GMM:
-        return ad.vi_gmm_fit(points, acfg.components, acfg, adapt_rng).mixture
-    if scheme is Scheme.EM_TMM:
-        return ad.em_tmm_fit(points, acfg.components, acfg, adapt_rng).mixture
-    raise ValueError(f"unknown adaptation scheme {scheme}")
 
 
 class _PerChain:
@@ -282,7 +244,7 @@ def run(config: RunConfig, target: TargetDensity) -> RunResult:
     mixture = None
     uses_mixture = config.kernel in _MIXTURE_KERNELS
     if uses_mixture:
-        mixture = _initial_mixture(config, points, adapt_rng)
+        mixture = initial_mixture(acfg, points, adapt_rng)
     try:
         if config.kernel in _BATCHED_KERNELS:
             chains = _Batched(target, points, mixture)
@@ -301,9 +263,7 @@ def run(config: RunConfig, target: TargetDensity) -> RunResult:
     for n in range(1, config.iterations + 1):
         if uses_mixture and n % acfg.interval == 0 and n >= first_adapt:
             update_index += 1
-            mixture = _refit_mixture(
-                config, mixture, chains.snapshot(), adapt_rng, update_index
-            )
+            mixture = refit(acfg, mixture, chains.snapshot(), adapt_rng, update_index)
             mixture_history.append((n, mixture))
             chains.set_mixture(mixture)
 

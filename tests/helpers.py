@@ -15,6 +15,8 @@ from rgess.adaptation import (
     _is_degenerate,
     _kmeanspp_centers,
     _solve_dof,
+    initial_mixture,
+    refit,
     sa_update_directions,
 )
 from rgess.diagnostics import TraceRecord, write_trace_csv
@@ -645,7 +647,7 @@ def reference_chain_major_run(config, target):
     history = []
     barriers = []
     if uses_mixture:
-        mixture = runner._initial_mixture(config, [s.point for s in states], adapt_rng)
+        mixture = initial_mixture(acfg, [s.point for s in states], adapt_rng)
         states = [s._replace(region=mixture.assign_region(s.point)) for s in states]
         history.append((0, mixture))
         first_adapt = max(acfg.interval, 2 * acfg.components)
@@ -670,7 +672,7 @@ def reference_chain_major_run(config, target):
     for update_index, (start, end) in enumerate(zip(starts, ends)):
         if update_index > 0:
             points = [np.array(s.point, copy=True) for s in states]
-            mixture = runner._refit_mixture(config, mixture, points, adapt_rng, update_index)
+            mixture = refit(acfg, mixture, points, adapt_rng, update_index)
             history.append((start, mixture))
             states = [s._replace(region=mixture.assign_region(s.point)) for s in states]
         for k in range(k_chains):

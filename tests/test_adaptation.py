@@ -14,9 +14,11 @@ from helpers import (
     outlier_fixture,
     outlier_fixture_true_mixture,
     random_sa_instance,
+    reference_clean_cov,
     reference_em_fit,
     reference_em_gmm_fit,
     reference_em_tmm_fit,
+    reference_mixture,
     reference_sa_update_directions,
     two_cluster_samples,
 )
@@ -27,8 +29,8 @@ from rgess.adaptation import (
     VIHyperparams,
     em_gmm_fit,
     em_tmm_fit,
-    moment_fit_gaussian,
-    moment_fit_student_t,
+    initial_mixture,
+    refit,
     sa_gmm_update,
     sa_update_directions,
     vi_gmm_fit,
@@ -414,15 +416,73 @@ class TestVIHyperparams:
         assert vi_gmm_fit(samples, 2, config, np.random.default_rng(7)).mixture.dim == 2
 
 
-class TestMomentFits:
+def _assert_same_mixture(got, want):
+    """Same region rule, and every cached stack equal bit for bit in the
+    same layout."""
+    assert got.weighted_regions == want.weighted_regions
+    for name in ("weights", "_log_weights", "_means", "_scales", "_chols", "_chol_inv",
+                 "_log_norms", "_whiten_mat", "_whiten_off", "_dofs"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None
+            continue
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert (a.flags.c_contiguous, a.flags.f_contiguous) == (
+            b.flags.c_contiguous, b.flags.f_contiguous)
+
+
+class TestInitialMixture:
     def test_gaussian_moment_fit(self):
         samples = np.array([[0.0, 0.0], [2.0, 2.0]])
-        g = moment_fit_gaussian(samples, 0.5)
+        mixture = initial_mixture(_config(reg_radius=0.5), samples, np.random.default_rng(0))
+        (g,) = mixture.components
         np.testing.assert_allclose(g.mean, [1.0, 1.0])
         np.testing.assert_allclose(g.cov, [[1.5, 1.0], [1.0, 1.5]], atol=1e-12)
 
     def test_t_moment_fit_carries_dof(self):
         samples = np.random.default_rng(21).normal(size=(50, 2))
-        t = moment_fit_student_t(samples, 0.1, 6.0)
+        config = _config(scheme=Scheme.EM_TMM, reg_radius=0.1, fixed_dof=6.0)
+        (t,) = initial_mixture(config, samples, np.random.default_rng(0)).components
         assert t.dof == 6.0
         np.linalg.cholesky(t.scale)
+
+    @pytest.mark.parametrize("scheme, dofs", [(Scheme.EM_GMM, None), (Scheme.VI_GMM, None),
+                                              (Scheme.EM_TMM, [4.0])])
+    @pytest.mark.parametrize("n, d", [(1, 1), (7, 1), (1, 3), (12, 3), (40, 9)])
+    def test_equals_moment_fit_component_bitwise(self, scheme, dofs, n, d):
+        # The one-component start equals the mixture of one moment-fitted
+        # Gaussian or StudentT object in every cached stack, layout included.
+        samples = np.random.default_rng(n + d).normal(scale=3.0, size=(n, d))
+        config = _config(scheme=scheme, reg_radius=0.01, weighted_regions=True)
+        got = initial_mixture(config, samples, np.random.default_rng(0))
+        cov = reference_clean_cov(np.cov(samples, rowvar=False, bias=True).reshape(d, d), 0.01)
+        want = reference_mixture([1.0], [samples.mean(axis=0)], [cov], dofs,
+                                 weighted_regions=True)
+        assert got.weighted_regions
+        _assert_same_mixture(got, want)
+
+    def test_sa_starts_from_em_fit(self):
+        samples, m, kwargs, seed = _reference_case("two_clusters")
+        config = _config(scheme=Scheme.SA_GMM, components=m, **kwargs)
+        got = initial_mixture(config, samples, np.random.default_rng(seed))
+        want = em_gmm_fit(samples, m, config, np.random.default_rng(seed)).mixture
+        _assert_same_mixture(got, want)
+
+
+class TestRefit:
+    @pytest.mark.parametrize("scheme, fitter", [(Scheme.EM_GMM, em_gmm_fit),
+                                                (Scheme.VI_GMM, vi_gmm_fit),
+                                                (Scheme.EM_TMM, em_tmm_fit)])
+    def test_scheme_fits_with_its_fitter(self, scheme, fitter):
+        samples, m, kwargs, seed = _reference_case("outliers")
+        config = _config(scheme=scheme, components=m, **kwargs)
+        got = refit(config, None, samples, np.random.default_rng(seed), 4)
+        _assert_same_mixture(got, fitter(samples, m, config, np.random.default_rng(seed)).mixture)
+
+    @pytest.mark.parametrize("update_index", [1, 5])
+    def test_sa_steps_at_the_scheduled_rate(self, update_index):
+        current, samples = random_sa_instance(3)
+        schedule = LearningRateSchedule(c=0.7, n0=2)
+        config = _config(scheme=Scheme.SA_GMM, reg_radius=0.05, learning_rate=schedule)
+        got = refit(config, current, samples, np.random.default_rng(0), update_index)
+        _assert_same_mixture(got, sa_gmm_update(current, samples, schedule.rate(update_index), 0.05))

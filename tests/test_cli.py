@@ -7,6 +7,15 @@ import numpy as np
 import pytest
 
 from helpers import min_distance_to_outliers, outlier_fixture, outlier_fixture_true_mixture
+from rgess.adaptation import (
+    AdaptationConfig,
+    LearningRateSchedule,
+    Scheme,
+    em_gmm_fit,
+    em_tmm_fit,
+    sa_gmm_update,
+    vi_gmm_fit,
+)
 from rgess.cli import available_presets, main, resolve_config_source
 from rgess.config import build_experiment, parse_config_text, serialize_config
 from rgess.diagnostics import read_mixtures_csv, read_trace_csv, write_mixtures_csv
@@ -236,6 +245,31 @@ class TestCmdReport:
         assert main(["report", str(tmp_path)]) == 1
         assert "trace.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keep, rename, message", [
+        (lambda c, n: n != 30, None, "records 6 chains at the multiples of 1 up to 30"),
+        (lambda c, n: c != 5, None, "records 6 chains at the multiples of 1 up to 30"),
+        (lambda c, n: (c, n) != (2, 10), None, "the chains record different iterations"),
+        (None, (5, 9), "chain ids run from 0 to 9, not 0..5"),
+    ], ids=["iteration-30-dropped", "chain-5-dropped", "one-row-dropped", "chain-5-renamed"])
+    def test_misaligned_trace_exits_one(self, tmp_path, capsys, keep, rename, message):
+        out = tmp_path / "out"
+        assert main(["run", _write_config(tmp_path), "--out", str(out)]) == 0
+        trace = out / "trace.csv"
+        header, *rows = trace.read_text().splitlines()
+        edited = [header]
+        for row in rows:
+            chain, iteration, rest = row.split(",", 2)
+            if keep is not None and not keep(int(chain), int(iteration)):
+                continue
+            if rename is not None and int(chain) == rename[0]:
+                chain = str(rename[1])
+            edited.append(",".join([chain, iteration, rest]))
+        trace.write_text("\n".join(edited) + "\n")
+        assert main(["report", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "trace.csv" in err and message in err
+        assert not (out / "report.csv").exists()
+
 
 def _write_samples_csv(path, samples):
     with open(path, "w") as fh:
@@ -335,3 +369,56 @@ class TestCmdFit:
         csv_path = _write_samples_csv(tmp_path / "s.csv", np.zeros((5, 1)))
         assert main(["fit", csv_path, "--scheme", "sa_gmm",
                      "--components", "1"]) == 1
+
+    def test_negative_sa_steps_exits_one(self, tmp_path, capsys):
+        csv_path = _write_samples_csv(tmp_path / "s.csv", outlier_fixture())
+        init_path = str(tmp_path / "init.csv")
+        write_mixtures_csv([(0, outlier_fixture_true_mixture())], init_path)
+        out = tmp_path / "m.csv"
+        assert main(["fit", csv_path, "--scheme", "sa_gmm", "-M", "3", "--init", init_path,
+                     "--sa-steps", "-3", "--out", str(out)]) == 1
+        assert "--sa-steps must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestCmdFitDispatch:
+    """``rgess fit`` writes what the public fitter of its scheme returns."""
+
+    @pytest.mark.parametrize("scheme, fitter, extra", [
+        ("em_gmm", em_gmm_fit, {}),
+        ("vi_gmm", vi_gmm_fit, {}),
+        ("em_tmm", em_tmm_fit, {}),
+        ("em_tmm", em_tmm_fit, {"fixed_dof": 5.0}),
+    ])
+    def test_fit_equals_public_fitter(self, tmp_path, scheme, fitter, extra):
+        samples = outlier_fixture()
+        csv_path = _write_samples_csv(tmp_path / "s.csv", samples)
+        out = tmp_path / "m.csv"
+        flags = ["--fixed-dof", "5"] if extra else []
+        assert main(["fit", csv_path, "--scheme", scheme, "-M", "3", "--reg-radius", "0.05",
+                     "--seed", "41", "--out", str(out), *flags]) == 0
+        config = AdaptationConfig(scheme=Scheme(scheme), components=3, reg_radius=0.05,
+                                  **extra)
+        fit = fitter(samples, 3, config, np.random.default_rng(41))
+        write_mixtures_csv([(0, fit.mixture)], tmp_path / "want.csv")
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_sa_equals_steps_of_sa_gmm_update(self, tmp_path, steps):
+        samples = outlier_fixture()
+        csv_path = _write_samples_csv(tmp_path / "s.csv", samples)
+        init = outlier_fixture_true_mixture()
+        init_path = str(tmp_path / "init.csv")
+        write_mixtures_csv([(0, init)], init_path)
+        out = tmp_path / "m.csv"
+        assert main(["fit", csv_path, "--scheme", "sa_gmm", "-M", "3", "--init", init_path,
+                     "--sa-steps", str(steps), "--sa-c", "0.8", "--sa-n0", "3",
+                     "--reg-radius", "0.05", "--out", str(out)]) == 0
+        schedule = LearningRateSchedule(c=0.8, n0=3)
+        mixture = read_mixtures_csv(init_path)[0][1]
+        want = [(0, mixture)] if steps == 0 else []
+        for step in range(1, steps + 1):
+            mixture = sa_gmm_update(mixture, samples, schedule.rate(step), 0.05)
+            want.append((step, mixture))
+        write_mixtures_csv(want, tmp_path / "want.csv")
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()

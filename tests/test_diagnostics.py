@@ -217,6 +217,18 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="trace.csv:3"):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0,1,0,0,0.5\n2,1,0,0,1.0\n", "chain ids run from 0 to 2, not 0..1"),
+        ("1,1,0,0,0.5\n", "chain ids run from 1 to 1, not 0..0"),
+        ("0,1,0,0,0.5\n0,2,0,0,0.5\n1,1,0,0,1.0\n", "the chains record different iterations"),
+        ("0,1,0,0,0.5\n1,2,0,0,1.0\n", "the chains record different iterations"),
+    ])
+    def test_misaligned_chains_rejected_naming_file(self, tmp_path, rows, message):
+        path = tmp_path / "trace.csv"
+        path.write_text("chain,iteration,region,rejections,x0\n" + rows)
+        with pytest.raises(ValueError, match=f"trace.csv: {message}"):
+            read_trace_csv(path)
+
     def test_series_recomputed_from_round_trip_matches(self, tmp_path):
         rng = np.random.default_rng(3)
         traces = [

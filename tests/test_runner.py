@@ -209,6 +209,26 @@ class TestDeterminism:
                 )
                 assert got == expected, name
 
+    def test_ess_run_equals_chain_major_reference(self, tmp_path):
+        # The ess kernel steps one chain at a time on the prior/likelihood
+        # split; no mixture, so no barrier.
+        prior = Gaussian([0.0, 1.0], [[2.0, 0.3], [0.3, 1.0]])
+
+        def log_likelihood(x):
+            return -0.5 * float((x[0] - 1.5) ** 2 / 0.4 + (x[1] + 0.5) ** 2)
+
+        target = TargetDensity(dim=2, log_pi=lambda x: prior.log_density(x) + log_likelihood(x),
+                               log_likelihood=log_likelihood, prior=prior)
+        config = RunConfig(chains=4, iterations=30, burn_in=4, kernel=Kernel.ESS,
+                           init=Gaussian([0.0, 0.0], np.eye(2)), master_seed=8,
+                           thinning=2, steps_per_iteration=2)
+        traces, history = reference_chain_major_run(config, target)
+        assert history == [] and len(traces[0]) == 15
+        result = run(config, target)
+        assert result.mixture_history == []
+        assert (trace_csv_bytes(result.traces, result.mixture_history, tmp_path / "run")
+                == trace_csv_bytes(traces, history, tmp_path / "reference"))
+
     def test_same_config_twice_identical(self):
         config = RunConfig(
             chains=4, iterations=40, burn_in=0, kernel=Kernel.TMRGESS,

@@ -5,12 +5,15 @@
 Runs ``rgess run <preset>`` for every bundled preset except
 ``logistic-covtype`` (its data set is not bundled), and the runs of
 ``EXTRA_RUNS``: a preset with ``--set`` overrides, under its own key. No
-bundled preset steps the ``regional_mh`` kernel, so one extra run does. Each
-run is a fresh process with BLAS pinned to one thread, uses the ``rgess``
-under ``src/`` next to this script, and writes into a temporary directory
-that is removed afterwards. The script prints one JSON line that maps each
-run's key to the sha256 of its ``trace.csv``, ``mixtures.csv`` and
-``summary.csv``.
+bundled preset steps the ``regional_mh`` kernel, so one extra run does. It
+also runs ``rgess fit`` once per adaptation scheme, under the key
+``fit:<scheme>``, on a sample CSV written from a fixed seed; the ``sa_gmm``
+fit starts from the ``em_gmm`` fit's output. Each run is a fresh process
+with BLAS pinned to one thread, uses the ``rgess`` under ``src/`` next to
+this script, and writes into a temporary directory that is removed
+afterwards. The script prints one JSON line that maps each run's key to the
+sha256 of its ``trace.csv``, ``mixtures.csv`` and ``summary.csv``, or of
+the mixture CSV a fit writes.
 
 Two trees whose outputs are byte-identical print the same line, so running
 this script in both is the check that a change keeps every trace.
@@ -21,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -34,6 +38,10 @@ ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 EXTRA_RUNS = {
     "gauss-mix-em-gmrgess:regional_mh": ("gauss-mix-em-gmrgess", ("run.kernel=regional_mh",)),
 }
+# ``rgess fit`` runs in this order, so that sa_gmm can start from em_gmm
+FIT_SCHEMES = ("em_gmm", "vi_gmm", "em_tmm", "sa_gmm")
+FIT_FLAGS = ("-M", "3", "--reg-radius", "0.05", "--seed", "7")
+FIT_SAMPLES_SEED = 2718
 
 
 def covered_runs() -> dict:
@@ -60,19 +68,23 @@ def preset_env(root: str = ROOT) -> dict:
     return env
 
 
+def _rgess(args, env: dict) -> None:
+    """``rgess *args`` in a fresh process with ``env``; ``RuntimeError``
+    when it exits non-zero."""
+    proc = subprocess.run([sys.executable, "-m", "rgess.cli", *args],
+                          env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(
+            f"rgess {' '.join(args[:2])} exited {proc.returncode}: {proc.stderr.strip()}"
+        )
+
+
 def run_preset(preset: str, out: str, env: dict, overrides=()) -> None:
     """``rgess run preset --out out``, with ``--set`` for each of
     ``overrides``, in a fresh process with ``env``; ``RuntimeError`` when
     it exits non-zero."""
     sets = [arg for override in overrides for arg in ("--set", override)]
-    proc = subprocess.run(
-        [sys.executable, "-m", "rgess.cli", "run", preset, "--out", out, *sets],
-        env=env, capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"rgess run {preset} exited {proc.returncode}: {proc.stderr.strip()}"
-        )
+    _rgess(["run", preset, "--out", out, *sets], env)
 
 
 def preset_digests(preset: str, env: dict, overrides=()) -> dict:
@@ -83,11 +95,38 @@ def preset_digests(preset: str, env: dict, overrides=()) -> dict:
         return {name: _sha256(os.path.join(out, name)) for name in FILES}
 
 
+def write_fit_samples(path) -> None:
+    """Three 2-D clusters of 40 points from ``FIT_SAMPLES_SEED``, written
+    with ``repr`` so that they read back exactly."""
+    rng = random.Random(FIT_SAMPLES_SEED)
+    with open(path, "w") as fh:
+        for cx, cy in ((-6.0, 0.0), (0.0, 5.0), (6.0, -1.0)):
+            for _ in range(40):
+                fh.write(f"{cx + rng.gauss(0.0, 1.0)!r},{cy + rng.gauss(0.0, 1.5)!r}\n")
+
+
+def fit_digests(env: dict) -> dict:
+    """Run ``rgess fit`` once per scheme of ``FIT_SCHEMES`` in a temporary
+    directory; return ``{"fit:<scheme>": {"mixture.csv": sha256}}``."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        samples = os.path.join(tmp, "samples.csv")
+        write_fit_samples(samples)
+        for scheme in FIT_SCHEMES:
+            out = os.path.join(tmp, f"{scheme}.csv")
+            start = (["--init", os.path.join(tmp, "em_gmm.csv"), "--sa-steps", "3"]
+                     if scheme == "sa_gmm" else [])
+            _rgess(["fit", samples, "--scheme", scheme, *FIT_FLAGS, *start, "--out", out], env)
+            digests[f"fit:{scheme}"] = {"mixture.csv": _sha256(out)}
+    return digests
+
+
 def main() -> int:
     env = preset_env()
     try:
         digests = {key: preset_digests(preset, env, overrides)
                    for key, (preset, overrides) in covered_runs().items()}
+        digests.update(fit_digests(env))
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
