@@ -149,11 +149,13 @@ class AdaptationConfig:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fitted mixture. ``objective_history`` holds the objective at each
+    iteration: the log-likelihood for EM, the evidence lower bound for VI."""
+
     mixture: MixtureModel
     converged: bool
     iterations_used: int
     log_likelihood: float | None = None
-    lower_bound: float | None = None
     objective_history: tuple = ()
 
 
@@ -407,7 +409,7 @@ def vi_gmm_fit(samples, m: int, config: AdaptationConfig,
     if _is_degenerate(x):
         return FitResult(
             mixture=_degenerate_surrogate(x, m, config),
-            converged=True, iterations_used=0, lower_bound=None,
+            converged=True, iterations_used=0,
         )
 
     alpha0 = float(hp.alpha0)
@@ -509,10 +511,8 @@ def vi_gmm_fit(samples, m: int, config: AdaptationConfig,
         np.stack([np.linalg.inv(nu[k] * wk[k]) for k in range(m)]), reg)
     mixture = _mixture(exp_weights, mk, exp_covs,
                        weighted_regions=config.weighted_regions, chols=chols)
-    return FitResult(
-        mixture=mixture, converged=converged, iterations_used=it,
-        lower_bound=float(history[-1]), objective_history=tuple(history),
-    )
+    return FitResult(mixture=mixture, converged=converged, iterations_used=it,
+                     objective_history=tuple(history))
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ alone; ``rgess fit <csv>`` exposes the mixture fitters on a standalone sample
 file. ``<config>`` is a path or the name of a bundled preset.
 
 ``rgess fit`` calls ``rgess.adaptation.refit``, as ``run`` does at a barrier;
-``sa_gmm`` takes ``--sa-steps`` refits, counted from 1, from ``--init``.
+``sa_gmm`` takes ``--sa-steps`` refits (default 1), counted from 1, from the
+``--init`` mixture, which must have ``-M`` components; the other schemes
+reject both flags.
 
 Exit codes: 0 success, 1 configuration/validation error (nothing written),
-2 runtime failure.
+2 runtime failure, including an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def compute_summary_rows(traces, exp: ExperimentConfig, window: int, extras: dic
         rows.append(("rejection_rate", str(idx), _fmt(value)))
     all_rej = [rec.rejections for chain in traces for rec in chain]
     rows.append(("mean_rejections_per_iteration", "", _fmt(float(np.mean(all_rej)))))
-    beta_hat = posterior_mean(traces, burn_in=burn_in, thinning=1)
+    beta_hat = posterior_mean(traces, burn_in)
     for idx, value in enumerate(beta_hat):
         rows.append(("posterior_mean", str(idx), _fmt(value)))
     if exp.mode_spec is not None:
@@ -178,14 +180,19 @@ def cmd_report(args) -> int:
         if len(traces) != rc.chains or [rec.iteration for rec in traces[0]] != recorded:
             raise ConfigError(f"{trace_path}: config.cfg records {rc.chains} chains at the "
                               f"multiples of {rc.thinning} up to {rc.iterations}; this file does not")
-        _target, extras = build_target(exp)
+        target, extras = build_target(exp)
+        _check_target(rc, target)
         window = args.window if args.window is not None else exp.report_window
         if window < 1:
             raise ConfigError(f"window must be >= 1, got {window}")
         rows = compute_summary_rows(traces, exp, window, extras)
     except (ConfigError, ValueError) as exc:
         return _fail(str(exc), 1)
-    _write_rows(rows, os.path.join(args.trace_dir, "report.csv"))
+    report_path = os.path.join(args.trace_dir, "report.csv")
+    try:
+        _write_rows(rows, report_path)
+    except OSError as exc:
+        return _fail(f"cannot write {report_path}: {exc}", 2)
     print(f"wrote report.csv to {args.trace_dir}")
     return 0
 
@@ -216,6 +223,11 @@ def _read_samples_csv(path) -> np.ndarray:
 def cmd_fit(args) -> int:
     try:
         scheme = Scheme(args.scheme)
+        if scheme is not Scheme.SA_GMM:
+            for flag, value in (("--init", args.init), ("--sa-steps", args.sa_steps)):
+                if value is not None:
+                    raise ConfigError(f"{flag} applies only to the sa_gmm scheme, "
+                                      f"not {scheme.value}")
         samples = _read_samples_csv(args.samples)
         rng = np.random.default_rng(args.seed)
         config = AdaptationConfig(
@@ -228,8 +240,9 @@ def cmd_fit(args) -> int:
             learning_rate=LearningRateSchedule(c=args.sa_c, n0=args.sa_n0),
         )
         if scheme is Scheme.SA_GMM:
-            if args.sa_steps < 0:
-                raise ConfigError(f"--sa-steps must be >= 0, got {args.sa_steps}")
+            sa_steps = 1 if args.sa_steps is None else args.sa_steps
+            if sa_steps < 0:
+                raise ConfigError(f"--sa-steps must be >= 0, got {sa_steps}")
             if args.init is None:
                 raise ConfigError("sa_gmm needs --init with a starting mixture CSV")
             history = read_mixtures_csv(args.init)
@@ -238,8 +251,13 @@ def cmd_fit(args) -> int:
             mixture = history[-1][1]
             if mixture.kind != "gaussian":
                 raise ConfigError("sa_gmm requires a Gaussian starting mixture")
+            if mixture.n_components != args.components:
+                raise ConfigError(
+                    f"-M {args.components} does not match the {mixture.n_components} "
+                    f"components of the --init mixture {args.init}"
+                )
             out_history = []
-            for step in range(1, args.sa_steps + 1):
+            for step in range(1, sa_steps + 1):
                 mixture = refit(config, mixture, samples, rng, step)
                 out_history.append((step, mixture))
             out_history = out_history or [(0, mixture)]
@@ -247,7 +265,10 @@ def cmd_fit(args) -> int:
             out_history = [(0, refit(config, None, samples, rng, 0))]
     except (ConfigError, ValueError, np.linalg.LinAlgError) as exc:
         return _fail(str(exc), 1)
-    write_mixtures_csv(out_history, args.out)
+    try:
+        write_mixtures_csv(out_history, args.out)
+    except OSError as exc:
+        return _fail(f"cannot write {args.out}: {exc}", 2)
     print(f"wrote fitted mixture to {args.out}")
     return 0
 
@@ -285,7 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--fixed-dof", type=float, default=AdaptationConfig.fixed_dof)
     p_fit.add_argument("--init", help="starting mixture CSV (sa_gmm only)")
-    p_fit.add_argument("--sa-steps", type=int, default=1)
+    p_fit.add_argument("--sa-steps", type=int, default=None,
+                       help="sa_gmm refits from --init (default 1)")
     p_fit.add_argument("--sa-c", type=float, default=LearningRateSchedule.c)
     p_fit.add_argument("--sa-n0", type=int, default=LearningRateSchedule.n0)
     p_fit.set_defaults(func=cmd_fit)

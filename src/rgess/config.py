@@ -8,7 +8,9 @@ vectors with semicolons. Command-line overrides replace file keys verbatim.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -135,6 +137,17 @@ def _coerce(key: str, raw: str):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _value(entries: dict, key: str, required: bool = False):
+    """The value of ``key`` in ``entries``, or its default; ``KeyError`` for
+    an unknown key, ``ConfigError`` for a missing required one."""
+    if key in entries:
+        return _coerce(key, entries[key])
+    default = _KNOWN_KEYS[key][1]
+    if required and default is None:
+        raise ConfigError(f"missing required key {key!r}")
+    return default
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A fully validated experiment: target recipe, run settings, reporting."""
@@ -147,24 +160,16 @@ class ExperimentConfig:
     output_dir: str
 
     def value(self, key: str):
-        kind_default = _KNOWN_KEYS.get(key)
-        if kind_default is None:
-            raise KeyError(key)
-        if key in self.entries:
-            return _coerce(key, self.entries[key])
-        return kind_default[1]
+        return _value(self.entries, key)
 
 
-def build_experiment(entries: dict, check_paths: bool = True) -> ExperimentConfig:
-    """Validate raw entries and assemble runnable configuration objects."""
+def build_experiment(entries: dict) -> ExperimentConfig:
+    """Validate raw entries and assemble runnable configuration objects.
 
-    def get(key: str, required: bool = False):
-        if key in entries:
-            return _coerce(key, entries[key])
-        kind, default = _KNOWN_KEYS[key]
-        if required and default is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
+    The dimension is that of ``init.mean``; whether the target has it is
+    checked once the target is built (``rgess.runner._check_target``).
+    """
+    get = partial(_value, entries)
 
     target_kind = get("target.kind", required=True)
     if target_kind not in _TARGET_KINDS:
@@ -173,36 +178,25 @@ def build_experiment(entries: dict, check_paths: bool = True) -> ExperimentConfi
         )
     if target_kind == "logistic":
         path = get("target.path", required=True)
-        if check_paths:
-            import os
-
-            if not os.path.exists(path):
-                raise ConfigError(
-                    f"target.path does not exist: {path}\n"
-                    "expected format: comma-separated numeric CSV, no header by "
-                    "default (set target.header = true to skip one line), class "
-                    "label in the last column; the first target.n_features "
-                    "columns are used as features"
-                )
-
-    dims = {
-        "gauss_mix": 2,
-        "litter": 3,
-        "logistic": get("target.n_features"),
-        "logistic_synth": get("target.n_features"),
-    }
-    dim = dims[target_kind]
+        if not os.path.exists(path):
+            raise ConfigError(
+                f"target.path does not exist: {path}\n"
+                "expected format: comma-separated numeric CSV, no header by "
+                "default (set target.header = true to skip one line), class "
+                "label in the last column; the first target.n_features "
+                "columns are used as features"
+            )
 
     mean = get("init.mean", required=True)
-    if mean.shape != (dim,):
-        raise ConfigError(
-            f"init.mean has dimension {mean.shape[0]}, target needs {dim}"
-        )
+    dim = mean.shape[0]
+    if dim == 0:
+        raise ConfigError("init.mean has dimension 0; it needs one entry per coordinate")
     if "init.cov" in entries:
         flat = get("init.cov")
         if flat.size != dim * dim:
             raise ConfigError(
-                f"init.cov needs {dim * dim} row-major entries, got {flat.size}"
+                f"init.cov needs {dim * dim} row-major entries for init.mean's "
+                f"dimension {dim}, got {flat.size}"
             )
         cov = flat.reshape(dim, dim)
     else:
@@ -274,8 +268,12 @@ def build_experiment(entries: dict, check_paths: bool = True) -> ExperimentConfi
     if centers is not None:
         if radius is None:
             raise ConfigError("report.mode_centers requires report.mode_radius")
-        if any(c.shape != (dim,) for c in centers):
-            raise ConfigError(f"every mode center must have dimension {dim}")
+        for c in centers:
+            if c.shape != (dim,):
+                raise ConfigError(
+                    f"report.mode_centers has a center of dimension {c.shape[0]}, "
+                    f"init.mean has dimension {dim}"
+                )
         try:
             mode_spec = ModeSpec(centers=centers, radius=radius)
         except ValueError as exc:

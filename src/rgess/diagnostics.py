@@ -25,7 +25,6 @@ __all__ = [
     "read_trace_csv",
     "write_mixtures_csv",
     "read_mixtures_csv",
-    "mixtures_path_for",
 ]
 
 
@@ -95,12 +94,8 @@ def accuracy(beta_hat, test) -> float:
     return float(np.mean(pred == test.test_y))
 
 
-def _post_burn_in_points(traces, burn_in: int, thinning: int = 1):
-    points = []
-    for chain in traces:
-        kept = [rec.point for rec in chain if rec.iteration > burn_in]
-        points.extend(kept[::thinning])
-    return points
+def _post_burn_in_points(traces, burn_in: int):
+    return [rec.point for chain in traces for rec in chain if rec.iteration > burn_in]
 
 
 def mode_coverage(traces, modes: ModeSpec, burn_in: int):
@@ -116,11 +111,9 @@ def mode_coverage(traces, modes: ModeSpec, burn_in: int):
     return fractions
 
 
-def posterior_mean(traces, burn_in: int, thinning: int = 1) -> np.ndarray:
-    """Arithmetic mean of post-burn-in, thinned samples pooled over chains."""
-    if thinning < 1:
-        raise ValueError(f"thinning must be >= 1, got {thinning}")
-    points = _post_burn_in_points(traces, burn_in, thinning)
+def posterior_mean(traces, burn_in: int) -> np.ndarray:
+    """Arithmetic mean of post-burn-in samples pooled over chains."""
+    points = _post_burn_in_points(traces, burn_in)
     if not points:
         raise ValueError("no post-burn-in samples selected")
     return np.stack(points).mean(axis=0)
@@ -129,12 +122,6 @@ def posterior_mean(traces, burn_in: int, thinning: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV persistence
 # ---------------------------------------------------------------------------
-
-
-def mixtures_path_for(trace_path) -> str:
-    trace_path = str(trace_path)
-    stem = trace_path[:-4] if trace_path.endswith(".csv") else trace_path
-    return stem + ".mixtures.csv"
 
 
 def write_mixtures_csv(mixture_history, path, dim: int | None = None) -> None:
@@ -165,9 +152,8 @@ def write_mixtures_csv(mixture_history, path, dim: int | None = None) -> None:
                 )
 
 
-def write_trace_csv(traces, mixture_history, path, mixtures_path=None) -> None:
-    """Write traces to ``path`` and the mixture history to ``mixtures_path``
-    (default: the sibling ``*.mixtures.csv`` file)."""
+def write_trace_csv(traces, mixture_history, path, mixtures_path) -> None:
+    """Write traces to ``path`` and the mixture history to ``mixtures_path``."""
     dim = None
     for chain in traces:
         if chain:
@@ -187,8 +173,6 @@ def write_trace_csv(traces, mixture_history, path, mixtures_path=None) -> None:
                     [rec.chain, rec.iteration, rec.region, rec.rejections]
                     + [_fmt(v) for v in rec.point]
                 )
-    if mixtures_path is None:
-        mixtures_path = mixtures_path_for(path)
     write_mixtures_csv(mixture_history, mixtures_path, dim=dim)
 
 
@@ -270,13 +254,13 @@ def read_mixtures_csv(path):
     return mixture_history
 
 
-def read_trace_csv(path, mixtures_path=None):
+def read_trace_csv(path, mixtures_path):
     """Read back traces and mixture history written by :func:`write_trace_csv`.
 
     Returns ``(traces, mixture_history)``; the mixture file is optional and an
-    empty history is returned when it is absent. The chains must be numbered
-    0..K-1 and record the same iterations, each in increasing order;
-    otherwise a ``ValueError`` names the file.
+    empty history is returned when ``mixtures_path`` is absent. The chains
+    must be numbered 0..K-1 and record the same iterations, each in
+    increasing order; otherwise a ``ValueError`` names the file.
     """
     per_chain = {}
     with open(path, newline="") as fh:
@@ -306,8 +290,6 @@ def read_trace_csv(path, mixtures_path=None):
     if any(iterations != recorded[0] for iterations in recorded):
         raise ValueError(f"{path}: the chains record different iterations")
 
-    if mixtures_path is None:
-        mixtures_path = mixtures_path_for(path)
     try:
         with open(mixtures_path, newline=""):
             pass

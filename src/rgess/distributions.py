@@ -285,9 +285,9 @@ class MixtureModel(_LocationScale):
         kinds = {type(c) for c in components}
         if len(kinds) != 1 or kinds.pop() not in (Gaussian, StudentT):
             raise ValueError("components must be all Gaussian or all StudentT")
-        dims = {c.dim for c in components}
-        if len(dims) != 1:
-            raise ValueError(f"components have mixed dimensions: {sorted(dims)}")
+        dimensions = {c.dim for c in components}
+        if len(dimensions) != 1:
+            raise ValueError(f"components have mixed dimensions: {sorted(dimensions)}")
 
         def stack(name):
             return np.concatenate([getattr(c, name) for c in components])

@@ -16,7 +16,7 @@ log densities as arrays, and :func:`rgess.samplers.regional_ess_batch`
 evaluates each shrinkage round for all chains still shrinking in one call.
 Each chain still draws from its own generator in the per-chain kernel's
 order, so the traces equal those of the per-chain kernels bit for bit. The
-ess, mh and regional_mh kernels step one chain at a time.
+mh and regional_mh kernels step one chain at a time.
 
 The pseudo-prior comes from ``rgess.adaptation.initial_mixture`` and, at each
 barrier, ``rgess.adaptation.refit``; its kind follows from the scheme.
@@ -37,7 +37,6 @@ from .samplers import (  # noqa: F401 (gmrgess_step and tmrgess_step: see below)
     ChainState,
     TargetDensity,
     _mh_step,
-    ess_step,
     gmrgess_step,
     log_pi_rows,
     regional_ess_batch,
@@ -49,7 +48,6 @@ __all__ = ["Kernel", "RunConfig", "RunResult", "RunError", "run"]
 
 
 class Kernel(str, enum.Enum):
-    ESS = "ess"
     GMRGESS = "gmrgess"
     TMRGESS = "tmrgess"
     REGIONAL_MH = "regional_mh"
@@ -150,11 +148,7 @@ class _PerChain:
         self.states = [ChainState(point=p) for p in points]
         if mixture is not None:
             self.set_mixture(mixture)
-        kernel = config.kernel
-        if kernel is Kernel.ESS:
-            prior, log_likelihood = target.prior, target.log_likelihood
-            self._step = lambda state, rng: ess_step(state, prior, log_likelihood, rng)
-        elif kernel is Kernel.MH:
+        if config.kernel is Kernel.MH:
             chol = np.linalg.cholesky(np.asarray(config.mh_proposal_cov, dtype=float))
             self._step = lambda state, rng: _mh_step(state, chol, target, rng)
         else:
@@ -210,16 +204,12 @@ class _Batched:
 
 
 def _check_target(config: RunConfig, target: TargetDensity) -> None:
-    """Raise ``ValueError`` if ``target`` cannot be run under ``config``."""
+    """Raise ``ValueError`` unless the init distribution, the config's
+    ``init.mean``, has the target's dimension."""
     if target.dim != config.init.dim:
         raise ValueError(
-            f"target dimension {target.dim} does not match init distribution "
-            f"dimension {config.init.dim}"
+            f"init.mean has dimension {config.init.dim}, the target needs {target.dim}"
         )
-    if config.kernel is Kernel.ESS and (
-        target.log_likelihood is None or target.prior is None
-    ):
-        raise ValueError("the ess kernel requires a target with a prior/likelihood split")
 
 
 def run(config: RunConfig, target: TargetDensity) -> RunResult:

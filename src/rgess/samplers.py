@@ -61,22 +61,18 @@ class TargetDensity:
     """An evaluable, possibly unnormalized log target over R^D.
 
     ``log_pi`` must return finite values on the support; ``-inf`` is allowed
-    outside it. For plain elliptical slice sampling the target may instead be
-    supplied split into a Gaussian ``prior`` and a ``log_likelihood``.
+    outside it.
 
     ``log_pi_batch``, if given, maps an (n, D) array to the (n,) values of
     ``log_pi`` at its rows, each equal to ``log_pi`` at that row bit for bit.
     Without it, batched stepping calls ``log_pi`` once per row.
     """
 
-    __slots__ = ("dim", "log_pi", "log_likelihood", "prior", "log_pi_batch")
+    __slots__ = ("dim", "log_pi", "log_pi_batch")
 
-    def __init__(self, dim: int, log_pi, log_likelihood=None, prior: Gaussian | None = None,
-                 log_pi_batch=None):
+    def __init__(self, dim: int, log_pi, log_pi_batch=None):
         self.dim = int(dim)
         self.log_pi = log_pi
-        self.log_likelihood = log_likelihood
-        self.prior = prior
         self.log_pi_batch = log_pi_batch
 
 
@@ -157,7 +153,8 @@ def _ellipse_shrink(x, mu, v, accept, rng):
 
 
 def ess_step(state: ChainState, prior: Gaussian, log_likelihood, rng) -> StepOutcome:
-    """Elliptical slice sampling step for a Gaussian-prior model.
+    """Elliptical slice sampling step for a Gaussian-prior model (Murray,
+    Adams & MacKay 2010), for one chain; ``rgess.runner.run`` does not step it.
 
     Draws the auxiliary point from the prior, sets the slice threshold
     log y = log L(x) + log u with u ~ Uniform(0, 1], and rotates/shrinks until

@@ -32,7 +32,6 @@ from rgess.runner import Kernel
 from rgess.samplers import (
     ChainState,
     StepOutcome,
-    ess_step,
     gmrgess_step,
     mh_step,
     regional_mh_step,
@@ -655,8 +654,6 @@ def reference_chain_major_run(config, target):
                     if n % acfg.interval == 0]
 
     def step(state, rng):
-        if kernel is Kernel.ESS:
-            return ess_step(state, target.prior, target.log_likelihood, rng)
         if kernel is Kernel.MH:
             cov = np.asarray(config.mh_proposal_cov, dtype=float)
             return mh_step(state, cov, target, rng)

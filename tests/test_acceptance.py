@@ -336,7 +336,7 @@ def _run_logistic_preset(name):
     started = time.perf_counter()
     result = run(exp.run_config, target)
     elapsed = time.perf_counter() - started
-    beta_hat = posterior_mean(result.traces, exp.run_config.burn_in, 1)
+    beta_hat = posterior_mean(result.traces, exp.run_config.burn_in)
     return beta_hat, extras, elapsed
 
 

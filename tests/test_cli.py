@@ -74,10 +74,14 @@ class TestPresets:
         assert "gauss-mix-tmrgess" in names
         assert "litter-em-tmrgess" in names
         assert "logistic-synth" in names
+        # the covtype preset points at a user-supplied file
+        covtype = tmp_path / "covtype.csv"
+        covtype.write_text("")
         for name in names:
             entries = resolve_config_source(name)
-            # the covtype preset points at a user-supplied file
-            exp = build_experiment(entries, check_paths=False)
+            if entries["target.kind"] == "logistic":
+                entries["target.path"] = str(covtype)
+            exp = build_experiment(entries)
             assert exp.run_config.chains >= 1
 
     def test_gauss_mix_preset_pins_published_settings(self):
@@ -174,12 +178,25 @@ class TestCmdRun:
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    def test_ess_kernel_without_split_exits_one_writes_nothing(self, tmp_path,
-                                                                capsys):
+    def test_ess_kernel_is_unknown_exits_one_writes_nothing(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert main(["run", "gauss-mix-gess", "--out", out,
                      "--set", "run.kernel=ess"]) == 1
-        assert "prior/likelihood split" in capsys.readouterr().err
+        assert "run.kernel must be one of" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("preset, mean, dims", [
+        ("gauss-mix-tmrgess", "1,2,3", (3, 2)),
+        ("litter-em-tmrgess", "0,0", (2, 3)),
+        ("gauss-mix-tmrgess", "", (0,)),
+    ])
+    def test_init_mean_of_wrong_dimension_exits_one_writes_nothing(self, tmp_path, capsys,
+                                                                   preset, mean, dims):
+        out = str(tmp_path / "out")
+        assert main(["run", preset, "--out", out, "--set", f"init.mean={mean}"]) == 1
+        err = capsys.readouterr().err
+        assert "init.mean has dimension" in err
+        assert all(str(d) in err for d in dims)
         assert not os.path.exists(out)
 
     def test_missing_config_exits_one(self, tmp_path):
@@ -189,7 +206,8 @@ class TestCmdRun:
         cfg = _write_config(tmp_path)
         out = str(tmp_path / "out")
         assert main(["run", cfg, "--out", out, "--set", "run.iterations=12"]) == 0
-        traces, _ = read_trace_csv(os.path.join(out, "trace.csv"))
+        traces, _ = read_trace_csv(os.path.join(out, "trace.csv"),
+                                   os.path.join(out, "mixtures.csv"))
         assert len(traces[0]) == 12
 
     def test_covtype_missing_path_message(self, tmp_path, capsys):
@@ -240,6 +258,26 @@ class TestCmdReport:
         assert series_length(os.path.join(out, "report.csv")) == 3
         assert main(["report", out, "--window", "6"]) == 0
         assert series_length(os.path.join(out, "report.csv")) == 5
+
+    def test_init_mean_of_wrong_dimension_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", _write_config(tmp_path), "--out", str(out)]) == 0
+        # without mode centers, only the target can tell init.mean is wrong
+        config = out / "config.cfg"
+        lines = ["init.mean = 5, 5, 5" if line.startswith("init.mean") else line
+                 for line in config.read_text().splitlines()
+                 if not line.startswith("report.mode_")]
+        config.write_text("\n".join(lines) + "\n")
+        assert main(["report", str(out)]) == 1
+        assert "init.mean has dimension 3" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
+    def test_unwritable_report_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", _write_config(tmp_path), "--out", str(out)]) == 0
+        (out / "report.csv").mkdir()
+        assert main(["report", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
 
     def test_missing_files_exit_one(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == 1
@@ -381,6 +419,39 @@ class TestCmdFit:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("scheme, flags, named", [
+        ("em_gmm", ["--init", "/nonexistent.csv"], "--init"),
+        ("vi_gmm", ["--sa-steps", "5"], "--sa-steps"),
+        ("em_tmm", ["--init", "/nonexistent.csv", "--sa-steps", "5"], "--init"),
+    ])
+    def test_sa_flags_with_other_scheme_exit_one(self, tmp_path, capsys, scheme, flags,
+                                                 named):
+        csv_path = _write_samples_csv(tmp_path / "s.csv", outlier_fixture())
+        out = tmp_path / "m.csv"
+        assert main(["fit", csv_path, "--scheme", scheme, "-M", "2", *flags,
+                     "--out", str(out)]) == 1
+        assert f"{named} applies only to the sa_gmm scheme" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_components_must_match_init(self, tmp_path, capsys):
+        csv_path = _write_samples_csv(tmp_path / "s.csv", outlier_fixture())
+        init_path = str(tmp_path / "init.csv")
+        write_mixtures_csv([(0, outlier_fixture_true_mixture())], init_path)
+        out = tmp_path / "m.csv"
+        assert main(["fit", csv_path, "--scheme", "sa_gmm", "-M", "2", "--init", init_path,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "-M 2" in err and "the 3 components of the --init mixture" in err
+        assert not out.exists()
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        csv_path = _write_samples_csv(tmp_path / "s.csv", outlier_fixture())
+        out = tmp_path / "missing" / "m.csv"
+        assert main(["fit", csv_path, "--scheme", "em_gmm", "-M", "2",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+
 class TestCmdFitDispatch:
     """``rgess fit`` writes what the public fitter of its scheme returns."""
 
@@ -403,17 +474,20 @@ class TestCmdFitDispatch:
         write_mixtures_csv([(0, fit.mixture)], tmp_path / "want.csv")
         assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
-    @pytest.mark.parametrize("steps", [0, 3])
+    @pytest.mark.parametrize("steps", [0, 3, None])
     def test_sa_equals_steps_of_sa_gmm_update(self, tmp_path, steps):
+        # no --sa-steps takes one step
         samples = outlier_fixture()
         csv_path = _write_samples_csv(tmp_path / "s.csv", samples)
         init = outlier_fixture_true_mixture()
         init_path = str(tmp_path / "init.csv")
         write_mixtures_csv([(0, init)], init_path)
         out = tmp_path / "m.csv"
+        flags = [] if steps is None else ["--sa-steps", str(steps)]
         assert main(["fit", csv_path, "--scheme", "sa_gmm", "-M", "3", "--init", init_path,
-                     "--sa-steps", str(steps), "--sa-c", "0.8", "--sa-n0", "3",
+                     *flags, "--sa-c", "0.8", "--sa-n0", "3",
                      "--reg-radius", "0.05", "--out", str(out)]) == 0
+        steps = 1 if steps is None else steps
         schedule = LearningRateSchedule(c=0.8, n0=3)
         mixture = read_mixtures_csv(init_path)[0][1]
         want = [(0, mixture)] if steps == 0 else []

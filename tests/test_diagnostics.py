@@ -9,7 +9,6 @@ from rgess.diagnostics import (
     ModeSpec,
     TraceRecord,
     accuracy,
-    mixtures_path_for,
     mode_coverage,
     posterior_mean,
     read_mixtures_csv,
@@ -138,12 +137,6 @@ class TestPosteriorMean:
         mean = posterior_mean(traces, 0)
         assert np.all(np.abs(mean - mu) < 4.0 / np.sqrt(10_000))
 
-    def test_thinning(self):
-        rows = [(i, [float(i)], 0, 0) for i in range(1, 7)]
-        traces = [_trace(0, rows)]
-        # post burn-in 2: iterations 3..6; thinning 2 keeps 3 and 5
-        assert posterior_mean(traces, 2, thinning=2)[0] == 4.0
-
     def test_empty_selection_errors(self):
         traces = [_trace(0, [(1, [0.0], 0, 0)])]
         with pytest.raises(ValueError):
@@ -170,9 +163,9 @@ class TestCsvRoundTrip:
                        for i in range(1, 9)])
             for c in range(3)
         ]
-        path = tmp_path / "trace.csv"
-        write_trace_csv(traces, _mixture_history(), path)
-        back, history = read_trace_csv(path)
+        path, mpath = tmp_path / "trace.csv", tmp_path / "mixtures.csv"
+        write_trace_csv(traces, _mixture_history(), path, mpath)
+        back, history = read_trace_csv(path, mpath)
         assert len(back) == 3
         for orig_chain, new_chain in zip(traces, back):
             for a, b in zip(orig_chain, new_chain):
@@ -189,9 +182,9 @@ class TestCsvRoundTrip:
         assert orig1.dof == new1.dof
 
     def test_empty_traces_round_trip(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        write_trace_csv([], [], path)
-        back, history = read_trace_csv(path)
+        path, mpath = tmp_path / "trace.csv", tmp_path / "mixtures.csv"
+        write_trace_csv([], [], path, mpath)
+        back, history = read_trace_csv(path, mpath)
         assert back == []
         assert history == []
         assert path.read_text().startswith("chain,iteration,region,rejections")
@@ -200,13 +193,13 @@ class TestCsvRoundTrip:
         path = tmp_path / "trace.csv"
         path.write_text("chain,iteration,region,rejections,x0\n0,1,0,0,0.5\n0,two,0,0,1.0\n")
         with pytest.raises(ValueError, match="trace.csv:3"):
-            read_trace_csv(path)
+            read_trace_csv(path, tmp_path / "mixtures.csv")
 
     def test_wrong_field_count_names_line(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("chain,iteration,region,rejections,x0\n0,1,0,0\n")
         with pytest.raises(ValueError, match="trace.csv:2"):
-            read_trace_csv(path)
+            read_trace_csv(path, tmp_path / "mixtures.csv")
 
     def test_non_increasing_iteration_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -215,7 +208,7 @@ class TestCsvRoundTrip:
             "0,2,0,0,0.5\n0,1,0,0,1.0\n"
         )
         with pytest.raises(ValueError, match="trace.csv:3"):
-            read_trace_csv(path)
+            read_trace_csv(path, tmp_path / "mixtures.csv")
 
     @pytest.mark.parametrize("rows, message", [
         ("0,1,0,0,0.5\n2,1,0,0,1.0\n", "chain ids run from 0 to 2, not 0..1"),
@@ -227,7 +220,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "trace.csv"
         path.write_text("chain,iteration,region,rejections,x0\n" + rows)
         with pytest.raises(ValueError, match=f"trace.csv: {message}"):
-            read_trace_csv(path)
+            read_trace_csv(path, tmp_path / "mixtures.csv")
 
     def test_series_recomputed_from_round_trip_matches(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -237,9 +230,9 @@ class TestCsvRoundTrip:
             for c in range(2)
         ]
         before = rejection_rate_series(traces, 3)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(traces, [], path)
-        back, _ = read_trace_csv(path)
+        path, mpath = tmp_path / "trace.csv", tmp_path / "mixtures.csv"
+        write_trace_csv(traces, [], path, mpath)
+        back, _ = read_trace_csv(path, mpath)
         assert rejection_rate_series(back, 3) == before
 
     def test_explicit_mixtures_path(self, tmp_path):
@@ -248,7 +241,13 @@ class TestCsvRoundTrip:
         write_trace_csv([], _mixture_history(), path, mixtures_path=mpath)
         assert mpath.exists()
         assert len(read_mixtures_csv(mpath)) == 2
-        assert mixtures_path_for("a/b/trace.csv") == "a/b/trace.mixtures.csv"
+
+    def test_absent_mixtures_file_reads_as_empty_history(self, tmp_path):
+        path, mpath = tmp_path / "trace.csv", tmp_path / "mixtures.csv"
+        write_trace_csv([_trace(0, [(1, [0.5], 0, 0)])], _mixture_history(), path, mpath)
+        mpath.unlink()
+        back, history = read_trace_csv(path, mpath)
+        assert len(back) == 1 and history == []
 
     def test_mixture_weights_round_trip_within_invariant(self, tmp_path):
         weights = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 - 2.0 / 3.0])

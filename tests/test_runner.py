@@ -145,14 +145,6 @@ class TestValidation:
                 adaptation=AdaptationConfig(scheme=Scheme.EM_GMM, components=4),
             )
 
-    def test_ess_requires_split_target(self):
-        config = RunConfig(
-            chains=1, iterations=10, burn_in=0, kernel=Kernel.ESS,
-            init=Gaussian([0.0], [[1.0]]),
-        )
-        with pytest.raises(ValueError, match="prior"):
-            run(config, _std_normal_target(1))
-
 
 class TestSingleChainEquivalence:
     def test_mh_run_matches_sequential_steps(self):
@@ -208,26 +200,6 @@ class TestDeterminism:
                     result.traces, result.mixture_history, tmp_path / f"{name}-run{i}"
                 )
                 assert got == expected, name
-
-    def test_ess_run_equals_chain_major_reference(self, tmp_path):
-        # The ess kernel steps one chain at a time on the prior/likelihood
-        # split; no mixture, so no barrier.
-        prior = Gaussian([0.0, 1.0], [[2.0, 0.3], [0.3, 1.0]])
-
-        def log_likelihood(x):
-            return -0.5 * float((x[0] - 1.5) ** 2 / 0.4 + (x[1] + 0.5) ** 2)
-
-        target = TargetDensity(dim=2, log_pi=lambda x: prior.log_density(x) + log_likelihood(x),
-                               log_likelihood=log_likelihood, prior=prior)
-        config = RunConfig(chains=4, iterations=30, burn_in=4, kernel=Kernel.ESS,
-                           init=Gaussian([0.0, 0.0], np.eye(2)), master_seed=8,
-                           thinning=2, steps_per_iteration=2)
-        traces, history = reference_chain_major_run(config, target)
-        assert history == [] and len(traces[0]) == 15
-        result = run(config, target)
-        assert result.mixture_history == []
-        assert (trace_csv_bytes(result.traces, result.mixture_history, tmp_path / "run")
-                == trace_csv_bytes(traces, history, tmp_path / "reference"))
 
     def test_same_config_twice_identical(self):
         config = RunConfig(

@@ -8,8 +8,8 @@ the ``rgess`` under ``src/`` next to this script and once with the one under
 that script's run helper. Outputs go to a temporary directory that is
 removed afterwards. For each run it prints one line, under the run's key:
 
-- ``identical``: whether ``trace.csv``, ``mixtures.csv`` and ``summary.csv``
-  are byte-identical;
+- ``identical``: whether ``trace.csv``, ``mixtures.csv``, ``summary.csv``
+  and ``report.csv`` are byte-identical;
 - ``rejections``: whether the rejection column of ``trace.csv`` is;
 - ``regions``: how many ``trace.csv`` rows differ in the region column;
 - ``max|dx|``: the largest absolute difference of a coordinate in

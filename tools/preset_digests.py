@@ -5,15 +5,16 @@
 Runs ``rgess run <preset>`` for every bundled preset except
 ``logistic-covtype`` (its data set is not bundled), and the runs of
 ``EXTRA_RUNS``: a preset with ``--set`` overrides, under its own key. No
-bundled preset steps the ``regional_mh`` kernel, so one extra run does. It
-also runs ``rgess fit`` once per adaptation scheme, under the key
-``fit:<scheme>``, on a sample CSV written from a fixed seed; the ``sa_gmm``
-fit starts from the ``em_gmm`` fit's output. Each run is a fresh process
-with BLAS pinned to one thread, uses the ``rgess`` under ``src/`` next to
-this script, and writes into a temporary directory that is removed
-afterwards. The script prints one JSON line that maps each run's key to the
-sha256 of its ``trace.csv``, ``mixtures.csv`` and ``summary.csv``, or of
-the mixture CSV a fit writes.
+bundled preset steps the ``regional_mh`` kernel, so one extra run does.
+After each run, ``rgess report <out>`` recomputes the diagnostics into
+``report.csv``. The script also runs ``rgess fit`` once per adaptation
+scheme, under the key ``fit:<scheme>``, on a sample CSV written from a
+fixed seed; the ``sa_gmm`` fit starts from the ``em_gmm`` fit's output.
+Each run is a fresh process with BLAS pinned to one thread, uses the
+``rgess`` under ``src/`` next to this script, and writes into a temporary
+directory that is removed afterwards. The script prints one JSON line that
+maps each run's key to the sha256 of its ``trace.csv``, ``mixtures.csv``,
+``summary.csv`` and ``report.csv``, or of the mixture CSV a fit writes.
 
 Two trees whose outputs are byte-identical print the same line, so running
 this script in both is the check that a change keeps every trace.
@@ -32,7 +33,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PRESET_DIR = os.path.join(ROOT, "src", "rgess", "presets")
 SKIPPED = ("logistic-covtype",)
-FILES = ("trace.csv", "mixtures.csv", "summary.csv")
+FILES = ("trace.csv", "mixtures.csv", "summary.csv", "report.csv")
 ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # key -> (preset, --set overrides)
 EXTRA_RUNS = {
@@ -81,10 +82,11 @@ def _rgess(args, env: dict) -> None:
 
 def run_preset(preset: str, out: str, env: dict, overrides=()) -> None:
     """``rgess run preset --out out``, with ``--set`` for each of
-    ``overrides``, in a fresh process with ``env``; ``RuntimeError`` when
-    it exits non-zero."""
+    ``overrides``, then ``rgess report out``, each in a fresh process with
+    ``env``; ``RuntimeError`` when either exits non-zero."""
     sets = [arg for override in overrides for arg in ("--set", override)]
     _rgess(["run", preset, "--out", out, *sets], env)
+    _rgess(["report", out], env)
 
 
 def preset_digests(preset: str, env: dict, overrides=()) -> dict:
