@@ -94,14 +94,14 @@ class LearningRateSchedule:
 class VIHyperparams:
     """Dirichlet + Normal-Wishart hyperpriors for the variational fit.
 
-    ``m0=None`` defaults to the sample mean, ``w0_scale=None`` to 1/D and
-    ``nu0=None`` to D+2 at fit time. Every number given must be finite and
-    positive; the fit also needs ``nu0 > D - 1``, a proper Wishart prior.
+    The prior mean of the component locations is the sample mean.
+    ``w0_scale=None`` defaults to 1/D and ``nu0=None`` to D+2 at fit time.
+    Every number given must be finite and positive; the fit also needs
+    ``nu0 > D - 1``, a proper Wishart prior.
     """
 
     alpha0: float = 1.0
     beta0: float = 1.0
-    m0: tuple | None = None
     w0_scale: float | None = None
     nu0: float | None = None
 
@@ -130,7 +130,6 @@ class AdaptationConfig:
     em_tol: float = 1e-6
     vi_hyperparams: VIHyperparams = field(default_factory=VIHyperparams)
     fixed_dof: float | None = None
-    weighted_regions: bool = False
 
     def __post_init__(self):
         if self.interval < 1:
@@ -155,7 +154,6 @@ class FitResult:
     mixture: MixtureModel
     converged: bool
     iterations_used: int
-    log_likelihood: float | None = None
     objective_history: tuple = ()
 
 
@@ -220,15 +218,15 @@ def _kmeanspp_centers(x: np.ndarray, m: int, rng: np.random.Generator) -> np.nda
     return np.stack(centers)
 
 
-def _degenerate_surrogate(x: np.ndarray, m: int, config: AdaptationConfig,
+def _degenerate_surrogate(x: np.ndarray, m: int, reg_radius: float,
                           dof: float | None = None) -> MixtureModel:
     """Point-mass surrogate for all-identical samples: every component sits at
-    the common point with covariance reg_radius * I, uniform weights and the
-    config's region rule; t components with ``dof`` when it is given."""
-    cov, chol = _clean_cov(config.reg_radius * np.eye(x.shape[1])[None], 0.0)
+    the common point with covariance reg_radius * I and uniform weights; t
+    components with ``dof`` when it is given."""
+    cov, chol = _clean_cov(reg_radius * np.eye(x.shape[1])[None], 0.0)
     dofs = None if dof is None else [dof] * m
     return _mixture(np.full(m, 1.0 / m), [x[0]] * m, np.repeat(cov, m, axis=0),
-                    dofs, config.weighted_regions, np.repeat(chol, m, axis=0))
+                    dofs, np.repeat(chol, m, axis=0))
 
 
 def _is_degenerate(x: np.ndarray) -> bool:
@@ -287,8 +285,8 @@ def _em_fit(samples, m: int, config: AdaptationConfig,
         dof0 = config.fixed_dof if config.fixed_dof is not None else 10.0
     if _is_degenerate(x):
         return FitResult(
-            mixture=_degenerate_surrogate(x, m, config, dof0),
-            converged=True, iterations_used=0, log_likelihood=None,
+            mixture=_degenerate_surrogate(x, m, reg, dof0),
+            converged=True, iterations_used=0,
         )
 
     means = _kmeanspp_centers(x, m, rng)
@@ -344,11 +342,9 @@ def _em_fit(samples, m: int, config: AdaptationConfig,
             converged = True
             break
 
-    mixture = _mixture(weights, means, scales, dofs, config.weighted_regions, chols)
-    final_ll = float(mixture._log_mixture(mixture._log_densities(x)).sum())
     return FitResult(
-        mixture=mixture, converged=converged, iterations_used=it,
-        log_likelihood=final_ll, objective_history=tuple(history),
+        mixture=_mixture(weights, means, scales, dofs, chols), converged=converged,
+        iterations_used=it, objective_history=tuple(history),
     )
 
 
@@ -408,13 +404,13 @@ def vi_gmm_fit(samples, m: int, config: AdaptationConfig,
     hp.check_nu0(d)
     if _is_degenerate(x):
         return FitResult(
-            mixture=_degenerate_surrogate(x, m, config),
+            mixture=_degenerate_surrogate(x, m, reg),
             converged=True, iterations_used=0,
         )
 
     alpha0 = float(hp.alpha0)
     beta0 = float(hp.beta0)
-    m0 = np.asarray(hp.m0, dtype=float) if hp.m0 is not None else x.mean(axis=0)
+    m0 = x.mean(axis=0)
     w0_scale = float(hp.w0_scale) if hp.w0_scale is not None else 1.0 / d
     nu0 = float(hp.nu0) if hp.nu0 is not None else d + 2.0
     w0 = w0_scale * np.eye(d)
@@ -509,9 +505,8 @@ def vi_gmm_fit(samples, m: int, config: AdaptationConfig,
     exp_weights = alpha / alpha.sum()
     exp_covs, chols = _clean_cov(
         np.stack([np.linalg.inv(nu[k] * wk[k]) for k in range(m)]), reg)
-    mixture = _mixture(exp_weights, mk, exp_covs,
-                       weighted_regions=config.weighted_regions, chols=chols)
-    return FitResult(mixture=mixture, converged=converged, iterations_used=it,
+    return FitResult(mixture=_mixture(exp_weights, mk, exp_covs, chols=chols),
+                     converged=converged, iterations_used=it,
                      objective_history=tuple(history))
 
 
@@ -584,8 +579,7 @@ def sa_gmm_update(current: MixtureModel, samples, r_n: float,
     new_weights = new_weights / new_weights.sum()
     try:
         covs, chols = _clean_cov(new_covs, reg_radius)
-        return _mixture(new_weights, new_means, covs,
-                        weighted_regions=current.weighted_regions, chols=chols)
+        return _mixture(new_weights, new_means, covs, chols=chols)
     except np.linalg.LinAlgError:
         logger.warning("SA update produced an irreparable covariance; skipping step")
         return current
@@ -610,7 +604,7 @@ def initial_mixture(config: AdaptationConfig, points, rng: np.random.Generator) 
     dofs = None
     if config.scheme is Scheme.EM_TMM:
         dofs = [_INITIAL_DOF if config.fixed_dof is None else config.fixed_dof]
-    return _mixture([1.0], [x.mean(axis=0)], covs, dofs, config.weighted_regions, chols)
+    return _mixture([1.0], [x.mean(axis=0)], covs, dofs, chols)
 
 
 def refit(config: AdaptationConfig, mixture: MixtureModel, points,

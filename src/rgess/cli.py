@@ -7,8 +7,8 @@ file. ``<config>`` is a path or the name of a bundled preset.
 
 ``rgess fit`` calls ``rgess.adaptation.refit``, as ``run`` does at a barrier;
 ``sa_gmm`` takes ``--sa-steps`` refits (default 1), counted from 1, from the
-``--init`` mixture, which must have ``-M`` components; the other schemes
-reject both flags.
+``--init`` mixture, which must have ``-M`` components of the samples'
+dimension; the other schemes reject both flags.
 
 Exit codes: 0 success, 1 configuration/validation error (nothing written),
 2 runtime failure, including an output file that cannot be written.
@@ -81,7 +81,7 @@ def build_target(exp: ExperimentConfig):
         dataset, beta_star = tg.make_synthetic_logistic(
             n_train=exp.value("target.n_train"),
             n_test=exp.value("target.n_test"),
-            dim=exp.value("target.n_features"),
+            n_features=exp.value("target.n_features"),
             seed=exp.value("target.seed"),
             beta_scale=exp.value("target.beta_scale"),
         )
@@ -256,6 +256,9 @@ def cmd_fit(args) -> int:
                     f"-M {args.components} does not match the {mixture.n_components} "
                     f"components of the --init mixture {args.init}"
                 )
+            if mixture.dim != samples.shape[1]:
+                raise ConfigError(f"the --init mixture {args.init} has dimension {mixture.dim}, "
+                                  f"the samples in {args.samples} have dimension {samples.shape[1]}")
             out_history = []
             for step in range(1, sa_steps + 1):
                 mixture = refit(config, mixture, samples, rng, step)

@@ -63,7 +63,6 @@ _KNOWN_KEYS = {
     "adaptation.em_max_iters": ("int", AdaptationConfig.em_max_iters),
     "adaptation.em_tol": ("float", AdaptationConfig.em_tol),
     "adaptation.fixed_dof": ("float", AdaptationConfig.fixed_dof),
-    "adaptation.weighted_regions": ("bool", AdaptationConfig.weighted_regions),
     "adaptation.sa_c": ("float", LearningRateSchedule.c),
     "adaptation.sa_n0": ("int", LearningRateSchedule.n0),
     "adaptation.vi_alpha0": ("float", VIHyperparams.alpha0),
@@ -207,7 +206,7 @@ def build_experiment(entries: dict) -> ExperimentConfig:
     try:
         init = Gaussian(mean, cov)
     except (ValueError, np.linalg.LinAlgError) as exc:
-        raise ConfigError(f"invalid init distribution: {exc}") from exc
+        raise ConfigError(f"invalid init distribution (init.mean, init.cov): {exc}") from exc
 
     kernel_raw = get("run.kernel", required=True)
     try:
@@ -243,7 +242,6 @@ def build_experiment(entries: dict) -> ExperimentConfig:
                 nu0=get("adaptation.vi_nu0"),
             ),
             fixed_dof=get("adaptation.fixed_dof"),
-            weighted_regions=get("adaptation.weighted_regions"),
         )
         adaptation.vi_hyperparams.check_nu0(dim)
         mh_scale = get("run.mh_proposal_scale")
@@ -277,7 +275,7 @@ def build_experiment(entries: dict) -> ExperimentConfig:
         try:
             mode_spec = ModeSpec(centers=centers, radius=radius)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"report.mode_centers, report.mode_radius: {exc}") from exc
 
     window = get("report.window")
     if window is None:

@@ -47,9 +47,10 @@ class ModeSpec:
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError(f"mode radius must be positive, got {self.radius}")
-        object.__setattr__(
-            self, "centers", tuple(np.asarray(c, dtype=float) for c in self.centers)
-        )
+        centers = tuple(np.asarray(c, dtype=float) for c in self.centers)
+        if not all(np.isfinite(c).all() for c in centers):
+            raise ValueError(f"mode centers must be finite, got {[c.tolist() for c in centers]}")
+        object.__setattr__(self, "centers", centers)
 
 
 def _fmt(value: float) -> str:

@@ -9,8 +9,8 @@ Every density here is a stack of M >= 1 location-scale components of one
 kind, ``_LocationScale``: means, scales, Cholesky factors, the whitening
 map, log normalisers and, for Student's t, degrees of freedom. ``Gaussian``
 and ``StudentT`` are the stack of one, and ``MixtureModel`` is a stack with
-weights and a region rule, so one routine each gives the squared
-Mahalanobis distances, ``_mahalanobis_sq``, the component log densities,
+weights, so one routine each gives the squared Mahalanobis distances,
+``_mahalanobis_sq``, the component log densities,
 ``_log_densities_from_quad``, and a draw from row i, ``_sample``. The
 kernels, the SA update and the CSV writer read rows of the stacks; a
 mixture's ``components`` are built from its rows on each read.
@@ -53,8 +53,8 @@ def _check_weights(weights: np.ndarray, m: int) -> None:
         raise ValueError("mixture needs at least one component")
     if weights.shape != (m,):
         raise ValueError(f"{len(weights)} weights for {m} components")
-    if (weights < 0).any():
-        raise ValueError("mixture weights must be nonnegative")
+    if not (weights >= 0).all():  # also false for nan
+        raise ValueError(f"mixture weights must be nonnegative, got {weights.tolist()}")
     if abs(weights.sum() - 1.0) > 1e-10:
         raise ValueError(f"mixture weights sum to {weights.sum()!r}, not 1")
 
@@ -74,14 +74,13 @@ def _factorise(means: np.ndarray, scales: np.ndarray, dofs, name: str,
     """Check and factor a stack of M location-scale components: the one
     factorisation of every ``Gaussian``, ``StudentT`` and mixture.
 
-    ``means`` is (M, D), ``scales`` is (M, D, D), and ``dofs`` is (M,),
-    finite and positive, for Student's-t components or None for Gaussian
-    ones. ``chols``, when given,
-    must be the Cholesky factors of ``scales``, which are then not factored
-    again. Returns the stacks ``(chols, chol_inv, offsets, log_norms)``: the
-    (M, D, D) factors L and inverse factors L^-1, the (M D,) whitening
-    offsets -L^-1 mean, one row after another, and the (M,) log normalising
-    constants.
+    ``means`` is (M, D) and finite, ``scales`` is (M, D, D) and finite, and
+    ``dofs`` is (M,), finite and positive, for Student's-t components or None
+    for Gaussian ones. ``chols``, when given, must be the Cholesky factors of
+    ``scales``, which are then not factored again. Returns the stacks
+    ``(chols, chol_inv, offsets, log_norms)``: the (M, D, D) factors L and
+    inverse factors L^-1, the (M D,) whitening offsets -L^-1 mean, one row
+    after another, and the (M,) log normalising constants.
 
     Each L^-1 is the LAPACK ``trtrs`` solution of L X = I, called as
     ``scipy.linalg.solve_triangular`` calls it on a C-ordered factor, and
@@ -104,6 +103,8 @@ def _factorise(means: np.ndarray, scales: np.ndarray, dofs, name: str,
         raise ValueError(
             f"mean/{name} dimension mismatch: {means.shape[1:]} vs {scales.shape[1:]}"
         )
+    if not np.isfinite(means).all():
+        raise ValueError("mean contains non-finite entries")
     if chols is None:
         chols = np.linalg.cholesky(scales)
     d = means.shape[1]
@@ -270,15 +271,15 @@ class MixtureModel(_LocationScale):
     """Finite mixture of Gaussian or Student's-t components (homogeneous kind).
 
     Weights must be nonnegative and sum to one within 1e-10; all components
-    must share the same dimension. ``weighted_regions`` switches region
-    assignment from the plain component-density argmax to the weighted one.
+    must share the same dimension. A point's region is the component of largest
+    density there, so the weights and the stacks describe a mixture fully.
     The components are the rows of the stacks; ``components`` builds them as
     ``Gaussian`` or ``StudentT`` objects on each read.
     """
 
-    __slots__ = ("weights", "weighted_regions", "_log_weights")
+    __slots__ = ("weights", "_log_weights")
 
-    def __init__(self, weights, components, weighted_regions: bool = False):
+    def __init__(self, weights, components):
         weights = np.asarray(weights, dtype=float)
         components = tuple(components)
         _check_weights(weights, len(components))
@@ -294,15 +295,14 @@ class MixtureModel(_LocationScale):
 
         self._build(weights, stack("_means"), stack("_scales"),
                     None if components[0]._dofs is None else stack("_dofs"),
-                    weighted_regions, stack("_chols"))
+                    stack("_chols"))
 
-    def _build(self, weights, means, scales, dofs, weighted_regions, chols) -> None:
+    def _build(self, weights, means, scales, dofs, chols) -> None:
         """The one build of a mixture: factor the stacks with ``_factorise``,
-        then set the caches, the checked weights and the region rule."""
+        then set the caches and the checked weights."""
         name = "cov" if dofs is None else "scale"
         self._fill(means, scales, dofs, *_factorise(means, scales, dofs, name, chols))
         self.weights = weights
-        self.weighted_regions = bool(weighted_regions)
         with np.errstate(divide="ignore"):
             self._log_weights = np.log(weights)
 
@@ -347,17 +347,14 @@ class MixtureModel(_LocationScale):
     def assign_region(self, x) -> int:
         """Index of the component whose density is largest at ``x``.
 
-        Ties break to the lowest index. With ``weighted_regions`` the argmax
-        is taken over the weighted component densities instead.
+        Ties break to the lowest index. The weights play no part: this is the
+        one region rule.
         """
         return int(self._region_of(self.component_log_densities(x)))
 
     def _region_of(self, comp_log_densities: np.ndarray):
         """The region rule: argmax over the last axis of component log
-        densities of shape (M,) or (n, M), plain or, with
-        ``weighted_regions``, after adding the log weights."""
-        if self.weighted_regions:
-            comp_log_densities = comp_log_densities + self._log_weights
+        densities of shape (M,) or (n, M)."""
         return comp_log_densities.argmax(axis=-1)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -365,8 +362,7 @@ class MixtureModel(_LocationScale):
         return self._sample(idx, rng)
 
 
-def _mixture(weights, means, scales, dofs=None,
-             weighted_regions: bool = False, chols=None) -> MixtureModel:
+def _mixture(weights, means, scales, dofs=None, chols=None) -> MixtureModel:
     """Mixture from stacks of weights, means and scale matrices: Gaussian
     components, or Student's-t components when ``dofs`` is given.
 
@@ -382,7 +378,7 @@ def _mixture(weights, means, scales, dofs=None,
         dofs = np.array(dofs, dtype=float)
     _check_weights(weights, len(means))
     mixture = MixtureModel.__new__(MixtureModel)
-    mixture._build(weights, means, scales, dofs, weighted_regions, chols)
+    mixture._build(weights, means, scales, dofs, chols)
     return mixture
 
 

@@ -166,8 +166,12 @@ def load_covtype(path, n_select: int, n_features: int, train_fraction: float,
     Rows of the two most frequent classes are kept (lower class label mapped
     to 0, higher to 1), ``n_select`` rows are subsampled uniformly with
     ``seed``, the first ``n_features`` columns are retained, and the features
-    are standardized with training-split statistics.
+    are standardized with training-split statistics; round(train_fraction *
+    n_select) rows, 1 to ``n_select``, train.
     """
+    for name, value in (("n_select", n_select), ("n_features", n_features)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     rows = []
     try:
         with open(path, newline="") as fh:
@@ -213,25 +217,35 @@ def load_covtype(path, n_select: int, n_features: int, train_fraction: float,
     pick = rng.choice(filtered.shape[0], size=n_select, replace=False)
     x = filtered[pick, :n_features]
     y = labels[pick]
-    n_train = int(round(train_fraction * n_select))
+    n_train = int(round(train_fraction * n_select)) if np.isfinite(train_fraction) else 0
+    if not 1 <= n_train <= n_select:
+        raise ValueError(f"train_fraction must leave 1 to n_select = {n_select} training "
+                         f"rows, got {train_fraction}")
     perm = rng.permutation(n_select)
     train_idx, test_idx = perm[:n_train], perm[n_train:]
     train_x, test_x, mean, sd = _standardize_split(x[train_idx], x[test_idx])
     return Dataset(train_x, y[train_idx], test_x, y[test_idx], mean, sd)
 
 
-def make_synthetic_logistic(n_train: int, n_test: int, dim: int, seed: int,
+def make_synthetic_logistic(n_train: int, n_test: int, n_features: int, seed: int,
                             beta_scale: float = 2.0):
     """Self-contained logistic benchmark with a known true coefficient vector.
 
     Returns ``(dataset, beta_star)``. Features are standard normal; labels are
-    Bernoulli with success probability logistic(beta_star . x).
+    Bernoulli with success probability logistic(beta_star . x), and
+    ``beta_scale`` is the norm of ``beta_star``.
     """
+    for name, value, least in (("n_train", n_train, 1), ("n_test", n_test, 0),
+                               ("n_features", n_features, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+    if not 0 < beta_scale < np.inf:
+        raise ValueError(f"beta_scale must be finite and positive, got {beta_scale}")
     rng = np.random.default_rng(seed)
-    beta_star = rng.normal(0.0, 1.0, size=dim)
+    beta_star = rng.normal(0.0, 1.0, size=n_features)
     beta_star *= beta_scale / np.linalg.norm(beta_star)
     n = n_train + n_test
-    x = rng.normal(0.0, 1.0, size=(n, dim))
+    x = rng.normal(0.0, 1.0, size=(n, n_features))
     train_x, test_x, mean, sd = _standardize_split(x[:n_train], x[n_train:])
     # Labels are generated in the standardized basis, so beta_star is exactly
     # the true coefficient vector of the model being fitted.

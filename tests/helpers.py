@@ -248,13 +248,13 @@ def random_mixture_stacks(rng, kind, m, d):
     return rng.dirichlet(np.ones(m)), means, scales, dofs
 
 
-def reference_mixture(weights, means, scales, dofs=None, weighted_regions=False):
+def reference_mixture(weights, means, scales, dofs=None):
     """A mixture built one ``Gaussian`` or ``StudentT`` object at a time."""
     if dofs is None:
         comps = [Gaussian(mu, s) for mu, s in zip(means, scales)]
     else:
         comps = [StudentT(mu, s, nu) for mu, s, nu in zip(means, scales, dofs)]
-    return MixtureModel(weights, comps, weighted_regions=weighted_regions)
+    return MixtureModel(weights, comps)
 
 
 def reference_location_scale(mean, scale, dof=None):
@@ -292,9 +292,8 @@ def reference_em_fit(samples, m, config, rng, student_t):
         cov = reference_clean_cov(reg * np.eye(d), 0.0)
         dofs = None if dof0 is None else [dof0] * m
         return FitResult(
-            mixture=reference_mixture(np.full(m, 1.0 / m), [x[0]] * m, [cov] * m, dofs,
-                                      config.weighted_regions),
-            converged=True, iterations_used=0, log_likelihood=None,
+            mixture=reference_mixture(np.full(m, 1.0 / m), [x[0]] * m, [cov] * m, dofs),
+            converged=True, iterations_used=0,
         )
 
     means = _kmeanspp_centers(x, m, rng)
@@ -343,25 +342,20 @@ def reference_em_fit(samples, m, config, rng, student_t):
             converged = True
             break
 
-    mixture = reference_mixture(weights, means, scales, dofs, config.weighted_regions)
-    final_ll = float(_logsumexp(mixture._log_densities(x) + mixture._log_weights).sum())
     return FitResult(
-        mixture=mixture, converged=converged, iterations_used=it,
-        log_likelihood=final_ll, objective_history=tuple(history),
+        mixture=reference_mixture(weights, means, scales, dofs), converged=converged,
+        iterations_used=it, objective_history=tuple(history),
     )
 
 
 def assert_fits_equal(fit, reference):
     """Two ``FitResult``s agree exactly: iteration count, convergence flag,
-    objective history and log-likelihood, and every weight, mean, scale and
-    dof bit for bit."""
+    objective history, and every weight, mean, scale and dof bit for bit."""
     assert fit.iterations_used == reference.iterations_used
     assert fit.converged == reference.converged
     assert fit.objective_history == reference.objective_history
-    assert fit.log_likelihood == reference.log_likelihood
     got, want = fit.mixture, reference.mixture
     assert got.kind == want.kind
-    assert got.weighted_regions == want.weighted_regions
     assert np.array_equal(got.weights, want.weights)
     for a, b in zip(got.components, want.components, strict=True):
         assert np.array_equal(a.mean, b.mean)
@@ -535,10 +529,7 @@ def reference_regional_ess_step(kind, point, region, mixture, log_pi, rng):
         if log_pi_prop == -np.inf:
             return False
         comp_at_prop = mixture.component_log_densities(x_prop)
-        scores = comp_at_prop
-        if mixture.weighted_regions:
-            scores = comp_at_prop + mixture._log_weights
-        j = int(scores.argmax())
+        j = int(comp_at_prop.argmax())
         if log_pi_prop - comp_at_prop[i] > log_pi_x - comp_at_x[j] + log_u:
             region_of[0] = j
             return True
@@ -580,10 +571,7 @@ def reference_regional_mh_step(state, mixture, target, rng):
     if log_pi_prop > -np.inf:
         comp_at_x = mixture.component_log_densities(x)
         comp_at_prop = mixture.component_log_densities(x_prop)
-        if mixture.weighted_regions:
-            j = int(np.argmax(comp_at_prop + mixture._log_weights))
-        else:
-            j = int(np.argmax(comp_at_prop))
+        j = int(np.argmax(comp_at_prop))
         log_alpha = log_pi_prop + comp_at_x[j] - log_pi_x - comp_at_prop[i]
         accepted = math.log(1.0 - rng.random()) < min(0.0, log_alpha)
 

@@ -19,6 +19,7 @@ from rgess.adaptation import (
 from rgess.cli import available_presets, main, resolve_config_source
 from rgess.config import build_experiment, parse_config_text, serialize_config
 from rgess.diagnostics import read_mixtures_csv, read_trace_csv, write_mixtures_csv
+from rgess.distributions import Gaussian, MixtureModel
 
 TINY_RUN = """
 target.kind = gauss_mix
@@ -42,6 +43,16 @@ report.mode_radius = 9.4868329805051381
 def _write_config(tmp_path, text=TINY_RUN, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
+    return str(path)
+
+
+def _write_covtype_csv(path, n_rows=60):
+    """Covtype-format CSV: nine standard-normal features and a class label
+    of 1 or 2 in the last column."""
+    rng = np.random.default_rng(12)
+    with open(path, "w") as fh:
+        for row, klass in zip(rng.normal(size=(n_rows, 9)), rng.integers(1, 3, size=n_rows)):
+            fh.write(",".join(format(v, ".10g") for v in row) + f",{klass}\n")
     return str(path)
 
 
@@ -198,6 +209,68 @@ class TestCmdRun:
         assert "init.mean has dimension" in err
         assert all(str(d) in err for d in dims)
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("setting, named", [
+        ("init.mean=inf,0", "init.mean"),
+        ("init.mean=nan,0", "init.mean"),
+        ("report.mode_centers=nan,0;1,1", "report.mode_centers"),
+    ])
+    def test_non_finite_mean_or_center_exits_one_writes_nothing(self, tmp_path, capsys,
+                                                                setting, named):
+        out = str(tmp_path / "out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "gauss-mix-tmrgess", "--out", out, "--set", setting]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "finite" in err
+        assert not os.path.exists(out)
+
+    def test_weighted_regions_is_unknown_exits_one_writes_nothing(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(["run", "gauss-mix-em-gmrgess", "--out", out,
+                     "--set", "adaptation.weighted_regions=true"]) == 1
+        assert "unknown key 'adaptation.weighted_regions'" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("setting, message", [
+        ("n_train=0", "n_train must be >= 1, got 0"),
+        ("n_test=-5", "n_test must be >= 0, got -5"),
+        ("n_features=0", "n_features must be >= 1, got 0"),
+        ("beta_scale=nan", "beta_scale must be finite and positive, got nan"),
+    ])
+    def test_logistic_synth_without_data_exits_one_writes_nothing(self, tmp_path, capsys,
+                                                                  setting, message):
+        out = str(tmp_path / "out")
+        assert main(["run", "logistic-synth", "--out", out, "--set", f"target.{setting}"]) == 1
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("setting, message", [
+        ("n_select=0", "n_select must be >= 1, got 0"),
+        ("n_features=0", "n_features must be >= 1, got 0"),
+        ("train_fraction=0", "train_fraction must leave 1 to n_select = 40 training rows"),
+        ("train_fraction=1.5", "train_fraction must leave 1 to n_select = 40 training rows"),
+    ])
+    def test_covtype_without_data_exits_one_writes_nothing(self, tmp_path, capsys,
+                                                           setting, message):
+        path = _write_covtype_csv(tmp_path / "covtype.csv")
+        out = str(tmp_path / "out")
+        assert main(["run", "logistic-covtype", "--out", out, "--set", f"target.path={path}",
+                     "--set", "target.n_select=40", "--set", f"target.{setting}"]) == 1
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_covtype_without_test_rows_runs(self, tmp_path):
+        # train_fraction = 1 trains on every selected row; the summary then
+        # has no accuracy row
+        path = _write_covtype_csv(tmp_path / "covtype.csv")
+        out = tmp_path / "out"
+        assert main(["run", "logistic-covtype", "--out", str(out), "--set", f"target.path={path}",
+                     "--set", "target.n_select=40", "--set", "target.train_fraction=1",
+                     "--set", "run.chains=4", "--set", "run.iterations=6",
+                     "--set", "run.burn_in=2", "--set", "adaptation.interval=3"]) == 0
+        summary = (out / "summary.csv").read_text()
+        assert "posterior_mean" in summary and "accuracy" not in summary
 
     def test_missing_config_exits_one(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1
@@ -442,6 +515,21 @@ class TestCmdFit:
                      "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "-M 2" in err and "the 3 components of the --init mixture" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("init_dim, sample_dim", [(2, 1), (1, 2)])
+    def test_init_of_other_dimension_exits_one(self, tmp_path, capsys, init_dim, sample_dim):
+        samples = np.random.default_rng(3).normal(size=(20, sample_dim))
+        csv_path = _write_samples_csv(tmp_path / "s.csv", samples)
+        init_path = str(tmp_path / "init.csv")
+        init = MixtureModel([1.0], [Gaussian(np.zeros(init_dim), np.eye(init_dim))])
+        write_mixtures_csv([(0, init)], init_path)
+        out = tmp_path / "m.csv"
+        assert main(["fit", csv_path, "--scheme", "sa_gmm", "-M", "1", "--init", init_path,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"the --init mixture {init_path} has dimension {init_dim}" in err
+        assert f"the samples in {csv_path} have dimension {sample_dim}" in err
         assert not out.exists()
 
     def test_unwritable_output_exits_two(self, tmp_path, capsys):

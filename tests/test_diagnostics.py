@@ -4,7 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from helpers import random_mixture_stacks
 from rgess.diagnostics import (
     ModeSpec,
     TraceRecord,
@@ -17,7 +21,7 @@ from rgess.diagnostics import (
     write_mixtures_csv,
     write_trace_csv,
 )
-from rgess.distributions import Gaussian, MixtureModel, StudentT
+from rgess.distributions import Gaussian, MixtureModel, StudentT, _mixture
 from rgess.targets import Dataset
 
 
@@ -118,6 +122,13 @@ class TestModeCoverage:
         traces = [_trace(0, rows)]
         spec = ModeSpec(centers=(np.zeros(2),), radius=0.5)
         assert mode_coverage(traces, spec, burn_in=1) == [1.0]
+
+
+class TestModeSpec:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_center(self, bad):
+        with pytest.raises(ValueError, match="mode centers must be finite"):
+            ModeSpec(centers=(np.array([bad, 0.0]), np.ones(2)), radius=1.0)
 
 
 class TestPosteriorMean:
@@ -258,6 +269,65 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.weights, weights)
 
 
+@st.composite
+def _persisted_run(draw):
+    """``(traces, mixture_history)`` of one dimension D in 1..9: 1..3
+    mixtures built with ``_mixture`` (either kind, M in 1..4) at increasing
+    iterations, and K in 1..4 chains recording the same 1..5 iterations,
+    with finite coordinates of any magnitude."""
+    d = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    history = []
+    iteration = 0
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["gaussian", "student_t"]))
+        stacks = random_mixture_stacks(rng, kind, draw(st.integers(1, 4)), d)
+        history.append((iteration, _mixture(*stacks)))
+        iteration += draw(st.integers(1, 100))
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    iterations = sorted(draw(st.sets(st.integers(1, 10**6), min_size=n, max_size=n)))
+    coords = st.floats(allow_nan=False, allow_infinity=False)
+    points = draw(hnp.arrays(np.float64, (k, n, d), elements=coords))
+    counts = hnp.arrays(np.int64, (k, n), elements=st.integers(0, 10**6))
+    regions, rejections = draw(counts), draw(counts)
+    traces = [
+        [TraceRecord(chain=c, iteration=it, point=points[c, i],
+                     rejections=int(rejections[c, i]), region=int(regions[c, i]))
+         for i, it in enumerate(iterations)]
+        for c in range(k)
+    ]
+    return traces, history
+
+
+class TestCsvRoundTripProperty:
+    """``trace.csv`` and ``mixtures.csv`` hold every field of a run: what
+    is read back equals what was written, bit for bit."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(_persisted_run())
+    def test_write_then_read_is_bitwise(self, tmp_path_factory, run):
+        traces, history = run
+        out = tmp_path_factory.mktemp("run")
+        path, mpath = out / "trace.csv", out / "mixtures.csv"
+        write_trace_csv(traces, history, path, mpath)
+        back, back_history = read_trace_csv(path, mpath)
+        assert len(back) == len(traces)
+        for chain, back_chain in zip(traces, back):
+            assert len(back_chain) == len(chain)
+            for a, b in zip(chain, back_chain):
+                assert (b.chain, b.iteration, b.region, b.rejections) == (
+                    a.chain, a.iteration, a.region, a.rejections)
+                assert b.point.tobytes() == a.point.tobytes()
+        assert [it for it, _ in back_history] == [it for it, _ in history]
+        for (_, a), (_, b) in zip(history, back_history):
+            assert b.kind == a.kind
+            for name in ("weights", "_means", "_scales", "_dofs", "_chols"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert (x is None and y is None) or (
+                    x.shape == y.shape and x.tobytes() == y.tobytes()), name
+
+
 _MIXTURES_HEADER = "iteration,component,weight,mean0,cov0,dof\n"
 
 
@@ -292,3 +362,12 @@ class TestReadMixturesCsvValidation:
     def test_infinite_dof_names_file_and_iteration(self, tmp_path):
         rows = "20,0,0.5,0.0,1.0,4.0\n20,1,0.5,1.0,1.0,inf\n"
         self._assert_rejected(tmp_path, rows, "invalid mixture (dof must be finite, got inf)")
+
+    def test_nan_weight_names_file_and_iteration(self, tmp_path):
+        rows = "20,0,nan,0.0,1.0,\n20,1,1.0,1.0,1.0,\n"
+        self._assert_rejected(tmp_path, rows, "invalid mixture (mixture weights must be")
+
+    @pytest.mark.parametrize("mean", ["nan", "inf"])
+    def test_non_finite_mean_names_file_and_iteration(self, tmp_path, mean):
+        rows = f"20,0,0.5,0.0,1.0,\n20,1,0.5,{mean},1.0,\n"
+        self._assert_rejected(tmp_path, rows, "invalid mixture (mean contains non-finite")

@@ -246,19 +246,6 @@ class TestRegionAssign:
             region = m.assign_region(x)
             assert 0 <= region < m.n_components
 
-    def test_weighted_flag_changes_boundary(self):
-        lopsided = MixtureModel(
-            [0.999, 0.001],
-            [Gaussian([0.0], [[1.0]]), Gaussian([4.0], [[1.0]])],
-            weighted_regions=True,
-        )
-        plain = MixtureModel(
-            [0.999, 0.001], [Gaussian([0.0], [[1.0]]), Gaussian([4.0], [[1.0]])]
-        )
-        x = np.array([2.2])  # just past the unweighted midpoint
-        assert plain.assign_region(x) == 1
-        assert lopsided.assign_region(x) == 0
-
 
 @st.composite
 def _stacks_and_batch(draw):
@@ -399,6 +386,15 @@ class TestMixtureFromStacks:
             _mixture([0.5, 0.5], [[0.0], [1.0]], np.ones((2, 1, 1)), [4.0, np.inf])
         with pytest.raises(ValueError, match="dof must be finite, got inf"):
             StudentT([0.0], [[1.0]], np.inf)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_mean(self, bad):
+        with pytest.raises(ValueError, match="mean contains non-finite entries"):
+            _mixture([0.5, 0.5], [[0.0, 0.0], [1.0, bad]], np.repeat(np.eye(2)[None], 2, axis=0))
+        with pytest.raises(ValueError, match="mean contains non-finite entries"):
+            Gaussian([bad, 0.0], np.eye(2))
+        with pytest.raises(ValueError, match="mean contains non-finite entries"):
+            StudentT([bad], [[1.0]], 4.0)
 
 
 class TestComponentsAreRowsOfTheStack:

@@ -24,12 +24,6 @@ def _bimodal_target_1d():
     return TargetDensity(dim=1, log_pi=mix.log_density)
 
 
-def _skewed_target_1d():
-    # unequal mode masses and widths: weighted and plain regions differ often
-    mix = MixtureModel([0.8, 0.2], [Gaussian([-2.0], [[4.0]]), Gaussian([3.0], [[0.25]])])
-    return TargetDensity(dim=1, log_pi=mix.log_density)
-
-
 def _truncated_target_2d():
     # zero density right of x0 = 1: proposals there must be rejected outright
     mix = MixtureModel(
@@ -44,10 +38,9 @@ def _truncated_target_2d():
 def _determinism_cases():
     """``(name, config, make_target, shrink_cap)`` inputs of the chain-major
     comparison; ``shrink_cap`` replaces ``MAX_SHRINK_ITERS`` when not None."""
-    def config(kernel, scheme, components, init, seed, weighted_regions=False, **kwargs):
+    def config(kernel, scheme, components, init, seed, **kwargs):
         adaptation = AdaptationConfig(
             scheme=scheme, components=components, interval=15, reg_radius=0.1,
-            weighted_regions=weighted_regions,
         )
         return RunConfig(chains=8, iterations=60, burn_in=10, kernel=kernel, init=init,
                          adaptation=adaptation, master_seed=seed, **kwargs)
@@ -59,9 +52,6 @@ def _determinism_cases():
         ("gess", config(Kernel.GESS, Scheme.EM_TMM, 1, wide_1d, 31,
                         steps_per_iteration=2, thinning=2),
          _bimodal_target_1d, None),
-        ("gmrgess-weighted", config(Kernel.GMRGESS, Scheme.EM_GMM, 2, wide_1d, 32,
-                                    weighted_regions=True),
-         _skewed_target_1d, None),
         ("tmrgess-2d-zero-region",
          config(Kernel.TMRGESS, Scheme.EM_TMM, 2, Gaussian([-1.5, 0.5], 0.1 * np.eye(2)), 33),
          _truncated_target_2d, None),

@@ -385,18 +385,15 @@ def _batch_step(points, mixture, target):
 
 @st.composite
 def _batch_case(draw):
-    """A random Gaussian or t pseudo-prior mixture (M in 1..4, D in 1..9,
-    either region rule), a random Gaussian-mixture target of the same
-    dimension, K in 1..6 starting points drawn from the target, and a
-    generator seed per chain."""
+    """A random Gaussian or t pseudo-prior mixture (M in 1..4, D in 1..9),
+    a random Gaussian-mixture target of the same dimension, K in 1..6
+    starting points drawn from the target, and a generator seed per chain."""
     kind = draw(st.sampled_from(["gaussian", "student_t"]))
     m = draw(st.integers(1, 4))
     d = draw(st.integers(1, 9))
     k = draw(st.integers(1, 6))
-    weighted = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mixture = reference_mixture(*random_mixture_stacks(rng, kind, m, d),
-                                weighted_regions=weighted)
+    mixture = reference_mixture(*random_mixture_stacks(rng, kind, m, d))
     target_mix = reference_mixture(*random_mixture_stacks(rng, "gaussian", 3, d))
     points = np.stack([target_mix.sample(rng) for _ in range(k)])
     seeds = rng.integers(2**32, size=k).tolist()
@@ -450,14 +447,14 @@ _KERNELS = {
 }
 
 
-def _weighted_2d_mixture(kind):
+def _three_component_2d_mixture(kind):
     means = ([-2.0, 0.0], [2.0, 1.0], [0.0, 3.0])
     covs = ([[1.5, 0.4], [0.4, 1.0]], [[2.0, -0.3], [-0.3, 0.8]], np.eye(2))
     if kind == "student_t":
         comps = [StudentT(m, c, dof) for m, c, dof in zip(means, covs, (4.0, 6.0, 9.0))]
     else:
         comps = [Gaussian(m, c) for m, c in zip(means, covs)]
-    return MixtureModel([0.5, 0.2, 0.3], comps, weighted_regions=True)
+    return MixtureModel([0.5, 0.2, 0.3], comps)
 
 
 _SWAPPED_MIXTURES = {
@@ -547,8 +544,8 @@ class TestRegionalKernelsMatchReference:
         assert rej.max() > (0 if kind == "regional_mh" else 1)
 
     @_ALL_KINDS
-    def test_weighted_regions_in_two_dimensions(self, kind):
-        mixture = _weighted_2d_mixture(kind)
+    def test_three_components_in_two_dimensions(self, kind):
+        mixture = _three_component_2d_mixture(kind)
         _compare_with_reference(
             kind, lambda _n: mixture, _TARGET_2D, np.array([-2.0, 0.5]), 500, 11
         )

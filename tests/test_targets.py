@@ -2,6 +2,7 @@
 embedded litter model."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -251,6 +252,21 @@ class TestLoadCovtype:
         with pytest.raises(ValueError, match="bad.csv:2"):
             load_covtype(path, 1, 1, 0.5, 0)
 
+    @pytest.mark.parametrize("n_select, n_features, train_fraction, message", [
+        (0, 9, 0.75, "n_select must be >= 1, got 0"),
+        (80, 0, 0.75, "n_features must be >= 1, got 0"),
+        (80, 9, 0.0, "train_fraction must leave 1 to n_select = 80 training rows, got 0.0"),
+        (80, 9, 0.006, "train_fraction must leave 1 to n_select = 80 training rows"),
+        (80, 9, 1.5, "train_fraction must leave 1 to n_select = 80 training rows, got 1.5"),
+        (80, 9, np.nan, "train_fraction must leave 1 to n_select = 80 training rows, got nan"),
+    ])
+    def test_sizes_that_leave_no_data_rejected(self, tmp_path, n_select, n_features,
+                                               train_fraction, message):
+        path = _write_covtype_fixture(tmp_path / "cov.csv", np.random.default_rng(8))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_covtype(path, n_select=n_select, n_features=n_features,
+                         train_fraction=train_fraction, seed=0)
+
 
 class TestSyntheticLogistic:
     def test_shapes_and_determinism(self):
@@ -262,6 +278,24 @@ class TestSyntheticLogistic:
         assert ds1.train_x.shape == (300, 5)
         assert ds1.test_x.shape == (100, 5)
         assert isinstance(ds1, Dataset)
+
+    @pytest.mark.parametrize("n_train, n_test, n_features, beta_scale, message", [
+        (0, 100, 5, 2.0, "n_train must be >= 1, got 0"),
+        (300, -5, 5, 2.0, "n_test must be >= 0, got -5"),
+        (300, 100, 0, 2.0, "n_features must be >= 1, got 0"),
+        (300, 100, 5, np.nan, "beta_scale must be finite and positive, got nan"),
+        (300, 100, 5, np.inf, "beta_scale must be finite and positive, got inf"),
+        (300, 100, 5, 0.0, "beta_scale must be finite and positive, got 0.0"),
+    ])
+    def test_sizes_that_leave_no_data_rejected(self, n_train, n_test, n_features,
+                                               beta_scale, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_synthetic_logistic(n_train, n_test, n_features, seed=11,
+                                    beta_scale=beta_scale)
+
+    def test_empty_test_set_allowed(self):
+        ds, _ = make_synthetic_logistic(30, 0, 2, seed=11)
+        assert ds.train_x.shape == (30, 2) and ds.test_x.shape == (0, 2)
 
     def test_true_beta_separates_better_than_chance(self):
         ds, beta_star = make_synthetic_logistic(2000, 1000, 9, seed=12)
