@@ -228,6 +228,8 @@ def cmd_fit(args) -> int:
                 if value is not None:
                     raise ConfigError(f"{flag} applies only to the sa_gmm scheme, "
                                       f"not {scheme.value}")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         samples = _read_samples_csv(args.samples)
         rng = np.random.default_rng(args.seed)
         config = AdaptationConfig(

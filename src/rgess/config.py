@@ -175,6 +175,9 @@ def build_experiment(entries: dict) -> ExperimentConfig:
         raise ConfigError(
             f"target.kind must be one of {_TARGET_KINDS}, got {target_kind!r}"
         )
+    target_seed = get("target.seed")
+    if target_seed < 0:
+        raise ConfigError(f"target.seed must be >= 0, got {target_seed}")
     if target_kind == "logistic":
         path = get("target.path", required=True)
         if not os.path.exists(path):

@@ -23,9 +23,12 @@ routine that ``scipy.linalg.solve_triangular`` wraps. ``Gaussian`` and
 ``MixtureModel(weights, components)`` passes the components' stacked rows
 and factors, and ``_mixture`` the parameter stacks, so a mixture built from
 stacks equals one built from components bit for bit.
-``MixtureModel._log_densities`` is the one component-density routine, and
-``MixtureModel._log_mixture`` calls ``_logsumexp``, the one log-sum-exp,
-which the mixture fitters also normalise with.
+``MixtureModel._log_densities`` is the one component-density routine,
+``_log_densities_from_quad(_mahalanobis_sq(x))``; the regional kernels call
+its two halves themselves, because they keep the distances with the point.
+Both halves work in place on temporaries of their own and never write to
+their input. ``MixtureModel._log_mixture`` calls ``_logsumexp``, the one
+log-sum-exp, which the mixture fitters also normalise with.
 """
 
 from __future__ import annotations
@@ -175,26 +178,36 @@ class _LocationScale:
 
         Every row of a batch equals the single-point call bit for bit. Each
         row is whitened by its own matrix-vector product: a single
-        (n, D) @ (D, M D) matrix product rounds differently.
+        (n, D) @ (D, M D) matrix product rounds differently. The arithmetic
+        works in place on the product, never on ``x``.
         """
         if x.ndim == 1:
-            z = self._whiten_mat @ x + self._whiten_off
+            z = self._whiten_mat @ x
         else:
-            z = (self._whiten_mat @ x[:, :, None])[:, :, 0] + self._whiten_off
-        z2 = z * z
+            z = (self._whiten_mat @ x[:, :, None])[:, :, 0]
+        z += self._whiten_off
+        z *= z
         dim = self._dim
         if dim == 1:
-            return z2
+            return z
         if dim == 2:
-            return z2[..., 0::2] + z2[..., 1::2]
-        return z2.reshape(z2.shape[:-1] + (self._m, dim)).sum(axis=-1)
+            return z[..., 0::2] + z[..., 1::2]
+        return z.reshape(z.shape[:-1] + (self._m, dim)).sum(axis=-1)
 
     def _log_densities_from_quad(self, quad: np.ndarray) -> np.ndarray:
         """Component log densities from the squared Mahalanobis distances
-        that :meth:`_mahalanobis_sq` returns, in the same shape."""
+        that :meth:`_mahalanobis_sq` returns, in the same shape.
+
+        ``quad`` is left unchanged: the kernels keep it with the point. The
+        arithmetic works in place on a temporary of its own.
+        """
         if self._dofs is None:
-            return self._log_norms - 0.5 * quad
-        return self._log_norms - self._half_dof_plus_dim * np.log1p(quad / self._dofs)
+            out = 0.5 * quad
+        else:
+            out = quad / self._dofs
+            np.log1p(out, out=out)
+            out *= self._half_dof_plus_dim
+        return np.subtract(self._log_norms, out, out=out)
 
     def _sample(self, i: int, rng: np.random.Generator) -> np.ndarray:
         """Draw from component ``i``: mean + L z with z standard normal,
@@ -330,8 +343,9 @@ class MixtureModel(_LocationScale):
 
         Also takes a batch of shape (n, D) and returns shape (n, M); every
         row equals the single-point call bit for bit. This is the one
-        component-density routine: the kernels and the mixture fitters
-        both call it.
+        component-density routine: the mixture fitters call it, and the
+        regional kernels call its two halves, :meth:`_mahalanobis_sq` and
+        :meth:`_log_densities_from_quad`, to keep the distances as well.
         """
         return self._log_densities_from_quad(self._mahalanobis_sq(x))
 

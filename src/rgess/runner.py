@@ -11,9 +11,10 @@ at a time hand over their points without copies; the batch updates its
 point array in place and hands over a copy.
 
 The regional ESS kernels (gmrgess, tmrgess and gess) advance all chains as
-one batch: the runner keeps their points, regions and target and component
-log densities as arrays, and :func:`rgess.samplers.regional_ess_batch`
-evaluates each shrinkage round for all chains still shrinking in one call.
+one batch: the runner keeps their points, regions, target and component
+log densities and squared Mahalanobis distances as arrays, and
+:func:`rgess.samplers.regional_ess_batch` evaluates each shrinkage round for
+all chains still shrinking in one call.
 Each chain still draws from its own generator in the per-chain kernel's
 order, so the traces equal those of the per-chain kernels bit for bit. The
 mh and regional_mh kernels step one chain at a time.
@@ -93,6 +94,8 @@ class RunConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.thinning < 1:
             raise ValueError(f"thinning must be >= 1, got {self.thinning}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         # The recorded iterations are the multiples of thinning.
         last_recorded = self.iterations - self.iterations % self.thinning
         if not 0 <= self.burn_in < last_recorded:
@@ -189,7 +192,8 @@ class _Batched:
 
     def set_mixture(self, mixture: MixtureModel):
         self.mixture = mixture
-        self.comps = mixture._log_densities(self.points)
+        self.quads = mixture._mahalanobis_sq(self.points)
+        self.comps = mixture._log_densities_from_quad(self.quads)
         self.regions = mixture._region_of(self.comps)
 
     def snapshot(self) -> list:
@@ -197,7 +201,7 @@ class _Batched:
 
     def step(self, rngs) -> list:
         return regional_ess_batch(self.points, self.regions, self.log_pis, self.comps,
-                                  self.mixture, self.target, rngs)
+                                  self.quads, self.mixture, self.target, rngs)
 
     def records(self):
         return zip(self.points.copy(), self.regions.tolist())

@@ -6,26 +6,34 @@ own state and generator and on the immutable mixture snapshot it reads.
 
 The elliptical-slice family proposes points on the ellipse through the
 current state and an auxiliary draw, shrinking the angle bracket toward zero
-after every rejected proposal. The regional kernels recompute the slice
-threshold at every proposal because the reverse pseudo-prior index depends on
-which region the proposal lands in. A step draws in a fixed order: the
-auxiliary point, log u, the first angle, then one uniform per rejection, so a
-copy of the generator taken before a step replays its angle brackets.
+after every rejected proposal. The regional kernels' slice threshold depends
+on the region the proposal lands in, so a step computes it once for every
+region and each proposal reads its region's. A step draws in a fixed order:
+the auxiliary point, log u, the first angle, then one uniform per rejection,
+so a copy of the generator taken before a step replays its angle brackets.
+
+The regional kernels keep the current point's squared Mahalanobis distances
+to every component (``MixtureModel._mahalanobis_sq``) with it, next to the
+component log densities built from them
+(``MixtureModel._log_densities_from_quad``): in ``ChainState.cache``, and in
+the ``quads`` and ``comps`` arrays of :func:`regional_ess_batch`. Both t
+kernels take the rate of the auxiliary inverse-gamma scale, (nu + d^2)/2,
+from those distances, the ones the component densities and EM's expected
+precisions are built on, so no distance is computed twice.
 
 :func:`regional_ess_batch` takes one regional ESS step for many chains at
 once. It draws from each chain's generator in the per-chain kernels' order
 and evaluates each proposal round for all still-shrinking chains in one call,
 so every chain's result equals the per-chain kernel's bit for bit. The
 kernels read the region's row of the mixture's stacks, and gmrgess_step and
-regional_mh_step draw from it with ``MixtureModel._sample``. Both t kernels
-take the rate of the auxiliary inverse-gamma scale, (nu + d^2)/2, from
-``MixtureModel._mahalanobis_sq``, the squared distances that the component
-densities and EM's expected precisions are built on.
+regional_mh_step draw from it with ``MixtureModel._sample``.
 
 :func:`gmrgess_step` and :func:`tmrgess_step` stay for single chains
-(criterion 3, the kernel-1d benchmark), which they step about three times
-faster: on criterion 3's set-up one batched chain took 120-145 us a step
-against 40-46 us for :func:`tmrgess_step` (2-CPU Xeon, one BLAS thread).
+(criterion 3, the kernel-1d benchmark), which they step about four times
+faster: on criterion 3's set-up one batched chain took 119-171 us a step
+against 31-45 us for :func:`tmrgess_step` (medians of three alternating
+runs, 2-CPU Xeon, one BLAS thread). They form each proposal in Python
+floats, one coordinate at a time, with the same roundings as numpy.
 """
 
 from __future__ import annotations
@@ -82,11 +90,14 @@ class ChainState(NamedTuple):
     Immutable; a named tuple because kernels build one per step and a
     frozen dataclass costs about three times as much to construct.
 
-    ``cache`` holds ``(point, mixture, log_pi, log_pi(point), component
-    log densities at point)`` as a kernel already computed them; the MH
-    kernel writes None for the mixture and the densities. A kernel reuses it
-    only for the same point, mixture and ``log_pi`` objects, so a new
-    mixture (a runner barrier) or a replaced point invalidates it.
+    ``cache`` holds six fields as a kernel already computed them:
+    ``(point, mixture, log_pi, log_pi(point), component log densities at
+    point, squared Mahalanobis distances of point)``, the last two of shape
+    (M,), from ``MixtureModel._log_densities_from_quad`` and
+    ``MixtureModel._mahalanobis_sq``. The MH kernel writes None for the
+    mixture, the densities and the distances. A kernel reuses the cache only
+    for the same point, mixture and ``log_pi`` objects, so a new mixture (a
+    runner barrier) or a replaced point invalidates it.
     """
 
     point: np.ndarray
@@ -125,21 +136,28 @@ def _require_finite(value: float, what: str) -> float:
 def _ellipse_shrink(x, mu, v, accept, rng):
     """Shared angle-bracket shrinkage loop of the ESS family.
 
-    ``accept(x_prop)`` returns None when a proposal misses the slice and any
-    other value when it clears it. Returns ``(x_new, theta, rejections,
-    accepted)`` with ``accepted`` the value ``accept`` returned; when the
-    shrinkage cap is hit the current point is returned with ``accepted`` None.
+    ``x`` is the current point, an array; the centre ``mu`` and the
+    auxiliary point ``v`` are lists of floats. ``accept(x_prop)`` returns
+    None when a proposal misses the slice and any other value when it clears
+    it. Returns ``(x_new, theta, rejections, accepted)`` with ``accepted``
+    the value ``accept`` returned; when the shrinkage cap is hit the current
+    point is returned with ``accepted`` None.
 
-    Angles are drawn as ``lo + (hi - lo) * rng.random()``, the same double
-    ``rng.uniform(lo, hi)`` returns, without its argument handling.
+    The centred points and each proposal ``x_c cos(theta) + v_c sin(theta)
+    + mu`` are formed one coordinate at a time in Python floats: the same
+    multiplies and adds, in the same order, that numpy's elementwise
+    operations round. Angles are drawn as ``lo + (hi - lo) * rng.random()``,
+    the same double ``rng.uniform(lo, hi)`` returns, without its argument
+    handling.
     """
     theta = 2.0 * math.pi * rng.random()
     theta_min, theta_max = theta - 2.0 * math.pi, theta
-    x_c = x - mu
-    v_c = v - mu
+    centred = [(a - m, b - m, m) for a, m, b in zip(x.tolist(), mu, v)]
+    cos, sin, array = math.cos, math.sin, np.array
     rejections = 0
     for _ in range(MAX_SHRINK_ITERS):
-        x_prop = x_c * math.cos(theta) + v_c * math.sin(theta) + mu
+        c, s = cos(theta), sin(theta)
+        x_prop = array([x_c * c + v_c * s + m for x_c, v_c, m in centred])
         accepted = accept(x_prop)
         if accepted is not None:
             return x_prop, theta, rejections, accepted
@@ -171,7 +189,8 @@ def ess_step(state: ChainState, prior: Gaussian, log_likelihood, rng) -> StepOut
     def accept(x_prop):
         return True if float(log_likelihood(x_prop)) > log_y else None
 
-    x_new, theta, rejections, _ = _ellipse_shrink(x, prior.mean, v, accept, rng)
+    x_new, theta, rejections, _ = _ellipse_shrink(x, prior.mean.tolist(), v.tolist(),
+                                                  accept, rng)
     next_state = ChainState(point=x_new, region=state.region)
     return StepOutcome(next=next_state, rejections=rejections, angle_final=theta)
 
@@ -184,7 +203,8 @@ _REGION_DENSITY_NOT_FINITE = (
 def _current_point_values(state: ChainState, mixture: MixtureModel,
                           target: TargetDensity):
     """Validate the current point; return ``(log_pi(x), component log
-    densities at x)``, taken from ``state.cache`` when it is still valid."""
+    densities at x, squared Mahalanobis distances of x)``, taken from
+    ``state.cache`` when it is still valid."""
     x = state.point
     if x.shape != mixture._shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {mixture._shape}")
@@ -193,45 +213,52 @@ def _current_point_values(state: ChainState, mixture: MixtureModel,
     if (cache is not None and cache[0] is x and cache[1] is mixture
             and cache[2] is log_pi):
         # A cached point is one a regional kernel built from finite values.
-        log_pi_x, comp_at_x = cache[3], cache[4]
+        log_pi_x, comp_at_x, quad_at_x = cache[3], cache[4], cache[5]
     else:
         if not np.isfinite(x).all():
             raise ValueError(f"non-finite current point {x}")
-        log_pi_x, comp_at_x = float(log_pi(x)), mixture._log_densities(x)
+        log_pi_x, quad_at_x = float(log_pi(x)), mixture._mahalanobis_sq(x)
+        comp_at_x = mixture._log_densities_from_quad(quad_at_x)
     _require_finite(log_pi_x, "log target at current point")
-    return log_pi_x, comp_at_x
+    return log_pi_x, comp_at_x, quad_at_x
 
 
-def _regional_ellipse_step(state, mixture, target, log_pi_x, comp_at_x, mean, v, rng):
+def _regional_ellipse_step(state, mixture, target, current, mean, v, rng):
     """Ellipse/shrinkage core shared by the Gaussian- and t-mixture kernels,
-    on the ellipse through the current point and ``v`` centred on ``mean``."""
+    on the ellipse through the current point and ``v`` centred on ``mean``
+    (lists of floats). ``current`` is what :func:`_current_point_values`
+    returned."""
     x = state.point
     i = state.region
     log_pi = target.log_pi
+    log_pi_x, comp_at_x, quad_at_x = current
     log_u = _log_uniform(rng)
-    log_densities = mixture._log_densities
+    mahalanobis_sq = mixture._mahalanobis_sq
+    from_quad = mixture._log_densities_from_quad
     region_of = mixture._region_of
+    # Residual-form test: log R_I(x') > log R_J(x) + log u. The right side
+    # depends on the proposal's region J, so it is kept for every J.
+    threshold = [log_pi_x - c + log_u for c in comp_at_x.tolist()]
 
     def accept(x_prop):
         log_pi_prop = float(log_pi(x_prop))
         if log_pi_prop == -math.inf:
             return None
-        comp_at_prop = log_densities(x_prop)
+        quad_prop = mahalanobis_sq(x_prop)
+        comp_at_prop = from_quad(quad_prop)
         j = int(region_of(comp_at_prop))
-        # Residual-form test: log R_I(x') > log R_J(x) + log u, with the
-        # threshold recomputed per proposal because J depends on x'.
-        if log_pi_prop - comp_at_prop[i] > log_pi_x - comp_at_x[j] + log_u:
-            return j, log_pi_prop, comp_at_prop
+        if log_pi_prop - comp_at_prop[i] > threshold[j]:
+            return j, log_pi_prop, comp_at_prop, quad_prop
         return None
 
     x_new, theta, rejections, accepted = _ellipse_shrink(x, mean, v, accept, rng)
     if accepted is None:
-        region_new, log_pi_new, comp_new = i, log_pi_x, comp_at_x
+        region_new, log_pi_new, comp_new, quad_new = i, log_pi_x, comp_at_x, quad_at_x
     else:
-        region_new, log_pi_new, comp_new = accepted
+        region_new, log_pi_new, comp_new, quad_new = accepted
     next_state = ChainState(
         point=x_new, region=region_new,
-        cache=(x_new, mixture, log_pi, log_pi_new, comp_new),
+        cache=(x_new, mixture, log_pi, log_pi_new, comp_new, quad_new),
     )
     return StepOutcome(next=next_state, rejections=rejections, angle_final=theta)
 
@@ -241,15 +268,16 @@ def gmrgess_step(state: ChainState, mixture: MixtureModel, target: TargetDensity
     """Regional generalized ESS step with Gaussian-mixture pseudo-priors."""
     if mixture.kind != "gaussian":
         raise ValueError("gmrgess_step requires Gaussian mixture components")
-    log_pi_x, comp_at_x = _current_point_values(state, mixture, target)
-    if not math.isfinite(comp_at_x[state.region]):
+    current = _current_point_values(state, mixture, target)
+    i = state.region
+    comp_at_x = current[1]
+    if not math.isfinite(comp_at_x[i]):
         # At a finite but huge point the quadratic form overflows, so this
         # density is -inf and no proposal could clear the slice threshold.
-        raise ValueError(_REGION_DENSITY_NOT_FINITE.format(comp_at_x[state.region]))
-    i = state.region
-    v = mixture._sample(i, rng)
-    return _regional_ellipse_step(state, mixture, target, log_pi_x, comp_at_x,
-                                  mixture._means[i], v, rng)
+        raise ValueError(_REGION_DENSITY_NOT_FINITE.format(comp_at_x[i]))
+    v = mixture._sample(i, rng).tolist()
+    return _regional_ellipse_step(state, mixture, target, current,
+                                  mixture._means[i].tolist(), v, rng)
 
 
 def tmrgess_step(state: ChainState, mixture: MixtureModel, target: TargetDensity,
@@ -258,24 +286,25 @@ def tmrgess_step(state: ChainState, mixture: MixtureModel, target: TargetDensity
 
     The auxiliary point is drawn through the scale-mixture representation:
     s ~ IG((D + nu)/2, (nu + d^2)/2), with d^2 the squared Mahalanobis
-    distance of the current point to the region's component from
-    ``MixtureModel._mahalanobis_sq``, then v ~ N(mu_I, s Sigma_I).
+    distance of the current point to the region's component, kept with the
+    point (``ChainState.cache``), then v ~ N(mu_I, s Sigma_I). The draw is
+    formed in Python floats, coordinate by coordinate, as mu + sqrt(s) (L z).
     """
     if mixture.kind != "student_t":
         raise ValueError("tmrgess_step requires Student's-t mixture components")
-    log_pi_x, comp_at_x = _current_point_values(state, mixture, target)
+    current = _current_point_values(state, mixture, target)
     i = state.region
-    # Each row of the stacks is read once per step.
-    mean = mixture._means[i]
     # s ~ IG(alpha, beta), drawn as 1 / Gamma(alpha, scale=1/beta).
-    alpha = mixture._half_dof_plus_dim[i]
-    beta = 0.5 * (mixture._dofs[i] + mixture._mahalanobis_sq(state.point)[i])
+    beta = 0.5 * (mixture._dofs.item(i) + current[2].item(i))
     if not math.isfinite(beta):
         # A finite but huge point can overflow the Mahalanobis term.
         raise ValueError(f"auxiliary rate is not finite ({beta}) at current point")
-    s = 1.0 / rng.gamma(alpha, 1.0 / beta)
-    v = mean + math.sqrt(s) * (mixture._chols[i] @ rng.standard_normal(mixture._dim))
-    return _regional_ellipse_step(state, mixture, target, log_pi_x, comp_at_x, mean, v, rng)
+    s = 1.0 / rng.gamma(mixture._half_dof_plus_dim.item(i), 1.0 / beta)
+    root_s = math.sqrt(s)
+    mean = mixture._means[i].tolist()
+    spread = (mixture._chols[i] @ rng.standard_normal(mixture._dim)).tolist()
+    v = [m + root_s * w for m, w in zip(mean, spread)]
+    return _regional_ellipse_step(state, mixture, target, current, mean, v, rng)
 
 
 def log_pi_rows(target: TargetDensity, points: np.ndarray, chains) -> np.ndarray:
@@ -321,14 +350,16 @@ def _first_entry_failure(points, log_pis, aux_ok, aux_message):
     return ChainFailure(k, ValueError(message))
 
 
-def regional_ess_batch(points, regions, log_pis, comps, mixture: MixtureModel,
+def regional_ess_batch(points, regions, log_pis, comps, quads, mixture: MixtureModel,
                        target: TargetDensity, rngs) -> list:
     """One :func:`gmrgess_step` or :func:`tmrgess_step` (by the mixture's
     kind) for each of K chains; returns the per-chain rejection counts.
 
-    The chains' state is four arrays, updated in place: ``points`` (K, D),
-    ``regions`` (K,), and ``log_pis`` (K,) and ``comps`` (K, M), the target
-    and component log densities at ``points`` under ``mixture``. Chain k
+    The chains' state is five arrays, updated in place: ``points`` (K, D),
+    ``regions`` (K,), ``log_pis`` (K,) and ``comps`` (K, M), the target and
+    component log densities at ``points`` under ``mixture``, and ``quads``
+    (K, M), the squared Mahalanobis distances of ``points`` that ``comps``
+    is built from (``MixtureModel._mahalanobis_sq``). Chain k
     draws from ``rngs[k]`` in the per-chain kernel's order. Every shrinkage
     round proposes for the chains still shrinking only, and evaluates the
     target and the component densities of all its proposals in one call
@@ -348,8 +379,7 @@ def regional_ess_batch(points, regions, log_pis, comps, mixture: MixtureModel,
         # The rate of the inverse-gamma auxiliary scale, as in tmrgess_step;
         # a huge point can overflow it.
         with np.errstate(over="ignore", invalid="ignore"):
-            quad = mixture._mahalanobis_sq(points)[np.arange(k_chains), regions]
-            rate = 0.5 * (mixture._dofs[regions] + quad)
+            rate = 0.5 * (mixture._dofs[regions] + quads[np.arange(k_chains), regions])
         failure = _first_entry_failure(
             points, log_pis, np.isfinite(rate),
             lambda k: f"auxiliary rate is not finite ({rate[k]}) at current point")
@@ -394,7 +424,8 @@ def regional_ess_batch(points, regions, log_pis, comps, mixture: MixtureModel,
     theta_min = [t - two_pi for t in theta]
     theta_max = list(theta)
     rejections = [0] * k_chains
-    log_densities = mixture._log_densities
+    mahalanobis_sq = mixture._mahalanobis_sq
+    from_quad = mixture._log_densities_from_quad
     region_of = mixture._region_of
     cap = MAX_SHRINK_ITERS
     active = list(range(k_chains))
@@ -407,7 +438,8 @@ def regional_ess_batch(points, regions, log_pis, comps, mixture: MixtureModel,
         e = ellipse[idx]
         x_prop = e[:, 0] * cos_t + e[:, 1] * sin_t + e[:, 2]
         log_pi_prop = log_pi_rows(target, x_prop, active)
-        comp_prop = log_densities(x_prop)
+        quad_prop = mahalanobis_sq(x_prop)
+        comp_prop = from_quad(quad_prop)
         j = region_of(comp_prop)
         # A -inf target value fails the test without the per-chain early
         # exit: the left side is -inf, or nan when the density is -inf too.
@@ -420,6 +452,7 @@ def regional_ess_batch(points, regions, log_pis, comps, mixture: MixtureModel,
             regions[done] = j[ok]
             log_pis[done] = log_pi_prop[ok]
             comps[done] = comp_prop[ok]
+            quads[done] = quad_prop[ok]
         still = []
         for k, accepted in zip(active, ok.tolist()):
             if accepted:
@@ -445,24 +478,25 @@ def regional_mh_step(state: ChainState, mixture: MixtureModel,
     same formula covers within-region moves (I = J), where it is the usual
     importance-weighted independence ratio.
     """
-    log_pi_x, comp_at_x = _current_point_values(state, mixture, target)
+    log_pi_x, comp_at_x, quad_at_x = _current_point_values(state, mixture, target)
     x = state.point
     i = state.region
     log_pi = target.log_pi
     x_prop = mixture._sample(i, rng)
     log_pi_prop = float(log_pi(x_prop))
     if log_pi_prop > -math.inf:
-        comp_at_prop = mixture._log_densities(x_prop)
+        quad_prop = mixture._mahalanobis_sq(x_prop)
+        comp_at_prop = mixture._log_densities_from_quad(quad_prop)
         j = int(mixture._region_of(comp_at_prop))
         log_alpha = log_pi_prop + comp_at_x[j] - log_pi_x - comp_at_prop[i]
         if _log_uniform(rng) < min(0.0, log_alpha):
             next_state = ChainState(
                 point=x_prop, region=j,
-                cache=(x_prop, mixture, log_pi, log_pi_prop, comp_at_prop),
+                cache=(x_prop, mixture, log_pi, log_pi_prop, comp_at_prop, quad_prop),
             )
             return StepOutcome(next=next_state, rejections=0)
     next_state = ChainState(
-        point=x, region=i, cache=(x, mixture, log_pi, log_pi_x, comp_at_x)
+        point=x, region=i, cache=(x, mixture, log_pi, log_pi_x, comp_at_x, quad_at_x)
     )
     return StepOutcome(next=next_state, rejections=1)
 
@@ -479,7 +513,8 @@ def _mh_step(state: ChainState, chol, target: TargetDensity, rng) -> StepOutcome
 
     ``log_pi`` at the current point is taken from ``state.cache`` when the
     cache holds this point and this ``log_pi``, and written there for the
-    next step; the mixture slot of an MH cache is None.
+    next step; the mixture, density and distance slots of an MH cache are
+    None.
     """
     x = state.point
     log_pi = target.log_pi
@@ -499,8 +534,8 @@ def _mh_step(state: ChainState, chol, target: TargetDensity, rng) -> StepOutcome
     if accepted:
         next_state = ChainState(
             point=x_prop, region=state.region,
-            cache=(x_prop, None, log_pi, log_pi_prop, None),
+            cache=(x_prop, None, log_pi, log_pi_prop, None, None),
         )
         return StepOutcome(next=next_state, rejections=0)
-    next_state = state._replace(cache=(x, None, log_pi, log_pi_x, None))
+    next_state = state._replace(cache=(x, None, log_pi, log_pi_x, None, None))
     return StepOutcome(next=next_state, rejections=1)

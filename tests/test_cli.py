@@ -232,6 +232,17 @@ class TestCmdRun:
         assert "unknown key 'adaptation.weighted_regions'" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("preset, setting, message", [
+        ("gauss-mix-tmrgess", "run.master_seed=-1", "master_seed must be >= 0, got -1"),
+        ("logistic-synth", "target.seed=-1", "target.seed must be >= 0, got -1"),
+    ])
+    def test_negative_seed_exits_one_writes_nothing(self, tmp_path, capsys, preset,
+                                                    setting, message):
+        out = str(tmp_path / "out")
+        assert main(["run", preset, "--out", out, "--set", setting]) == 1
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("setting, message", [
         ("n_train=0", "n_train must be >= 1, got 0"),
         ("n_test=-5", "n_test must be >= 0, got -5"),
@@ -530,6 +541,14 @@ class TestCmdFit:
         err = capsys.readouterr().err
         assert f"the --init mixture {init_path} has dimension {init_dim}" in err
         assert f"the samples in {csv_path} have dimension {sample_dim}" in err
+        assert not out.exists()
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        csv_path = _write_samples_csv(tmp_path / "s.csv", outlier_fixture())
+        out = tmp_path / "m.csv"
+        assert main(["fit", csv_path, "--scheme", "em_gmm", "-M", "2",
+                     "--seed", "-1", "--out", str(out)]) == 1
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_output_exits_two(self, tmp_path, capsys):

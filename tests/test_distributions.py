@@ -280,6 +280,21 @@ class TestBatchedComponentDensities:
             single = mixture.component_log_densities(x.copy())
             assert row.tobytes() == single.tobytes()
 
+    @settings(deadline=None, max_examples=100)
+    @given(_mixture_and_batch())
+    def test_inputs_left_unchanged(self, case):
+        # The kernels keep the distances with the point and build the
+        # densities from them, so neither routine may write to its input.
+        mixture, points = case
+        for x in (points, points[0]):
+            x_before = x.copy()
+            quad = mixture._mahalanobis_sq(x)
+            quad_before = quad.copy()
+            comps = mixture._log_densities_from_quad(quad)
+            assert x.tobytes() == x_before.tobytes()
+            assert quad.tobytes() == quad_before.tobytes()
+            assert comps.tobytes() == mixture._log_densities(x).tobytes()
+
 
 class TestLogMixture:
     @settings(deadline=None, max_examples=200)

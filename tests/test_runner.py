@@ -100,6 +100,13 @@ class TestValidation:
                 init=Gaussian([0.0], [[1.0]]), mh_proposal_cov=np.eye(1),
             )
 
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+            RunConfig(
+                chains=1, iterations=10, burn_in=0, kernel=Kernel.MH,
+                init=Gaussian([0.0], [[1.0]]), mh_proposal_cov=np.eye(1), master_seed=-1,
+            )
+
     @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
     def test_mh_proposal_cov_must_factor(self, scale):
         with pytest.raises(ValueError, match="mh_proposal_cov"):

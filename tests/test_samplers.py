@@ -376,11 +376,12 @@ def _batch_step(points, mixture, target):
     """One ``regional_ess_batch`` step from ``points``, regions assigned."""
     points = np.array(points, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        comps = mixture._log_densities(points)
+        quads = mixture._mahalanobis_sq(points)
+        comps = mixture._log_densities_from_quad(quads)
     regions = comps.argmax(axis=1)
     log_pis = log_pi_rows(target, points, range(len(points)))
     rngs = [np.random.default_rng(k) for k in range(len(points))]
-    return regional_ess_batch(points, regions, log_pis, comps, mixture, target, rngs)
+    return regional_ess_batch(points, regions, log_pis, comps, quads, mixture, target, rngs)
 
 
 @st.composite
@@ -410,12 +411,13 @@ class TestBatchEqualsPerChainSteps:
     def test_one_step_bitwise(self, case):
         mixture, target, points, seeds = case
         step = gmrgess_step if mixture.kind == "gaussian" else tmrgess_step
-        comps = mixture._log_densities(points)
+        quads = mixture._mahalanobis_sq(points)
+        comps = mixture._log_densities_from_quad(quads)
         regions = mixture._region_of(comps)
         log_pis = log_pi_rows(target, points, range(len(points)))
         starts = points.copy()
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        rejections = regional_ess_batch(points, regions, log_pis, comps,
+        rejections = regional_ess_batch(points, regions, log_pis, comps, quads,
                                         mixture, target, rngs)
         for k, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
@@ -425,6 +427,50 @@ class TestBatchEqualsPerChainSteps:
             assert out.next.region == regions[k]
             assert out.rejections == rejections[k]
             assert rng.bit_generator.state == rngs[k].bit_generator.state
+
+
+def _assert_carried_values_fresh(point, quad, comps, mixture):
+    """``quad`` and ``comps`` equal a fresh ``_mahalanobis_sq(point)`` and
+    ``_log_densities(point)`` bit for bit."""
+    assert quad.tobytes() == mixture._mahalanobis_sq(point).tobytes()
+    assert comps.tobytes() == mixture._log_densities(point).tobytes()
+
+
+class TestCarriedDistancesStayFresh:
+    """The squared distances and component log densities that a regional
+    kernel keeps with its point (``ChainState.cache``, the batch's
+    ``quads`` and ``comps``) equal a fresh evaluation at that point after
+    every step, accepted or not."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(_batch_case())
+    def test_per_chain_kernels(self, case):
+        mixture, target, points, seeds = case
+        ess = gmrgess_step if mixture.kind == "gaussian" else tmrgess_step
+        for step in (ess, regional_mh_step):
+            for x, seed in zip(points, seeds):
+                rng = np.random.default_rng(seed)
+                state = ChainState(point=x, region=mixture.assign_region(x))
+                for _ in range(4):
+                    state = step(state, mixture, target, rng).next
+                    cache = state.cache
+                    assert cache[0] is state.point and cache[1] is mixture
+                    assert cache[3] == target.log_pi(state.point)
+                    _assert_carried_values_fresh(state.point, cache[5], cache[4], mixture)
+
+    @settings(deadline=None, max_examples=60)
+    @given(_batch_case())
+    def test_batch(self, case):
+        mixture, target, points, seeds = case
+        quads = mixture._mahalanobis_sq(points)
+        comps = mixture._log_densities_from_quad(quads)
+        regions = mixture._region_of(comps)
+        log_pis = log_pi_rows(target, points, range(len(points)))
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        for _ in range(4):
+            regional_ess_batch(points, regions, log_pis, comps, quads, mixture, target, rngs)
+            for k, x in enumerate(points):
+                _assert_carried_values_fresh(x, quads[k], comps[k], mixture)
 
 
 # Pseudo-prior mixtures and target of the criterion-3 stationarity check.

@@ -10,11 +10,17 @@ After each run, ``rgess report <out>`` recomputes the diagnostics into
 ``report.csv``. The script also runs ``rgess fit`` once per adaptation
 scheme, under the key ``fit:<scheme>``, on a sample CSV written from a
 fixed seed; the ``sa_gmm`` fit starts from the ``em_gmm`` fit's output.
+Last, it steps each per-chain regional kernel of ``KERNELS`` directly, under
+the key ``kernel:<name>``: ``KERNEL_STEPS`` steps of one chain on the
+acceptance gate's 1-D bimodal target and fixed two-component mixture (test
+criterion 3), from -2.5 with seed ``KERNEL_SEED``.
 Each run is a fresh process with BLAS pinned to one thread, uses the
 ``rgess`` under ``src/`` next to this script, and writes into a temporary
 directory that is removed afterwards. The script prints one JSON line that
 maps each run's key to the sha256 of its ``trace.csv``, ``mixtures.csv``,
-``summary.csv`` and ``report.csv``, or of the mixture CSV a fit writes.
+``summary.csv`` and ``report.csv``, of the mixture CSV a fit writes, or of
+a kernel chain's steps (``"steps"``: each step's point, region and
+rejection count).
 
 Two trees whose outputs are byte-identical print the same line, so running
 this script in both is the check that a change keeps every trace.
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -43,6 +50,9 @@ EXTRA_RUNS = {
 FIT_SCHEMES = ("em_gmm", "vi_gmm", "em_tmm", "sa_gmm")
 FIT_FLAGS = ("-M", "3", "--reg-radius", "0.05", "--seed", "7")
 FIT_SAMPLES_SEED = 2718
+KERNELS = ("gmrgess", "tmrgess", "regional_mh")
+KERNEL_STEPS = 20_000
+KERNEL_SEED = 1003
 
 
 def covered_runs() -> dict:
@@ -123,12 +133,71 @@ def fit_digests(env: dict) -> dict:
     return digests
 
 
+def _bimodal_logpdf(x) -> float:
+    """0.6 N(-2.5, 1) + 0.4 N(2.5, 1.5^2), criterion 3's 1-D target."""
+    v = x[0]
+    a = math.log(0.6) - 0.5 * math.log(2.0 * math.pi) - 0.5 * (v + 2.5) ** 2
+    b = (math.log(0.4) - 0.5 * math.log(2.0 * math.pi * 2.25)
+         - 0.5 * (v - 2.5) ** 2 / 2.25)
+    m = a if a > b else b
+    return m + math.log(math.exp(a - m) + math.exp(b - m))
+
+
+def kernel_digest(kernel: str) -> str:
+    """sha256 of ``KERNEL_STEPS`` steps of ``kernel`` (one of ``KERNELS``)
+    on criterion 3's set-up: each step's point bytes, region and rejection
+    count. Imports ``rgess`` from the path of the calling process."""
+    import numpy as np
+
+    from rgess.distributions import Gaussian, MixtureModel, StudentT
+    from rgess.samplers import (ChainState, TargetDensity, gmrgess_step, regional_mh_step,
+                                tmrgess_step)
+
+    if kernel == "tmrgess":
+        step = tmrgess_step
+        mixture = MixtureModel([0.5, 0.5], [StudentT([-2.5], [[4.0]], 5.0),
+                                            StudentT([2.5], [[6.25]], 7.0)])
+    else:
+        step = gmrgess_step if kernel == "gmrgess" else regional_mh_step
+        mixture = MixtureModel([0.5, 0.5], [Gaussian([-2.5], [[4.0]]),
+                                            Gaussian([2.5], [[6.25]])])
+    target = TargetDensity(dim=1, log_pi=_bimodal_logpdf)
+    rng = np.random.default_rng(KERNEL_SEED)
+    x = np.array([-2.5])
+    state = ChainState(point=x, region=mixture.assign_region(x))
+    h = hashlib.sha256()
+    for _ in range(KERNEL_STEPS):
+        out = step(state, mixture, target, rng)
+        state = out.next
+        h.update(state.point.tobytes())
+        h.update(f"{state.region},{out.rejections};".encode())
+    return h.hexdigest()
+
+
+def kernel_digests(env: dict) -> dict:
+    """``{"kernel:<name>": {"steps": sha256}}`` for each of ``KERNELS``,
+    each from :func:`kernel_digest` in a fresh process with ``env``."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(env, PYTHONPATH=os.pathsep.join([env["PYTHONPATH"], here]))
+    digests = {}
+    for kernel in KERNELS:
+        code = f"import preset_digests as p; print(p.kernel_digest({kernel!r}))"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"kernel {kernel} exited {proc.returncode}: "
+                               f"{proc.stderr.strip()}")
+        digests[f"kernel:{kernel}"] = {"steps": proc.stdout.strip()}
+    return digests
+
+
 def main() -> int:
     env = preset_env()
     try:
         digests = {key: preset_digests(preset, env, overrides)
                    for key, (preset, overrides) in covered_runs().items()}
         digests.update(fit_digests(env))
+        digests.update(kernel_digests(env))
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
