@@ -10,14 +10,15 @@ The per-chain kernels never modify a point in place, so chains stepped one
 at a time hand over their points without copies; the batch updates its
 point array in place and hands over a copy.
 
-The regional ESS kernels (gmrgess, tmrgess and gess) advance all chains as
-one batch: the runner keeps their points, regions, target and component
+The regional ESS kernels (gmrgess and tmrgess) advance all chains as one
+batch: the runner keeps their points, regions, target and component
 log densities and squared Mahalanobis distances as arrays, and
 :func:`rgess.samplers.regional_ess_batch` evaluates each shrinkage round for
 all chains still shrinking in one call.
-Each chain still draws from its own generator in the per-chain kernel's
-order, so the traces equal those of the per-chain kernels bit for bit. The
-mh and regional_mh kernels step one chain at a time.
+Each chain still draws from its own generator through the per-chain
+kernels' draw routine, :func:`rgess.samplers._step_draws`, so the traces
+equal those of the per-chain kernels bit for bit. The mh and regional_mh
+kernels step one chain at a time.
 
 The pseudo-prior comes from ``rgess.adaptation.initial_mixture`` and, at each
 barrier, ``rgess.adaptation.refit``; its kind follows from the scheme.
@@ -53,15 +54,14 @@ class Kernel(str, enum.Enum):
     TMRGESS = "tmrgess"
     REGIONAL_MH = "regional_mh"
     MH = "mh"
-    GESS = "gess"
 
 
 _GAUSSIAN_MIXTURE_KERNELS = {Kernel.GMRGESS, Kernel.REGIONAL_MH}
-_T_MIXTURE_KERNELS = {Kernel.TMRGESS, Kernel.GESS}
+_T_MIXTURE_KERNELS = {Kernel.TMRGESS}
 _MIXTURE_KERNELS = _GAUSSIAN_MIXTURE_KERNELS | _T_MIXTURE_KERNELS
 # Stepped by regional_ess_batch. The per-chain gmrgess_step and tmrgess_step
 # stay importable from this module, where the benchmark's tracer wraps them.
-_BATCHED_KERNELS = {Kernel.GMRGESS, Kernel.TMRGESS, Kernel.GESS}
+_BATCHED_KERNELS = {Kernel.GMRGESS, Kernel.TMRGESS}
 
 
 class RunError(RuntimeError):
@@ -115,13 +115,14 @@ class RunConfig:
             raise ValueError(f"kernel {kernel.value} requires the em_tmm scheme, got {scheme.value}")
         if kernel in _GAUSSIAN_MIXTURE_KERNELS and scheme is Scheme.EM_TMM:
             raise ValueError(f"kernel {kernel.value} requires a Gaussian-mixture scheme")
-        if kernel is Kernel.GESS and self.adaptation.components != 1:
-            raise ValueError("the gess kernel is the single-component special case; set components = 1")
         if kernel in _MIXTURE_KERNELS and self.chains < self.adaptation.components:
             raise ValueError(
                 f"{self.chains} chains cannot support a "
                 f"{self.adaptation.components}-component snapshot fit"
             )
+        if kernel is not Kernel.MH and self.mh_proposal_cov is not None:
+            raise ValueError(f"kernel {kernel.value} ignores mh_proposal_cov; "
+                             "only the mh kernel reads it")
         if kernel is Kernel.MH:
             if self.mh_proposal_cov is None:
                 raise ValueError("the mh kernel requires mh_proposal_cov")

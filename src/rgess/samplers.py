@@ -8,9 +8,10 @@ The elliptical-slice family proposes points on the ellipse through the
 current state and an auxiliary draw, shrinking the angle bracket toward zero
 after every rejected proposal. The regional kernels' slice threshold depends
 on the region the proposal lands in, so a step computes it once for every
-region and each proposal reads its region's. A step draws in a fixed order:
-the auxiliary point, log u, the first angle, then one uniform per rejection,
-so a copy of the generator taken before a step replays its angle brackets.
+region and each proposal reads its region's. A step draws in a fixed order,
+held in one place, :func:`_step_draws`: the auxiliary scale (t only), the
+noise, log u and the first angle; then one uniform per rejection, so a copy
+of the generator taken before a step replays its angle brackets.
 
 The regional kernels keep the current point's squared Mahalanobis distances
 to every component (``MixtureModel._mahalanobis_sq``) with it, next to the
@@ -25,8 +26,8 @@ precisions are built on, so no distance is computed twice.
 once. It draws from each chain's generator in the per-chain kernels' order
 and evaluates each proposal round for all still-shrinking chains in one call,
 so every chain's result equals the per-chain kernel's bit for bit. The
-kernels read the region's row of the mixture's stacks, and gmrgess_step and
-regional_mh_step draw from it with ``MixtureModel._sample``.
+kernels read the region's row of the mixture's stacks, and regional_mh_step
+draws from it with ``MixtureModel._sample``.
 
 :func:`gmrgess_step` and :func:`tmrgess_step` stay for single chains
 (criterion 3, the kernel-1d benchmark), which they step about four times
@@ -122,9 +123,14 @@ class ChainFailure(ValueError):
         self.cause = cause
 
 
-def _log_uniform(rng: np.random.Generator) -> float:
-    # Uniform(0, 1]: excludes 0 so the log-threshold stays finite.
-    return math.log(1.0 - rng.random())
+def _step_draws(rng: np.random.Generator, shape, scale, z: np.ndarray):
+    """``(s, log u, theta)``, one chain's draws before its first proposal, in
+    order: s = 1 / Gamma(shape, scale) (1.0 when ``shape`` is None), noise
+    into ``z``, u ~ Uniform(0, 1] (so log u is finite), the first angle."""
+    s = 1.0 if shape is None else 1.0 / rng.gamma(shape, scale)
+    rng.standard_normal(out=z)
+    log_u = math.log(1.0 - rng.random())
+    return s, log_u, 2.0 * math.pi * rng.random()
 
 
 def _require_finite(value: float, what: str) -> float:
@@ -133,8 +139,9 @@ def _require_finite(value: float, what: str) -> float:
     return value
 
 
-def _ellipse_shrink(x, mu, v, accept, rng):
-    """Shared angle-bracket shrinkage loop of the ESS family.
+def _ellipse_shrink(x, mu, v, theta, accept, rng):
+    """Shared angle-bracket shrinkage loop of the ESS family, from the first
+    angle ``theta`` that :func:`_step_draws` drew.
 
     ``x`` is the current point, an array; the centre ``mu`` and the
     auxiliary point ``v`` are lists of floats. ``accept(x_prop)`` returns
@@ -150,7 +157,6 @@ def _ellipse_shrink(x, mu, v, accept, rng):
     the same double ``rng.uniform(lo, hi)`` returns, without its argument
     handling.
     """
-    theta = 2.0 * math.pi * rng.random()
     theta_min, theta_max = theta - 2.0 * math.pi, theta
     centred = [(a - m, b - m, m) for a, m, b in zip(x.tolist(), mu, v)]
     cos, sin, array = math.cos, math.sin, np.array
@@ -181,16 +187,21 @@ def ess_step(state: ChainState, prior: Gaussian, log_likelihood, rng) -> StepOut
     x = state.point
     if x.shape != (prior.dim,):
         raise ValueError(f"state/prior dimension mismatch: {x.shape} vs ({prior.dim},)")
+    # Every step pays for this check, so it avoids numpy's per-call overhead.
+    if not all(map(math.isfinite, x.tolist())):
+        raise ValueError(f"non-finite current point {x}")
     log_l_x = _require_finite(float(log_likelihood(x)), "log-likelihood at current point")
 
-    v = prior.sample(rng)
-    log_y = log_l_x + _log_uniform(rng)
+    z = np.empty(prior.dim)
+    _, log_u, theta = _step_draws(rng, None, None, z)
+    v = prior.mean + prior.chol @ z
+    log_y = log_l_x + log_u
 
     def accept(x_prop):
         return True if float(log_likelihood(x_prop)) > log_y else None
 
     x_new, theta, rejections, _ = _ellipse_shrink(x, prior.mean.tolist(), v.tolist(),
-                                                  accept, rng)
+                                                  theta, accept, rng)
     next_state = ChainState(point=x_new, region=state.region)
     return StepOutcome(next=next_state, rejections=rejections, angle_final=theta)
 
@@ -223,16 +234,35 @@ def _current_point_values(state: ChainState, mixture: MixtureModel,
     return log_pi_x, comp_at_x, quad_at_x
 
 
-def _regional_ellipse_step(state, mixture, target, current, mean, v, rng):
-    """Ellipse/shrinkage core shared by the Gaussian- and t-mixture kernels,
-    on the ellipse through the current point and ``v`` centred on ``mean``
-    (lists of floats). ``current`` is what :func:`_current_point_values`
-    returned."""
+def _regional_ess_step(state: ChainState, mixture: MixtureModel, target: TargetDensity,
+                       rng) -> StepOutcome:
+    """Regional generalized ESS step of either mixture kind, on the ellipse
+    centred on mu_I through the current point and v = mu_I + sqrt(s) (L_I z),
+    formed in Python floats. s = 1 for Gaussian components; for t components
+    s ~ IG((D + nu)/2, (nu + d^2)/2), the scale-mixture representation, with
+    d^2 the current point's squared distance kept in ``ChainState.cache``."""
     x = state.point
     i = state.region
     log_pi = target.log_pi
-    log_pi_x, comp_at_x, quad_at_x = current
-    log_u = _log_uniform(rng)
+    log_pi_x, comp_at_x, quad_at_x = _current_point_values(state, mixture, target)
+    if mixture._dofs is None:
+        if not math.isfinite(comp_at_x[i]):
+            # At a finite but huge point the quadratic form overflows, so this
+            # density is -inf and no proposal could clear the slice threshold.
+            raise ValueError(_REGION_DENSITY_NOT_FINITE.format(comp_at_x[i]))
+        shape = scale = None
+    else:
+        beta = 0.5 * (mixture._dofs.item(i) + quad_at_x.item(i))
+        if not math.isfinite(beta):
+            # A finite but huge point can overflow the Mahalanobis term.
+            raise ValueError(f"auxiliary rate is not finite ({beta}) at current point")
+        shape, scale = mixture._half_dof_plus_dim.item(i), 1.0 / beta
+    z = np.empty(mixture._dim)
+    s, log_u, theta = _step_draws(rng, shape, scale, z)
+    root_s = math.sqrt(s)
+    mean = mixture._means[i].tolist()
+    v = [m + root_s * w for m, w in zip(mean, (mixture._chols[i] @ z).tolist())]
+
     mahalanobis_sq = mixture._mahalanobis_sq
     from_quad = mixture._log_densities_from_quad
     region_of = mixture._region_of
@@ -251,7 +281,7 @@ def _regional_ellipse_step(state, mixture, target, current, mean, v, rng):
             return j, log_pi_prop, comp_at_prop, quad_prop
         return None
 
-    x_new, theta, rejections, accepted = _ellipse_shrink(x, mean, v, accept, rng)
+    x_new, theta, rejections, accepted = _ellipse_shrink(x, mean, v, theta, accept, rng)
     if accepted is None:
         region_new, log_pi_new, comp_new, quad_new = i, log_pi_x, comp_at_x, quad_at_x
     else:
@@ -268,43 +298,15 @@ def gmrgess_step(state: ChainState, mixture: MixtureModel, target: TargetDensity
     """Regional generalized ESS step with Gaussian-mixture pseudo-priors."""
     if mixture.kind != "gaussian":
         raise ValueError("gmrgess_step requires Gaussian mixture components")
-    current = _current_point_values(state, mixture, target)
-    i = state.region
-    comp_at_x = current[1]
-    if not math.isfinite(comp_at_x[i]):
-        # At a finite but huge point the quadratic form overflows, so this
-        # density is -inf and no proposal could clear the slice threshold.
-        raise ValueError(_REGION_DENSITY_NOT_FINITE.format(comp_at_x[i]))
-    v = mixture._sample(i, rng).tolist()
-    return _regional_ellipse_step(state, mixture, target, current,
-                                  mixture._means[i].tolist(), v, rng)
+    return _regional_ess_step(state, mixture, target, rng)
 
 
 def tmrgess_step(state: ChainState, mixture: MixtureModel, target: TargetDensity,
                  rng) -> StepOutcome:
-    """Regional generalized ESS step with Student's-t mixture pseudo-priors.
-
-    The auxiliary point is drawn through the scale-mixture representation:
-    s ~ IG((D + nu)/2, (nu + d^2)/2), with d^2 the squared Mahalanobis
-    distance of the current point to the region's component, kept with the
-    point (``ChainState.cache``), then v ~ N(mu_I, s Sigma_I). The draw is
-    formed in Python floats, coordinate by coordinate, as mu + sqrt(s) (L z).
-    """
+    """Regional generalized ESS step with Student's-t mixture pseudo-priors."""
     if mixture.kind != "student_t":
         raise ValueError("tmrgess_step requires Student's-t mixture components")
-    current = _current_point_values(state, mixture, target)
-    i = state.region
-    # s ~ IG(alpha, beta), drawn as 1 / Gamma(alpha, scale=1/beta).
-    beta = 0.5 * (mixture._dofs.item(i) + current[2].item(i))
-    if not math.isfinite(beta):
-        # A finite but huge point can overflow the Mahalanobis term.
-        raise ValueError(f"auxiliary rate is not finite ({beta}) at current point")
-    s = 1.0 / rng.gamma(mixture._half_dof_plus_dim.item(i), 1.0 / beta)
-    root_s = math.sqrt(s)
-    mean = mixture._means[i].tolist()
-    spread = (mixture._chols[i] @ rng.standard_normal(mixture._dim)).tolist()
-    v = [m + root_s * w for m, w in zip(mean, spread)]
-    return _regional_ellipse_step(state, mixture, target, current, mean, v, rng)
+    return _regional_ess_step(state, mixture, target, rng)
 
 
 def log_pi_rows(target: TargetDensity, points: np.ndarray, chains) -> np.ndarray:
@@ -376,7 +378,7 @@ def regional_ess_batch(points, regions, log_pis, comps, quads, mixture: MixtureM
     means = mixture._means[regions]
     student_t = mixture._dofs is not None
     if student_t:
-        # The rate of the inverse-gamma auxiliary scale, as in tmrgess_step;
+        # The rate of the inverse-gamma auxiliary scale, as in _regional_ess_step;
         # a huge point can overflow it.
         with np.errstate(over="ignore", invalid="ignore"):
             rate = 0.5 * (mixture._dofs[regions] + quads[np.arange(k_chains), regions])
@@ -391,9 +393,8 @@ def regional_ess_batch(points, regions, log_pis, comps, quads, mixture: MixtureM
     if failure is not None:
         raise failure
 
-    # Each chain's draws, in the per-chain kernels' order: the auxiliary
-    # point's (scale and) noise, then log u (as _log_uniform), then theta.
-    two_pi, log = 2.0 * math.pi, math.log
+    # Each chain's draws, as the per-chain kernel's; s = 1 (Gaussian) scales
+    # the spread exactly.
     noise = np.empty(points.shape)
     scale_draw = [0.0] * k_chains
     log_u = [0.0] * k_chains
@@ -401,26 +402,23 @@ def regional_ess_batch(points, regions, log_pis, comps, quads, mixture: MixtureM
     if student_t:
         shape = mixture._half_dof_plus_dim[regions].tolist()
         scale = (1.0 / rate).tolist()
+    else:
+        shape = scale = [None] * k_chains
     for k, rng in enumerate(rngs):
-        if student_t:
-            scale_draw[k] = 1.0 / rng.gamma(shape[k], scale[k])
-        rng.standard_normal(out=noise[k])
-        log_u[k] = log(1.0 - rng.random())
-        theta[k] = two_pi * rng.random()
+        scale_draw[k], log_u[k], theta[k] = _step_draws(rng, shape[k], scale[k], noise[k])
     spread = (mixture._chols[regions] @ noise[:, :, None])[:, :, 0]
-    if student_t:
-        spread = np.sqrt(scale_draw)[:, None] * spread
-    v = means + spread
+    v = means + np.sqrt(scale_draw)[:, None] * spread
     log_u = np.array(log_u)
 
     # (K, 3, D): the centred point, the centred auxiliary point and the
     # centre of each chain's ellipse.
     ellipse = np.stack([points - means, v - means, means], axis=1)
-    # The right side of the residual-form test of _regional_ellipse_step,
+    # The right side of the residual-form test of _regional_ess_step,
     # log pi(x) - log f_J(x) + log u, for every chain and every region J.
     # A chain's row stays valid while it shrinks: its state changes only
     # when it leaves the round loop.
     threshold = (log_pis[:, None] - comps) + log_u[:, None]
+    two_pi = 2.0 * math.pi
     theta_min = [t - two_pi for t in theta]
     theta_max = list(theta)
     rejections = [0] * k_chains
@@ -489,7 +487,7 @@ def regional_mh_step(state: ChainState, mixture: MixtureModel,
         comp_at_prop = mixture._log_densities_from_quad(quad_prop)
         j = int(mixture._region_of(comp_at_prop))
         log_alpha = log_pi_prop + comp_at_x[j] - log_pi_x - comp_at_prop[i]
-        if _log_uniform(rng) < min(0.0, log_alpha):
+        if math.log(1.0 - rng.random()) < min(0.0, log_alpha):
             next_state = ChainState(
                 point=x_prop, region=j,
                 cache=(x_prop, mixture, log_pi, log_pi_prop, comp_at_prop, quad_prop),
@@ -514,7 +512,8 @@ def _mh_step(state: ChainState, chol, target: TargetDensity, rng) -> StepOutcome
     ``log_pi`` at the current point is taken from ``state.cache`` when the
     cache holds this point and this ``log_pi``, and written there for the
     next step; the mixture, density and distance slots of an MH cache are
-    None.
+    None. A point is checked for finiteness when it misses the cache, so a
+    chain pays for the check once.
     """
     x = state.point
     log_pi = target.log_pi
@@ -522,6 +521,8 @@ def _mh_step(state: ChainState, chol, target: TargetDensity, rng) -> StepOutcome
     if cache is not None and cache[0] is x and cache[2] is log_pi:
         log_pi_x = cache[3]
     else:
+        if not np.isfinite(x).all():
+            raise ValueError(f"non-finite current point {x}")
         log_pi_x = float(log_pi(x))
     _require_finite(log_pi_x, "log target at current point")
     x_prop = x + chol @ rng.standard_normal(x.shape[0])

@@ -189,11 +189,27 @@ class TestCmdRun:
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    def test_ess_kernel_is_unknown_exits_one_writes_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kernel", ["ess", "gess"])
+    def test_removed_kernel_is_unknown_exits_one_writes_nothing(self, tmp_path, capsys,
+                                                                kernel):
         out = str(tmp_path / "out")
         assert main(["run", "gauss-mix-gess", "--out", out,
-                     "--set", "run.kernel=ess"]) == 1
+                     "--set", f"run.kernel={kernel}"]) == 1
         assert "run.kernel must be one of" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_gess_preset_runs_tmrgess(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "gauss-mix-gess", "--out", str(out), "--set", "run.chains=4",
+                     "--set", "run.iterations=30", "--set", "run.burn_in=10"]) == 0
+        assert "run.kernel = tmrgess" in (out / "config.cfg").read_text().splitlines()
+
+    def test_mh_proposal_scale_with_other_kernel_exits_one_writes_nothing(self, tmp_path,
+                                                                         capsys):
+        out = str(tmp_path / "out")
+        assert main(["run", "gauss-mix-tmrgess", "--out", out,
+                     "--set", "run.mh_proposal_scale=1"]) == 1
+        assert "ignores mh_proposal_cov" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("preset, mean, dims", [

@@ -49,7 +49,7 @@ def _determinism_cases():
     return [
         ("gmrgess", config(Kernel.GMRGESS, Scheme.EM_GMM, 2, wide_1d, 2718),
          _bimodal_target_1d, None),
-        ("gess", config(Kernel.GESS, Scheme.EM_TMM, 1, wide_1d, 31,
+        ("gess", config(Kernel.TMRGESS, Scheme.EM_TMM, 1, wide_1d, 31,
                         steps_per_iteration=2, thinning=2),
          _bimodal_target_1d, None),
         ("tmrgess-2d-zero-region",
@@ -78,19 +78,23 @@ class TestValidation:
                 adaptation=AdaptationConfig(scheme=Scheme.EM_TMM, components=2),
             )
 
-    def test_gess_requires_single_component(self):
-        with pytest.raises(ValueError, match="components"):
-            RunConfig(
-                chains=4, iterations=10, burn_in=0, kernel=Kernel.GESS,
-                init=Gaussian([0.0], [[1.0]]),
-                adaptation=AdaptationConfig(scheme=Scheme.EM_TMM, components=2),
-            )
-
     def test_mh_requires_proposal(self):
         with pytest.raises(ValueError, match="mh_proposal_cov"):
             RunConfig(
                 chains=1, iterations=10, burn_in=0, kernel=Kernel.MH,
                 init=Gaussian([0.0], [[1.0]]),
+            )
+
+    @pytest.mark.parametrize("kernel, scheme", [
+        (Kernel.GMRGESS, Scheme.EM_GMM), (Kernel.TMRGESS, Scheme.EM_TMM),
+        (Kernel.REGIONAL_MH, Scheme.EM_GMM),
+    ])
+    def test_proposal_only_for_mh(self, kernel, scheme):
+        with pytest.raises(ValueError, match="ignores mh_proposal_cov"):
+            RunConfig(
+                chains=4, iterations=10, burn_in=0, kernel=kernel,
+                init=Gaussian([0.0], [[1.0]]), mh_proposal_cov=np.eye(1),
+                adaptation=AdaptationConfig(scheme=scheme, components=2),
             )
 
     def test_burn_in_bounds(self):

@@ -372,6 +372,25 @@ class TestRegionalStepEntry:
         assert info.value.chain == 0
 
 
+class TestNonFiniteStart:
+    """ess_step and mh_step refuse a non-finite current point, as the
+    regional kernels do, instead of returning a nan or inf point."""
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_ess_step_raises(self, bad):
+        state = ChainState(point=np.array([bad, 0.0]))
+        with pytest.raises(ValueError, match="non-finite current point"):
+            ess_step(state, Gaussian([0.0, 0.0], np.eye(2)), constant_loglik,
+                     np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_mh_step_raises(self, bad):
+        state = ChainState(point=np.array([bad, 0.0]))
+        flat = TargetDensity(dim=2, log_pi=lambda _x: 0.0)
+        with pytest.raises(ValueError, match="non-finite current point"):
+            mh_step(state, np.eye(2), flat, np.random.default_rng(0))
+
+
 def _batch_step(points, mixture, target):
     """One ``regional_ess_batch`` step from ``points``, regions assigned."""
     points = np.array(points, dtype=float)

@@ -10,10 +10,11 @@ After each run, ``rgess report <out>`` recomputes the diagnostics into
 ``report.csv``. The script also runs ``rgess fit`` once per adaptation
 scheme, under the key ``fit:<scheme>``, on a sample CSV written from a
 fixed seed; the ``sa_gmm`` fit starts from the ``em_gmm`` fit's output.
-Last, it steps each per-chain regional kernel of ``KERNELS`` directly, under
-the key ``kernel:<name>``: ``KERNEL_STEPS`` steps of one chain on the
-acceptance gate's 1-D bimodal target and fixed two-component mixture (test
-criterion 3), from -2.5 with seed ``KERNEL_SEED``.
+Last, it steps each per-chain kernel of ``KERNELS`` directly, under the key
+``kernel:<name>``: ``KERNEL_STEPS`` steps of one chain on the acceptance
+gate's 1-D bimodal target (test criterion 3), from -2.5 with seed
+``KERNEL_SEED``. The regional kernels use criterion 3's fixed two-component
+mixture; ``ess_step`` uses the fixed Gaussian prior ``ESS_PRIOR``.
 Each run is a fresh process with BLAS pinned to one thread, uses the
 ``rgess`` under ``src/`` next to this script, and writes into a temporary
 directory that is removed afterwards. The script prints one JSON line that
@@ -50,7 +51,9 @@ EXTRA_RUNS = {
 FIT_SCHEMES = ("em_gmm", "vi_gmm", "em_tmm", "sa_gmm")
 FIT_FLAGS = ("-M", "3", "--reg-radius", "0.05", "--seed", "7")
 FIT_SAMPLES_SEED = 2718
-KERNELS = ("gmrgess", "tmrgess", "regional_mh")
+KERNELS = ("gmrgess", "tmrgess", "regional_mh", "ess")
+# (mean, covariance) of the Gaussian prior of the ``ess`` kernel digest
+ESS_PRIOR = ([0.0], [[9.0]])
 KERNEL_STEPS = 20_000
 KERNEL_SEED = 1003
 
@@ -146,17 +149,28 @@ def _bimodal_logpdf(x) -> float:
 def kernel_digest(kernel: str) -> str:
     """sha256 of ``KERNEL_STEPS`` steps of ``kernel`` (one of ``KERNELS``)
     on criterion 3's set-up: each step's point bytes, region and rejection
-    count. Imports ``rgess`` from the path of the calling process."""
+    count. ``ess`` steps ``ess_step`` with the prior ``ESS_PRIOR`` and the
+    log-likelihood that makes prior times likelihood the target. Imports
+    ``rgess`` from the path of the calling process."""
     import numpy as np
 
     from rgess.distributions import Gaussian, MixtureModel, StudentT
-    from rgess.samplers import (ChainState, TargetDensity, gmrgess_step, regional_mh_step,
-                                tmrgess_step)
+    from rgess.samplers import (ChainState, TargetDensity, ess_step, gmrgess_step,
+                                regional_mh_step, tmrgess_step)
 
+    mixture = None
     if kernel == "tmrgess":
         step = tmrgess_step
         mixture = MixtureModel([0.5, 0.5], [StudentT([-2.5], [[4.0]], 5.0),
                                             StudentT([2.5], [[6.25]], 7.0)])
+    elif kernel == "ess":
+        prior = Gaussian(*ESS_PRIOR)
+
+        def log_likelihood(x):
+            return _bimodal_logpdf(x) - prior.log_density(x)
+
+        def step(state, _mixture, _target, rng):
+            return ess_step(state, prior, log_likelihood, rng)
     else:
         step = gmrgess_step if kernel == "gmrgess" else regional_mh_step
         mixture = MixtureModel([0.5, 0.5], [Gaussian([-2.5], [[4.0]]),
@@ -164,7 +178,7 @@ def kernel_digest(kernel: str) -> str:
     target = TargetDensity(dim=1, log_pi=_bimodal_logpdf)
     rng = np.random.default_rng(KERNEL_SEED)
     x = np.array([-2.5])
-    state = ChainState(point=x, region=mixture.assign_region(x))
+    state = ChainState(point=x, region=0 if mixture is None else mixture.assign_region(x))
     h = hashlib.sha256()
     for _ in range(KERNEL_STEPS):
         out = step(state, mixture, target, rng)
