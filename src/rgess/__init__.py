@@ -7,7 +7,6 @@ from .adaptation import (
     FitResult,
     LearningRateSchedule,
     Scheme,
-    VIHyperparams,
     em_gmm_fit,
     em_tmm_fit,
     sa_gmm_update,
@@ -48,7 +47,6 @@ __all__ = [
     "StepOutcome",
     "StudentT",
     "TargetDensity",
-    "VIHyperparams",
     "em_gmm_fit",
     "em_tmm_fit",
     "ess_step",

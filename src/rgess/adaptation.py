@@ -44,7 +44,6 @@ from .distributions import MixtureModel, _logsumexp, _mixture, ensure_spd, regul
 __all__ = [
     "Scheme",
     "LearningRateSchedule",
-    "VIHyperparams",
     "AdaptationConfig",
     "FitResult",
     "em_gmm_fit",
@@ -91,35 +90,6 @@ class LearningRateSchedule:
 
 
 @dataclass(frozen=True)
-class VIHyperparams:
-    """Dirichlet + Normal-Wishart hyperpriors for the variational fit.
-
-    The prior mean of the component locations is the sample mean.
-    ``w0_scale=None`` defaults to 1/D and ``nu0=None`` to D+2 at fit time.
-    Every number given must be finite and positive; the fit also needs
-    ``nu0 > D - 1``, a proper Wishart prior.
-    """
-
-    alpha0: float = 1.0
-    beta0: float = 1.0
-    w0_scale: float | None = None
-    nu0: float | None = None
-
-    def __post_init__(self):
-        for name in ("alpha0", "beta0", "w0_scale", "nu0"):
-            value = getattr(self, name)
-            if value is None and name in ("w0_scale", "nu0"):
-                continue
-            if not 0 < value < np.inf:
-                raise ValueError(f"vi {name} must be finite and positive, got {value}")
-
-    def check_nu0(self, d: int) -> None:
-        """Raise ``ValueError`` unless ``nu0`` (when given) exceeds D - 1."""
-        if self.nu0 is not None and not self.nu0 > d - 1:
-            raise ValueError(f"vi nu0 must exceed D - 1 = {d - 1}, got {self.nu0}")
-
-
-@dataclass(frozen=True)
 class AdaptationConfig:
     scheme: Scheme = Scheme.EM_GMM
     components: int = 1
@@ -128,7 +98,6 @@ class AdaptationConfig:
     learning_rate: LearningRateSchedule = field(default_factory=LearningRateSchedule)
     em_max_iters: int = 100
     em_tol: float = 1e-6
-    vi_hyperparams: VIHyperparams = field(default_factory=VIHyperparams)
     fixed_dof: float | None = None
 
     def __post_init__(self):
@@ -393,6 +362,9 @@ def vi_gmm_fit(samples, m: int, config: AdaptationConfig,
     """Variational Bayes for a Gaussian mixture with Dirichlet and
     Normal-Wishart priors, coordinate ascent on the evidence lower bound.
 
+    The hyperprior is fixed (Bishop 2006, PRML section 10.2): alpha0 = beta0
+    = 1, W0 = I / D, nu0 = D + 2, and m0 the sample mean.
+
     Returns the posterior-expected mixture: expected weights, posterior mean
     locations and inverse expected precisions as covariances. Components whose
     expected weight is tiny are retained; VI prunes softly by construction.
@@ -400,21 +372,17 @@ def vi_gmm_fit(samples, m: int, config: AdaptationConfig,
     x = _as_sample_matrix(samples, m)
     n, d = x.shape
     reg = config.reg_radius
-    hp = config.vi_hyperparams
-    hp.check_nu0(d)
     if _is_degenerate(x):
         return FitResult(
             mixture=_degenerate_surrogate(x, m, reg),
             converged=True, iterations_used=0,
         )
 
-    alpha0 = float(hp.alpha0)
-    beta0 = float(hp.beta0)
+    alpha0 = 1.0
+    beta0 = 1.0
     m0 = x.mean(axis=0)
-    w0_scale = float(hp.w0_scale) if hp.w0_scale is not None else 1.0 / d
-    nu0 = float(hp.nu0) if hp.nu0 is not None else d + 2.0
-    w0 = w0_scale * np.eye(d)
-    w0_inv = np.linalg.inv(w0)
+    nu0 = d + 2.0
+    w0_inv = np.linalg.inv((1.0 / d) * np.eye(d))
     log_b0 = _log_wishart_b(float(np.linalg.slogdet(w0_inv)[1]), nu0, d)
 
     # hard-assignment responsibilities from k-means++ seeds

@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .adaptation import AdaptationConfig, LearningRateSchedule, Scheme, VIHyperparams
+from .adaptation import AdaptationConfig, LearningRateSchedule, Scheme
 from .diagnostics import ModeSpec
 from .distributions import Gaussian
 from .runner import Kernel, RunConfig
@@ -55,7 +55,6 @@ _KNOWN_KEYS = {
     "run.mh_proposal_scale": ("float", None),
     "init.mean": ("vector", None),
     "init.cov_scale": ("float", None),
-    "init.cov": ("vector", None),
     "adaptation.scheme": ("str", AdaptationConfig.scheme.value),
     "adaptation.components": ("int", AdaptationConfig.components),
     "adaptation.interval": ("int", AdaptationConfig.interval),
@@ -65,10 +64,6 @@ _KNOWN_KEYS = {
     "adaptation.fixed_dof": ("float", AdaptationConfig.fixed_dof),
     "adaptation.sa_c": ("float", LearningRateSchedule.c),
     "adaptation.sa_n0": ("int", LearningRateSchedule.n0),
-    "adaptation.vi_alpha0": ("float", VIHyperparams.alpha0),
-    "adaptation.vi_beta0": ("float", VIHyperparams.beta0),
-    "adaptation.vi_w0_scale": ("float", VIHyperparams.w0_scale),
-    "adaptation.vi_nu0": ("float", VIHyperparams.nu0),
     "report.window": ("int", None),
     "report.mode_centers": ("centers", None),
     "report.mode_radius": ("float", None),
@@ -193,23 +188,13 @@ def build_experiment(entries: dict) -> ExperimentConfig:
     dim = mean.shape[0]
     if dim == 0:
         raise ConfigError("init.mean has dimension 0; it needs one entry per coordinate")
-    if "init.cov" in entries:
-        flat = get("init.cov")
-        if flat.size != dim * dim:
-            raise ConfigError(
-                f"init.cov needs {dim * dim} row-major entries for init.mean's "
-                f"dimension {dim}, got {flat.size}"
-            )
-        cov = flat.reshape(dim, dim)
-    else:
-        scale = get("init.cov_scale")
-        if scale is None:
-            raise ConfigError("provide init.cov_scale or init.cov")
-        cov = float(scale) * np.eye(dim)
+    scale = get("init.cov_scale", required=True)
     try:
-        init = Gaussian(mean, cov)
+        init = Gaussian(mean, scale * np.eye(dim))
     except (ValueError, np.linalg.LinAlgError) as exc:
-        raise ConfigError(f"invalid init distribution (init.mean, init.cov): {exc}") from exc
+        raise ConfigError(
+            f"invalid init distribution (init.mean, init.cov_scale): {exc}"
+        ) from exc
 
     kernel_raw = get("run.kernel", required=True)
     try:
@@ -238,16 +223,8 @@ def build_experiment(entries: dict) -> ExperimentConfig:
             ),
             em_max_iters=get("adaptation.em_max_iters"),
             em_tol=get("adaptation.em_tol"),
-            vi_hyperparams=VIHyperparams(
-                alpha0=get("adaptation.vi_alpha0"),
-                beta0=get("adaptation.vi_beta0"),
-                w0_scale=get("adaptation.vi_w0_scale"),
-                nu0=get("adaptation.vi_nu0"),
-            ),
             fixed_dof=get("adaptation.fixed_dof"),
         )
-        adaptation.vi_hyperparams.check_nu0(dim)
-        mh_scale = get("run.mh_proposal_scale")
         run_config = RunConfig(
             chains=get("run.chains", required=True),
             iterations=get("run.iterations", required=True),
@@ -258,7 +235,7 @@ def build_experiment(entries: dict) -> ExperimentConfig:
             master_seed=get("run.master_seed"),
             thinning=get("run.thinning"),
             steps_per_iteration=get("run.steps_per_iteration"),
-            mh_proposal_cov=np.diag(np.full(dim, mh_scale)) if mh_scale is not None else None,
+            mh_proposal_scale=get("run.mh_proposal_scale"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

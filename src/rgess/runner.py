@@ -85,7 +85,8 @@ class RunConfig:
     master_seed: int = 0
     thinning: int = 1
     steps_per_iteration: int = 1
-    mh_proposal_cov: np.ndarray | None = None
+    # the mh kernel's proposal covariance is mh_proposal_scale * I
+    mh_proposal_scale: float | None = None
 
     def __post_init__(self):
         if self.chains < 1:
@@ -120,23 +121,15 @@ class RunConfig:
                 f"{self.chains} chains cannot support a "
                 f"{self.adaptation.components}-component snapshot fit"
             )
-        if kernel is not Kernel.MH and self.mh_proposal_cov is not None:
-            raise ValueError(f"kernel {kernel.value} ignores mh_proposal_cov; "
+        scale = self.mh_proposal_scale
+        if kernel is not Kernel.MH and scale is not None:
+            raise ValueError(f"kernel {kernel.value} ignores mh_proposal_scale; "
                              "only the mh kernel reads it")
         if kernel is Kernel.MH:
-            if self.mh_proposal_cov is None:
-                raise ValueError("the mh kernel requires mh_proposal_cov")
-            cov = np.asarray(self.mh_proposal_cov, dtype=float)
-            if cov.shape != (self.init.dim, self.init.dim):
-                raise ValueError(
-                    f"mh_proposal_cov shape {cov.shape} does not match dimension {self.init.dim}"
-                )
-            if not np.isfinite(cov).all():
-                raise ValueError("mh_proposal_cov contains non-finite entries")
-            try:
-                np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError:
-                raise ValueError("mh_proposal_cov is not positive definite") from None
+            if scale is None:
+                raise ValueError("the mh kernel requires mh_proposal_scale")
+            if not 0 < scale < np.inf:
+                raise ValueError(f"mh_proposal_scale must be finite and > 0, got {scale}")
 
 
 @dataclass(frozen=True)
@@ -153,7 +146,7 @@ class _PerChain:
         if mixture is not None:
             self.set_mixture(mixture)
         if config.kernel is Kernel.MH:
-            chol = np.linalg.cholesky(np.asarray(config.mh_proposal_cov, dtype=float))
+            chol = np.linalg.cholesky(config.mh_proposal_scale * np.eye(config.init.dim))
             self._step = lambda state, rng: _mh_step(state, chol, target, rng)
         else:
             self._step = lambda state, rng: regional_mh_step(state, self.mixture, target, rng)

@@ -5,6 +5,7 @@ two-binomial litter-survival model with its embedded dataset."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,8 @@ class LogisticTarget:
             )
         if not np.all(np.isin(labels, (0.0, 1.0))):
             raise ValueError("labels must be binary 0/1")
+        if not np.isfinite(design).all():
+            raise ValueError("design contains non-finite values")
         col_mean = design.mean(axis=0)
         col_var = design.var(axis=0)
         if np.max(np.abs(col_mean)) > 1e-8 or np.max(np.abs(col_var - 1.0)) > 1e-6:
@@ -161,7 +164,8 @@ def _standardize_split(train_x, test_x):
 
 def load_covtype(path, n_select: int, n_features: int, train_fraction: float,
                  seed: int, header: bool = False) -> Dataset:
-    """Load a covtype-format CSV: features plus a class label in the last column.
+    """Load a covtype-format CSV: features plus a class label in the last column,
+    every value finite.
 
     Rows of the two most frequent classes are kept (lower class label mapped
     to 0, higher to 1), ``n_select`` rows are subsampled uniformly with
@@ -182,9 +186,12 @@ def load_covtype(path, n_select: int, n_features: int, train_fraction: float,
                 if not row:
                     continue
                 try:
-                    rows.append([float(v) for v in row])
+                    values = [float(v) for v in row]
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: unparseable value ({exc})") from exc
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"{path}:{lineno}: non-finite value")
+                rows.append(values)
     except OSError as exc:
         raise ValueError(f"cannot read covtype CSV {path}: {exc}") from exc
     if not rows:

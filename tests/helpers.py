@@ -643,7 +643,7 @@ def reference_chain_major_run(config, target):
 
     def step(state, rng):
         if kernel is Kernel.MH:
-            cov = np.asarray(config.mh_proposal_cov, dtype=float)
+            cov = config.mh_proposal_scale * np.eye(config.init.dim)
             return mh_step(state, cov, target, rng)
         if kernel is Kernel.REGIONAL_MH:
             return regional_mh_step(state, mixture, target, rng)

@@ -26,7 +26,6 @@ from rgess.adaptation import (
     AdaptationConfig,
     LearningRateSchedule,
     Scheme,
-    VIHyperparams,
     em_gmm_fit,
     em_tmm_fit,
     initial_mixture,
@@ -189,7 +188,7 @@ class TestViGmm:
     def test_single_component_posterior_mean(self):
         rng = np.random.default_rng(10)
         samples = rng.normal(3.0, 2.0, size=(400, 1))
-        config = _config(scheme=Scheme.VI_GMM, vi_hyperparams=VIHyperparams(beta0=1.0))
+        config = _config(scheme=Scheme.VI_GMM)
         fit = vi_gmm_fit(samples, 1, config, np.random.default_rng(11))
         sample_mean = samples.mean()
         # the prior mean is the sample mean, so with one component conjugate
@@ -388,30 +387,6 @@ class TestAdaptationConfig:
     def test_rejects_infinite_learning_rate(self):
         with pytest.raises(ValueError, match="learning rate c"):
             LearningRateSchedule(c=np.inf)
-
-
-class TestVIHyperparams:
-    @pytest.mark.parametrize("name, value", [
-        ("alpha0", -1.0), ("alpha0", 0.0), ("alpha0", np.inf), ("alpha0", np.nan),
-        ("beta0", 0.0), ("beta0", np.inf),
-        ("w0_scale", -1.0), ("w0_scale", 0.0), ("w0_scale", np.inf),
-        ("nu0", 0.0), ("nu0", np.inf),
-    ])
-    def test_rejects_non_positive_or_non_finite(self, name, value):
-        with pytest.raises(ValueError, match=f"vi {name} must be finite and positive"):
-            VIHyperparams(**{name: value})
-
-    @pytest.mark.parametrize("nu0", [0.5, 1.0])
-    def test_fit_rejects_nu0_at_most_dim_minus_one(self, nu0):
-        samples = np.random.default_rng(5).normal(size=(30, 2))
-        config = _config(scheme=Scheme.VI_GMM, vi_hyperparams=VIHyperparams(nu0=nu0))
-        with pytest.raises(ValueError, match=r"vi nu0 must exceed D - 1 = 1"):
-            vi_gmm_fit(samples, 2, config, np.random.default_rng(7))
-
-    def test_fit_accepts_nu0_above_dim_minus_one(self):
-        samples = np.random.default_rng(5).normal(size=(30, 2))
-        config = _config(scheme=Scheme.VI_GMM, vi_hyperparams=VIHyperparams(nu0=1.5))
-        assert vi_gmm_fit(samples, 2, config, np.random.default_rng(7)).mixture.dim == 2
 
 
 def _assert_same_mixture(got, want):

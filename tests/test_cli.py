@@ -46,12 +46,16 @@ def _write_config(tmp_path, text=TINY_RUN, name="exp.cfg"):
     return str(path)
 
 
-def _write_covtype_csv(path, n_rows=60):
+def _write_covtype_csv(path, n_rows=60, nan_row=None):
     """Covtype-format CSV: nine standard-normal features and a class label
-    of 1 or 2 in the last column."""
+    of 1 or 2 in the last column; row ``nan_row`` (0-based), if given, has a
+    ``nan`` third feature."""
     rng = np.random.default_rng(12)
+    features = rng.normal(size=(n_rows, 9))
+    if nan_row is not None:
+        features[nan_row, 2] = np.nan
     with open(path, "w") as fh:
-        for row, klass in zip(rng.normal(size=(n_rows, 9)), rng.integers(1, 3, size=n_rows)):
+        for row, klass in zip(features, rng.integers(1, 3, size=n_rows)):
             fh.write(",".join(format(v, ".10g") for v in row) + f",{klass}\n")
     return str(path)
 
@@ -77,6 +81,11 @@ class TestConfigFormat:
     def test_build_reports_missing_required(self):
         with pytest.raises(Exception, match="missing required key"):
             build_experiment(parse_config_text("target.kind = gauss_mix"))
+
+    def test_init_cov_scale_is_required(self):
+        entries = parse_config_text(TINY_RUN.replace("init.cov_scale = 5\n", ""))
+        with pytest.raises(Exception, match="missing required key 'init.cov_scale'"):
+            build_experiment(entries)
 
 
 class TestPresets:
@@ -147,7 +156,7 @@ class TestCmdRun:
         out = str(tmp_path / "out")
         assert main(["run", "logistic-synth-mh", "--out", out,
                      "--set", f"run.mh_proposal_scale={scale}"]) == 1
-        assert "mh_proposal_cov" in capsys.readouterr().err
+        assert "mh_proposal_scale" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("burn_in, thinning", [(29, 7), (3, 40)])
@@ -172,10 +181,6 @@ class TestCmdRun:
 
     @pytest.mark.parametrize("preset, setting, message", [
         ("gauss-mix-tmrgess", "fixed_dof=inf", "fixed_dof must be finite"),
-        ("gauss-mix-vi-gmrgess", "vi_alpha0=-1", "vi alpha0 must be finite and positive"),
-        ("gauss-mix-vi-gmrgess", "vi_beta0=0", "vi beta0 must be finite and positive"),
-        ("gauss-mix-vi-gmrgess", "vi_w0_scale=-1", "vi w0_scale must be finite and positive"),
-        ("gauss-mix-vi-gmrgess", "vi_nu0=0.5", "vi nu0 must exceed D - 1 = 1"),
         ("gauss-mix-sa-gmrgess", "sa_c=inf", "learning rate c must be finite"),
     ])
     def test_bad_hyperparameter_exits_one_writes_nothing(self, tmp_path, capsys,
@@ -209,7 +214,7 @@ class TestCmdRun:
         out = str(tmp_path / "out")
         assert main(["run", "gauss-mix-tmrgess", "--out", out,
                      "--set", "run.mh_proposal_scale=1"]) == 1
-        assert "ignores mh_proposal_cov" in capsys.readouterr().err
+        assert "ignores mh_proposal_scale" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("preset, mean, dims", [
@@ -241,11 +246,16 @@ class TestCmdRun:
         assert named in err and "finite" in err
         assert not os.path.exists(out)
 
-    def test_weighted_regions_is_unknown_exits_one_writes_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("preset, key, value", [
+        ("gauss-mix-em-gmrgess", "adaptation.weighted_regions", "true"),
+        ("gauss-mix-vi-gmrgess", "adaptation.vi_alpha0", "1"),
+        ("gauss-mix-tmrgess", "init.cov", "5,0,0,5"),
+    ])
+    def test_removed_key_is_unknown_exits_one_writes_nothing(self, tmp_path, capsys,
+                                                             preset, key, value):
         out = str(tmp_path / "out")
-        assert main(["run", "gauss-mix-em-gmrgess", "--out", out,
-                     "--set", "adaptation.weighted_regions=true"]) == 1
-        assert "unknown key 'adaptation.weighted_regions'" in capsys.readouterr().err
+        assert main(["run", preset, "--out", out, "--set", f"{key}={value}"]) == 1
+        assert f"unknown key {key!r}" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("preset, setting, message", [
@@ -298,6 +308,49 @@ class TestCmdRun:
                      "--set", "run.burn_in=2", "--set", "adaptation.interval=3"]) == 0
         summary = (out / "summary.csv").read_text()
         assert "posterior_mean" in summary and "accuracy" not in summary
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_covtype_non_finite_value_exits_one_writes_nothing(self, tmp_path, capsys, seed):
+        # all 200 rows are selected; target.seed 1 puts the nan row (line 6)
+        # in the training split, target.seed 3 in the test split
+        path = _write_covtype_csv(tmp_path / "covtype.csv", n_rows=200, nan_row=5)
+        out = str(tmp_path / "out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "logistic-covtype", "--out", out,
+                         "--set", f"target.path={path}", "--set", "target.n_select=200",
+                         "--set", f"target.seed={seed}", "--set", "run.chains=4",
+                         "--set", "run.iterations=6", "--set", "run.burn_in=2",
+                         "--set", "adaptation.interval=3"]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:6: non-finite value" in err
+        assert not os.path.exists(out)
+
+    def test_covtype_bad_header_flag_exits_one_writes_nothing(self, tmp_path, capsys):
+        path = _write_covtype_csv(tmp_path / "covtype.csv")
+        out = str(tmp_path / "out")
+        assert main(["run", "logistic-covtype", "--out", out, "--set", f"target.path={path}",
+                     "--set", "target.n_select=40", "--set", "target.header=maybe"]) == 1
+        assert "target.header" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_covtype_header_flag_skips_header_line(self, tmp_path):
+        # the same rows with a header line and target.header=true give the
+        # same trace as the bare rows
+        rows = _write_covtype_csv(tmp_path / "rows.csv")
+        headed = tmp_path / "headed.csv"
+        headed.write_text(",".join(f"f{i}" for i in range(9)) + ",class\n"
+                          + (tmp_path / "rows.csv").read_text())
+        short = ["--set", "target.n_select=40", "--set", "run.chains=4",
+                 "--set", "run.iterations=6", "--set", "run.burn_in=2",
+                 "--set", "adaptation.interval=3"]
+        bare, with_header = tmp_path / "bare", tmp_path / "with_header"
+        assert main(["run", "logistic-covtype", "--out", str(bare),
+                     "--set", f"target.path={rows}", *short]) == 0
+        assert main(["run", "logistic-covtype", "--out", str(with_header),
+                     "--set", f"target.path={headed}", "--set", "target.header=true",
+                     *short]) == 0
+        assert (with_header / "trace.csv").read_bytes() == (bare / "trace.csv").read_bytes()
 
     def test_missing_config_exits_one(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1
@@ -370,6 +423,17 @@ class TestCmdReport:
         config.write_text("\n".join(lines) + "\n")
         assert main(["report", str(out)]) == 1
         assert "init.mean has dimension 3" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("line", ["adaptation.vi_alpha0 = 1", "init.cov = 5,0,0,5"])
+    def test_removed_key_in_run_config_exits_one(self, tmp_path, capsys, line):
+        # a run directory written with a since-removed setting is refused
+        out = tmp_path / "out"
+        assert main(["run", _write_config(tmp_path), "--out", str(out)]) == 0
+        config = out / "config.cfg"
+        config.write_text(config.read_text() + line + "\n")
+        assert main(["report", str(out)]) == 1
+        assert f"unknown key {line.split(' =')[0]!r}" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
     def test_unwritable_report_exits_two(self, tmp_path, capsys):

@@ -79,7 +79,7 @@ class TestValidation:
             )
 
     def test_mh_requires_proposal(self):
-        with pytest.raises(ValueError, match="mh_proposal_cov"):
+        with pytest.raises(ValueError, match="the mh kernel requires mh_proposal_scale"):
             RunConfig(
                 chains=1, iterations=10, burn_in=0, kernel=Kernel.MH,
                 init=Gaussian([0.0], [[1.0]]),
@@ -90,10 +90,10 @@ class TestValidation:
         (Kernel.REGIONAL_MH, Scheme.EM_GMM),
     ])
     def test_proposal_only_for_mh(self, kernel, scheme):
-        with pytest.raises(ValueError, match="ignores mh_proposal_cov"):
+        with pytest.raises(ValueError, match="ignores mh_proposal_scale"):
             RunConfig(
                 chains=4, iterations=10, burn_in=0, kernel=kernel,
-                init=Gaussian([0.0], [[1.0]]), mh_proposal_cov=np.eye(1),
+                init=Gaussian([0.0], [[1.0]]), mh_proposal_scale=1.0,
                 adaptation=AdaptationConfig(scheme=scheme, components=2),
             )
 
@@ -101,22 +101,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="burn_in"):
             RunConfig(
                 chains=1, iterations=10, burn_in=10, kernel=Kernel.MH,
-                init=Gaussian([0.0], [[1.0]]), mh_proposal_cov=np.eye(1),
+                init=Gaussian([0.0], [[1.0]]), mh_proposal_scale=1.0,
             )
 
     def test_negative_master_seed_rejected(self):
         with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
             RunConfig(
                 chains=1, iterations=10, burn_in=0, kernel=Kernel.MH,
-                init=Gaussian([0.0], [[1.0]]), mh_proposal_cov=np.eye(1), master_seed=-1,
+                init=Gaussian([0.0], [[1.0]]), mh_proposal_scale=1.0, master_seed=-1,
             )
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
-    def test_mh_proposal_cov_must_factor(self, scale):
-        with pytest.raises(ValueError, match="mh_proposal_cov"):
+    def test_mh_proposal_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="mh_proposal_scale must be finite and > 0"):
             RunConfig(
                 chains=1, iterations=10, burn_in=0, kernel=Kernel.MH,
-                init=Gaussian([0.0, 0.0], np.eye(2)), mh_proposal_cov=np.diag([scale, scale]),
+                init=Gaussian([0.0, 0.0], np.eye(2)), mh_proposal_scale=scale,
             )
 
     @pytest.mark.parametrize("iterations, burn_in, thinning",
@@ -126,14 +126,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="burn_in must lie in"):
             RunConfig(
                 chains=1, iterations=iterations, burn_in=burn_in, kernel=Kernel.MH,
-                init=Gaussian([0.0], [[1.0]]), mh_proposal_cov=np.eye(1),
+                init=Gaussian([0.0], [[1.0]]), mh_proposal_scale=1.0,
                 thinning=thinning,
             )
 
     def test_last_recorded_iteration_above_burn_in_is_enough(self):
         config = RunConfig(
             chains=1, iterations=30, burn_in=27, kernel=Kernel.MH,
-            init=Gaussian([0.0], [[1.0]]), mh_proposal_cov=np.eye(1), thinning=7,
+            init=Gaussian([0.0], [[1.0]]), mh_proposal_scale=1.0, thinning=7,
         )
         traces = run(config, _std_normal_target(1)).traces
         assert [rec.iteration for rec in traces[0]] == [7, 14, 21, 28]
@@ -153,7 +153,7 @@ class TestSingleChainEquivalence:
         target = _std_normal_target(2)
         config = RunConfig(
             chains=1, iterations=100, burn_in=0, kernel=Kernel.MH,
-            init=init, master_seed=314, mh_proposal_cov=0.5 * np.eye(2),
+            init=init, master_seed=314, mh_proposal_scale=0.5,
         )
         result = run(config, target)
 
@@ -227,7 +227,7 @@ class TestChainIndependence:
         config = RunConfig(
             chains=4, iterations=30, burn_in=0, kernel=Kernel.MH,
             init=Gaussian([0.0], [[1.0]]), master_seed=5,
-            mh_proposal_cov=np.eye(1),
+            mh_proposal_scale=1.0,
         )
         result = run(config, target)
         seeds = np.random.SeedSequence(config.master_seed).spawn(config.chains + 1)
@@ -236,7 +236,7 @@ class TestChainIndependence:
             state = ChainState(point=config.init.sample(rng))
             assert len(result.traces[k]) == config.iterations
             for rec in result.traces[k]:
-                outcome = mh_step(state, config.mh_proposal_cov, target, rng)
+                outcome = mh_step(state, config.mh_proposal_scale * np.eye(1), target, rng)
                 state = outcome.next
                 np.testing.assert_array_equal(rec.point, state.point)
                 assert rec.rejections == outcome.rejections
@@ -295,7 +295,7 @@ class TestBookkeeping:
         config = RunConfig(
             chains=3, iterations=30, burn_in=0, kernel=Kernel.MH,
             init=Gaussian([0.0], [[1.0]]), master_seed=9,
-            mh_proposal_cov=np.eye(1), thinning=3,
+            mh_proposal_scale=1.0, thinning=3,
         )
         result = run(config, _std_normal_target(1))
         lengths = {len(chain) for chain in result.traces}
@@ -307,7 +307,7 @@ class TestBookkeeping:
         config = RunConfig(
             chains=2, iterations=10, burn_in=0, kernel=Kernel.MH,
             init=Gaussian([5.0], [[0.01]]), master_seed=10,
-            mh_proposal_cov=25.0 * np.eye(1), steps_per_iteration=4,
+            mh_proposal_scale=25.0, steps_per_iteration=4,
         )
         result = run(config, _std_normal_target(1))
         max_rej = max(rec.rejections for chain in result.traces for rec in chain)
@@ -324,7 +324,7 @@ class TestRunErrors:
         init = Gaussian([50.0], [[0.01]])
         configs = [
             RunConfig(chains=2, iterations=5, burn_in=0, kernel=Kernel.MH, init=init,
-                      master_seed=3, mh_proposal_cov=np.eye(1)),
+                      master_seed=3, mh_proposal_scale=1.0),
             RunConfig(chains=2, iterations=5, burn_in=0, kernel=Kernel.TMRGESS, init=init,
                       master_seed=3, adaptation=AdaptationConfig(scheme=Scheme.EM_TMM)),
             RunConfig(chains=2, iterations=5, burn_in=0, kernel=Kernel.GMRGESS, init=init,

@@ -130,6 +130,13 @@ class TestLogisticLikelihood:
         with pytest.raises(ValueError):
             LogisticTarget(np.array([[2.0], [4.0]]), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_design_rejected(self, bad):
+        design = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+        design[0, 1] = bad
+        with pytest.raises(ValueError, match="design contains non-finite values"):
+            LogisticTarget(design, np.array([1.0, 0.0, 1.0, 0.0]))
+
     def test_non_finite_beta_gives_neg_inf(self):
         data = LogisticTarget(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
         assert logistic_log_likelihood(np.array([np.inf]), data) == -np.inf
@@ -251,6 +258,29 @@ class TestLoadCovtype:
         path.write_text("1.0,2.0,1\n1.0,oops,2\n")
         with pytest.raises(ValueError, match="bad.csv:2"):
             load_covtype(path, 1, 1, 0.5, 0)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_value_names_line(self, tmp_path, bad, column):
+        path = tmp_path / "bad.csv"
+        row = ["1.0", "1"]
+        row[column] = bad
+        path.write_text("1.0,1\n-1.0,2\n" + ",".join(row) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: non-finite value")):
+            load_covtype(path, 2, 1, 0.5, 0)
+
+    def test_header_line_skipped_with_flag(self, tmp_path):
+        rows = _write_covtype_fixture(tmp_path / "rows.csv", np.random.default_rng(9))
+        lines = rows.read_text()
+        headed = tmp_path / "headed.csv"
+        headed.write_text(",".join(f"f{i}" for i in range(54)) + ",class\n" + lines)
+        args = dict(n_select=80, n_features=9, train_fraction=0.75, seed=2)
+        expected = load_covtype(rows, **args)
+        got = load_covtype(headed, header=True, **args)
+        for name, value in vars(expected).items():
+            np.testing.assert_array_equal(getattr(got, name), value)
+        with pytest.raises(ValueError, match=re.escape(f"{headed}:1: unparseable value")):
+            load_covtype(headed, **args)
 
     @pytest.mark.parametrize("n_select, n_features, train_fraction, message", [
         (0, 9, 0.75, "n_select must be >= 1, got 0"),

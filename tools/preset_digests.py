@@ -6,7 +6,11 @@ Runs ``rgess run <preset>`` for every bundled preset except
 ``logistic-covtype`` (its data set is not bundled), and the runs of
 ``EXTRA_RUNS``: a preset with ``--set`` overrides, under its own key. No
 bundled preset steps the ``regional_mh`` kernel, so one extra run does.
-After each run, ``rgess report <out>`` recomputes the diagnostics into
+``logistic-covtype`` runs under the key ``logistic-covtype:generated`` on a
+covtype-format CSV written from ``COVTYPE_SEED`` (``COVTYPE_ROWS`` rows of
+``COVTYPE_FEATURES`` features and a class label of 1, 2 or 3), shortened by
+``COVTYPE_OVERRIDES``: 400 of those rows, 300 iterations, 100 of them
+burn-in. After each run, ``rgess report <out>`` recomputes the diagnostics into
 ``report.csv``. The script also runs ``rgess fit`` once per adaptation
 scheme, under the key ``fit:<scheme>``, on a sample CSV written from a
 fixed seed; the ``sa_gmm`` fit starts from the ``em_gmm`` fit's output.
@@ -51,6 +55,10 @@ EXTRA_RUNS = {
 FIT_SCHEMES = ("em_gmm", "vi_gmm", "em_tmm", "sa_gmm")
 FIT_FLAGS = ("-M", "3", "--reg-radius", "0.05", "--seed", "7")
 FIT_SAMPLES_SEED = 2718
+COVTYPE_SEED = 1414
+COVTYPE_ROWS = 500
+COVTYPE_FEATURES = 12
+COVTYPE_OVERRIDES = ("target.n_select=400", "run.iterations=300", "run.burn_in=100")
 KERNELS = ("gmrgess", "tmrgess", "regional_mh", "ess")
 # (mean, covariance) of the Gaussian prior of the ``ess`` kernel digest
 ESS_PRIOR = ([0.0], [[9.0]])
@@ -118,6 +126,30 @@ def write_fit_samples(path) -> None:
         for cx, cy in ((-6.0, 0.0), (0.0, 5.0), (6.0, -1.0)):
             for _ in range(40):
                 fh.write(f"{cx + rng.gauss(0.0, 1.0)!r},{cy + rng.gauss(0.0, 1.5)!r}\n")
+
+
+def write_covtype_samples(path) -> None:
+    """``COVTYPE_ROWS`` covtype-format rows from ``COVTYPE_SEED``: class 1, 2
+    or 3 with probabilities 0.45, 0.4 and 0.15, then ``COVTYPE_FEATURES``
+    features N(0.3 * class, 1), written with ``repr`` so that they read back
+    exactly, and the class label last."""
+    rng = random.Random(COVTYPE_SEED)
+    with open(path, "w") as fh:
+        for _ in range(COVTYPE_ROWS):
+            klass = rng.choices((1, 2, 3), weights=(0.45, 0.4, 0.15))[0]
+            features = [repr(rng.gauss(0.3 * klass, 1.0)) for _ in range(COVTYPE_FEATURES)]
+            fh.write(",".join(features) + f",{klass}\n")
+
+
+def covtype_digests(env: dict) -> dict:
+    """``{"logistic-covtype:generated": {file: sha256}}``: the
+    ``logistic-covtype`` preset with ``COVTYPE_OVERRIDES`` on the CSV of
+    :func:`write_covtype_samples`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "covtype.csv")
+        write_covtype_samples(path)
+        overrides = (f"target.path={path}", *COVTYPE_OVERRIDES)
+        return {"logistic-covtype:generated": preset_digests("logistic-covtype", env, overrides)}
 
 
 def fit_digests(env: dict) -> dict:
@@ -210,6 +242,7 @@ def main() -> int:
     try:
         digests = {key: preset_digests(preset, env, overrides)
                    for key, (preset, overrides) in covered_runs().items()}
+        digests.update(covtype_digests(env))
         digests.update(fit_digests(env))
         digests.update(kernel_digests(env))
     except RuntimeError as exc:
