@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -74,7 +74,8 @@ class Scheme(str, enum.Enum):
 
 @dataclass(frozen=True)
 class LearningRateSchedule:
-    """r_n = c / (n0 + n); satisfies the Robbins-Monro conditions."""
+    """r_n = c / (n0 + n); satisfies the Robbins-Monro conditions.
+    :func:`refit` steps SA at the default schedule, 0.5 / (10 + n)."""
 
     c: float = 0.5
     n0: int = 10
@@ -95,7 +96,6 @@ class AdaptationConfig:
     components: int = 1
     interval: int = 20
     reg_radius: float = 0.0
-    learning_rate: LearningRateSchedule = field(default_factory=LearningRateSchedule)
     em_max_iters: int = 100
     em_tol: float = 1e-6
     fixed_dof: float | None = None
@@ -113,6 +113,9 @@ class AdaptationConfig:
             raise ValueError(f"em_tol must be >= 0, got {self.em_tol}")
         if self.fixed_dof is not None and not 0 < self.fixed_dof < np.inf:
             raise ValueError(f"fixed_dof must be finite and positive, got {self.fixed_dof}")
+        if self.fixed_dof is not None and self.scheme is not Scheme.EM_TMM:
+            raise ValueError(f"fixed_dof applies only to the em_tmm scheme, "
+                             f"not {self.scheme.value}")
 
 
 @dataclass(frozen=True)
@@ -578,10 +581,11 @@ def initial_mixture(config: AdaptationConfig, points, rng: np.random.Generator) 
 def refit(config: AdaptationConfig, mixture: MixtureModel, points,
           rng: np.random.Generator, update_index: int) -> MixtureModel:
     """The pseudo-prior after the ``update_index``-th refit (from 1) on
-    ``points``: one SA step on ``mixture`` at ``learning_rate.rate(update_index)``,
-    or an EM or VI fit from scratch that ignores ``mixture``."""
+    ``points``: one SA step on ``mixture`` at
+    ``LearningRateSchedule().rate(update_index)``, or an EM or VI fit from
+    scratch that ignores ``mixture``."""
     if config.scheme is Scheme.SA_GMM:
-        rate = config.learning_rate.rate(update_index)
+        rate = LearningRateSchedule().rate(update_index)
         return sa_gmm_update(mixture, points, rate, config.reg_radius)
     # Built per call, so that a wrapper set on this module sees every refit.
     fit = {Scheme.EM_GMM: em_gmm_fit, Scheme.VI_GMM: vi_gmm_fit, Scheme.EM_TMM: em_tmm_fit}

@@ -25,7 +25,7 @@ from importlib import resources
 import numpy as np
 
 from . import targets as tg
-from .adaptation import AdaptationConfig, LearningRateSchedule, Scheme, refit
+from .adaptation import AdaptationConfig, Scheme, refit
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -176,10 +176,10 @@ def cmd_report(args) -> int:
             trace_path, mixtures_path=os.path.join(args.trace_dir, "mixtures.csv")
         )
         rc = exp.run_config
-        recorded = list(range(rc.thinning, rc.iterations + 1, rc.thinning))
+        recorded = list(range(1, rc.iterations + 1))
         if len(traces) != rc.chains or [rec.iteration for rec in traces[0]] != recorded:
-            raise ConfigError(f"{trace_path}: config.cfg records {rc.chains} chains at the "
-                              f"multiples of {rc.thinning} up to {rc.iterations}; this file does not")
+            raise ConfigError(f"{trace_path}: config.cfg records {rc.chains} chains at "
+                              f"iterations 1 to {rc.iterations}; this file does not")
         target, extras = build_target(exp)
         _check_target(rc, target)
         window = args.window if args.window is not None else exp.report_window
@@ -239,7 +239,6 @@ def cmd_fit(args) -> int:
             em_max_iters=args.max_iters,
             em_tol=args.tol,
             fixed_dof=args.fixed_dof,
-            learning_rate=LearningRateSchedule(c=args.sa_c, n0=args.sa_n0),
         )
         if scheme is Scheme.SA_GMM:
             sa_steps = 1 if args.sa_steps is None else args.sa_steps
@@ -313,8 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--init", help="starting mixture CSV (sa_gmm only)")
     p_fit.add_argument("--sa-steps", type=int, default=None,
                        help="sa_gmm refits from --init (default 1)")
-    p_fit.add_argument("--sa-c", type=float, default=LearningRateSchedule.c)
-    p_fit.add_argument("--sa-n0", type=int, default=LearningRateSchedule.n0)
     p_fit.set_defaults(func=cmd_fit)
     return parser
 

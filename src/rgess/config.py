@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .adaptation import AdaptationConfig, LearningRateSchedule, Scheme
+from .adaptation import AdaptationConfig, Scheme
 from .diagnostics import ModeSpec
 from .distributions import Gaussian
 from .runner import Kernel, RunConfig
@@ -50,7 +50,6 @@ _KNOWN_KEYS = {
     "run.iterations": ("int", None),
     "run.burn_in": ("int", None),
     "run.master_seed": ("int", RunConfig.master_seed),
-    "run.thinning": ("int", RunConfig.thinning),
     "run.steps_per_iteration": ("int", RunConfig.steps_per_iteration),
     "run.mh_proposal_scale": ("float", None),
     "init.mean": ("vector", None),
@@ -62,8 +61,6 @@ _KNOWN_KEYS = {
     "adaptation.em_max_iters": ("int", AdaptationConfig.em_max_iters),
     "adaptation.em_tol": ("float", AdaptationConfig.em_tol),
     "adaptation.fixed_dof": ("float", AdaptationConfig.fixed_dof),
-    "adaptation.sa_c": ("float", LearningRateSchedule.c),
-    "adaptation.sa_n0": ("int", LearningRateSchedule.n0),
     "report.window": ("int", None),
     "report.mode_centers": ("centers", None),
     "report.mode_radius": ("float", None),
@@ -218,9 +215,6 @@ def build_experiment(entries: dict) -> ExperimentConfig:
             components=get("adaptation.components"),
             interval=get("adaptation.interval"),
             reg_radius=get("adaptation.reg_radius"),
-            learning_rate=LearningRateSchedule(
-                c=get("adaptation.sa_c"), n0=get("adaptation.sa_n0")
-            ),
             em_max_iters=get("adaptation.em_max_iters"),
             em_tol=get("adaptation.em_tol"),
             fixed_dof=get("adaptation.fixed_dof"),
@@ -233,7 +227,6 @@ def build_experiment(entries: dict) -> ExperimentConfig:
             init=init,
             adaptation=adaptation,
             master_seed=get("run.master_seed"),
-            thinning=get("run.thinning"),
             steps_per_iteration=get("run.steps_per_iteration"),
             mh_proposal_scale=get("run.mh_proposal_scale"),
         )
@@ -243,6 +236,8 @@ def build_experiment(entries: dict) -> ExperimentConfig:
     centers = get("report.mode_centers")
     radius = get("report.mode_radius")
     mode_spec = None
+    if radius is not None and centers is None:
+        raise ConfigError("report.mode_radius requires report.mode_centers")
     if centers is not None:
         if radius is None:
             raise ConfigError("report.mode_centers requires report.mode_radius")

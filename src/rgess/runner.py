@@ -6,22 +6,23 @@ each holds its own state and random generator. Stepping chain 0 through a
 whole segment between barriers, then chain 1, and so on, therefore gives the
 same traces as the lockstep order ``run`` uses: the execution layout never
 changes results. A refit reads the chains' current points in chain order.
-The per-chain kernels never modify a point in place, so chains stepped one
-at a time hand over their points without copies; the batch updates its
-point array in place and hands over a copy.
+Every iteration is recorded.
 
-The regional ESS kernels (gmrgess and tmrgess) advance all chains as one
-batch: the runner keeps their points, regions, target and component
-log densities and squared Mahalanobis distances as arrays, and
-:func:`rgess.samplers.regional_ess_batch` evaluates each shrinkage round for
-all chains still shrinking in one call.
+``run`` steps two kinds of chain. The regional ESS kernels (gmrgess and
+tmrgess) advance all chains as one batch: the runner keeps their points,
+regions, target and component log densities and squared Mahalanobis
+distances as arrays, and :func:`rgess.samplers.regional_ess_batch` evaluates
+each shrinkage round for all chains still shrinking in one call.
 Each chain still draws from its own generator through the per-chain
 kernels' draw routine, :func:`rgess.samplers._step_draws`, so the traces
-equal those of the per-chain kernels bit for bit. The mh and regional_mh
-kernels step one chain at a time.
+equal those of the per-chain kernels bit for bit. The mh kernel steps one
+chain at a time, with no mixture and every chain in region 0.
+:func:`rgess.samplers.regional_mh_step` is a per-chain reference kernel
+that ``run`` does not step.
 
-The pseudo-prior comes from ``rgess.adaptation.initial_mixture`` and, at each
-barrier, ``rgess.adaptation.refit``; its kind follows from the scheme.
+The batch's pseudo-prior comes from ``rgess.adaptation.initial_mixture``
+and, at each barrier, ``rgess.adaptation.refit``; its kind follows from the
+scheme.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .samplers import (  # noqa: F401 (gmrgess_step and tmrgess_step: see below)
     gmrgess_step,
     log_pi_rows,
     regional_ess_batch,
-    regional_mh_step,
     tmrgess_step,
 )
 
@@ -52,16 +52,11 @@ __all__ = ["Kernel", "RunConfig", "RunResult", "RunError", "run"]
 class Kernel(str, enum.Enum):
     GMRGESS = "gmrgess"
     TMRGESS = "tmrgess"
-    REGIONAL_MH = "regional_mh"
     MH = "mh"
 
 
-_GAUSSIAN_MIXTURE_KERNELS = {Kernel.GMRGESS, Kernel.REGIONAL_MH}
-_T_MIXTURE_KERNELS = {Kernel.TMRGESS}
-_MIXTURE_KERNELS = _GAUSSIAN_MIXTURE_KERNELS | _T_MIXTURE_KERNELS
-# Stepped by regional_ess_batch. The per-chain gmrgess_step and tmrgess_step
-# stay importable from this module, where the benchmark's tracer wraps them.
-_BATCHED_KERNELS = {Kernel.GMRGESS, Kernel.TMRGESS}
+# The per-chain gmrgess_step and tmrgess_step stay importable from this
+# module, where the benchmark's tracer wraps them.
 
 
 class RunError(RuntimeError):
@@ -83,7 +78,6 @@ class RunConfig:
     init: Gaussian
     adaptation: AdaptationConfig = field(default_factory=AdaptationConfig)
     master_seed: int = 0
-    thinning: int = 1
     steps_per_iteration: int = 1
     # the mh kernel's proposal covariance is mh_proposal_scale * I
     mh_proposal_scale: float | None = None
@@ -93,17 +87,11 @@ class RunConfig:
             raise ValueError(f"chains must be >= 1, got {self.chains}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.thinning < 1:
-            raise ValueError(f"thinning must be >= 1, got {self.thinning}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        # The recorded iterations are the multiples of thinning.
-        last_recorded = self.iterations - self.iterations % self.thinning
-        if not 0 <= self.burn_in < last_recorded:
-            raise ValueError(
-                f"burn_in must lie in [0, {last_recorded}), the last recorded of "
-                f"{self.iterations} iterations with thinning {self.thinning}; got {self.burn_in}"
-            )
+        if not 0 <= self.burn_in < self.iterations:
+            raise ValueError(f"burn_in must lie in [0, {self.iterations}) for "
+                             f"{self.iterations} iterations, got {self.burn_in}")
         if self.steps_per_iteration < 1:
             raise ValueError(
                 f"steps_per_iteration must be >= 1, got {self.steps_per_iteration}"
@@ -112,11 +100,11 @@ class RunConfig:
 
     def _validate_kernel_scheme(self):
         kernel, scheme = self.kernel, self.adaptation.scheme
-        if kernel in _T_MIXTURE_KERNELS and scheme is not Scheme.EM_TMM:
+        if kernel is Kernel.TMRGESS and scheme is not Scheme.EM_TMM:
             raise ValueError(f"kernel {kernel.value} requires the em_tmm scheme, got {scheme.value}")
-        if kernel in _GAUSSIAN_MIXTURE_KERNELS and scheme is Scheme.EM_TMM:
+        if kernel is Kernel.GMRGESS and scheme is Scheme.EM_TMM:
             raise ValueError(f"kernel {kernel.value} requires a Gaussian-mixture scheme")
-        if kernel in _MIXTURE_KERNELS and self.chains < self.adaptation.components:
+        if kernel is not Kernel.MH and self.chains < self.adaptation.components:
             raise ValueError(
                 f"{self.chains} chains cannot support a "
                 f"{self.adaptation.components}-component snapshot fit"
@@ -138,31 +126,20 @@ class RunResult:
     mixture_history: list
 
 
-class _PerChain:
-    """Chains stepped one at a time with the configured kernel."""
+class _MH:
+    """Chains of the mh kernel, stepped one at a time; every chain stays in
+    region 0."""
 
-    def __init__(self, config: RunConfig, target: TargetDensity, points, mixture):
+    def __init__(self, config: RunConfig, target: TargetDensity, points):
         self.states = [ChainState(point=p) for p in points]
-        if mixture is not None:
-            self.set_mixture(mixture)
-        if config.kernel is Kernel.MH:
-            chol = np.linalg.cholesky(config.mh_proposal_scale * np.eye(config.init.dim))
-            self._step = lambda state, rng: _mh_step(state, chol, target, rng)
-        else:
-            self._step = lambda state, rng: regional_mh_step(state, self.mixture, target, rng)
-
-    def set_mixture(self, mixture: MixtureModel):
-        self.mixture = mixture
-        self.states = [s._replace(region=mixture.assign_region(s.point)) for s in self.states]
-
-    def snapshot(self) -> list:
-        return [s.point for s in self.states]
+        self.chol = np.linalg.cholesky(config.mh_proposal_scale * np.eye(config.init.dim))
+        self.target = target
 
     def step(self, rngs) -> list:
         rejections = []
         for k, rng in enumerate(rngs):
             try:
-                outcome = self._step(self.states[k], rng)
+                outcome = _mh_step(self.states[k], self.chol, self.target, rng)
             except ValueError as exc:
                 raise ChainFailure(k, exc) from exc
             self.states[k] = outcome.next
@@ -230,26 +207,23 @@ def run(config: RunConfig, target: TargetDensity) -> RunResult:
     acfg = config.adaptation
     points = [config.init.sample(rng) for rng in rngs]
     mixture = None
-    uses_mixture = config.kernel in _MIXTURE_KERNELS
-    if uses_mixture:
+    mixture_history = []
+    if config.kernel is Kernel.MH:
+        chains = _MH(config, target, points)
+    else:
         mixture = initial_mixture(acfg, points, adapt_rng)
-    try:
-        if config.kernel in _BATCHED_KERNELS:
+        mixture_history.append((0, mixture))
+        try:
             chains = _Batched(target, points, mixture)
-        else:
-            chains = _PerChain(config, target, points, mixture)
-    except ChainFailure as exc:
-        raise RunError(exc.chain, 1, exc.cause) from exc
+        except ChainFailure as exc:
+            raise RunError(exc.chain, 1, exc.cause) from exc
 
     first_adapt = max(acfg.interval, 2 * acfg.components)
     traces = [[] for _ in range(k_chains)]
-    mixture_history = []
-    if uses_mixture:
-        mixture_history.append((0, mixture))
     update_index = 0
 
     for n in range(1, config.iterations + 1):
-        if uses_mixture and n % acfg.interval == 0 and n >= first_adapt:
+        if mixture is not None and n % acfg.interval == 0 and n >= first_adapt:
             update_index += 1
             mixture = refit(acfg, mixture, chains.snapshot(), adapt_rng, update_index)
             mixture_history.append((n, mixture))
@@ -261,11 +235,10 @@ def run(config: RunConfig, target: TargetDensity) -> RunResult:
                 rejections = [a + b for a, b in zip(rejections, chains.step(rngs))]
         except ChainFailure as exc:
             raise RunError(exc.chain, n, exc.cause) from exc
-        if n % config.thinning == 0:
-            for k, (point, region) in enumerate(chains.records()):
-                traces[k].append(TraceRecord(
-                    chain=k, iteration=n, point=point,
-                    rejections=rejections[k], region=region,
-                ))
+        for k, (point, region) in enumerate(chains.records()):
+            traces[k].append(TraceRecord(
+                chain=k, iteration=n, point=point,
+                rejections=rejections[k], region=region,
+            ))
 
     return RunResult(traces=traces, mixture_history=mixture_history)

@@ -164,8 +164,8 @@ def _standardize_split(train_x, test_x):
 
 def load_covtype(path, n_select: int, n_features: int, train_fraction: float,
                  seed: int, header: bool = False) -> Dataset:
-    """Load a covtype-format CSV: features plus a class label in the last column,
-    every value finite.
+    """Load a covtype-format CSV: features plus an integer class label in the
+    last column, every value finite.
 
     Rows of the two most frequent classes are kept (lower class label mapped
     to 0, higher to 1), ``n_select`` rows are subsampled uniformly with
@@ -191,6 +191,9 @@ def load_covtype(path, n_select: int, n_features: int, train_fraction: float,
                     raise ValueError(f"{path}:{lineno}: unparseable value ({exc})") from exc
                 if not all(map(math.isfinite, values)):
                     raise ValueError(f"{path}:{lineno}: non-finite value")
+                if not values[-1].is_integer():
+                    raise ValueError(f"{path}:{lineno}: class label {values[-1]!r} "
+                                     "is not an integer")
                 rows.append(values)
     except OSError as exc:
         raise ValueError(f"cannot read covtype CSV {path}: {exc}") from exc

@@ -7,7 +7,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaln, logsumexp
 
-from rgess import runner, samplers
+from rgess import samplers
 from rgess.adaptation import (
     _EMPTY_RESP,
     FitResult,
@@ -34,7 +34,6 @@ from rgess.samplers import (
     StepOutcome,
     gmrgess_step,
     mh_step,
-    regional_mh_step,
     tmrgess_step,
 )
 
@@ -629,7 +628,7 @@ def reference_chain_major_run(config, target):
     kernel = config.kernel
 
     states = [ChainState(point=config.init.sample(rng)) for rng in rngs]
-    uses_mixture = kernel in runner._MIXTURE_KERNELS
+    uses_mixture = kernel is not Kernel.MH
     mixture = None
     history = []
     barriers = []
@@ -645,8 +644,6 @@ def reference_chain_major_run(config, target):
         if kernel is Kernel.MH:
             cov = config.mh_proposal_scale * np.eye(config.init.dim)
             return mh_step(state, cov, target, rng)
-        if kernel is Kernel.REGIONAL_MH:
-            return regional_mh_step(state, mixture, target, rng)
         if kernel is Kernel.GMRGESS:
             return gmrgess_step(state, mixture, target, rng)
         return tmrgess_step(state, mixture, target, rng)
@@ -668,10 +665,9 @@ def reference_chain_major_run(config, target):
                     outcome = step(state, rngs[k])
                     state = outcome.next
                     rejections += outcome.rejections
-                if n % config.thinning == 0:
-                    traces[k].append(TraceRecord(
-                        chain=k, iteration=n, point=np.array(state.point, copy=True),
-                        rejections=rejections, region=state.region,
-                    ))
+                traces[k].append(TraceRecord(
+                    chain=k, iteration=n, point=np.array(state.point, copy=True),
+                    rejections=rejections, region=state.region,
+                ))
             states[k] = state
     return traces, history

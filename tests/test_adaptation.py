@@ -84,6 +84,8 @@ BITWISE_CASES = ["two_clusters", "outliers", "heavy_tails", "fixed_dof",
 
 def _assert_equals_reference_em(case, student_t):
     samples, m, kwargs, seed = _reference_case(case)
+    if not student_t:
+        kwargs.pop("fixed_dof", None)  # a Gaussian scheme rejects fixed_dof
     config = _config(scheme=Scheme.EM_TMM if student_t else Scheme.EM_GMM, **kwargs)
     fitter = em_tmm_fit if student_t else em_gmm_fit
     fit = fitter(samples, m, config, np.random.default_rng(seed))
@@ -451,7 +453,7 @@ class TestRefit:
     @pytest.mark.parametrize("update_index", [1, 5])
     def test_sa_steps_at_the_scheduled_rate(self, update_index):
         current, samples = random_sa_instance(3)
-        schedule = LearningRateSchedule(c=0.7, n0=2)
-        config = _config(scheme=Scheme.SA_GMM, reg_radius=0.05, learning_rate=schedule)
+        schedule = LearningRateSchedule()
+        config = _config(scheme=Scheme.SA_GMM, reg_radius=0.05)
         got = refit(config, current, samples, np.random.default_rng(0), update_index)
         _assert_same_mixture(got, sa_gmm_update(current, samples, schedule.rate(update_index), 0.05))

@@ -159,14 +159,11 @@ class TestCmdRun:
         assert "mh_proposal_scale" in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("burn_in, thinning", [(29, 7), (3, 40)])
-    def test_thinning_past_burn_in_exits_one_writes_nothing(self, tmp_path, capsys,
-                                                            burn_in, thinning):
+    def test_burn_in_of_every_iteration_exits_one_writes_nothing(self, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert main(["run", "gauss-mix-tmrgess", "--out", out,
-                     "--set", "run.iterations=30", "--set", f"run.burn_in={burn_in}",
-                     "--set", f"run.thinning={thinning}"]) == 1
-        assert "burn_in must lie in" in capsys.readouterr().err
+                     "--set", "run.iterations=30", "--set", "run.burn_in=30"]) == 1
+        assert "burn_in must lie in [0, 30)" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("key, value", [("reg_radius", "nan"), ("reg_radius", "inf"),
@@ -181,7 +178,9 @@ class TestCmdRun:
 
     @pytest.mark.parametrize("preset, setting, message", [
         ("gauss-mix-tmrgess", "fixed_dof=inf", "fixed_dof must be finite"),
-        ("gauss-mix-sa-gmrgess", "sa_c=inf", "learning rate c must be finite"),
+        ("gauss-mix-em-gmrgess", "fixed_dof=3", "fixed_dof applies only to the em_tmm scheme"),
+        ("gauss-mix-vi-gmrgess", "fixed_dof=3", "fixed_dof applies only to the em_tmm scheme"),
+        ("gauss-mix-sa-gmrgess", "fixed_dof=3", "fixed_dof applies only to the em_tmm scheme"),
     ])
     def test_bad_hyperparameter_exits_one_writes_nothing(self, tmp_path, capsys,
                                                          preset, setting, message):
@@ -194,13 +193,20 @@ class TestCmdRun:
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("kernel", ["ess", "gess"])
+    @pytest.mark.parametrize("kernel", ["ess", "gess", "regional_mh"])
     def test_removed_kernel_is_unknown_exits_one_writes_nothing(self, tmp_path, capsys,
                                                                 kernel):
         out = str(tmp_path / "out")
         assert main(["run", "gauss-mix-gess", "--out", out,
                      "--set", f"run.kernel={kernel}"]) == 1
         assert "run.kernel must be one of" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_mode_radius_without_centers_exits_one_writes_nothing(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(["run", "logistic-synth-mh", "--out", out,
+                     "--set", "report.mode_radius=3"]) == 1
+        assert "report.mode_radius requires report.mode_centers" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_gess_preset_runs_tmrgess(self, tmp_path):
@@ -250,6 +256,9 @@ class TestCmdRun:
         ("gauss-mix-em-gmrgess", "adaptation.weighted_regions", "true"),
         ("gauss-mix-vi-gmrgess", "adaptation.vi_alpha0", "1"),
         ("gauss-mix-tmrgess", "init.cov", "5,0,0,5"),
+        ("gauss-mix-tmrgess", "run.thinning", "2"),
+        ("gauss-mix-sa-gmrgess", "adaptation.sa_c", "0.5"),
+        ("gauss-mix-sa-gmrgess", "adaptation.sa_n0", "10"),
     ])
     def test_removed_key_is_unknown_exits_one_writes_nothing(self, tmp_path, capsys,
                                                              preset, key, value):
@@ -324,6 +333,21 @@ class TestCmdRun:
                          "--set", "adaptation.interval=3"]) == 1
         err = capsys.readouterr().err
         assert f"{path}:6: non-finite value" in err
+        assert not os.path.exists(out)
+
+    def test_covtype_non_integer_label_exits_one_writes_nothing(self, tmp_path, capsys):
+        # truncated, labels 2.7 and 1.2 would load as classes 2 and 1
+        csv = tmp_path / "covtype.csv"
+        path = _write_covtype_csv(csv)
+        lines = csv.read_text().splitlines()
+        for lineno, label in ((2, "2.7"), (3, "1.2")):
+            lines[lineno - 1] = lines[lineno - 1].rsplit(",", 1)[0] + "," + label
+        csv.write_text("\n".join(lines) + "\n")
+        out = str(tmp_path / "out")
+        assert main(["run", "logistic-covtype", "--out", out, "--set", f"target.path={path}",
+                     "--set", "target.n_select=40", "--set", "run.chains=4",
+                     "--set", "run.iterations=6", "--set", "run.burn_in=2"]) == 1
+        assert f"{path}:2: class label 2.7 is not an integer" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_covtype_bad_header_flag_exits_one_writes_nothing(self, tmp_path, capsys):
@@ -425,7 +449,8 @@ class TestCmdReport:
         assert "init.mean has dimension 3" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
-    @pytest.mark.parametrize("line", ["adaptation.vi_alpha0 = 1", "init.cov = 5,0,0,5"])
+    @pytest.mark.parametrize("line", ["adaptation.vi_alpha0 = 1", "init.cov = 5,0,0,5",
+                                      "run.thinning = 1"])
     def test_removed_key_in_run_config_exits_one(self, tmp_path, capsys, line):
         # a run directory written with a since-removed setting is refused
         out = tmp_path / "out"
@@ -448,8 +473,8 @@ class TestCmdReport:
         assert "trace.csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize("keep, rename, message", [
-        (lambda c, n: n != 30, None, "records 6 chains at the multiples of 1 up to 30"),
-        (lambda c, n: c != 5, None, "records 6 chains at the multiples of 1 up to 30"),
+        (lambda c, n: n != 30, None, "records 6 chains at iterations 1 to 30"),
+        (lambda c, n: c != 5, None, "records 6 chains at iterations 1 to 30"),
         (lambda c, n: (c, n) != (2, 10), None, "the chains record different iterations"),
         (None, (5, 9), "chain ids run from 0 to 9, not 0..5"),
     ], ids=["iteration-30-dropped", "chain-5-dropped", "one-row-dropped", "chain-5-renamed"])
@@ -556,15 +581,19 @@ class TestCmdFit:
         assert name in capsys.readouterr().err
         assert not out.exists()
 
-    def test_infinite_fixed_dof_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("scheme, dof, message", [
+        ("em_tmm", "inf", "fixed_dof must be finite"),
+        ("em_gmm", "3", "fixed_dof applies only to the em_tmm scheme, not em_gmm"),
+    ])
+    def test_bad_fixed_dof_exits_one(self, tmp_path, capsys, scheme, dof, message):
         samples = np.random.default_rng(3).normal(size=(20, 2))
         csv_path = _write_samples_csv(tmp_path / "s.csv", samples)
         out = tmp_path / "m.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["fit", csv_path, "--scheme", "em_tmm", "-M", "2",
-                         "--fixed-dof", "inf", "--out", str(out)]) == 1
-        assert "fixed_dof must be finite" in capsys.readouterr().err
+            assert main(["fit", csv_path, "--scheme", scheme, "-M", "2",
+                         "--fixed-dof", dof, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_sa_requires_init(self, tmp_path):
@@ -672,10 +701,9 @@ class TestCmdFitDispatch:
         out = tmp_path / "m.csv"
         flags = [] if steps is None else ["--sa-steps", str(steps)]
         assert main(["fit", csv_path, "--scheme", "sa_gmm", "-M", "3", "--init", init_path,
-                     *flags, "--sa-c", "0.8", "--sa-n0", "3",
-                     "--reg-radius", "0.05", "--out", str(out)]) == 0
+                     *flags, "--reg-radius", "0.05", "--out", str(out)]) == 0
         steps = 1 if steps is None else steps
-        schedule = LearningRateSchedule(c=0.8, n0=3)
+        schedule = LearningRateSchedule()
         mixture = read_mixtures_csv(init_path)[0][1]
         want = [(0, mixture)] if steps == 0 else []
         for step in range(1, steps + 1):

@@ -50,7 +50,7 @@ def _determinism_cases():
         ("gmrgess", config(Kernel.GMRGESS, Scheme.EM_GMM, 2, wide_1d, 2718),
          _bimodal_target_1d, None),
         ("gess", config(Kernel.TMRGESS, Scheme.EM_TMM, 1, wide_1d, 31,
-                        steps_per_iteration=2, thinning=2),
+                        steps_per_iteration=2),
          _bimodal_target_1d, None),
         ("tmrgess-2d-zero-region",
          config(Kernel.TMRGESS, Scheme.EM_TMM, 2, Gaussian([-1.5, 0.5], 0.1 * np.eye(2)), 33),
@@ -87,7 +87,6 @@ class TestValidation:
 
     @pytest.mark.parametrize("kernel, scheme", [
         (Kernel.GMRGESS, Scheme.EM_GMM), (Kernel.TMRGESS, Scheme.EM_TMM),
-        (Kernel.REGIONAL_MH, Scheme.EM_GMM),
     ])
     def test_proposal_only_for_mh(self, kernel, scheme):
         with pytest.raises(ValueError, match="ignores mh_proposal_scale"):
@@ -97,10 +96,11 @@ class TestValidation:
                 adaptation=AdaptationConfig(scheme=scheme, components=2),
             )
 
-    def test_burn_in_bounds(self):
-        with pytest.raises(ValueError, match="burn_in"):
+    @pytest.mark.parametrize("burn_in", [10, -1])
+    def test_burn_in_bounds(self, burn_in):
+        with pytest.raises(ValueError, match=r"burn_in must lie in \[0, 10\)"):
             RunConfig(
-                chains=1, iterations=10, burn_in=10, kernel=Kernel.MH,
+                chains=1, iterations=10, burn_in=burn_in, kernel=Kernel.MH,
                 init=Gaussian([0.0], [[1.0]]), mh_proposal_scale=1.0,
             )
 
@@ -119,24 +119,13 @@ class TestValidation:
                 init=Gaussian([0.0, 0.0], np.eye(2)), mh_proposal_scale=scale,
             )
 
-    @pytest.mark.parametrize("iterations, burn_in, thinning",
-                             [(30, 29, 7), (30, 3, 40), (10, 6, 6)])
-    def test_some_recorded_iteration_lies_above_burn_in(self, iterations, burn_in,
-                                                        thinning):
-        with pytest.raises(ValueError, match="burn_in must lie in"):
-            RunConfig(
-                chains=1, iterations=iterations, burn_in=burn_in, kernel=Kernel.MH,
-                init=Gaussian([0.0], [[1.0]]), mh_proposal_scale=1.0,
-                thinning=thinning,
-            )
-
-    def test_last_recorded_iteration_above_burn_in_is_enough(self):
+    def test_last_iteration_above_burn_in_is_enough(self):
         config = RunConfig(
-            chains=1, iterations=30, burn_in=27, kernel=Kernel.MH,
-            init=Gaussian([0.0], [[1.0]]), mh_proposal_scale=1.0, thinning=7,
+            chains=1, iterations=30, burn_in=29, kernel=Kernel.MH,
+            init=Gaussian([0.0], [[1.0]]), mh_proposal_scale=1.0,
         )
         traces = run(config, _std_normal_target(1)).traces
-        assert [rec.iteration for rec in traces[0]] == [7, 14, 21, 28]
+        assert [rec.iteration for rec in traces[0]] == list(range(1, 31))
 
     def test_chains_must_cover_components(self):
         with pytest.raises(ValueError, match="snapshot fit"):
@@ -291,17 +280,15 @@ class TestBarriers:
 
 
 class TestBookkeeping:
-    def test_trace_lengths_equal_and_thinning(self):
+    def test_every_chain_records_every_iteration(self):
         config = RunConfig(
             chains=3, iterations=30, burn_in=0, kernel=Kernel.MH,
-            init=Gaussian([0.0], [[1.0]]), master_seed=9,
-            mh_proposal_scale=1.0, thinning=3,
+            init=Gaussian([0.0], [[1.0]]), master_seed=9, mh_proposal_scale=1.0,
         )
         result = run(config, _std_normal_target(1))
-        lengths = {len(chain) for chain in result.traces}
-        assert lengths == {10}
-        for chain in result.traces:
-            assert [rec.iteration for rec in chain] == list(range(3, 31, 3))
+        for k, chain in enumerate(result.traces):
+            assert [(rec.chain, rec.iteration) for rec in chain] == [
+                (k, n) for n in range(1, 31)]
 
     def test_steps_per_iteration_accumulates_rejections(self):
         config = RunConfig(

@@ -269,6 +269,14 @@ class TestLoadCovtype:
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: non-finite value")):
             load_covtype(path, 2, 1, 0.5, 0)
 
+    def test_non_integer_class_label_names_line(self, tmp_path):
+        # truncated, the labels would load as two classes, 1 and 2
+        path = tmp_path / "bad.csv"
+        path.write_text("0.5,1\n-0.5,2.7\n1.5,1.2\n-1.5,2\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}:2: class label 2.7 is not an integer")):
+            load_covtype(path, 2, 1, 0.5, 0)
+
     def test_header_line_skipped_with_flag(self, tmp_path):
         rows = _write_covtype_fixture(tmp_path / "rows.csv", np.random.default_rng(9))
         lines = rows.read_text()

@@ -2,11 +2,12 @@
 
     python3 tools/preset_diff.py OTHER_ROOT
 
-Runs each preset run that ``tools/preset_digests.py`` covers twice, once with
-the ``rgess`` under ``src/`` next to this script and once with the one under
+Runs each preset of ``covered_runs`` in ``tools/preset_digests.py`` (every
+bundled preset but ``logistic-covtype``) twice, once with the ``rgess``
+under ``src/`` next to this script and once with the one under
 ``OTHER_ROOT/src``, in the same environment (BLAS on one thread), through
 that script's run helper. Outputs go to a temporary directory that is
-removed afterwards. For each run it prints one line, under the run's key:
+removed afterwards. For each preset it prints one line, under its name:
 
 - ``identical``: whether ``trace.csv``, ``mixtures.csv``, ``summary.csv``
   and ``report.csv`` are byte-identical;
@@ -127,17 +128,17 @@ def main(argv: list[str]) -> int:
         print(f"error: {other} has no src/rgess", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        for key, (preset, overrides) in covered_runs().items():
+        for preset in covered_runs():
             outs = []
             for side, root in (("this", ROOT), ("other", other)):
-                out = os.path.join(tmp, side, key)
+                out = os.path.join(tmp, side, preset)
                 try:
-                    run_preset(preset, out, preset_env(root), overrides)
+                    run_preset(preset, out, preset_env(root))
                 except RuntimeError as exc:
                     print(f"error ({side} tree): {exc}", file=sys.stderr)
                     return 1
                 outs.append(out)
-            print(_format(key, compare_outputs(*outs)), flush=True)
+            print(_format(preset, compare_outputs(*outs)), flush=True)
     return 0
 
 

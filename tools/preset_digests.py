@@ -3,13 +3,10 @@
     python3 tools/preset_digests.py
 
 Runs ``rgess run <preset>`` for every bundled preset except
-``logistic-covtype`` (its data set is not bundled), and the runs of
-``EXTRA_RUNS``: a preset with ``--set`` overrides, under its own key. No
-bundled preset steps the ``regional_mh`` kernel, so one extra run does.
-``logistic-covtype`` runs under the key ``logistic-covtype:generated`` on a
-covtype-format CSV written from ``COVTYPE_SEED`` (``COVTYPE_ROWS`` rows of
-``COVTYPE_FEATURES`` features and a class label of 1, 2 or 3), shortened by
-``COVTYPE_OVERRIDES``: 400 of those rows, 300 iterations, 100 of them
+``logistic-covtype`` (its data set is not bundled). ``logistic-covtype``
+runs under the key ``logistic-covtype:generated`` on a covtype-format CSV
+written from ``COVTYPE_SEED`` (``COVTYPE_ROWS`` rows of ``COVTYPE_FEATURES``
+features and a class label of 1, 2 or 3), shortened by ``COVTYPE_OVERRIDES``: 400 of those rows, 300 iterations, 100 of them
 burn-in. After each run, ``rgess report <out>`` recomputes the diagnostics into
 ``report.csv``. The script also runs ``rgess fit`` once per adaptation
 scheme, under the key ``fit:<scheme>``, on a sample CSV written from a
@@ -47,10 +44,6 @@ PRESET_DIR = os.path.join(ROOT, "src", "rgess", "presets")
 SKIPPED = ("logistic-covtype",)
 FILES = ("trace.csv", "mixtures.csv", "summary.csv", "report.csv")
 ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# key -> (preset, --set overrides)
-EXTRA_RUNS = {
-    "gauss-mix-em-gmrgess:regional_mh": ("gauss-mix-em-gmrgess", ("run.kernel=regional_mh",)),
-}
 # ``rgess fit`` runs in this order, so that sa_gmm can start from em_gmm
 FIT_SCHEMES = ("em_gmm", "vi_gmm", "em_tmm", "sa_gmm")
 FIT_FLAGS = ("-M", "3", "--reg-radius", "0.05", "--seed", "7")
@@ -66,13 +59,11 @@ KERNEL_STEPS = 20_000
 KERNEL_SEED = 1003
 
 
-def covered_runs() -> dict:
-    """Every run the digests cover, key -> (preset, overrides): each bundled
-    preset but those in ``SKIPPED``, then ``EXTRA_RUNS``."""
+def covered_runs() -> list:
+    """The presets the digests run as they ship: each bundled preset but
+    those in ``SKIPPED``."""
     names = sorted(f[:-4] for f in os.listdir(PRESET_DIR) if f.endswith(".cfg"))
-    runs = {name: (name, ()) for name in names if name not in SKIPPED}
-    runs.update(EXTRA_RUNS)
-    return runs
+    return [name for name in names if name not in SKIPPED]
 
 
 def _sha256(path) -> str:
@@ -240,8 +231,7 @@ def kernel_digests(env: dict) -> dict:
 def main() -> int:
     env = preset_env()
     try:
-        digests = {key: preset_digests(preset, env, overrides)
-                   for key, (preset, overrides) in covered_runs().items()}
+        digests = {preset: preset_digests(preset, env) for preset in covered_runs()}
         digests.update(covtype_digests(env))
         digests.update(fit_digests(env))
         digests.update(kernel_digests(env))
