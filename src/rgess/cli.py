@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 configuration/validation error (nothing written),
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from importlib import resources
@@ -27,6 +26,7 @@ import numpy as np
 from . import targets as tg
 from .adaptation import AdaptationConfig, Scheme, refit
 from .config import (
+    _TARGET_KEYS,
     ConfigError,
     ExperimentConfig,
     build_experiment,
@@ -36,6 +36,9 @@ from .config import (
 )
 from .diagnostics import (
     _fmt,
+    _parse_row,
+    _read_csv,
+    _write_csv,
     accuracy,
     mode_coverage,
     posterior_mean,
@@ -48,6 +51,8 @@ from .diagnostics import (
 from .runner import RunError, _check_target, run
 
 __all__ = ["main", "cmd_run", "cmd_report", "cmd_fit"]
+
+_SUMMARY_COLUMNS = ["metric", "key", "value"]
 
 
 def _fail(message: str, code: int) -> int:
@@ -77,24 +82,13 @@ def build_target(exp: ExperimentConfig):
         return tg.gauss_mix_target().as_target_density(), {}
     if kind == "litter":
         return tg.embedded_litter_data().as_target_density(), {}
+    # each target.* key the kind reads names a parameter of its loader
+    args = {key.split(".", 1)[1]: exp.value(key) for key in _TARGET_KEYS[kind]}
     if kind == "logistic_synth":
-        dataset, beta_star = tg.make_synthetic_logistic(
-            n_train=exp.value("target.n_train"),
-            n_test=exp.value("target.n_test"),
-            n_features=exp.value("target.n_features"),
-            seed=exp.value("target.seed"),
-            beta_scale=exp.value("target.beta_scale"),
-        )
+        dataset, beta_star = tg.make_synthetic_logistic(**args)
         target = dataset.training_target().as_target_density()
         return target, {"dataset": dataset, "beta_star": beta_star}
-    dataset = tg.load_covtype(
-        exp.value("target.path"),
-        n_select=exp.value("target.n_select"),
-        n_features=exp.value("target.n_features"),
-        train_fraction=exp.value("target.train_fraction"),
-        seed=exp.value("target.seed"),
-        header=exp.value("target.header"),
-    )
+    dataset = tg.load_covtype(**args)
     return dataset.training_target().as_target_density(), {"dataset": dataset}
 
 
@@ -116,13 +110,6 @@ def compute_summary_rows(traces, exp: ExperimentConfig, window: int, extras: dic
     if dataset is not None and dataset.test_x.shape[0] > 0:
         rows.append(("accuracy", "", _fmt(accuracy(beta_hat, dataset))))
     return rows
-
-
-def _write_rows(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "key", "value"])
-        writer.writerows(rows)
 
 
 def cmd_run(args) -> int:
@@ -152,7 +139,7 @@ def cmd_run(args) -> int:
             mixtures_path=os.path.join(out_dir, "mixtures.csv"),
         )
         rows = compute_summary_rows(result.traces, exp, exp.report_window, extras)
-        _write_rows(rows, os.path.join(out_dir, "summary.csv"))
+        _write_csv(os.path.join(out_dir, "summary.csv"), _SUMMARY_COLUMNS, rows)
         with open(os.path.join(out_dir, "config.cfg"), "w", encoding="utf-8") as fh:
             fh.write(serialize_config(exp.entries))
     except RunError as exc:
@@ -190,7 +177,7 @@ def cmd_report(args) -> int:
         return _fail(str(exc), 1)
     report_path = os.path.join(args.trace_dir, "report.csv")
     try:
-        _write_rows(rows, report_path)
+        _write_csv(report_path, _SUMMARY_COLUMNS, rows)
     except OSError as exc:
         return _fail(f"cannot write {report_path}: {exc}", 2)
     print(f"wrote report.csv to {args.trace_dir}")
@@ -199,24 +186,16 @@ def cmd_report(args) -> int:
 
 def _read_samples_csv(path) -> np.ndarray:
     rows = []
-    try:
-        with open(path, newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row:
-                    continue
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError:
-                    if lineno == 1:  # tolerate a header line
-                        continue
-                    raise ValueError(f"{path}:{lineno}: malformed sample row") from None
-    except OSError as exc:
-        raise ValueError(f"cannot read samples CSV {path}: {exc}") from exc
+    for line, fields in _read_csv(path, "samples CSV"):
+        width = len(rows[0]) if rows else len(fields)
+        try:
+            rows.append(_parse_row(path, line, fields, width,
+                                   lambda f: [float(v) for v in f]))
+        except ValueError:
+            if line != 1:  # tolerate a header line
+                raise
     if not rows:
         raise ValueError(f"{path}: no sample rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: inconsistent row widths {sorted(widths)}")
     return np.asarray(rows)
 
 

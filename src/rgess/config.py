@@ -67,7 +67,17 @@ _KNOWN_KEYS = {
     "output.dir": ("str", "out"),
 }
 
-_TARGET_KINDS = ("gauss_mix", "logistic", "logistic_synth", "litter")
+# target kind -> the target.* keys it reads besides target.kind; each key
+# names a parameter of the kind's loader in rgess.targets
+_TARGET_KEYS = {
+    "gauss_mix": (),
+    "logistic": ("target.path", "target.n_select", "target.n_features",
+                 "target.train_fraction", "target.seed", "target.header"),
+    "logistic_synth": ("target.n_train", "target.n_test", "target.n_features",
+                       "target.seed", "target.beta_scale"),
+    "litter": (),
+}
+_TARGET_KINDS = tuple(_TARGET_KEYS)
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict:
@@ -139,6 +149,14 @@ def _value(entries: dict, key: str, required: bool = False):
     return default
 
 
+def _reject_unread(entries: dict, prefix: str, read: tuple, reader: str) -> None:
+    """``ConfigError`` naming each key of ``entries`` under ``prefix`` that
+    is not in ``read``: ``reader`` would silently ignore it."""
+    unread = [key for key in entries if key.startswith(prefix) and key not in read]
+    if unread:
+        raise ConfigError(f"{reader} does not read {', '.join(unread)}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A fully validated experiment: target recipe, run settings, reporting."""
@@ -167,6 +185,8 @@ def build_experiment(entries: dict) -> ExperimentConfig:
         raise ConfigError(
             f"target.kind must be one of {_TARGET_KINDS}, got {target_kind!r}"
         )
+    _reject_unread(entries, "target.", ("target.kind", *_TARGET_KEYS[target_kind]),
+                   f"target.kind = {target_kind}")
     target_seed = get("target.seed")
     if target_seed < 0:
         raise ConfigError(f"target.seed must be >= 0, got {target_seed}")
@@ -200,6 +220,9 @@ def build_experiment(entries: dict) -> ExperimentConfig:
         raise ConfigError(
             f"run.kernel must be one of {[k.value for k in Kernel]}, got {kernel_raw!r}"
         ) from None
+    if kernel is Kernel.MH:
+        # adaptation.interval still sets the default report.window
+        _reject_unread(entries, "adaptation.", ("adaptation.interval",), "run.kernel = mh")
     scheme_raw = get("adaptation.scheme")
     try:
         scheme = Scheme(scheme_raw)

@@ -1,6 +1,14 @@
 """Rejection-rate series, accuracy, mode coverage, moment summaries and CSV
 trace persistence.
 
+Every CSV file rgess reads (traces, mixtures, ``rgess fit`` samples,
+covtype data) goes through one reader, ``_read_csv``, with each row checked
+by ``_parse_row``; every CSV file it writes goes through one writer,
+``_write_csv``, which streams its rows. Blank rows are skipped. A row with
+the wrong number of fields or a value that does not parse raises a
+``ValueError`` that names it as ``path:line``, and so does a file that
+cannot be opened; the command line reports either with exit 1.
+
 All decimals are written with 17 significant digits so that float64 values
 round-trip exactly through the CSV files.
 """
@@ -8,6 +16,8 @@ round-trip exactly through the CSV files.
 from __future__ import annotations
 
 import csv
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,73 +134,77 @@ def posterior_mean(traces, burn_in: int) -> np.ndarray:
 # CSV persistence
 # ---------------------------------------------------------------------------
 
+_TRACE_COLUMNS = ["chain", "iteration", "region", "rejections"]
 
-def write_mixtures_csv(mixture_history, path, dim: int | None = None) -> None:
-    """Write ``(iteration, mixture)`` pairs in the flat mixture-bank format."""
-    mdim = dim
-    for _, mixture in mixture_history:
-        mdim = mixture.dim
-        break
-    if mdim is None:
-        mdim = 0
-    header = (
-        ["iteration", "component", "weight"]
-        + [f"mean{i}" for i in range(mdim)]
-        + [f"cov{i}" for i in range(mdim * mdim)]
-        + ["dof"]
-    )
+
+def _read_csv(path, what):
+    """Yield ``(line number, fields)`` for each non-blank row of ``path``; a
+    file that cannot be opened raises ``ValueError("cannot read <what> ...")``."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            for fields in reader:
+                if fields:
+                    yield reader.line_num, fields
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {what} {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
+def _parse_row(path, line, fields, width, parse):
+    """``parse(fields)`` of a row of ``width`` fields; any error names the
+    row as ``path:line``."""
+    if len(fields) != width:
+        raise ValueError(f"{path}:{line}: expected {width} fields, got {len(fields)}")
+    try:
+        return parse(fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{line}: {exc}") from exc
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write ``header``, then each of ``rows`` as it is produced, to ``path``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for iteration, mixture in mixture_history:
-            dofs = mixture._dofs
-            for k in range(mixture.n_components):
-                writer.writerow(
-                    [iteration, k, _fmt(mixture.weights[k])]
-                    + [_fmt(v) for v in mixture._means[k]]
-                    + [_fmt(v) for v in mixture._scales[k].reshape(-1)]
-                    + ["" if dofs is None else _fmt(dofs[k])]
-                )
+        writer.writerows(rows)
+
+
+def _mixtures_header(dim: int) -> list:
+    return (["iteration", "component", "weight"] + [f"mean{i}" for i in range(dim)]
+            + [f"cov{i}" for i in range(dim * dim)] + ["dof"])
+
+
+def write_mixtures_csv(mixture_history, path, dim: int | None = None) -> None:
+    """Write ``(iteration, mixture)`` pairs in the flat mixture-bank format."""
+    if mixture_history:
+        dim = mixture_history[0][1].dim
+    rows = (
+        [iteration, k, _fmt(mixture.weights[k]), *map(_fmt, mixture._means[k]),
+         *map(_fmt, mixture._scales[k].reshape(-1)),
+         "" if mixture._dofs is None else _fmt(mixture._dofs[k])]
+        for iteration, mixture in mixture_history
+        for k in range(mixture.n_components)
+    )
+    _write_csv(path, _mixtures_header(dim or 0), rows)
 
 
 def write_trace_csv(traces, mixture_history, path, mixtures_path) -> None:
     """Write traces to ``path`` and the mixture history to ``mixtures_path``."""
-    dim = None
-    for chain in traces:
-        if chain:
-            dim = len(chain[0].point)
-            break
-    if dim is None:
-        dim = 0
-    header = ["chain", "iteration", "region", "rejections"] + [
-        f"x{i}" for i in range(dim)
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for chain in traces:
-            for rec in chain:
-                writer.writerow(
-                    [rec.chain, rec.iteration, rec.region, rec.rejections]
-                    + [_fmt(v) for v in rec.point]
-                )
+    dim = next((len(chain[0].point) for chain in traces if chain), 0)
+    rows = ([rec.chain, rec.iteration, rec.region, rec.rejections, *map(_fmt, rec.point)]
+            for chain in traces for rec in chain)
+    _write_csv(path, _TRACE_COLUMNS + [f"x{i}" for i in range(dim)], rows)
     write_mixtures_csv(mixture_history, mixtures_path, dim=dim)
 
 
-def _parse_row(path, lineno, row, n_fields):
-    if len(row) != n_fields:
-        raise ValueError(
-            f"{path}:{lineno}: expected {n_fields} fields, got {len(row)}"
-        )
-    try:
-        chain = int(row[0])
-        iteration = int(row[1])
-        region = int(row[2])
-        rejections = int(row[3])
-        point = np.array([float(v) for v in row[4:]])
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from exc
-    return TraceRecord(chain, iteration, point, rejections, region)
+def _mixture_row(fields, dim):
+    mean_end = 3 + dim
+    return (int(fields[0]), int(fields[1]), float(fields[2]),
+            np.array([float(v) for v in fields[3:mean_end]]),
+            np.array([float(v) for v in fields[mean_end:-1]]).reshape(dim, dim),
+            None if fields[-1] == "" else float(fields[-1]))
 
 
 def read_mixtures_csv(path):
@@ -201,88 +215,70 @@ def read_mixtures_csv(path):
     and make a valid mixture; otherwise a ``ValueError`` names the file and
     the iteration.
     """
+    rows = _read_csv(path, "mixtures CSV")
+    line, header = next(rows, (1, None))
+    if header is None:
+        raise ValueError(f"{path}:1: missing header")
+    dim = sum(name.startswith("mean") for name in header)
+    if header != _mixtures_header(dim):
+        raise ValueError(f"{path}:{line}: unrecognized header {header}")
+    grouped = {}
+    for line, fields in rows:
+        row = _parse_row(path, line, fields, len(header), lambda f: _mixture_row(f, dim))
+        grouped.setdefault(row[0], []).append(row[1:])
     mixture_history = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    for iteration in sorted(grouped):
+        components = sorted(grouped[iteration], key=lambda r: r[0])
+        where = f"{path}: iteration {iteration}"
+        indices = [r[0] for r in components]
+        if indices != list(range(len(components))):
+            raise ValueError(f"{where}: component indices {indices} are not "
+                             f"0..{len(components) - 1} once each")
+        # 17-significant-digit encoding round-trips exactly, so the
+        # weights still satisfy the mixture invariants as written.
+        _, weights, means, scales, dofs = zip(*components)
+        if len({dof is None for dof in dofs}) != 1:
+            raise ValueError(f"{where}: some components have a dof and some do not")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}:1: missing header") from None
-        n_cols = len(header)
-        dim = 0
-        while 3 + dim < n_cols and header[3 + dim].startswith("mean"):
-            dim += 1
-        grouped = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n_cols:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {n_cols} fields, got {len(row)}"
-                )
-            try:
-                iteration = int(row[0])
-                component = int(row[1])
-                weight = float(row[2])
-                mean = np.array([float(v) for v in row[3:3 + dim]])
-                cov = np.array(
-                    [float(v) for v in row[3 + dim:3 + dim + dim * dim]]
-                ).reshape(dim, dim)
-                dof = float(row[-1]) if row[-1] != "" else None
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row ({exc})") from exc
-            grouped.setdefault(iteration, []).append((component, weight, mean, cov, dof))
-        for iteration in sorted(grouped):
-            rows = sorted(grouped[iteration], key=lambda r: r[0])
-            where = f"{path}: iteration {iteration}"
-            indices = [r[0] for r in rows]
-            if indices != list(range(len(rows))):
-                raise ValueError(
-                    f"{where}: component indices {indices} are not 0..{len(rows) - 1} "
-                    "once each"
-                )
-            # 17-significant-digit encoding round-trips exactly, so the
-            # weights still satisfy the mixture invariants as written.
-            _, weights, means, scales, dofs = zip(*rows)
-            if len({dof is None for dof in dofs}) != 1:
-                raise ValueError(f"{where}: some components have a dof and some do not")
-            try:
-                mixture = _mixture(np.array(weights), means, scales,
-                                   None if dofs[0] is None else dofs)
-            except ValueError as exc:
-                raise ValueError(f"{where}: invalid mixture ({exc})") from exc
-            mixture_history.append((iteration, mixture))
+            mixture = _mixture(np.array(weights), means, scales,
+                               None if dofs[0] is None else dofs)
+        except ValueError as exc:
+            raise ValueError(f"{where}: invalid mixture ({exc})") from exc
+        mixture_history.append((iteration, mixture))
     return mixture_history
+
+
+def _trace_record(fields):
+    chain, iteration, region, rejections = map(int, fields[:4])
+    point = [float(v) for v in fields[4:]]
+    if not all(map(math.isfinite, point)):
+        raise ValueError("non-finite value")
+    return TraceRecord(chain, iteration, np.array(point), rejections, region)
 
 
 def read_trace_csv(path, mixtures_path):
     """Read back traces and mixture history written by :func:`write_trace_csv`.
 
     Returns ``(traces, mixture_history)``; the mixture file is optional and an
-    empty history is returned when ``mixtures_path`` is absent. The chains
-    must be numbered 0..K-1 and record the same iterations, each in
-    increasing order; otherwise a ``ValueError`` names the file.
+    empty history is returned when ``mixtures_path`` does not exist. Every
+    coordinate must be finite, and the chains must be numbered 0..K-1 and
+    record the same iterations, each in increasing order; otherwise a
+    ``ValueError`` names the file.
     """
+    rows = _read_csv(path, "trace CSV")
+    line, header = next(rows, (1, None))
+    if header is None:
+        raise ValueError(f"{path}:1: missing header")
+    if header[:4] != _TRACE_COLUMNS:
+        raise ValueError(f"{path}:{line}: unrecognized header {header[:4]}")
     per_chain = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}:1: missing header") from None
-        if header[:4] != ["chain", "iteration", "region", "rejections"]:
-            raise ValueError(f"{path}:1: unrecognized header {header[:4]}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            rec = _parse_row(path, lineno, row, len(header))
-            chain = per_chain.setdefault(rec.chain, [])
-            if chain and rec.iteration <= chain[-1].iteration:
-                raise ValueError(
-                    f"{path}:{lineno}: iteration {rec.iteration} does not "
-                    f"increase within chain {rec.chain}"
-                )
-            chain.append(rec)
+    for line, fields in rows:
+        rec = _parse_row(path, line, fields, len(header), _trace_record)
+        chain = per_chain.setdefault(rec.chain, [])
+        if chain and rec.iteration <= chain[-1].iteration:
+            raise ValueError(f"{path}:{line}: iteration {rec.iteration} does not "
+                             f"increase within chain {rec.chain}")
+        chain.append(rec)
     ids = sorted(per_chain)
     if ids and (ids[0], ids[-1]) != (0, len(ids) - 1):
         raise ValueError(f"{path}: chain ids run from {ids[0]} to {ids[-1]}, not 0..{len(ids) - 1}")
@@ -290,10 +286,6 @@ def read_trace_csv(path, mixtures_path):
     recorded = [[rec.iteration for rec in chain] for chain in traces]
     if any(iterations != recorded[0] for iterations in recorded):
         raise ValueError(f"{path}: the chains record different iterations")
-
-    try:
-        with open(mixtures_path, newline=""):
-            pass
-    except OSError:
+    if not os.path.exists(mixtures_path):
         return traces, []
     return traces, read_mixtures_csv(mixtures_path)

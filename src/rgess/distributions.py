@@ -408,7 +408,8 @@ def nearest_psd(a) -> np.ndarray:
     """Frobenius-nearest PSD matrix to a symmetric input, plus a tiny jitter.
 
     Symmetrizes, clips negative eigenvalues to zero, reconstructs, then adds
-    1e-10 * I so a downstream Cholesky succeeds on the result.
+    1e-10 * max(1, largest eigenvalue) * I so a downstream Cholesky succeeds
+    on the result at any scale.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -420,7 +421,7 @@ def nearest_psd(a) -> np.ndarray:
     eigval = np.clip(eigval, 0.0, None)
     out = (eigvec * eigval) @ eigvec.T
     out = 0.5 * (out + out.T)
-    return out + _PSD_JITTER * np.eye(a.shape[0])
+    return out + _PSD_JITTER * max(1.0, eigval[-1]) * np.eye(a.shape[0])
 
 
 def ensure_spd(cov) -> np.ndarray:

@@ -4,13 +4,13 @@ two-binomial litter-survival model with its embedded dataset."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
+from .diagnostics import _parse_row, _read_csv
 from .distributions import _mixture
 from .samplers import TargetDensity
 
@@ -162,6 +162,18 @@ def _standardize_split(train_x, test_x):
     return (train_x - mean) / sd, (test_x - mean) / sd, mean, sd
 
 
+def _covtype_row(fields) -> list:
+    try:
+        values = [float(v) for v in fields]
+    except ValueError as exc:
+        raise ValueError(f"unparseable value ({exc})") from None
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite value")
+    if not values[-1].is_integer():
+        raise ValueError(f"class label {values[-1]!r} is not an integer")
+    return values
+
+
 def load_covtype(path, n_select: int, n_features: int, train_fraction: float,
                  seed: int, header: bool = False) -> Dataset:
     """Load a covtype-format CSV: features plus an integer class label in the
@@ -177,31 +189,13 @@ def load_covtype(path, n_select: int, n_features: int, train_fraction: float,
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     rows = []
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for lineno, row in enumerate(reader, start=1):
-                if header and lineno == 1:
-                    continue
-                if not row:
-                    continue
-                try:
-                    values = [float(v) for v in row]
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: unparseable value ({exc})") from exc
-                if not all(map(math.isfinite, values)):
-                    raise ValueError(f"{path}:{lineno}: non-finite value")
-                if not values[-1].is_integer():
-                    raise ValueError(f"{path}:{lineno}: class label {values[-1]!r} "
-                                     "is not an integer")
-                rows.append(values)
-    except OSError as exc:
-        raise ValueError(f"cannot read covtype CSV {path}: {exc}") from exc
+    for line, fields in _read_csv(path, "covtype CSV"):
+        if header and line == 1:
+            continue
+        width = len(rows[0]) if rows else len(fields)
+        rows.append(_parse_row(path, line, fields, width, _covtype_row))
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: inconsistent column counts {sorted(widths)}")
     data = np.asarray(rows)
     if data.shape[1] < n_features + 1:
         raise ValueError(

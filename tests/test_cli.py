@@ -209,6 +209,40 @@ class TestCmdRun:
         assert "report.mode_radius requires report.mode_centers" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("preset, settings, message", [
+        ("gauss-mix-tmrgess", ["target.n_select=5"],
+         "target.kind = gauss_mix does not read target.n_select"),
+        ("litter-em-tmrgess", ["target.seed=3"], "target.kind = litter does not read target.seed"),
+        ("logistic-synth", ["target.header=true"],
+         "target.kind = logistic_synth does not read target.header"),
+        ("logistic-synth-mh", ["adaptation.scheme=em_tmm", "adaptation.components=4"],
+         "run.kernel = mh does not read adaptation.scheme, adaptation.components"),
+    ])
+    def test_unread_key_exits_one_writes_nothing(self, tmp_path, capsys, preset, settings,
+                                                 message):
+        out = str(tmp_path / "out")
+        sets = [arg for setting in settings for arg in ("--set", setting)]
+        assert main(["run", preset, "--out", out, *sets]) == 1
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_mh_reads_adaptation_interval_as_report_window(self, tmp_path):
+        entries = resolve_config_source("logistic-synth-mh")
+        del entries["report.window"]
+        cfg = _write_config(tmp_path, serialize_config(entries))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), "--set", "run.iterations=40",
+                     "--set", "run.burn_in=10", "--set", "adaptation.interval=8"]) == 0
+        assert "rejection_window,,8" in (out / "summary.csv").read_text().splitlines()
+
+    @pytest.mark.parametrize("scale", ["1e50", "1e100"])
+    def test_large_init_cov_scale_runs(self, tmp_path, scale):
+        # the em_tmm refit repairs covariances with entries near the scale
+        out = tmp_path / "out"
+        assert main(["run", "gauss-mix-tmrgess", "--out", str(out), "--set", "run.iterations=30",
+                     "--set", "run.burn_in=10", "--set", f"init.cov_scale={scale}"]) == 0
+        assert main(["report", str(out)]) == 0
+
     def test_gess_preset_runs_tmrgess(self, tmp_path):
         out = tmp_path / "out"
         assert main(["run", "gauss-mix-gess", "--out", str(out), "--set", "run.chains=4",
@@ -350,6 +384,18 @@ class TestCmdRun:
         assert f"{path}:2: class label 2.7 is not an integer" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_covtype_ragged_row_exits_one_writes_nothing(self, tmp_path, capsys):
+        csv = tmp_path / "covtype.csv"
+        path = _write_covtype_csv(csv)
+        lines = csv.read_text().splitlines()
+        lines[3] = lines[3].split(",", 1)[1]
+        csv.write_text("\n".join(lines) + "\n")
+        out = str(tmp_path / "out")
+        assert main(["run", "logistic-covtype", "--out", out, "--set", f"target.path={path}",
+                     "--set", "target.n_select=40"]) == 1
+        assert f"{path}:4: expected 10 fields, got 9" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_covtype_bad_header_flag_exits_one_writes_nothing(self, tmp_path, capsys):
         path = _write_covtype_csv(tmp_path / "covtype.csv")
         out = str(tmp_path / "out")
@@ -468,6 +514,30 @@ class TestCmdReport:
         assert main(["report", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot write")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_exits_one(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        assert main(["run", _write_config(tmp_path), "--out", str(out)]) == 0
+        trace = out / "trace.csv"
+        lines = trace.read_text().splitlines()
+        # line 21 is chain 0 at iteration 20, past the burn-in of 5
+        chain, iteration, region, rejections, _, x1 = lines[20].split(",")
+        assert (chain, iteration) == ("0", "20")
+        lines[20] = ",".join([chain, iteration, region, rejections, value, x1])
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["report", str(out)]) == 1
+        assert f"{trace}:21: non-finite value" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
+    def test_unreadable_trace_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", _write_config(tmp_path), "--out", str(out)]) == 0
+        (out / "trace.csv").unlink()
+        (out / "trace.csv").mkdir()
+        assert main(["report", str(out)]) == 1
+        assert f"error: cannot read trace CSV {out / 'trace.csv'}" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
     def test_missing_files_exit_one(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == 1
         assert "trace.csv" in capsys.readouterr().err
@@ -551,11 +621,16 @@ class TestCmdFit:
         sa_mixture = read_mixtures_csv(sa_out)[-1][1]
         assert min_distance_to_outliers(sa_mixture) >= 1.0
 
-    def test_parse_error_exits_one(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ("1.0,2.0\n1.0,oops\n", "bad.csv:2: could not convert string to float: 'oops'"),
+        ("1.0,2.0\n\n1.0,2.0,3.0\n", "bad.csv:3: expected 2 fields, got 3"),
+    ], ids=["unparseable", "ragged"])
+    def test_parse_error_exits_one(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.csv"
-        bad.write_text("1.0,2.0\n1.0,oops\n")
+        bad.write_text(text)
         assert main(["fit", str(bad), "--scheme", "em_gmm",
                      "--components", "1"]) == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("scheme", ["em_gmm", "vi_gmm", "em_tmm"])
     def test_zero_max_iters_exits_one(self, tmp_path, capsys, scheme):
@@ -600,6 +675,17 @@ class TestCmdFit:
         csv_path = _write_samples_csv(tmp_path / "s.csv", np.zeros((5, 1)))
         assert main(["fit", csv_path, "--scheme", "sa_gmm",
                      "--components", "1"]) == 1
+
+    @pytest.mark.parametrize("init", ["missing.csv", "directory"])
+    def test_unreadable_init_exits_one(self, tmp_path, capsys, init):
+        csv_path = _write_samples_csv(tmp_path / "s.csv", outlier_fixture())
+        (tmp_path / "directory").mkdir()
+        init_path = tmp_path / init
+        out = tmp_path / "m.csv"
+        assert main(["fit", csv_path, "--scheme", "sa_gmm", "-M", "3",
+                     "--init", str(init_path), "--out", str(out)]) == 1
+        assert f"error: cannot read mixtures CSV {init_path}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_sa_steps_exits_one(self, tmp_path, capsys):
         csv_path = _write_samples_csv(tmp_path / "s.csv", outlier_fixture())

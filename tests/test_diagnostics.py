@@ -206,6 +206,19 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="trace.csv:3"):
             read_trace_csv(path, tmp_path / "mixtures.csv")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_names_line(self, tmp_path, value):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"chain,iteration,region,rejections,x0\n0,1,0,0,0.5\n0,2,0,0,{value}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: non-finite value")):
+            read_trace_csv(path, tmp_path / "mixtures.csv")
+
+    def test_oversized_field_names_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("chain,iteration,region,rejections,x0\n0,1,0,0," + "1" * 200_000 + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: field larger than")):
+            read_trace_csv(path, tmp_path / "mixtures.csv")
+
     def test_wrong_field_count_names_line(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("chain,iteration,region,rejections,x0\n0,1,0,0\n")
@@ -259,6 +272,15 @@ class TestCsvRoundTrip:
         mpath.unlink()
         back, history = read_trace_csv(path, mpath)
         assert len(back) == 1 and history == []
+
+    def test_unreadable_mixtures_file_is_an_error(self, tmp_path):
+        # only a mixtures file that does not exist reads as an empty history
+        path, mpath = tmp_path / "trace.csv", tmp_path / "mixtures.csv"
+        write_trace_csv([_trace(0, [(1, [0.5], 0, 0)])], [], path, mpath)
+        mpath.unlink()
+        mpath.mkdir()
+        with pytest.raises(ValueError, match=re.escape(f"cannot read mixtures CSV {mpath}")):
+            read_trace_csv(path, mpath)
 
     def test_mixture_weights_round_trip_within_invariant(self, tmp_path):
         weights = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 - 2.0 / 3.0])
@@ -340,6 +362,14 @@ class TestReadMixturesCsvValidation:
         path = tmp_path / "mixtures.csv"
         path.write_text(_MIXTURES_HEADER + rows)
         with pytest.raises(ValueError, match=re.escape(f"{path}: iteration 20: {reason}")):
+            read_mixtures_csv(path)
+
+    @pytest.mark.parametrize("header", ["iteration,component,weight,mean0,dof\n",
+                                        "iteration,component,weight,mean0,cov0\n"])
+    def test_unrecognized_header_names_line(self, tmp_path, header):
+        path = tmp_path / "mixtures.csv"
+        path.write_text(header + "20,0,1.0,0.0,1.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: unrecognized header")):
             read_mixtures_csv(path)
 
     @pytest.mark.parametrize("components", [(0, 0), (0, 2)])

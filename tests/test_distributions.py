@@ -559,3 +559,8 @@ class TestCovarianceHygiene:
     def test_ensure_spd_repairs_once(self):
         repaired = ensure_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
         np.linalg.cholesky(repaired)  # must succeed after one repair
+
+    def test_ensure_spd_repairs_at_large_scale(self):
+        # a fixed 1e-10 jitter would be lost against entries of 1e50
+        repaired = ensure_spd(1e50 * np.array([[1.0, 1.0], [1.0, 1.0]]))
+        np.linalg.cholesky(repaired)

@@ -10,7 +10,8 @@ features and a class label of 1, 2 or 3), shortened by ``COVTYPE_OVERRIDES``: 40
 burn-in. After each run, ``rgess report <out>`` recomputes the diagnostics into
 ``report.csv``. The script also runs ``rgess fit`` once per adaptation
 scheme, under the key ``fit:<scheme>``, on a sample CSV written from a
-fixed seed; the ``sa_gmm`` fit starts from the ``em_gmm`` fit's output.
+fixed seed, with a header line and a blank line; the ``sa_gmm`` fit starts
+from the ``em_gmm`` fit's output.
 Last, it steps each per-chain kernel of ``KERNELS`` directly, under the key
 ``kernel:<name>``: ``KERNEL_STEPS`` steps of one chain on the acceptance
 gate's 1-D bimodal target (test criterion 3), from -2.5 with seed
@@ -111,12 +112,16 @@ def preset_digests(preset: str, env: dict, overrides=()) -> dict:
 
 def write_fit_samples(path) -> None:
     """Three 2-D clusters of 40 points from ``FIT_SAMPLES_SEED``, written
-    with ``repr`` so that they read back exactly."""
+    with ``repr`` so that they read back exactly. A header line comes first
+    and a blank line follows the first cluster; ``rgess fit`` skips both."""
     rng = random.Random(FIT_SAMPLES_SEED)
     with open(path, "w") as fh:
+        fh.write("x0,x1\n")
         for cx, cy in ((-6.0, 0.0), (0.0, 5.0), (6.0, -1.0)):
             for _ in range(40):
                 fh.write(f"{cx + rng.gauss(0.0, 1.0)!r},{cy + rng.gauss(0.0, 1.5)!r}\n")
+            if cx < 0:
+                fh.write("\n")
 
 
 def write_covtype_samples(path) -> None:
