@@ -37,7 +37,7 @@ from .config import (
 from .diagnostics import (
     _fmt,
     _parse_row,
-    _read_csv,
+    _read_data_csv,
     _write_csv,
     accuracy,
     mode_coverage,
@@ -76,10 +76,11 @@ def available_presets() -> list:
 
 
 def build_target(exp: ExperimentConfig):
-    """Instantiate the configured target; returns (TargetDensity, extras)."""
+    """Instantiate the configured target; returns (TargetDensity, extras),
+    where extras holds the gauss_mix mode balls or the logistic data."""
     kind = exp.target_kind
     if kind == "gauss_mix":
-        return tg.gauss_mix_target().as_target_density(), {}
+        return tg.gauss_mix_target().as_target_density(), {"modes": tg.GaussMixTarget.MODES}
     if kind == "litter":
         return tg.embedded_litter_data().as_target_density(), {}
     # each target.* key the kind reads names a parameter of its loader
@@ -103,8 +104,9 @@ def compute_summary_rows(traces, exp: ExperimentConfig, window: int, extras: dic
     beta_hat = posterior_mean(traces, burn_in)
     for idx, value in enumerate(beta_hat):
         rows.append(("posterior_mean", str(idx), _fmt(value)))
-    if exp.mode_spec is not None:
-        for idx, value in enumerate(mode_coverage(traces, exp.mode_spec, burn_in)):
+    modes = extras.get("modes")
+    if modes is not None:
+        for idx, value in enumerate(mode_coverage(traces, modes, burn_in)):
             rows.append(("mode_coverage", str(idx), _fmt(value)))
     dataset = extras.get("dataset")
     if dataset is not None and dataset.test_x.shape[0] > 0:
@@ -186,14 +188,9 @@ def cmd_report(args) -> int:
 
 def _read_samples_csv(path) -> np.ndarray:
     rows = []
-    for line, fields in _read_csv(path, "samples CSV"):
+    for line, fields in _read_data_csv(path, "samples CSV"):
         width = len(rows[0]) if rows else len(fields)
-        try:
-            rows.append(_parse_row(path, line, fields, width,
-                                   lambda f: [float(v) for v in f]))
-        except ValueError:
-            if line != 1:  # tolerate a header line
-                raise
+        rows.append(_parse_row(path, line, fields, width, lambda f: [float(v) for v in f]))
     if not rows:
         raise ValueError(f"{path}: no sample rows")
     return np.asarray(rows)

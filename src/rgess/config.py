@@ -2,8 +2,9 @@
 validation into runnable objects.
 
 The format is one ``section.key = value`` pair per line with ``#`` comments.
-Vectors are comma-separated; lists of vectors (mode centers) separate the
-vectors with semicolons. Command-line overrides replace file keys verbatim.
+Vectors are comma-separated, and no entry may be empty. Command-line
+overrides replace file keys verbatim. Nothing the code can work out is a
+setting: the scheme fixes the mixture kind, and the target its mode balls.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from functools import partial
 import numpy as np
 
 from .adaptation import AdaptationConfig, Scheme
-from .diagnostics import ModeSpec
 from .distributions import Gaussian
 from .runner import Kernel, RunConfig
 
@@ -40,7 +40,6 @@ _KNOWN_KEYS = {
     "target.n_select": ("int", 4000),
     "target.n_features": ("int", 9),
     "target.train_fraction": ("float", 0.75),
-    "target.header": ("bool", False),
     "target.seed": ("int", 0),
     "target.n_train": ("int", 3000),
     "target.n_test": ("int", 1000),
@@ -62,8 +61,6 @@ _KNOWN_KEYS = {
     "adaptation.em_tol": ("float", AdaptationConfig.em_tol),
     "adaptation.fixed_dof": ("float", AdaptationConfig.fixed_dof),
     "report.window": ("int", None),
-    "report.mode_centers": ("centers", None),
-    "report.mode_radius": ("float", None),
     "output.dir": ("str", "out"),
 }
 
@@ -72,7 +69,7 @@ _KNOWN_KEYS = {
 _TARGET_KEYS = {
     "gauss_mix": (),
     "logistic": ("target.path", "target.n_select", "target.n_features",
-                 "target.train_fraction", "target.seed", "target.header"),
+                 "target.train_fraction", "target.seed"),
     "logistic_synth": ("target.n_train", "target.n_test", "target.n_features",
                        "target.seed", "target.beta_scale"),
     "litter": (),
@@ -118,21 +115,9 @@ def _coerce(key: str, raw: str):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if kind == "vector":
-            return np.array([float(v) for v in raw.split(",") if v.strip() != ""])
-        if kind == "centers":
-            return tuple(
-                np.array([float(v) for v in part.split(",") if v.strip() != ""])
-                for part in raw.split(";")
-                if part.strip() != ""
-            )
+            # an empty value has dimension 0, which build_experiment reports
+            return np.array([float(v) for v in raw.split(",")] if raw else [])
         return raw
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
@@ -165,7 +150,6 @@ class ExperimentConfig:
     target_kind: str
     run_config: RunConfig
     report_window: int
-    mode_spec: ModeSpec | None
     output_dir: str
 
     def value(self, key: str):
@@ -195,10 +179,10 @@ def build_experiment(entries: dict) -> ExperimentConfig:
         if not os.path.exists(path):
             raise ConfigError(
                 f"target.path does not exist: {path}\n"
-                "expected format: comma-separated numeric CSV, no header by "
-                "default (set target.header = true to skip one line), class "
-                "label in the last column; the first target.n_features "
-                "columns are used as features"
+                "expected format: comma-separated numeric CSV, class label in "
+                "the last column, and a first line with no numeric field is a "
+                "header; the first target.n_features columns are used as "
+                "features"
             )
 
     mean = get("init.mean", required=True)
@@ -221,8 +205,7 @@ def build_experiment(entries: dict) -> ExperimentConfig:
             f"run.kernel must be one of {[k.value for k in Kernel]}, got {kernel_raw!r}"
         ) from None
     if kernel is Kernel.MH:
-        # adaptation.interval still sets the default report.window
-        _reject_unread(entries, "adaptation.", ("adaptation.interval",), "run.kernel = mh")
+        _reject_unread(entries, "adaptation.", (), "run.kernel = mh")
     scheme_raw = get("adaptation.scheme")
     try:
         scheme = Scheme(scheme_raw)
@@ -256,36 +239,19 @@ def build_experiment(entries: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    centers = get("report.mode_centers")
-    radius = get("report.mode_radius")
-    mode_spec = None
-    if radius is not None and centers is None:
-        raise ConfigError("report.mode_radius requires report.mode_centers")
-    if centers is not None:
-        if radius is None:
-            raise ConfigError("report.mode_centers requires report.mode_radius")
-        for c in centers:
-            if c.shape != (dim,):
-                raise ConfigError(
-                    f"report.mode_centers has a center of dimension {c.shape[0]}, "
-                    f"init.mean has dimension {dim}"
-                )
-        try:
-            mode_spec = ModeSpec(centers=centers, radius=radius)
-        except ValueError as exc:
-            raise ConfigError(f"report.mode_centers, report.mode_radius: {exc}") from exc
-
     window = get("report.window")
     if window is None:
         window = adaptation.interval
     if window < 1:
         raise ConfigError(f"report.window must be >= 1, got {window}")
+    output_dir = get("output.dir")
+    if not output_dir:
+        raise ConfigError("output.dir must name a directory, got ''")
 
     return ExperimentConfig(
         entries=dict(entries),
         target_kind=target_kind,
         run_config=run_config,
         report_window=window,
-        mode_spec=mode_spec,
-        output_dir=get("output.dir"),
+        output_dir=output_dir,
     )

@@ -8,8 +8,8 @@ same traces as the lockstep order ``run`` uses: the execution layout never
 changes results. A refit reads the chains' current points in chain order.
 Every iteration is recorded.
 
-``run`` steps two kinds of chain. The regional ESS kernels (gmrgess and
-tmrgess) advance all chains as one batch: the runner keeps their points,
+``run`` steps two kinds of chain. The regional ESS kernel (``rgess``)
+advances all chains as one batch: the runner keeps their points,
 regions, target and component log densities and squared Mahalanobis
 distances as arrays, and :func:`rgess.samplers.regional_ess_batch` evaluates
 each shrinkage round for all chains still shrinking in one call.
@@ -21,8 +21,8 @@ chain at a time, with no mixture and every chain in region 0.
 that ``run`` does not step.
 
 The batch's pseudo-prior comes from ``rgess.adaptation.initial_mixture``
-and, at each barrier, ``rgess.adaptation.refit``; its kind follows from the
-scheme.
+and, at each barrier, ``rgess.adaptation.refit``; its kind, t for ``em_tmm``
+and Gaussian for the other schemes, picks the per-chain kernel it equals.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adaptation import AdaptationConfig, Scheme, initial_mixture, refit
+from .adaptation import AdaptationConfig, initial_mixture, refit
 from .diagnostics import TraceRecord
 from .distributions import Gaussian, MixtureModel
 from .samplers import (  # noqa: F401 (gmrgess_step and tmrgess_step: see below)
@@ -50,8 +50,7 @@ __all__ = ["Kernel", "RunConfig", "RunResult", "RunError", "run"]
 
 
 class Kernel(str, enum.Enum):
-    GMRGESS = "gmrgess"
-    TMRGESS = "tmrgess"
+    RGESS = "rgess"
     MH = "mh"
 
 
@@ -99,11 +98,7 @@ class RunConfig:
         self._validate_kernel_scheme()
 
     def _validate_kernel_scheme(self):
-        kernel, scheme = self.kernel, self.adaptation.scheme
-        if kernel is Kernel.TMRGESS and scheme is not Scheme.EM_TMM:
-            raise ValueError(f"kernel {kernel.value} requires the em_tmm scheme, got {scheme.value}")
-        if kernel is Kernel.GMRGESS and scheme is Scheme.EM_TMM:
-            raise ValueError(f"kernel {kernel.value} requires a Gaussian-mixture scheme")
+        kernel = self.kernel
         if kernel is not Kernel.MH and self.chains < self.adaptation.components:
             raise ValueError(
                 f"{self.chains} chains cannot support a "

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .diagnostics import _parse_row, _read_csv
+from .diagnostics import ModeSpec, _parse_row, _read_data_csv
 from .distributions import _mixture
 from .samplers import TargetDensity
 
@@ -43,11 +43,13 @@ class GaussMixTarget:
     """Equal-weight four-Gaussian benchmark target on R^2.
 
     Means (25,50), (5,5), (50,5), (50,50); every covariance is 10 I.
+    ``MODES`` puts a ball of three standard deviations around each mean.
     """
 
     WEIGHTS = (0.25, 0.25, 0.25, 0.25)
     MEANS = ((25.0, 50.0), (5.0, 5.0), (50.0, 5.0), (50.0, 50.0))
     COV_SCALE = 10.0
+    MODES = ModeSpec(MEANS, 3 * math.sqrt(COV_SCALE))
 
     def __init__(self):
         cov = self.COV_SCALE * np.eye(2)
@@ -175,9 +177,10 @@ def _covtype_row(fields) -> list:
 
 
 def load_covtype(path, n_select: int, n_features: int, train_fraction: float,
-                 seed: int, header: bool = False) -> Dataset:
+                 seed: int) -> Dataset:
     """Load a covtype-format CSV: features plus an integer class label in the
-    last column, every value finite.
+    last column, every value finite. A first line with no numeric field is
+    a header and is skipped.
 
     Rows of the two most frequent classes are kept (lower class label mapped
     to 0, higher to 1), ``n_select`` rows are subsampled uniformly with
@@ -189,9 +192,7 @@ def load_covtype(path, n_select: int, n_features: int, train_fraction: float,
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     rows = []
-    for line, fields in _read_csv(path, "covtype CSV"):
-        if header and line == 1:
-            continue
+    for line, fields in _read_data_csv(path, "covtype CSV"):
         width = len(rows[0]) if rows else len(fields)
         rows.append(_parse_row(path, line, fields, width, _covtype_row))
     if not rows:

@@ -618,7 +618,8 @@ def reference_chain_major_run(config, target):
     instead of every chain taking one iteration in turn. Chains that share
     nothing between barriers give the same traces in either order. Every
     kernel is stepped one chain at a time with its public per-chain step
-    function, also those ``run`` steps as one batch.
+    function, also those ``run`` steps as one batch; the rgess kernel steps
+    ``gmrgess_step`` or ``tmrgess_step`` by the kind of the mixture.
     """
     k_chains = config.chains
     children = np.random.SeedSequence(config.master_seed).spawn(k_chains + 1)
@@ -644,7 +645,7 @@ def reference_chain_major_run(config, target):
         if kernel is Kernel.MH:
             cov = config.mh_proposal_scale * np.eye(config.init.dim)
             return mh_step(state, cov, target, rng)
-        if kernel is Kernel.GMRGESS:
+        if mixture.kind == "gaussian":
             return gmrgess_step(state, mixture, target, rng)
         return tmrgess_step(state, mixture, target, rng)
 

@@ -1,5 +1,6 @@
 """Command-line front end: config round-trips, presets, exit codes, outputs."""
 
+import math
 import os
 import warnings
 
@@ -18,12 +19,20 @@ from rgess.adaptation import (
 )
 from rgess.cli import available_presets, main, resolve_config_source
 from rgess.config import build_experiment, parse_config_text, serialize_config
-from rgess.diagnostics import read_mixtures_csv, read_trace_csv, write_mixtures_csv
+from rgess.diagnostics import (
+    ModeSpec,
+    _fmt,
+    mode_coverage,
+    read_mixtures_csv,
+    read_trace_csv,
+    write_mixtures_csv,
+)
 from rgess.distributions import Gaussian, MixtureModel
+from rgess.targets import GaussMixTarget
 
 TINY_RUN = """
 target.kind = gauss_mix
-run.kernel = tmrgess
+run.kernel = rgess
 run.chains = 6
 run.iterations = 30
 run.burn_in = 5
@@ -35,8 +44,6 @@ adaptation.components = 2
 adaptation.interval = 10
 adaptation.reg_radius = 0.5
 report.window = 10
-report.mode_centers = 25,50; 5,5; 50,5; 50,50
-report.mode_radius = 9.4868329805051381
 """
 
 
@@ -135,13 +142,16 @@ class TestCmdRun:
         assert len(traces[0]) == 30
         assert history  # initial fit plus barrier refits
 
-    def test_invalid_pairing_exits_one_writes_nothing(self, tmp_path):
-        bad = TINY_RUN.replace("adaptation.scheme = em_tmm",
-                               "adaptation.scheme = em_gmm")
-        cfg = _write_config(tmp_path, bad)
-        out = str(tmp_path / "out")
-        assert main(["run", cfg, "--out", out]) == 1
-        assert not os.path.exists(out)
+    @pytest.mark.parametrize("scheme, kind", [("em_gmm", "gaussian"), ("vi_gmm", "gaussian"),
+                                              ("sa_gmm", "gaussian"), ("em_tmm", "student_t")])
+    def test_scheme_sets_mixture_kind(self, tmp_path, scheme, kind):
+        cfg = _write_config(tmp_path, TINY_RUN.replace("adaptation.scheme = em_tmm",
+                                                       f"adaptation.scheme = {scheme}"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        history = read_mixtures_csv(out / "mixtures.csv")
+        assert [iteration for iteration, _ in history] == [0, 10, 20, 30]
+        assert {mixture.kind for _, mixture in history} == {kind}
 
     def test_zero_em_max_iters_exits_one(self, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -193,30 +203,26 @@ class TestCmdRun:
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("kernel", ["ess", "gess", "regional_mh"])
+    @pytest.mark.parametrize("kernel", ["ess", "gess", "regional_mh", "gmrgess", "tmrgess"])
     def test_removed_kernel_is_unknown_exits_one_writes_nothing(self, tmp_path, capsys,
                                                                 kernel):
         out = str(tmp_path / "out")
         assert main(["run", "gauss-mix-gess", "--out", out,
                      "--set", f"run.kernel={kernel}"]) == 1
-        assert "run.kernel must be one of" in capsys.readouterr().err
-        assert not os.path.exists(out)
-
-    def test_mode_radius_without_centers_exits_one_writes_nothing(self, tmp_path, capsys):
-        out = str(tmp_path / "out")
-        assert main(["run", "logistic-synth-mh", "--out", out,
-                     "--set", "report.mode_radius=3"]) == 1
-        assert "report.mode_radius requires report.mode_centers" in capsys.readouterr().err
+        assert (f"run.kernel must be one of ['rgess', 'mh'], got {kernel!r}"
+                in capsys.readouterr().err)
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("preset, settings, message", [
         ("gauss-mix-tmrgess", ["target.n_select=5"],
          "target.kind = gauss_mix does not read target.n_select"),
         ("litter-em-tmrgess", ["target.seed=3"], "target.kind = litter does not read target.seed"),
-        ("logistic-synth", ["target.header=true"],
-         "target.kind = logistic_synth does not read target.header"),
+        ("logistic-synth", ["target.path=data.csv"],
+         "target.kind = logistic_synth does not read target.path"),
         ("logistic-synth-mh", ["adaptation.scheme=em_tmm", "adaptation.components=4"],
          "run.kernel = mh does not read adaptation.scheme, adaptation.components"),
+        ("logistic-synth-mh", ["adaptation.interval=7"],
+         "run.kernel = mh does not read adaptation.interval"),
     ])
     def test_unread_key_exits_one_writes_nothing(self, tmp_path, capsys, preset, settings,
                                                  message):
@@ -226,15 +232,6 @@ class TestCmdRun:
         assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    def test_mh_reads_adaptation_interval_as_report_window(self, tmp_path):
-        entries = resolve_config_source("logistic-synth-mh")
-        del entries["report.window"]
-        cfg = _write_config(tmp_path, serialize_config(entries))
-        out = tmp_path / "out"
-        assert main(["run", cfg, "--out", str(out), "--set", "run.iterations=40",
-                     "--set", "run.burn_in=10", "--set", "adaptation.interval=8"]) == 0
-        assert "rejection_window,,8" in (out / "summary.csv").read_text().splitlines()
-
     @pytest.mark.parametrize("scale", ["1e50", "1e100"])
     def test_large_init_cov_scale_runs(self, tmp_path, scale):
         # the em_tmm refit repairs covariances with entries near the scale
@@ -243,11 +240,28 @@ class TestCmdRun:
                      "--set", "run.burn_in=10", "--set", f"init.cov_scale={scale}"]) == 0
         assert main(["report", str(out)]) == 0
 
-    def test_gess_preset_runs_tmrgess(self, tmp_path):
+    @pytest.mark.parametrize("kind, mean", [("gauss_mix", "5, 5"), ("litter", "0, 0, 0")])
+    def test_mode_rows_come_from_the_target(self, tmp_path, kind, mean):
+        # no report.* key: gauss_mix scores its own four modes, litter none
+        text = (TINY_RUN.replace("report.window = 10\n", "")
+                .replace("target.kind = gauss_mix", f"target.kind = {kind}")
+                .replace("init.mean = 5, 5", f"init.mean = {mean}"))
+        out = tmp_path / "out"
+        assert main(["run", _write_config(tmp_path, text), "--out", str(out)]) == 0
+        traces, _ = read_trace_csv(out / "trace.csv", out / "mixtures.csv")
+        want = []
+        if kind == "gauss_mix":
+            modes = ModeSpec(GaussMixTarget.MEANS, 3 * math.sqrt(10.0))
+            want = [f"mode_coverage,{i},{_fmt(f)}"
+                    for i, f in enumerate(mode_coverage(traces, modes, burn_in=5))]
+        rows = (out / "summary.csv").read_text().splitlines()
+        assert [row for row in rows if row.startswith("mode_coverage,")] == want
+
+    def test_gess_preset_runs_rgess(self, tmp_path):
         out = tmp_path / "out"
         assert main(["run", "gauss-mix-gess", "--out", str(out), "--set", "run.chains=4",
                      "--set", "run.iterations=30", "--set", "run.burn_in=10"]) == 0
-        assert "run.kernel = tmrgess" in (out / "config.cfg").read_text().splitlines()
+        assert "run.kernel = rgess" in (out / "config.cfg").read_text().splitlines()
 
     def test_mh_proposal_scale_with_other_kernel_exits_one_writes_nothing(self, tmp_path,
                                                                          capsys):
@@ -271,20 +285,30 @@ class TestCmdRun:
         assert all(str(d) in err for d in dims)
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("setting, named", [
-        ("init.mean=inf,0", "init.mean"),
-        ("init.mean=nan,0", "init.mean"),
-        ("report.mode_centers=nan,0;1,1", "report.mode_centers"),
+    @pytest.mark.parametrize("mean, message", [
+        ("inf,0", "finite"),
+        ("nan,0", "finite"),
+        ("5,,5", "could not convert string to float: ''"),
+        ("5,5,", "could not convert string to float: ''"),
     ])
-    def test_non_finite_mean_or_center_exits_one_writes_nothing(self, tmp_path, capsys,
-                                                                setting, named):
+    def test_bad_init_mean_exits_one_writes_nothing(self, tmp_path, capsys, mean, message):
         out = str(tmp_path / "out")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["run", "gauss-mix-tmrgess", "--out", out, "--set", setting]) == 1
+            assert main(["run", "gauss-mix-tmrgess", "--out", out,
+                         "--set", f"init.mean={mean}"]) == 1
         err = capsys.readouterr().err
-        assert named in err and "finite" in err
+        assert "init.mean" in err and message in err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("args", [["--set", "output.dir="], ["--out", ""]],
+                             ids=["set", "out"])
+    def test_empty_output_dir_exits_one_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                       args):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "gauss-mix-tmrgess", *args]) == 1
+        assert "output.dir must name a directory, got ''" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("preset, key, value", [
         ("gauss-mix-em-gmrgess", "adaptation.weighted_regions", "true"),
@@ -293,6 +317,9 @@ class TestCmdRun:
         ("gauss-mix-tmrgess", "run.thinning", "2"),
         ("gauss-mix-sa-gmrgess", "adaptation.sa_c", "0.5"),
         ("gauss-mix-sa-gmrgess", "adaptation.sa_n0", "10"),
+        ("gauss-mix-tmrgess", "report.mode_centers", "25,50; 5,5; 50,5; 50,50"),
+        ("gauss-mix-tmrgess", "report.mode_radius", "3"),
+        ("logistic-covtype", "target.header", "true"),
     ])
     def test_removed_key_is_unknown_exits_one_writes_nothing(self, tmp_path, capsys,
                                                              preset, key, value):
@@ -396,17 +423,9 @@ class TestCmdRun:
         assert f"{path}:4: expected 10 fields, got 9" in capsys.readouterr().err
         assert not os.path.exists(out)
 
-    def test_covtype_bad_header_flag_exits_one_writes_nothing(self, tmp_path, capsys):
-        path = _write_covtype_csv(tmp_path / "covtype.csv")
-        out = str(tmp_path / "out")
-        assert main(["run", "logistic-covtype", "--out", out, "--set", f"target.path={path}",
-                     "--set", "target.n_select=40", "--set", "target.header=maybe"]) == 1
-        assert "target.header" in capsys.readouterr().err
-        assert not os.path.exists(out)
-
-    def test_covtype_header_flag_skips_header_line(self, tmp_path):
-        # the same rows with a header line and target.header=true give the
-        # same trace as the bare rows
+    def test_covtype_header_line_is_skipped(self, tmp_path):
+        # the same rows after a line with no numeric field give the same
+        # trace as the bare rows
         rows = _write_covtype_csv(tmp_path / "rows.csv")
         headed = tmp_path / "headed.csv"
         headed.write_text(",".join(f"f{i}" for i in range(9)) + ",class\n"
@@ -418,8 +437,7 @@ class TestCmdRun:
         assert main(["run", "logistic-covtype", "--out", str(bare),
                      "--set", f"target.path={rows}", *short]) == 0
         assert main(["run", "logistic-covtype", "--out", str(with_header),
-                     "--set", f"target.path={headed}", "--set", "target.header=true",
-                     *short]) == 0
+                     "--set", f"target.path={headed}", *short]) == 0
         assert (with_header / "trace.csv").read_bytes() == (bare / "trace.csv").read_bytes()
 
     def test_missing_config_exits_one(self, tmp_path):
@@ -485,26 +503,29 @@ class TestCmdReport:
     def test_init_mean_of_wrong_dimension_exits_one(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", _write_config(tmp_path), "--out", str(out)]) == 0
-        # without mode centers, only the target can tell init.mean is wrong
         config = out / "config.cfg"
         lines = ["init.mean = 5, 5, 5" if line.startswith("init.mean") else line
-                 for line in config.read_text().splitlines()
-                 if not line.startswith("report.mode_")]
+                 for line in config.read_text().splitlines()]
         config.write_text("\n".join(lines) + "\n")
         assert main(["report", str(out)]) == 1
         assert "init.mean has dimension 3" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
-    @pytest.mark.parametrize("line", ["adaptation.vi_alpha0 = 1", "init.cov = 5,0,0,5",
-                                      "run.thinning = 1"])
-    def test_removed_key_in_run_config_exits_one(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("line, message", [
+        ("adaptation.vi_alpha0 = 1", "unknown key 'adaptation.vi_alpha0'"),
+        ("init.cov = 5,0,0,5", "unknown key 'init.cov'"),
+        ("run.thinning = 1", "unknown key 'run.thinning'"),
+        ("report.mode_centers = 25,50; 5,5; 50,5; 50,50", "unknown key 'report.mode_centers'"),
+        ("run.kernel = tmrgess", "run.kernel must be one of ['rgess', 'mh'], got 'tmrgess'"),
+    ])
+    def test_removed_key_in_run_config_exits_one(self, tmp_path, capsys, line, message):
         # a run directory written with a since-removed setting is refused
         out = tmp_path / "out"
         assert main(["run", _write_config(tmp_path), "--out", str(out)]) == 0
         config = out / "config.cfg"
         config.write_text(config.read_text() + line + "\n")
         assert main(["report", str(out)]) == 1
-        assert f"unknown key {line.split(' =')[0]!r}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
     def test_unwritable_report_exits_two(self, tmp_path, capsys):
@@ -624,13 +645,24 @@ class TestCmdFit:
     @pytest.mark.parametrize("text, message", [
         ("1.0,2.0\n1.0,oops\n", "bad.csv:2: could not convert string to float: 'oops'"),
         ("1.0,2.0\n\n1.0,2.0,3.0\n", "bad.csv:3: expected 2 fields, got 3"),
-    ], ids=["unparseable", "ragged"])
+        ("1.0,oops\n2.0,3.0\n1.0,1.0\n", "bad.csv:1: could not convert string to float: 'oops'"),
+    ], ids=["unparseable", "ragged", "unparseable-first"])
     def test_parse_error_exits_one(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
         assert main(["fit", str(bad), "--scheme", "em_gmm",
                      "--components", "1"]) == 1
         assert message in capsys.readouterr().err
+
+    def test_header_line_is_skipped(self, tmp_path):
+        samples = outlier_fixture()
+        bare = _write_samples_csv(tmp_path / "bare.csv", samples)
+        headed = tmp_path / "headed.csv"
+        headed.write_text("x0,x1\n" + (tmp_path / "bare.csv").read_text())
+        for path, out in ((bare, "bare-m.csv"), (headed, "headed-m.csv")):
+            assert main(["fit", str(path), "--scheme", "em_gmm", "-M", "3",
+                         "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "headed-m.csv").read_bytes() == (tmp_path / "bare-m.csv").read_bytes()
 
     @pytest.mark.parametrize("scheme", ["em_gmm", "vi_gmm", "em_tmm"])
     def test_zero_max_iters_exits_one(self, tmp_path, capsys, scheme):

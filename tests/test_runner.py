@@ -47,37 +47,23 @@ def _determinism_cases():
 
     wide_1d = Gaussian([0.0], [[4.0]])
     return [
-        ("gmrgess", config(Kernel.GMRGESS, Scheme.EM_GMM, 2, wide_1d, 2718),
+        ("gmrgess", config(Kernel.RGESS, Scheme.EM_GMM, 2, wide_1d, 2718),
          _bimodal_target_1d, None),
-        ("gess", config(Kernel.TMRGESS, Scheme.EM_TMM, 1, wide_1d, 31,
+        ("gess", config(Kernel.RGESS, Scheme.EM_TMM, 1, wide_1d, 31,
                         steps_per_iteration=2),
          _bimodal_target_1d, None),
         ("tmrgess-2d-zero-region",
-         config(Kernel.TMRGESS, Scheme.EM_TMM, 2, Gaussian([-1.5, 0.5], 0.1 * np.eye(2)), 33),
+         config(Kernel.RGESS, Scheme.EM_TMM, 2, Gaussian([-1.5, 0.5], 0.1 * np.eye(2)), 33),
          _truncated_target_2d, None),
-        ("tmrgess-shrink-cap-2", config(Kernel.TMRGESS, Scheme.EM_TMM, 2, wide_1d, 34),
+        ("tmrgess-shrink-cap-2", config(Kernel.RGESS, Scheme.EM_TMM, 2, wide_1d, 34),
          _bimodal_target_1d, 2),
         ("tmrgess-batched-target",
-         config(Kernel.TMRGESS, Scheme.EM_TMM, 2, Gaussian([5.0, 5.0], 10.0 * np.eye(2)), 35),
+         config(Kernel.RGESS, Scheme.EM_TMM, 2, Gaussian([5.0, 5.0], 10.0 * np.eye(2)), 35),
          lambda: gauss_mix_target().as_target_density(), None),
     ]
 
 
 class TestValidation:
-    def test_kernel_scheme_mismatch(self):
-        with pytest.raises(ValueError, match="em_tmm"):
-            RunConfig(
-                chains=4, iterations=10, burn_in=0, kernel=Kernel.TMRGESS,
-                init=Gaussian([0.0], [[1.0]]),
-                adaptation=AdaptationConfig(scheme=Scheme.EM_GMM, components=2),
-            )
-        with pytest.raises(ValueError, match="Gaussian"):
-            RunConfig(
-                chains=4, iterations=10, burn_in=0, kernel=Kernel.GMRGESS,
-                init=Gaussian([0.0], [[1.0]]),
-                adaptation=AdaptationConfig(scheme=Scheme.EM_TMM, components=2),
-            )
-
     def test_mh_requires_proposal(self):
         with pytest.raises(ValueError, match="the mh kernel requires mh_proposal_scale"):
             RunConfig(
@@ -85,13 +71,11 @@ class TestValidation:
                 init=Gaussian([0.0], [[1.0]]),
             )
 
-    @pytest.mark.parametrize("kernel, scheme", [
-        (Kernel.GMRGESS, Scheme.EM_GMM), (Kernel.TMRGESS, Scheme.EM_TMM),
-    ])
-    def test_proposal_only_for_mh(self, kernel, scheme):
+    @pytest.mark.parametrize("scheme", [Scheme.EM_GMM, Scheme.EM_TMM])
+    def test_proposal_only_for_mh(self, scheme):
         with pytest.raises(ValueError, match="ignores mh_proposal_scale"):
             RunConfig(
-                chains=4, iterations=10, burn_in=0, kernel=kernel,
+                chains=4, iterations=10, burn_in=0, kernel=Kernel.RGESS,
                 init=Gaussian([0.0], [[1.0]]), mh_proposal_scale=1.0,
                 adaptation=AdaptationConfig(scheme=scheme, components=2),
             )
@@ -130,7 +114,7 @@ class TestValidation:
     def test_chains_must_cover_components(self):
         with pytest.raises(ValueError, match="snapshot fit"):
             RunConfig(
-                chains=2, iterations=10, burn_in=0, kernel=Kernel.GMRGESS,
+                chains=2, iterations=10, burn_in=0, kernel=Kernel.RGESS,
                 init=Gaussian([0.0], [[1.0]]),
                 adaptation=AdaptationConfig(scheme=Scheme.EM_GMM, components=4),
             )
@@ -193,7 +177,7 @@ class TestDeterminism:
 
     def test_same_config_twice_identical(self):
         config = RunConfig(
-            chains=4, iterations=40, burn_in=0, kernel=Kernel.TMRGESS,
+            chains=4, iterations=40, burn_in=0, kernel=Kernel.RGESS,
             init=Gaussian([0.0], [[4.0]]),
             adaptation=AdaptationConfig(
                 scheme=Scheme.EM_TMM, components=2, interval=10, reg_radius=0.1
@@ -234,7 +218,7 @@ class TestChainIndependence:
 class TestBarriers:
     def test_history_timestamps_are_interval_multiples(self):
         config = RunConfig(
-            chains=6, iterations=50, burn_in=0, kernel=Kernel.GMRGESS,
+            chains=6, iterations=50, burn_in=0, kernel=Kernel.RGESS,
             init=Gaussian([0.0], [[4.0]]),
             adaptation=AdaptationConfig(
                 scheme=Scheme.EM_GMM, components=2, interval=10, reg_radius=0.1
@@ -249,7 +233,7 @@ class TestBarriers:
 
     def test_recorded_regions_match_active_mixture(self):
         config = RunConfig(
-            chains=6, iterations=40, burn_in=0, kernel=Kernel.GMRGESS,
+            chains=6, iterations=40, burn_in=0, kernel=Kernel.RGESS,
             init=Gaussian([0.0], [[4.0]]),
             adaptation=AdaptationConfig(
                 scheme=Scheme.EM_GMM, components=2, interval=10, reg_radius=0.1
@@ -265,7 +249,7 @@ class TestBarriers:
 
     def test_sa_updates_once_per_barrier(self):
         config = RunConfig(
-            chains=8, iterations=40, burn_in=0, kernel=Kernel.GMRGESS,
+            chains=8, iterations=40, burn_in=0, kernel=Kernel.RGESS,
             init=Gaussian([0.0], [[4.0]]),
             adaptation=AdaptationConfig(
                 scheme=Scheme.SA_GMM, components=2, interval=10, reg_radius=0.1
@@ -312,9 +296,9 @@ class TestRunErrors:
         configs = [
             RunConfig(chains=2, iterations=5, burn_in=0, kernel=Kernel.MH, init=init,
                       master_seed=3, mh_proposal_scale=1.0),
-            RunConfig(chains=2, iterations=5, burn_in=0, kernel=Kernel.TMRGESS, init=init,
+            RunConfig(chains=2, iterations=5, burn_in=0, kernel=Kernel.RGESS, init=init,
                       master_seed=3, adaptation=AdaptationConfig(scheme=Scheme.EM_TMM)),
-            RunConfig(chains=2, iterations=5, burn_in=0, kernel=Kernel.GMRGESS, init=init,
+            RunConfig(chains=2, iterations=5, burn_in=0, kernel=Kernel.RGESS, init=init,
                       master_seed=3, adaptation=AdaptationConfig(scheme=Scheme.EM_GMM)),
         ]
         for config in configs:

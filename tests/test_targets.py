@@ -277,18 +277,21 @@ class TestLoadCovtype:
                            match=re.escape(f"{path}:2: class label 2.7 is not an integer")):
             load_covtype(path, 2, 1, 0.5, 0)
 
-    def test_header_line_skipped_with_flag(self, tmp_path):
+    def test_header_line_is_skipped(self, tmp_path):
+        # line 1 is a header when none of its fields parses as a number
         rows = _write_covtype_fixture(tmp_path / "rows.csv", np.random.default_rng(9))
         lines = rows.read_text()
         headed = tmp_path / "headed.csv"
         headed.write_text(",".join(f"f{i}" for i in range(54)) + ",class\n" + lines)
         args = dict(n_select=80, n_features=9, train_fraction=0.75, seed=2)
         expected = load_covtype(rows, **args)
-        got = load_covtype(headed, header=True, **args)
+        got = load_covtype(headed, **args)
         for name, value in vars(expected).items():
             np.testing.assert_array_equal(getattr(got, name), value)
-        with pytest.raises(ValueError, match=re.escape(f"{headed}:1: unparseable value")):
-            load_covtype(headed, **args)
+        half = tmp_path / "half.csv"
+        half.write_text("0.5," + ",".join(f"f{i}" for i in range(1, 54)) + ",class\n" + lines)
+        with pytest.raises(ValueError, match=re.escape(f"{half}:1: unparseable value")):
+            load_covtype(half, **args)
 
     @pytest.mark.parametrize("n_select, n_features, train_fraction, message", [
         (0, 9, 0.75, "n_select must be >= 1, got 0"),
