@@ -131,9 +131,9 @@ def cmd_run(args) -> int:
         return _fail(str(exc), 1)
 
     try:
+        result = run(exp.run_config, target)
         out_dir = exp.output_dir
         os.makedirs(out_dir, exist_ok=True)
-        result = run(exp.run_config, target)
         write_trace_csv(
             result.traces,
             result.mixture_history,

@@ -1,24 +1,32 @@
-"""Multi-chain orchestration: lockstep iterations across K chains with
-periodic mixture adaptation at synchronization barriers.
+"""Multi-chain orchestration: K chains stepped through barrier segments,
+with periodic mixture adaptation at the barriers.
 
-Chains share nothing but the immutable mixture snapshot between barriers;
-each holds its own state and random generator. Stepping chain 0 through a
-whole segment between barriers, then chain 1, and so on, therefore gives the
-same traces as the lockstep order ``run`` uses: the execution layout never
-changes results. A refit reads the chains' current points in chain order.
-Every iteration is recorded.
+A segment is every iteration between two barriers. Chains share nothing
+but the immutable mixture snapshot within a segment; each holds its own
+state and random generator. So the order the chains are stepped in within
+a segment never changes results: chain 0 through the whole segment, then
+chain 1, gives the same traces as any interleaving. A refit reads the
+chains' current points in chain order. Every iteration is recorded.
 
-``run`` steps two kinds of chain. The regional ESS kernel (``rgess``)
-advances all chains as one batch: the runner keeps their points,
-regions, target and component log densities and squared Mahalanobis
-distances as arrays, and :func:`rgess.samplers.regional_ess_batch` evaluates
-each shrinkage round for all chains still shrinking in one call.
-Each chain still draws from its own generator through the per-chain
-kernels' draw routine, :func:`rgess.samplers._step_draws`, so the traces
-equal those of the per-chain kernels bit for bit. The mh kernel steps one
-chain at a time, with no mixture and every chain in region 0.
+``run`` is one loop over segments: refit at the barrier, then
+``chains.segment``, which returns every iteration's points, regions and
+rejection sums. It steps two kinds of chain. The regional ESS kernel
+(``rgess``) advances all chains as one batch: the runner keeps their
+points, regions, target and component log densities and squared
+Mahalanobis distances as arrays, and
+:func:`rgess.samplers.regional_ess_segment` evaluates one proposal of every
+chain still in the segment per round, a chain starting its next step in the
+round after its last one ended. Each chain still draws from its own
+generator through the per-chain kernels' draw routine,
+:func:`rgess.samplers._step_draws`, so the traces equal those of the
+per-chain kernels bit for bit. The mh kernel steps one chain at a time,
+chain-major, with no mixture and every chain in region 0.
 :func:`rgess.samplers.regional_mh_step` is a per-chain reference kernel
 that ``run`` does not step.
+
+A chain that fails stops; the others run until none can fail at a lower
+(iteration, chain), and :class:`RunError` names the lowest: the same
+failure whatever order the chains ran in.
 
 The batch's pseudo-prior comes from ``rgess.adaptation.initial_mixture``
 and, at each barrier, ``rgess.adaptation.refit``; its kind, t for ``em_tmm``
@@ -42,7 +50,7 @@ from .samplers import (  # noqa: F401 (gmrgess_step and tmrgess_step: see below)
     _mh_step,
     gmrgess_step,
     log_pi_rows,
-    regional_ess_batch,
+    regional_ess_segment,
     tmrgess_step,
 )
 
@@ -130,25 +138,42 @@ class _MH:
         self.chol = np.linalg.cholesky(config.mh_proposal_scale * np.eye(config.init.dim))
         self.target = target
 
-    def step(self, rngs) -> list:
-        rejections = []
-        for k, rng in enumerate(rngs):
-            try:
-                outcome = _mh_step(self.states[k], self.chol, self.target, rng)
-            except ValueError as exc:
-                raise ChainFailure(k, exc) from exc
-            self.states[k] = outcome.next
-            rejections.append(outcome.rejections)
-        return rejections
+    def segment(self, rngs, iterations: int, steps_per_iteration: int):
+        """``iterations`` iterations of every chain, chain-major; returns the
+        ``(points, regions, rejections)`` of
+        :func:`rgess.samplers.regional_ess_segment`.
 
-    def records(self):
-        """``(point copy, region)`` of every chain."""
-        return [(np.array(s.point, copy=True), s.region) for s in self.states]
+        A chain that fails stops, and the later chains run only the
+        iterations before it, so the :class:`ChainFailure` raised is the
+        lowest (iteration, chain)."""
+        k_chains = len(self.states)
+        points = np.empty((iterations, k_chains, len(self.states[0].point)))
+        rejections = np.zeros((iterations, k_chains), dtype=int)
+        chol, target = self.chol, self.target
+        failure = None
+        for k, rng in enumerate(rngs):
+            state = self.states[k]
+            for i in range(iterations if failure is None else failure.iteration):
+                rejected = 0
+                try:
+                    for _ in range(steps_per_iteration):
+                        outcome = _mh_step(state, chol, target, rng)
+                        state = outcome.next
+                        rejected += outcome.rejections
+                except ValueError as exc:
+                    failure = ChainFailure(k, exc, i)
+                    break
+                points[i, k] = state.point
+                rejections[i, k] = rejected
+            self.states[k] = state
+        if failure is not None:
+            raise failure
+        return points, np.zeros((iterations, k_chains), dtype=int), rejections
 
 
 class _Batched:
     """Chains of a regional ESS kernel, stepped together by
-    :func:`rgess.samplers.regional_ess_batch`."""
+    :func:`rgess.samplers.regional_ess_segment`."""
 
     def __init__(self, target: TargetDensity, points, mixture: MixtureModel):
         self.target = target
@@ -165,12 +190,10 @@ class _Batched:
     def snapshot(self) -> list:
         return list(self.points.copy())
 
-    def step(self, rngs) -> list:
-        return regional_ess_batch(self.points, self.regions, self.log_pis, self.comps,
-                                  self.quads, self.mixture, self.target, rngs)
-
-    def records(self):
-        return zip(self.points.copy(), self.regions.tolist())
+    def segment(self, rngs, iterations: int, steps_per_iteration: int):
+        return regional_ess_segment(self.points, self.regions, self.log_pis, self.comps,
+                                    self.quads, self.mixture, self.target, rngs,
+                                    iterations, steps_per_iteration)
 
 
 def _check_target(config: RunConfig, target: TargetDensity) -> None:
@@ -189,7 +212,7 @@ def run(config: RunConfig, target: TargetDensity) -> RunResult:
     and adaptation from the last. At a barrier the mixture is refitted from
     the pooled points that existed before the barrier's iteration, all chain
     regions are reassigned under the new mixture, and only then do chains
-    advance.
+    advance, through the segment up to the next barrier.
     """
     _check_target(config, target)
 
@@ -213,27 +236,30 @@ def run(config: RunConfig, target: TargetDensity) -> RunResult:
         except ChainFailure as exc:
             raise RunError(exc.chain, 1, exc.cause) from exc
 
-    first_adapt = max(acfg.interval, 2 * acfg.components)
+    barriers = []
+    if mixture is not None:
+        first_adapt = max(acfg.interval, 2 * acfg.components)
+        barriers = [n for n in range(first_adapt, config.iterations + 1)
+                    if n % acfg.interval == 0]
+    bounds = [1] + barriers + [config.iterations + 1]
     traces = [[] for _ in range(k_chains)]
-    update_index = 0
 
-    for n in range(1, config.iterations + 1):
-        if mixture is not None and n % acfg.interval == 0 and n >= first_adapt:
-            update_index += 1
+    for update_index, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        if update_index:
             mixture = refit(acfg, mixture, chains.snapshot(), adapt_rng, update_index)
-            mixture_history.append((n, mixture))
+            mixture_history.append((start, mixture))
             chains.set_mixture(mixture)
-
-        rejections = [0] * k_chains
         try:
-            for _ in range(config.steps_per_iteration):
-                rejections = [a + b for a, b in zip(rejections, chains.step(rngs))]
+            points, regions, rejections = chains.segment(rngs, end - start,
+                                                         config.steps_per_iteration)
         except ChainFailure as exc:
-            raise RunError(exc.chain, n, exc.cause) from exc
-        for k, (point, region) in enumerate(chains.records()):
-            traces[k].append(TraceRecord(
-                chain=k, iteration=n, point=point,
-                rejections=rejections[k], region=region,
-            ))
+            raise RunError(exc.chain, start + exc.iteration, exc.cause) from exc
+        for k, trace in enumerate(traces):
+            trace.extend(
+                TraceRecord(chain=k, iteration=n, point=point, rejections=rej, region=region)
+                for n, point, rej, region in zip(range(start, end), points[:, k],
+                                                 rejections[:, k].tolist(),
+                                                 regions[:, k].tolist())
+            )
 
     return RunResult(traces=traces, mixture_history=mixture_history)

@@ -17,23 +17,25 @@ The regional kernels keep the current point's squared Mahalanobis distances
 to every component (``MixtureModel._mahalanobis_sq``) with it, next to the
 component log densities built from them
 (``MixtureModel._log_densities_from_quad``): in ``ChainState.cache``, and in
-the ``quads`` and ``comps`` arrays of :func:`regional_ess_batch`. Both t
+the ``quads`` and ``comps`` arrays of :func:`regional_ess_segment`. Both t
 kernels take the rate of the auxiliary inverse-gamma scale, (nu + d^2)/2,
 from those distances, the ones the component densities and EM's expected
 precisions are built on, so no distance is computed twice.
 
-:func:`regional_ess_batch` takes one regional ESS step for many chains at
-once. It draws from each chain's generator in the per-chain kernels' order
-and evaluates each proposal round for all still-shrinking chains in one call,
-so every chain's result equals the per-chain kernel's bit for bit. The
-kernels read the region's row of the mixture's stacks, and regional_mh_step
-draws from it with ``MixtureModel._sample``.
+:func:`regional_ess_segment` steps many chains through a segment of
+iterations, the iterations between two refit barriers, in rounds. Each round
+evaluates one proposal of every chain still in the segment in one call, and
+a chain that ends a step starts its next one in the next round. It draws
+from each chain's generator in the per-chain kernels' order, so every
+chain's result equals the per-chain kernel's bit for bit. The kernels read
+the region's row of the mixture's stacks, and regional_mh_step draws from it
+with ``MixtureModel._sample``.
 
 :func:`gmrgess_step` and :func:`tmrgess_step` stay for single chains
-(criterion 3, the kernel-1d benchmark), which they step about four times
-faster: on criterion 3's set-up one batched chain took 119-171 us a step
-against 31-45 us for :func:`tmrgess_step` (medians of three alternating
-runs, 2-CPU Xeon, one BLAS thread). They form each proposal in Python
+(criterion 3, the kernel-1d benchmark), which they step two to three times
+faster: on criterion 3's set-up a segment of one chain took 147-206 us a
+step against 58-82 us for :func:`tmrgess_step` (six alternating runs of
+20k steps, 2-CPU VM, one BLAS thread). They form each proposal in Python
 floats, one coordinate at a time, with the same roundings as numpy.
 """
 
@@ -55,7 +57,7 @@ __all__ = [
     "ess_step",
     "gmrgess_step",
     "tmrgess_step",
-    "regional_ess_batch",
+    "regional_ess_segment",
     "log_pi_rows",
     "regional_mh_step",
     "mh_step",
@@ -115,12 +117,14 @@ class StepOutcome(NamedTuple):
 
 
 class ChainFailure(ValueError):
-    """A ``ValueError`` raised while stepping chain ``chain`` of a batch."""
+    """A ``ValueError`` raised while stepping chain ``chain`` of a batch, in
+    the 0-based ``iteration`` of a segment (0 outside one)."""
 
-    def __init__(self, chain: int, cause: Exception):
+    def __init__(self, chain: int, cause: Exception, iteration: int = 0):
         super().__init__(str(cause))
         self.chain = chain
         self.cause = cause
+        self.iteration = iteration
 
 
 def _step_draws(rng: np.random.Generator, shape, scale, z: np.ndarray):
@@ -314,15 +318,17 @@ def log_pi_rows(target: TargetDensity, points: np.ndarray, chains) -> np.ndarray
     when the target has one.
 
     Row r belongs to chain ``chains[r]``: a ``ValueError`` of ``log_pi`` at
-    that row is raised as :class:`ChainFailure` of that chain, and one of
-    ``log_pi_batch`` as a failure of ``chains[0]``.
+    that row is raised as :class:`ChainFailure` of that chain. When
+    ``log_pi_batch`` raises one, the rows are evaluated again one at a time
+    with ``log_pi``, which the contract makes equal bit for bit, so the
+    failure names the chain of the first row that raises.
     """
     batch = target.log_pi_batch
     if batch is not None:
         try:
             return np.asarray(batch(points), dtype=float)
-        except ValueError as exc:
-            raise ChainFailure(int(chains[0]), exc) from exc
+        except ValueError:
+            pass
     log_pi = target.log_pi
     out = np.empty(len(points))
     for r, x in enumerate(points):
@@ -333,139 +339,245 @@ def log_pi_rows(target: TargetDensity, points: np.ndarray, chains) -> np.ndarray
     return out
 
 
-def _first_entry_failure(points, log_pis, aux_ok, aux_message):
-    """:class:`ChainFailure` of the lowest chain that cannot start a
-    regional ESS step, or None when every chain can."""
+def _entry_failures(points, log_pis, aux, aux_message) -> list:
+    """``(row, ValueError)`` for each row that cannot start a regional ESS
+    step: a non-finite point or ``log_pi``, or a non-finite auxiliary value
+    ``aux``, whose message is ``aux_message(row)``."""
     point_ok = np.isfinite(points).all(axis=1)
     log_pi_ok = np.isfinite(log_pis)
-    ok = point_ok & log_pi_ok & aux_ok
-    if ok.all():
-        return None
-    k = int(ok.argmin())
-    if not point_ok[k]:
-        message = f"non-finite current point {points[k]}"
-    elif not log_pi_ok[k]:
-        message = (f"log target at current point is not finite ({log_pis[k]}); "
-                   "slice is undefined here")
-    else:
-        message = aux_message(k)
-    return ChainFailure(k, ValueError(message))
+    failures = []
+    for r in np.flatnonzero(~(point_ok & log_pi_ok & np.isfinite(aux))).tolist():
+        if not point_ok[r]:
+            message = f"non-finite current point {points[r]}"
+        elif not log_pi_ok[r]:
+            message = (f"log target at current point is not finite ({log_pis[r]}); "
+                       "slice is undefined here")
+        else:
+            message = aux_message(r)
+        failures.append((r, ValueError(message)))
+    return failures
 
 
-def regional_ess_batch(points, regions, log_pis, comps, quads, mixture: MixtureModel,
-                       target: TargetDensity, rngs) -> list:
-    """One :func:`gmrgess_step` or :func:`tmrgess_step` (by the mixture's
-    kind) for each of K chains; returns the per-chain rejection counts.
+def regional_ess_segment(points, regions, log_pis, comps, quads, mixture: MixtureModel,
+                         target: TargetDensity, rngs, iterations: int,
+                         steps_per_iteration: int):
+    """``iterations`` iterations of ``steps_per_iteration`` :func:`gmrgess_step`
+    or :func:`tmrgess_step` steps (by the mixture's kind) for each of K
+    chains; returns ``(points, regions, rejections)`` at the end of every
+    iteration, of shapes (I, K, D), (I, K) and (I, K), the last summed over
+    the iteration's steps.
 
     The chains' state is five arrays, updated in place: ``points`` (K, D),
     ``regions`` (K,), ``log_pis`` (K,) and ``comps`` (K, M), the target and
     component log densities at ``points`` under ``mixture``, and ``quads``
     (K, M), the squared Mahalanobis distances of ``points`` that ``comps``
-    is built from (``MixtureModel._mahalanobis_sq``). Chain k
-    draws from ``rngs[k]`` in the per-chain kernel's order. Every shrinkage
-    round proposes for the chains still shrinking only, and evaluates the
-    target and the component densities of all its proposals in one call
-    each. Each chain's new point, region and rejection count equal the
-    per-chain kernel's bit for bit.
+    is built from (``MixtureModel._mahalanobis_sq``).
 
-    A chain that cannot start a step fails the batch with
-    :class:`ChainFailure` naming the lowest such chain: a non-finite point
-    or current ``log_pi``, an infinite auxiliary rate (t mixtures), or a
-    non-finite density of the current region's component (Gaussian
-    mixtures).
+    The driver works in rounds. Each round proposes one point for every
+    chain in the middle of a step and evaluates the target and the
+    component densities of all of them in one call each. A chain whose
+    proposal clears its slice, or whose step hits the shrinkage cap, starts
+    its next step in the next round, so chains never wait for each other
+    between barriers. Chain k draws only from ``rngs[k]``, through
+    :func:`_step_draws` and then one uniform per rejection, and every row of
+    a round is computed on its own, so each chain's points, regions and
+    rejections equal the per-chain kernel's bit for bit.
+
+    A chain that cannot start a step fails: a non-finite point or current
+    ``log_pi``, an infinite auxiliary rate (t mixtures) or a non-finite
+    density of the current region's component (Gaussian mixtures). So does a
+    chain whose target evaluation raises ``ValueError``. A failed chain
+    stops; the others run until none can fail at a lower (iteration, chain),
+    and then :class:`ChainFailure` is raised for the lowest, with its
+    ``iteration`` the 0-based index of the segment's iteration.
     """
-    k_chains = len(points)
-    means = mixture._means[regions]
+    k_chains, dim = points.shape
+    m = comps.shape[1]
+    per = steps_per_iteration
+    steps = iterations * per
+    out_points = np.empty((iterations, k_chains, dim))
+    out_regions = np.empty((iterations, k_chains), dtype=regions.dtype)
+    out_rejections = np.empty((iterations, k_chains), dtype=int)
+    flat_points = out_points.reshape(-1, dim)
+    flat_regions, flat_rejections = out_regions.reshape(-1), out_rejections.reshape(-1)
+
+    means, chols = mixture._means, mixture._chols
     student_t = mixture._dofs is not None
-    if student_t:
-        # The rate of the inverse-gamma auxiliary scale, as in _regional_ess_step;
-        # a huge point can overflow it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            rate = 0.5 * (mixture._dofs[regions] + quads[np.arange(k_chains), regions])
-        failure = _first_entry_failure(
-            points, log_pis, np.isfinite(rate),
-            lambda k: f"auxiliary rate is not finite ({rate[k]}) at current point")
-    else:
-        at_region = comps[np.arange(k_chains), regions]
-        failure = _first_entry_failure(
-            points, log_pis, np.isfinite(at_region),
-            lambda k: _REGION_DENSITY_NOT_FINITE.format(at_region[k]))
-    if failure is not None:
-        raise failure
-
-    # Each chain's draws, as the per-chain kernel's; s = 1 (Gaussian) scales
-    # the spread exactly.
-    noise = np.empty(points.shape)
-    scale_draw = [0.0] * k_chains
-    log_u = [0.0] * k_chains
-    theta = [0.0] * k_chains
-    if student_t:
-        shape = mixture._half_dof_plus_dim[regions].tolist()
-        scale = (1.0 / rate).tolist()
-    else:
-        shape = scale = [None] * k_chains
-    for k, rng in enumerate(rngs):
-        scale_draw[k], log_u[k], theta[k] = _step_draws(rng, shape[k], scale[k], noise[k])
-    spread = (mixture._chols[regions] @ noise[:, :, None])[:, :, 0]
-    v = means + np.sqrt(scale_draw)[:, None] * spread
-    log_u = np.array(log_u)
-
-    # (K, 3, D): the centred point, the centred auxiliary point and the
-    # centre of each chain's ellipse.
-    ellipse = np.stack([points - means, v - means, means], axis=1)
-    # The right side of the residual-form test of _regional_ess_step,
-    # log pi(x) - log f_J(x) + log u, for every chain and every region J.
-    # A chain's row stays valid while it shrinks: its state changes only
-    # when it leaves the round loop.
-    threshold = (log_pis[:, None] - comps) + log_u[:, None]
-    two_pi = 2.0 * math.pi
-    theta_min = [t - two_pi for t in theta]
-    theta_max = list(theta)
-    rejections = [0] * k_chains
+    dofs, shapes = mixture._dofs, mixture._half_dof_plus_dim
     mahalanobis_sq = mixture._mahalanobis_sq
     from_quad = mixture._log_densities_from_quad
     region_of = mixture._region_of
     cap = MAX_SHRINK_ITERS
-    active = list(range(k_chains))
-    while active:
-        n = len(active)
+    two_pi = 2.0 * math.pi
+    cos, sin = math.cos, math.sin
+    uniform = [rng.random for rng in rngs]
+    first_rows = np.arange(k_chains)  # row numbers of a round's arrays
+
+    # One row per chain, so that a round moves a chain's values in one
+    # gather or scatter. ``current``: the point, log pi, the component log
+    # densities and the squared distances at it. ``ellipse``: the step
+    # under way, as the centred point, the centred auxiliary point, the
+    # centre and the right side of the residual-form test of
+    # _regional_ess_step, log pi(x) - log f_J(x) + log u for every region J.
+    # A chain's rows change only when its step ends or starts.
+    log_pi_col, comp_col, quad_col = dim, dim + 1, dim + 1 + m
+    current = np.concatenate((points, log_pis[:, None], comps, quads), axis=1)
+    ellipse = np.empty((k_chains, 3 * dim + m))
+    theta = [0.0] * k_chains
+    theta_min = [0.0] * k_chains
+    theta_max = [0.0] * k_chains
+    rejections = [0] * k_chains  # in the step under way
+    summed = [0] * k_chains  # in the iteration under way
+    taken = [0] * k_chains  # steps ended
+    lowest = None  # (iteration, chain, cause) of the lowest failure
+
+    def fail(k, cause):
+        nonlocal lowest
+        key = (taken[k] // per, k)
+        if lowest is None or key < lowest[:2]:
+            lowest = key + (cause,)
+
+    active = []
+    starting = list(range(k_chains))
+    while True:
+        if lowest is not None:
+            active = [k for k in active if (taken[k] // per, k) < lowest[:2]]
+            starting = [k for k in starting if (taken[k] // per, k) < lowest[:2]]
+        if starting:
+            s_idx = np.array(starting)
+            now = current.take(s_idx, axis=0)
+            r = regions.take(s_idx)
+            log_pi_s = now[:, log_pi_col]
+            # The rate of the inverse-gamma auxiliary scale, as in
+            # _regional_ess_step, or the current region's density: either is
+            # non-finite at a non-finite point. A huge point can overflow it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows_s = first_rows[:len(r)]
+                if student_t:
+                    aux = 0.5 * (dofs.take(r) + now[rows_s, quad_col + r])
+                else:
+                    aux = now[rows_s, comp_col + r]
+                entry_ok = np.isfinite(aux + log_pi_s).all()
+            if not entry_ok:
+                if student_t:
+                    message = "auxiliary rate is not finite ({}) at current point"
+                else:
+                    message = _REGION_DENSITY_NOT_FINITE
+                failed = dict(_entry_failures(now[:, :dim], log_pi_s, aux,
+                                              lambda row: message.format(aux[row])))
+                for row, exc in failed.items():
+                    fail(starting[row], exc)
+                keep = [row for row in range(len(starting)) if row not in failed]
+                starting = [starting[row] for row in keep]
+                s_idx, now, r, log_pi_s, aux = (
+                    s_idx[keep], now[keep], r[keep], log_pi_s[keep], aux[keep])
+        if starting:
+            n_s = len(starting)
+            noise = np.empty((n_s, dim))
+            scale_draw = [0.0] * n_s
+            log_u = [0.0] * n_s
+            if student_t:
+                shape = shapes.take(r).tolist()
+                scale = (1.0 / aux).tolist()
+            else:
+                shape = scale = [None] * n_s
+            for row, k in enumerate(starting):
+                scale_draw[row], log_u[row], t = _step_draws(rngs[k], shape[row], scale[row],
+                                                             noise[row])
+                theta[k] = theta_max[k] = t
+                theta_min[k] = t - two_pi
+                rejections[k] = 0
+            mu = means.take(r, axis=0)
+            spread = (chols.take(r, axis=0) @ noise[:, :, None])[:, :, 0]
+            if student_t:
+                spread *= np.sqrt(scale_draw)[:, None]
+            rows = np.empty((n_s, 3 * dim + m))
+            np.subtract(now[:, :dim], mu, out=rows[:, :dim])
+            np.subtract(mu + spread, mu, out=rows[:, dim:2 * dim])
+            rows[:, 2 * dim:3 * dim] = mu
+            threshold = rows[:, 3 * dim:]
+            np.subtract(log_pi_s[:, None], now[:, comp_col:quad_col], out=threshold)
+            threshold += np.array(log_u)[:, None]
+            ellipse[s_idx] = rows
+            active += starting
+            starting = []
+        if not active:
+            break
+
         idx = np.array(active)
         angles = [theta[k] for k in active]
-        cos_t = np.fromiter(map(math.cos, angles), float, n)[:, None]
-        sin_t = np.fromiter(map(math.sin, angles), float, n)[:, None]
-        e = ellipse[idx]
-        x_prop = e[:, 0] * cos_t + e[:, 1] * sin_t + e[:, 2]
-        log_pi_prop = log_pi_rows(target, x_prop, active)
+        n = len(active)
+        cos_t = np.fromiter(map(cos, angles), float, n)[:, None]
+        sin_t = np.fromiter(map(sin, angles), float, n)[:, None]
+        e = ellipse.take(idx, axis=0)
+        x_prop = e[:, :dim] * cos_t + e[:, dim:2 * dim] * sin_t + e[:, 2 * dim:3 * dim]
+        while True:
+            try:
+                log_pi_prop = log_pi_rows(target, x_prop, active)
+                break
+            except ChainFailure as exc:
+                fail(exc.chain, exc.cause)
+                keep = [row for row, k in enumerate(active) if k != exc.chain]
+                active = [active[row] for row in keep]
+                idx, x_prop, e = idx[keep], x_prop[keep], e[keep]
+        if not active:
+            continue
         quad_prop = mahalanobis_sq(x_prop)
         comp_prop = from_quad(quad_prop)
         j = region_of(comp_prop)
+        rows_n = first_rows[:len(active)]
         # A -inf target value fails the test without the per-chain early
         # exit: the left side is -inf, or nan when the density is -inf too.
         with np.errstate(invalid="ignore"):
-            ok = (log_pi_prop - comp_prop[np.arange(n), regions[idx]]
-                  > threshold[idx, j])
-        done = idx[ok]
+            ok = (log_pi_prop - comp_prop[rows_n, regions.take(idx)]
+                  > e[:, 3 * dim:][rows_n, j])
+        done = idx.compress(ok)
         if len(done):
-            points[done] = x_prop[ok]
-            regions[done] = j[ok]
-            log_pis[done] = log_pi_prop[ok]
-            comps[done] = comp_prop[ok]
-            quads[done] = quad_prop[ok]
+            current[done] = np.concatenate(
+                (x_prop, log_pi_prop[:, None], comp_prop, quad_prop), axis=1).compress(ok, axis=0)
+            regions[done] = j.compress(ok)
         still = []
+        record = []
         for k, accepted in zip(active, ok.tolist()):
-            if accepted:
-                continue
-            rejections[k] += 1
-            t = theta[k]
-            if t < 0.0:
-                theta_min[k] = t
-            else:
-                theta_max[k] = t
-            theta[k] = theta_min[k] + (theta_max[k] - theta_min[k]) * rngs[k].random()
-            if rejections[k] < cap:
-                still.append(k)
+            if not accepted:
+                rejected = rejections[k] + 1
+                rejections[k] = rejected
+                t = theta[k]
+                if t < 0.0:
+                    theta_min[k] = t
+                else:
+                    theta_max[k] = t
+                theta[k] = theta_min[k] + (theta_max[k] - theta_min[k]) * uniform[k]()
+                if rejected < cap:
+                    still.append(k)
+                    continue
+            # The step ended: accepted, or the current point at the cap.
+            summed[k] += rejections[k]
+            ended = taken[k] + 1
+            taken[k] = ended
+            if ended % per == 0:
+                record.append(k)
+            if ended < steps:
+                starting.append(k)
         active = still
-    return rejections
+        if record:
+            rec = np.array(record)
+            # rows of the outputs' (I K) flattening, iteration-major
+            at = np.array([(taken[k] // per - 1) * k_chains + k for k in record])
+            flat_points[at] = current[rec, :dim]
+            flat_regions[at] = regions.take(rec)
+            flat_rejections[at] = [summed[k] for k in record]
+            for k in record:
+                summed[k] = 0
+
+    points[:] = current[:, :dim]
+    log_pis[:] = current[:, log_pi_col]
+    comps[:] = current[:, comp_col:quad_col]
+    quads[:] = current[:, quad_col:]
+    if lowest is not None:
+        iteration, chain, cause = lowest
+        raise ChainFailure(chain, cause, iteration)
+    return out_points, out_regions, out_rejections
 
 
 def regional_mh_step(state: ChainState, mixture: MixtureModel,

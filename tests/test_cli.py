@@ -469,6 +469,17 @@ class TestCmdRun:
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "chain 3" in err and "iteration 17" in err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_overflowing_init_exits_two_leaves_no_directory(self, tmp_path, capsys):
+        # init.cov_scale = 1e308 passes validation, and the run then fails
+        # while fitting the initial mixture
+        out = tmp_path / "X" / "deep"
+        assert main(["run", "gauss-mix-tmrgess", "--out", str(out),
+                     "--set", "init.cov_scale=1e308", "--set", "run.iterations=30",
+                     "--set", "run.burn_in=10", "--set", "run.chains=4"]) == 2
+        assert "run failed" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "X")
 
 
 class TestCmdReport:

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from helpers import reference_chain_major_run, reference_mh_step, trace_csv_bytes
-from rgess.adaptation import AdaptationConfig, Scheme
+from rgess.adaptation import AdaptationConfig, Scheme, initial_mixture
 from rgess.distributions import Gaussian, MixtureModel
 from rgess.runner import Kernel, RunConfig, RunError, run
-from rgess.samplers import ChainState, TargetDensity, mh_step
+from rgess.samplers import ChainState, TargetDensity, gmrgess_step, mh_step, tmrgess_step
 from rgess.targets import gauss_mix_target
 
 
@@ -149,8 +149,8 @@ class TestSingleChainEquivalence:
 class TestDeterminism:
     @pytest.mark.parametrize("threads", [1, 4])
     def test_thread_count_does_not_change_traces(self, threads, tmp_path, monkeypatch):
-        # ``run`` steps chains in lockstep, the regional ESS kernels as one
-        # batch; the chain-major reference steps each chain through a whole
+        # ``run`` steps the regional ESS kernels as one batch in pipelined
+        # rounds; the chain-major reference steps each chain through a whole
         # barrier segment before the next with the per-chain kernels. The
         # bytes must agree, also when several runs share the process at once.
         for name, config, make_target, shrink_cap in _determinism_cases():
@@ -307,3 +307,104 @@ class TestRunErrors:
             assert info.value.iteration == 1, config.kernel
             assert 0 <= info.value.chain < 2
             assert "not finite" in str(info.value.cause)
+
+
+def _bounded_normal_target():
+    """The standard normal in 1-D; evaluating it beyond |x| = 2.5 raises."""
+    def log_pi(x):
+        if abs(x[0]) > 2.5:
+            raise ValueError("beyond the bound")
+        return -0.5 * float(x[0] * x[0])
+
+    return TargetDensity(dim=1, log_pi=log_pi)
+
+
+def _first_failures(config):
+    """``(iteration, target evaluations)`` at which each chain of ``run``
+    first raises on the bounded target, stepped alone with its per-chain
+    kernel from ``run``'s seeds, or None when it never does. The config must
+    have no barrier."""
+    children = np.random.SeedSequence(config.master_seed).spawn(config.chains + 1)
+    rngs = [np.random.default_rng(child) for child in children[:-1]]
+    points = [config.init.sample(rng) for rng in rngs]
+    if config.kernel is Kernel.MH:
+        cov = config.mh_proposal_scale * np.eye(1)
+
+        def step(state, target, rng):
+            return mh_step(state, cov, target, rng)
+    else:
+        mixture = initial_mixture(config.adaptation, points,
+                                  np.random.default_rng(children[-1]))
+        kernel = gmrgess_step if mixture.kind == "gaussian" else tmrgess_step
+
+        def step(state, target, rng):
+            return kernel(state, mixture, target, rng)
+    failures = []
+    for point, rng in zip(points, rngs):
+        calls = [0]
+        bounded = _bounded_normal_target()
+
+        def counted(x, bounded=bounded, calls=calls):
+            calls[0] += 1
+            return bounded.log_pi(x)
+
+        target = TargetDensity(dim=1, log_pi=counted)
+        state = ChainState(point=point, region=0 if config.kernel is Kernel.MH
+                           else mixture.assign_region(point))
+        failure = None
+        for n in range(1, config.iterations + 1):
+            try:
+                for _ in range(config.steps_per_iteration):
+                    state = step(state, target, rng).next
+            except ValueError:
+                failure = (n, calls[0])
+                break
+        failures.append(failure)
+    return failures
+
+
+def _failing_config(kernel, scheme, seed):
+    """Two chains on the bounded target, with no barrier in 30 iterations."""
+    if kernel is Kernel.MH:
+        return RunConfig(chains=2, iterations=30, burn_in=0, kernel=kernel,
+                         init=Gaussian([0.0], [[1.0]]), master_seed=seed,
+                         mh_proposal_scale=4.0)
+    return RunConfig(chains=2, iterations=30, burn_in=0, kernel=kernel,
+                     init=Gaussian([0.0], [[1.0]]), master_seed=seed,
+                     adaptation=AdaptationConfig(scheme=scheme, components=1,
+                                                 interval=100))
+
+
+class TestFailureOrder:
+    """``RunError`` names the lowest failing iteration, then the lowest
+    chain failing in it, whatever order the chains fail in: a failed chain
+    stops, and the others run until none can fail lower."""
+
+    @pytest.mark.parametrize("kernel, scheme, seed", [
+        (Kernel.RGESS, Scheme.EM_GMM, 562),
+        (Kernel.RGESS, Scheme.EM_TMM, 19),
+        (Kernel.MH, Scheme.EM_GMM, 4),
+    ], ids=["gaussian", "student_t", "mh"])
+    def test_earlier_iteration_of_higher_chain_is_named(self, kernel, scheme, seed):
+        config = _failing_config(kernel, scheme, seed)
+        (n0, calls0), (n1, calls1) = _first_failures(config)
+        # Chain 1 fails at an earlier iteration. The regional batch meets
+        # chain 0's failure first: a chain proposes once per round, and
+        # chain 0 fails after fewer proposals. The mh kernel steps chain 0
+        # through the segment first.
+        assert n1 < n0
+        assert kernel is Kernel.MH or calls0 < calls1
+        with pytest.raises(RunError, match="beyond the bound") as info:
+            run(config, _bounded_normal_target())
+        assert (info.value.iteration, info.value.chain) == (n1, 1)
+
+    @pytest.mark.parametrize("scheme, seed", [(Scheme.EM_GMM, 1), (Scheme.EM_TMM, 700)],
+                             ids=["gaussian", "student_t"])
+    def test_lowest_chain_of_the_iteration_is_named(self, scheme, seed):
+        # both chains fail in the same iteration
+        config = _failing_config(Kernel.RGESS, scheme, seed)
+        (n0, _), (n1, _) = _first_failures(config)
+        assert n0 == n1
+        with pytest.raises(RunError, match="beyond the bound") as info:
+            run(config, _bounded_normal_target())
+        assert (info.value.iteration, info.value.chain) == (n0, 0)

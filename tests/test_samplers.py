@@ -26,7 +26,7 @@ from rgess.samplers import (
     gmrgess_step,
     log_pi_rows,
     mh_step,
-    regional_ess_batch,
+    regional_ess_segment,
     regional_mh_step,
     tmrgess_step,
 )
@@ -392,7 +392,8 @@ class TestNonFiniteStart:
 
 
 def _batch_step(points, mixture, target):
-    """One ``regional_ess_batch`` step from ``points``, regions assigned."""
+    """A ``regional_ess_segment`` of one step from ``points``, regions
+    assigned."""
     points = np.array(points, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         quads = mixture._mahalanobis_sq(points)
@@ -400,7 +401,8 @@ def _batch_step(points, mixture, target):
     regions = comps.argmax(axis=1)
     log_pis = log_pi_rows(target, points, range(len(points)))
     rngs = [np.random.default_rng(k) for k in range(len(points))]
-    return regional_ess_batch(points, regions, log_pis, comps, quads, mixture, target, rngs)
+    return regional_ess_segment(points, regions, log_pis, comps, quads, mixture, target,
+                                rngs, 1, 1)
 
 
 @st.composite
@@ -421,8 +423,8 @@ def _batch_case(draw):
 
 
 class TestBatchEqualsPerChainSteps:
-    """One ``regional_ess_batch`` step over K chains equals K calls of the
-    per-chain kernel bit for bit: points, regions, rejections and the
+    """A ``regional_ess_segment`` of one step over K chains equals K calls of
+    the per-chain kernel bit for bit: points, regions, rejections and the
     generators' final states."""
 
     @settings(deadline=None, max_examples=100)
@@ -436,8 +438,8 @@ class TestBatchEqualsPerChainSteps:
         log_pis = log_pi_rows(target, points, range(len(points)))
         starts = points.copy()
         rngs = [np.random.default_rng(seed) for seed in seeds]
-        rejections = regional_ess_batch(points, regions, log_pis, comps, quads,
-                                        mixture, target, rngs)
+        rejections = regional_ess_segment(points, regions, log_pis, comps, quads,
+                                          mixture, target, rngs, 1, 1)[2][0]
         for k, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
             state = ChainState(point=starts[k], region=mixture.assign_region(starts[k]))
@@ -446,6 +448,65 @@ class TestBatchEqualsPerChainSteps:
             assert out.next.region == regions[k]
             assert out.rejections == rejections[k]
             assert rng.bit_generator.state == rngs[k].bit_generator.state
+
+
+class TestSegmentEqualsChainMajorSteps:
+    """A ``regional_ess_segment`` of 1-4 iterations of 1-3 steps over K
+    chains equals each chain stepped alone through the segment with the
+    per-chain kernel, bit for bit: every iteration's points, regions and
+    rejection sums, the final state arrays and the generators' final
+    states. A small shrinkage cap makes steps end at the cap."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(_batch_case(), st.integers(1, 4), st.integers(1, 3),
+           st.sampled_from([1, 3, MAX_SHRINK_ITERS]))
+    def test_segment_bitwise(self, case, iterations, steps_per_iteration, cap):
+        mixture, target, points, seeds = case
+        step = gmrgess_step if mixture.kind == "gaussian" else tmrgess_step
+        quads = mixture._mahalanobis_sq(points)
+        comps = mixture._log_densities_from_quad(quads)
+        regions = mixture._region_of(comps)
+        log_pis = log_pi_rows(target, points, range(len(points)))
+        starts = points.copy()
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("rgess.samplers.MAX_SHRINK_ITERS", cap)
+            got_points, got_regions, got_rejections = regional_ess_segment(
+                points, regions, log_pis, comps, quads, mixture, target, rngs,
+                iterations, steps_per_iteration)
+            for k, seed in enumerate(seeds):
+                rng = np.random.default_rng(seed)
+                state = ChainState(point=starts[k], region=mixture.assign_region(starts[k]))
+                for i in range(iterations):
+                    rejections = 0
+                    for _ in range(steps_per_iteration):
+                        out = step(state, mixture, target, rng)
+                        state, rejections = out.next, rejections + out.rejections
+                    assert state.point.tobytes() == got_points[i, k].tobytes()
+                    assert state.region == got_regions[i, k]
+                    assert rejections == got_rejections[i, k]
+                assert state.point.tobytes() == points[k].tobytes()
+                assert state.region == regions[k]
+                assert state.cache[3] == log_pis[k]
+                assert state.cache[4].tobytes() == comps[k].tobytes()
+                assert state.cache[5].tobytes() == quads[k].tobytes()
+                assert rng.bit_generator.state == rngs[k].bit_generator.state
+
+
+class TestLogPiRows:
+    def test_batch_failure_names_the_failing_row_chain(self):
+        # the batch raises for rows 2 and 3; the failure names row 2's chain
+        def log_pi(x):
+            if x[0] > 1.0:
+                raise ValueError(f"{x[0]} is out of range")
+            return -0.5 * float(x @ x)
+
+        target = TargetDensity(dim=1, log_pi=log_pi,
+                               log_pi_batch=lambda xs: np.array([log_pi(x) for x in xs]))
+        points = np.array([[0.0], [0.5], [2.0], [3.0]])
+        with pytest.raises(ChainFailure, match="2.0 is out of range") as info:
+            log_pi_rows(target, points, [7, 4, 9, 2])
+        assert info.value.chain == 9
 
 
 def _assert_carried_values_fresh(point, quad, comps, mixture):
@@ -487,7 +548,8 @@ class TestCarriedDistancesStayFresh:
         log_pis = log_pi_rows(target, points, range(len(points)))
         rngs = [np.random.default_rng(seed) for seed in seeds]
         for _ in range(4):
-            regional_ess_batch(points, regions, log_pis, comps, quads, mixture, target, rngs)
+            regional_ess_segment(points, regions, log_pis, comps, quads, mixture, target,
+                                 rngs, 1, 1)
             for k, x in enumerate(points):
                 _assert_carried_values_fresh(x, quads[k], comps[k], mixture)
 
