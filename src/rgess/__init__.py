@@ -5,7 +5,6 @@ multi-chain runner and the benchmark targets they are exercised on."""
 from .adaptation import (
     AdaptationConfig,
     FitResult,
-    LearningRateSchedule,
     Scheme,
     em_gmm_fit,
     em_tmm_fit,
@@ -39,7 +38,6 @@ __all__ = [
     "FitResult",
     "Gaussian",
     "Kernel",
-    "LearningRateSchedule",
     "MixtureModel",
     "RunConfig",
     "RunResult",

@@ -3,8 +3,8 @@ stochastic-approximation updates for Gaussian mixtures, plus EM for
 Student's-t mixtures.
 
 :func:`initial_mixture` builds the first pseudo-prior and :func:`refit` each
-later one: the only code that maps a :class:`Scheme` to its fit, for
-``rgess.runner.run`` and ``rgess fit`` alike.
+later one, for ``rgess.runner.run``: the only code that maps a
+:class:`Scheme` to its fit.
 
 EM and VI refit from scratch on every call; the SA update applies a single
 learning-rate-scaled correction to an existing mixture, which keeps the
@@ -43,7 +43,6 @@ from .distributions import MixtureModel, _logsumexp, _mixture, ensure_spd, regul
 
 __all__ = [
     "Scheme",
-    "LearningRateSchedule",
     "AdaptationConfig",
     "FitResult",
     "em_gmm_fit",
@@ -72,22 +71,10 @@ class Scheme(str, enum.Enum):
     EM_TMM = "em_tmm"
 
 
-@dataclass(frozen=True)
-class LearningRateSchedule:
-    """r_n = c / (n0 + n); satisfies the Robbins-Monro conditions.
-    :func:`refit` steps SA at the default schedule, 0.5 / (10 + n)."""
-
-    c: float = 0.5
-    n0: int = 10
-
-    def __post_init__(self):
-        if not 0 < self.c < np.inf:
-            raise ValueError(f"learning rate c must be finite and positive, got {self.c}")
-        if self.n0 < 1:
-            raise ValueError(f"learning rate n0 must be >= 1, got {self.n0}")
-
-    def rate(self, n: int) -> float:
-        return self.c / (self.n0 + n)
+def _sa_rate(n: int) -> float:
+    """The learning rate of the n-th SA refit, 0.5 / (10 + n); satisfies the
+    Robbins-Monro conditions."""
+    return 0.5 / (10 + n)
 
 
 @dataclass(frozen=True)
@@ -581,12 +568,11 @@ def initial_mixture(config: AdaptationConfig, points, rng: np.random.Generator) 
 def refit(config: AdaptationConfig, mixture: MixtureModel, points,
           rng: np.random.Generator, update_index: int) -> MixtureModel:
     """The pseudo-prior after the ``update_index``-th refit (from 1) on
-    ``points``: one SA step on ``mixture`` at
-    ``LearningRateSchedule().rate(update_index)``, or an EM or VI fit from
-    scratch that ignores ``mixture``."""
+    ``points``: one SA step on ``mixture`` at ``_sa_rate(update_index)``, or
+    an EM or VI fit from scratch. EM and VI ignore ``mixture`` and SA needs
+    it; ``run()``, the one caller, always passes the current pseudo-prior."""
     if config.scheme is Scheme.SA_GMM:
-        rate = LearningRateSchedule().rate(update_index)
-        return sa_gmm_update(mixture, points, rate, config.reg_radius)
+        return sa_gmm_update(mixture, points, _sa_rate(update_index), config.reg_radius)
     # Built per call, so that a wrapper set on this module sees every refit.
     fit = {Scheme.EM_GMM: em_gmm_fit, Scheme.VI_GMM: vi_gmm_fit, Scheme.EM_TMM: em_tmm_fit}
     return fit[config.scheme](points, config.components, config, rng).mixture

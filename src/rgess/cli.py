@@ -2,13 +2,7 @@
 
 ``rgess run <config>`` executes an experiment and writes trace, mixture and
 summary CSVs; ``rgess report <dir>`` recomputes the diagnostics from the CSVs
-alone; ``rgess fit <csv>`` exposes the mixture fitters on a standalone sample
-file. ``<config>`` is a path or the name of a bundled preset.
-
-``rgess fit`` calls ``rgess.adaptation.refit``, as ``run`` does at a barrier;
-``sa_gmm`` takes ``--sa-steps`` refits (default 1), counted from 1, from the
-``--init`` mixture, which must have ``-M`` components of the samples'
-dimension; the other schemes reject both flags.
+alone. ``<config>`` is a path or the name of a bundled preset.
 
 Exit codes: 0 success, 1 configuration/validation error (nothing written),
 2 runtime failure, including an output file that cannot be written.
@@ -24,7 +18,6 @@ from importlib import resources
 import numpy as np
 
 from . import targets as tg
-from .adaptation import AdaptationConfig, Scheme, refit
 from .config import (
     _TARGET_KEYS,
     ConfigError,
@@ -36,21 +29,17 @@ from .config import (
 )
 from .diagnostics import (
     _fmt,
-    _parse_row,
-    _read_data_csv,
     _write_csv,
     accuracy,
     mode_coverage,
     posterior_mean,
-    read_mixtures_csv,
     read_trace_csv,
     rejection_rate_series,
-    write_mixtures_csv,
     write_trace_csv,
 )
 from .runner import RunError, _check_target, run
 
-__all__ = ["main", "cmd_run", "cmd_report", "cmd_fit"]
+__all__ = ["main", "cmd_run", "cmd_report"]
 
 _SUMMARY_COLUMNS = ["metric", "key", "value"]
 
@@ -186,73 +175,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _read_samples_csv(path) -> np.ndarray:
-    rows = []
-    for line, fields in _read_data_csv(path, "samples CSV"):
-        width = len(rows[0]) if rows else len(fields)
-        rows.append(_parse_row(path, line, fields, width, lambda f: [float(v) for v in f]))
-    if not rows:
-        raise ValueError(f"{path}: no sample rows")
-    return np.asarray(rows)
-
-
-def cmd_fit(args) -> int:
-    try:
-        scheme = Scheme(args.scheme)
-        if scheme is not Scheme.SA_GMM:
-            for flag, value in (("--init", args.init), ("--sa-steps", args.sa_steps)):
-                if value is not None:
-                    raise ConfigError(f"{flag} applies only to the sa_gmm scheme, "
-                                      f"not {scheme.value}")
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        samples = _read_samples_csv(args.samples)
-        rng = np.random.default_rng(args.seed)
-        config = AdaptationConfig(
-            scheme=scheme,
-            components=args.components,
-            reg_radius=args.reg_radius,
-            em_max_iters=args.max_iters,
-            em_tol=args.tol,
-            fixed_dof=args.fixed_dof,
-        )
-        if scheme is Scheme.SA_GMM:
-            sa_steps = 1 if args.sa_steps is None else args.sa_steps
-            if sa_steps < 0:
-                raise ConfigError(f"--sa-steps must be >= 0, got {sa_steps}")
-            if args.init is None:
-                raise ConfigError("sa_gmm needs --init with a starting mixture CSV")
-            history = read_mixtures_csv(args.init)
-            if not history:
-                raise ConfigError(f"{args.init}: no mixture rows")
-            mixture = history[-1][1]
-            if mixture.kind != "gaussian":
-                raise ConfigError("sa_gmm requires a Gaussian starting mixture")
-            if mixture.n_components != args.components:
-                raise ConfigError(
-                    f"-M {args.components} does not match the {mixture.n_components} "
-                    f"components of the --init mixture {args.init}"
-                )
-            if mixture.dim != samples.shape[1]:
-                raise ConfigError(f"the --init mixture {args.init} has dimension {mixture.dim}, "
-                                  f"the samples in {args.samples} have dimension {samples.shape[1]}")
-            out_history = []
-            for step in range(1, sa_steps + 1):
-                mixture = refit(config, mixture, samples, rng, step)
-                out_history.append((step, mixture))
-            out_history = out_history or [(0, mixture)]
-        else:
-            out_history = [(0, refit(config, None, samples, rng, 0))]
-    except (ConfigError, ValueError, np.linalg.LinAlgError) as exc:
-        return _fail(str(exc), 1)
-    try:
-        write_mixtures_csv(out_history, args.out)
-    except OSError as exc:
-        return _fail(f"cannot write {args.out}: {exc}", 2)
-    print(f"wrote fitted mixture to {args.out}")
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rgess",
@@ -273,22 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--window", type=int, default=None,
                        help="rejection-rate window size")
     p_rep.set_defaults(func=cmd_report)
-
-    p_fit = sub.add_parser("fit", help="fit a mixture to a CSV of sample vectors")
-    p_fit.add_argument("samples", help="CSV of D-vectors, one per row")
-    p_fit.add_argument("--scheme", required=True,
-                       choices=[s.value for s in Scheme])
-    p_fit.add_argument("--components", "-M", type=int, required=True)
-    p_fit.add_argument("--out", default="mixture.csv")
-    p_fit.add_argument("--reg-radius", type=float, default=AdaptationConfig.reg_radius)
-    p_fit.add_argument("--max-iters", type=int, default=AdaptationConfig.em_max_iters)
-    p_fit.add_argument("--tol", type=float, default=AdaptationConfig.em_tol)
-    p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--fixed-dof", type=float, default=AdaptationConfig.fixed_dof)
-    p_fit.add_argument("--init", help="starting mixture CSV (sa_gmm only)")
-    p_fit.add_argument("--sa-steps", type=int, default=None,
-                       help="sa_gmm refits from --init (default 1)")
-    p_fit.set_defaults(func=cmd_fit)
     return parser
 
 

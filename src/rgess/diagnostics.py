@@ -1,16 +1,15 @@
 """Rejection-rate series, accuracy, mode coverage, moment summaries and CSV
 trace persistence.
 
-Every CSV file rgess reads (traces, mixtures, ``rgess fit`` samples,
-covtype data) goes through one reader, ``_read_csv``, with each row checked
-by ``_parse_row``; every CSV file it writes goes through one writer,
-``_write_csv``, which streams its rows. Blank rows are skipped. A row with
-the wrong number of fields or a value that does not parse raises a
-``ValueError`` that names it as ``path:line``, and so does a file that
-cannot be opened; the command line reports either with exit 1. The two
-inputs that may carry a header, samples and covtype data, are read through
-``_read_data_csv``: line 1 is a header only when none of its fields parses
-as a number.
+Every CSV file rgess reads (traces, mixtures, covtype data) goes through
+one reader, ``_read_csv``, with each row checked by ``_parse_row``; every
+CSV file it writes goes through one writer, ``_write_csv``, which streams
+its rows. Blank rows are skipped. A row with the wrong number of fields or
+a value that does not parse raises a ``ValueError`` that names it as
+``path:line``, and so does a file that cannot be opened; the command line
+reports either with exit 1. Covtype data, the one input that may carry a
+header, is read through ``_read_data_csv``: line 1 is a header only when
+none of its fields parses as a number.
 
 All decimals are written with 17 significant digits so that float64 values
 round-trip exactly through the CSV files.

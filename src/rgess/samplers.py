@@ -32,11 +32,13 @@ the region's row of the mixture's stacks, and regional_mh_step draws from it
 with ``MixtureModel._sample``.
 
 :func:`gmrgess_step` and :func:`tmrgess_step` stay for single chains
-(criterion 3, the kernel-1d benchmark), which they step two to three times
-faster: on criterion 3's set-up a segment of one chain took 147-206 us a
-step against 58-82 us for :func:`tmrgess_step` (six alternating runs of
-20k steps, 2-CPU VM, one BLAS thread). They form each proposal in Python
-floats, one coordinate at a time, with the same roundings as numpy.
+(criterion 3, the kernel-1d benchmark), which they step three to five times
+faster: on criterion 3's t set-up (20k steps from -2.5, seed 1003) a
+segment of one chain took 128-183 us a step against 31-47 us for
+:func:`tmrgess_step`, and both ended on the same point (six runs, each
+timing both paths in one process and alternating which goes first; 2-CPU
+Xeon VM, one BLAS thread). They form each proposal in Python floats, one
+coordinate at a time, with the same roundings as numpy.
 """
 
 from __future__ import annotations

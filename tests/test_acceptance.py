@@ -26,11 +26,10 @@ from helpers import (
     reference_chain_major_run,
     trace_csv_bytes,
 )
-from rgess.adaptation import LearningRateSchedule, em_gmm_fit, sa_gmm_update, AdaptationConfig, Scheme
+from rgess.adaptation import _sa_rate, em_gmm_fit, sa_gmm_update, AdaptationConfig, Scheme
 from rgess.cli import build_target, main as cli_main, resolve_config_source
 from rgess.config import build_experiment
 from rgess.diagnostics import (
-    ModeSpec,
     accuracy,
     mode_coverage,
     posterior_mean,
@@ -47,11 +46,9 @@ from rgess.samplers import (
     regional_mh_step,
     tmrgess_step,
 )
-from rgess.targets import litter_log_likelihood
+from rgess.targets import GaussMixTarget, litter_log_likelihood
 
 FIG2_COV = np.array([[10.0, 3.0], [3.0, 2.0]])
-TRUE_MODES = np.array([[25.0, 50.0], [5.0, 5.0], [50.0, 5.0], [50.0, 50.0]])
-MODE_RADIUS = 9.4868329805051381
 
 # Interior optima of the litter likelihood (multi-start Nelder-Mead; the two
 # raw-space optima are the label-swap pair of a single quotient mode).
@@ -195,8 +192,7 @@ def _coverage_from_dir(out_dir, burn_in):
         os.path.join(out_dir, "trace.csv"),
         mixtures_path=os.path.join(out_dir, "mixtures.csv"),
     )
-    spec = ModeSpec(centers=tuple(TRUE_MODES), radius=MODE_RADIUS)
-    return traces, mode_coverage(traces, spec, burn_in)
+    return traces, mode_coverage(traces, GaussMixTarget.MODES, burn_in)
 
 
 def test_criterion_04(preset_runs):
@@ -210,7 +206,8 @@ def test_criterion_04(preset_runs):
     history = read_mixtures_csv(os.path.join(out_dir, "mixtures.csv"))
     final_mixture = history[-1][1]
     means = np.stack([c.mean for c in final_mixture.components])
-    cost = np.linalg.norm(means[:, None, :] - TRUE_MODES[None, :, :], axis=2)
+    true_modes = np.array(GaussMixTarget.MEANS)
+    cost = np.linalg.norm(means[:, None, :] - true_modes[None, :, :], axis=2)
     rows, cols = linear_sum_assignment(cost)
     assert len(set(cols)) == 4
     assert np.all(cost[rows, cols] < 3.0), f"matched distances {cost[rows, cols]}"
@@ -239,9 +236,8 @@ def test_criterion_06():
     assert min_distance_to_outliers(em_fit.mixture) < 1.0
 
     mixture = outlier_fixture_true_mixture()
-    schedule = LearningRateSchedule(c=0.5, n0=10)
     for step_index in range(1, 51):
-        mixture = sa_gmm_update(mixture, samples, schedule.rate(step_index))
+        mixture = sa_gmm_update(mixture, samples, _sa_rate(step_index))
     assert min_distance_to_outliers(mixture) >= 1.0
 
 

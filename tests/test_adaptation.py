@@ -24,8 +24,8 @@ from helpers import (
 )
 from rgess.adaptation import (
     AdaptationConfig,
-    LearningRateSchedule,
     Scheme,
+    _sa_rate,
     em_gmm_fit,
     em_tmm_fit,
     initial_mixture,
@@ -103,16 +103,18 @@ def _assert_mixture_clean(mixture):
 
 
 class TestEmGmm:
-    def test_single_component_two_points(self):
+    @pytest.mark.parametrize("samples", [[[-1.0], [1.0]], [[0.0, 1.0], [2.0, 3.0], [4.0, -1.0]]],
+                             ids=["1d", "2d"])
+    def test_single_component_closed_form(self, samples):
+        # one component is the sample mean and the population covariance,
+        # plus the regularization
         reg = 0.25
-        fit = em_gmm_fit(
-            np.array([[-1.0], [1.0]]), 1, _config(reg_radius=reg),
-            np.random.default_rng(0),
-        )
+        samples = np.array(samples)
+        fit = em_gmm_fit(samples, 1, _config(reg_radius=reg), np.random.default_rng(0))
         comp = fit.mixture.components[0]
-        assert comp.mean[0] == pytest.approx(0.0, abs=1e-12)
-        # population variance of {-1, +1} is 1, plus the regularization
-        assert comp.cov[0, 0] == pytest.approx(1.0 + reg, abs=1e-9)
+        np.testing.assert_allclose(comp.mean, samples.mean(axis=0), atol=1e-12)
+        mle = np.atleast_2d(np.cov(samples, rowvar=False, bias=True))
+        np.testing.assert_allclose(comp.cov, mle + reg * np.eye(samples.shape[1]), atol=1e-9)
 
     def test_recovers_two_separated_clusters(self):
         samples = two_cluster_samples(np.random.default_rng(1))
@@ -267,9 +269,8 @@ class TestSaGmm:
         assert min_distance_to_outliers(em_fit.mixture) < 1.0
 
         mixture = outlier_fixture_true_mixture()
-        schedule = LearningRateSchedule(c=0.5, n0=10)
         for step in range(1, 51):
-            mixture = sa_gmm_update(mixture, samples, schedule.rate(step))
+            mixture = sa_gmm_update(mixture, samples, _sa_rate(step))
         assert min_distance_to_outliers(mixture) >= 1.0
 
     def test_nonfinite_update_skipped(self):
@@ -386,10 +387,6 @@ class TestAdaptationConfig:
         with pytest.raises(ValueError, match="fixed_dof must be finite"):
             _config(scheme=Scheme.EM_TMM, fixed_dof=np.inf)
 
-    def test_rejects_infinite_learning_rate(self):
-        with pytest.raises(ValueError, match="learning rate c"):
-            LearningRateSchedule(c=np.inf)
-
 
 def _assert_same_mixture(got, want):
     """Every cached stack equal bit for bit in the same layout."""
@@ -441,11 +438,12 @@ class TestInitialMixture:
 
 
 class TestRefit:
-    @pytest.mark.parametrize("scheme, fitter", [(Scheme.EM_GMM, em_gmm_fit),
-                                                (Scheme.VI_GMM, vi_gmm_fit),
-                                                (Scheme.EM_TMM, em_tmm_fit)])
-    def test_scheme_fits_with_its_fitter(self, scheme, fitter):
-        samples, m, kwargs, seed = _reference_case("outliers")
+    @pytest.mark.parametrize("scheme, fitter, case", [(Scheme.EM_GMM, em_gmm_fit, "outliers"),
+                                                      (Scheme.VI_GMM, vi_gmm_fit, "outliers"),
+                                                      (Scheme.EM_TMM, em_tmm_fit, "outliers"),
+                                                      (Scheme.EM_TMM, em_tmm_fit, "fixed_dof")])
+    def test_scheme_fits_with_its_fitter(self, scheme, fitter, case):
+        samples, m, kwargs, seed = _reference_case(case)
         config = _config(scheme=scheme, components=m, **kwargs)
         got = refit(config, None, samples, np.random.default_rng(seed), 4)
         _assert_same_mixture(got, fitter(samples, m, config, np.random.default_rng(seed)).mixture)
@@ -453,7 +451,6 @@ class TestRefit:
     @pytest.mark.parametrize("update_index", [1, 5])
     def test_sa_steps_at_the_scheduled_rate(self, update_index):
         current, samples = random_sa_instance(3)
-        schedule = LearningRateSchedule()
         config = _config(scheme=Scheme.SA_GMM, reg_radius=0.05)
         got = refit(config, current, samples, np.random.default_rng(0), update_index)
-        _assert_same_mixture(got, sa_gmm_update(current, samples, schedule.rate(update_index), 0.05))
+        _assert_same_mixture(got, sa_gmm_update(current, samples, 0.5 / (10 + update_index), 0.05))

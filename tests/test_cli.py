@@ -7,27 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import min_distance_to_outliers, outlier_fixture, outlier_fixture_true_mixture
-from rgess.adaptation import (
-    AdaptationConfig,
-    LearningRateSchedule,
-    Scheme,
-    em_gmm_fit,
-    em_tmm_fit,
-    sa_gmm_update,
-    vi_gmm_fit,
-)
 from rgess.cli import available_presets, main, resolve_config_source
 from rgess.config import build_experiment, parse_config_text, serialize_config
-from rgess.diagnostics import (
-    ModeSpec,
-    _fmt,
-    mode_coverage,
-    read_mixtures_csv,
-    read_trace_csv,
-    write_mixtures_csv,
-)
-from rgess.distributions import Gaussian, MixtureModel
+from rgess.diagnostics import ModeSpec, _fmt, mode_coverage, read_mixtures_csv, read_trace_csv
 from rgess.targets import GaussMixTarget
 
 TINY_RUN = """
@@ -600,243 +582,9 @@ class TestCmdReport:
         assert not (out / "report.csv").exists()
 
 
-def _write_samples_csv(path, samples):
-    with open(path, "w") as fh:
-        for row in np.atleast_2d(samples):
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-    return str(path)
-
-
-class TestCmdFit:
-    def test_em_two_clusters(self, tmp_path):
-        rng = np.random.default_rng(1)
-        samples = np.concatenate(
-            [rng.normal(-10, 1, 250), rng.normal(10, 1, 250)]
-        )[:, None]
-        csv_path = _write_samples_csv(tmp_path / "s.csv", samples)
-        out = str(tmp_path / "m.csv")
-        code = main(["fit", csv_path, "--scheme", "em_gmm",
-                     "--components", "2", "--out", out])
-        assert code == 0
-        mixture = read_mixtures_csv(out)[-1][1]
-        means = sorted(c.mean[0] for c in mixture.components)
-        assert abs(means[0] + 10.0) < 0.5
-        assert abs(means[1] - 10.0) < 0.5
-
-    def test_single_component_closed_form(self, tmp_path):
-        samples = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, -1.0]])
-        csv_path = _write_samples_csv(tmp_path / "s.csv", samples)
-        out = str(tmp_path / "m.csv")
-        code = main(["fit", csv_path, "--scheme", "em_gmm", "--components", "1",
-                     "--reg-radius", "0.25", "--out", out])
-        assert code == 0
-        comp = read_mixtures_csv(out)[-1][1].components[0]
-        np.testing.assert_allclose(comp.mean, samples.mean(axis=0), atol=1e-12)
-        mle = np.cov(samples, rowvar=False, bias=True)
-        np.testing.assert_allclose(comp.cov, mle + 0.25 * np.eye(2), atol=1e-9)
-
-    def test_outlier_fixture_em_vs_sa(self, tmp_path):
-        samples = outlier_fixture()
-        csv_path = _write_samples_csv(tmp_path / "s.csv", samples)
-
-        em_out = str(tmp_path / "em.csv")
-        assert main(["fit", csv_path, "--scheme", "em_gmm", "--components", "3",
-                     "--reg-radius", "0.05", "--seed", "41", "--out", em_out]) == 0
-        em_mixture = read_mixtures_csv(em_out)[-1][1]
-        assert min_distance_to_outliers(em_mixture) < 1.0
-
-        init_path = str(tmp_path / "init.csv")
-        write_mixtures_csv([(0, outlier_fixture_true_mixture())], init_path)
-        sa_out = str(tmp_path / "sa.csv")
-        assert main(["fit", csv_path, "--scheme", "sa_gmm", "--components", "3",
-                     "--init", init_path, "--sa-steps", "50", "--out", sa_out]) == 0
-        sa_mixture = read_mixtures_csv(sa_out)[-1][1]
-        assert min_distance_to_outliers(sa_mixture) >= 1.0
-
-    @pytest.mark.parametrize("text, message", [
-        ("1.0,2.0\n1.0,oops\n", "bad.csv:2: could not convert string to float: 'oops'"),
-        ("1.0,2.0\n\n1.0,2.0,3.0\n", "bad.csv:3: expected 2 fields, got 3"),
-        ("1.0,oops\n2.0,3.0\n1.0,1.0\n", "bad.csv:1: could not convert string to float: 'oops'"),
-    ], ids=["unparseable", "ragged", "unparseable-first"])
-    def test_parse_error_exits_one(self, tmp_path, capsys, text, message):
-        bad = tmp_path / "bad.csv"
-        bad.write_text(text)
-        assert main(["fit", str(bad), "--scheme", "em_gmm",
-                     "--components", "1"]) == 1
-        assert message in capsys.readouterr().err
-
-    def test_header_line_is_skipped(self, tmp_path):
-        samples = outlier_fixture()
-        bare = _write_samples_csv(tmp_path / "bare.csv", samples)
-        headed = tmp_path / "headed.csv"
-        headed.write_text("x0,x1\n" + (tmp_path / "bare.csv").read_text())
-        for path, out in ((bare, "bare-m.csv"), (headed, "headed-m.csv")):
-            assert main(["fit", str(path), "--scheme", "em_gmm", "-M", "3",
-                         "--out", str(tmp_path / out)]) == 0
-        assert (tmp_path / "headed-m.csv").read_bytes() == (tmp_path / "bare-m.csv").read_bytes()
-
-    @pytest.mark.parametrize("scheme", ["em_gmm", "vi_gmm", "em_tmm"])
-    def test_zero_max_iters_exits_one(self, tmp_path, capsys, scheme):
-        samples = np.random.default_rng(3).normal(size=(20, 2))
-        csv_path = _write_samples_csv(tmp_path / "s.csv", samples)
-        out = tmp_path / "m.csv"
-        assert main(["fit", csv_path, "--scheme", scheme, "-M", "2",
-                     "--max-iters", "0", "--out", str(out)]) == 1
-        assert "em_max_iters" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flag, value, name", [("--reg-radius", "nan", "reg_radius"),
-                                                   ("--reg-radius", "inf", "reg_radius"),
-                                                   ("--tol", "nan", "em_tol")])
-    def test_non_finite_setting_exits_one(self, tmp_path, capsys, flag, value, name):
-        samples = np.random.default_rng(3).normal(size=(20, 2))
-        csv_path = _write_samples_csv(tmp_path / "s.csv", samples)
-        out = tmp_path / "m.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["fit", csv_path, "--scheme", "em_gmm", "-M", "2",
-                         flag, value, "--out", str(out)]) == 1
-        assert name in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("scheme, dof, message", [
-        ("em_tmm", "inf", "fixed_dof must be finite"),
-        ("em_gmm", "3", "fixed_dof applies only to the em_tmm scheme, not em_gmm"),
-    ])
-    def test_bad_fixed_dof_exits_one(self, tmp_path, capsys, scheme, dof, message):
-        samples = np.random.default_rng(3).normal(size=(20, 2))
-        csv_path = _write_samples_csv(tmp_path / "s.csv", samples)
-        out = tmp_path / "m.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["fit", csv_path, "--scheme", scheme, "-M", "2",
-                         "--fixed-dof", dof, "--out", str(out)]) == 1
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_sa_requires_init(self, tmp_path):
-        csv_path = _write_samples_csv(tmp_path / "s.csv", np.zeros((5, 1)))
-        assert main(["fit", csv_path, "--scheme", "sa_gmm",
-                     "--components", "1"]) == 1
-
-    @pytest.mark.parametrize("init", ["missing.csv", "directory"])
-    def test_unreadable_init_exits_one(self, tmp_path, capsys, init):
-        csv_path = _write_samples_csv(tmp_path / "s.csv", outlier_fixture())
-        (tmp_path / "directory").mkdir()
-        init_path = tmp_path / init
-        out = tmp_path / "m.csv"
-        assert main(["fit", csv_path, "--scheme", "sa_gmm", "-M", "3",
-                     "--init", str(init_path), "--out", str(out)]) == 1
-        assert f"error: cannot read mixtures CSV {init_path}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_negative_sa_steps_exits_one(self, tmp_path, capsys):
-        csv_path = _write_samples_csv(tmp_path / "s.csv", outlier_fixture())
-        init_path = str(tmp_path / "init.csv")
-        write_mixtures_csv([(0, outlier_fixture_true_mixture())], init_path)
-        out = tmp_path / "m.csv"
-        assert main(["fit", csv_path, "--scheme", "sa_gmm", "-M", "3", "--init", init_path,
-                     "--sa-steps", "-3", "--out", str(out)]) == 1
-        assert "--sa-steps must be >= 0, got -3" in capsys.readouterr().err
-        assert not out.exists()
-
-
-    @pytest.mark.parametrize("scheme, flags, named", [
-        ("em_gmm", ["--init", "/nonexistent.csv"], "--init"),
-        ("vi_gmm", ["--sa-steps", "5"], "--sa-steps"),
-        ("em_tmm", ["--init", "/nonexistent.csv", "--sa-steps", "5"], "--init"),
-    ])
-    def test_sa_flags_with_other_scheme_exit_one(self, tmp_path, capsys, scheme, flags,
-                                                 named):
-        csv_path = _write_samples_csv(tmp_path / "s.csv", outlier_fixture())
-        out = tmp_path / "m.csv"
-        assert main(["fit", csv_path, "--scheme", scheme, "-M", "2", *flags,
-                     "--out", str(out)]) == 1
-        assert f"{named} applies only to the sa_gmm scheme" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_components_must_match_init(self, tmp_path, capsys):
-        csv_path = _write_samples_csv(tmp_path / "s.csv", outlier_fixture())
-        init_path = str(tmp_path / "init.csv")
-        write_mixtures_csv([(0, outlier_fixture_true_mixture())], init_path)
-        out = tmp_path / "m.csv"
-        assert main(["fit", csv_path, "--scheme", "sa_gmm", "-M", "2", "--init", init_path,
-                     "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "-M 2" in err and "the 3 components of the --init mixture" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("init_dim, sample_dim", [(2, 1), (1, 2)])
-    def test_init_of_other_dimension_exits_one(self, tmp_path, capsys, init_dim, sample_dim):
-        samples = np.random.default_rng(3).normal(size=(20, sample_dim))
-        csv_path = _write_samples_csv(tmp_path / "s.csv", samples)
-        init_path = str(tmp_path / "init.csv")
-        init = MixtureModel([1.0], [Gaussian(np.zeros(init_dim), np.eye(init_dim))])
-        write_mixtures_csv([(0, init)], init_path)
-        out = tmp_path / "m.csv"
-        assert main(["fit", csv_path, "--scheme", "sa_gmm", "-M", "1", "--init", init_path,
-                     "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert f"the --init mixture {init_path} has dimension {init_dim}" in err
-        assert f"the samples in {csv_path} have dimension {sample_dim}" in err
-        assert not out.exists()
-
-    def test_negative_seed_exits_one(self, tmp_path, capsys):
-        csv_path = _write_samples_csv(tmp_path / "s.csv", outlier_fixture())
-        out = tmp_path / "m.csv"
-        assert main(["fit", csv_path, "--scheme", "em_gmm", "-M", "2",
-                     "--seed", "-1", "--out", str(out)]) == 1
-        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_unwritable_output_exits_two(self, tmp_path, capsys):
-        csv_path = _write_samples_csv(tmp_path / "s.csv", outlier_fixture())
-        out = tmp_path / "missing" / "m.csv"
-        assert main(["fit", csv_path, "--scheme", "em_gmm", "-M", "2",
-                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
-
-
-class TestCmdFitDispatch:
-    """``rgess fit`` writes what the public fitter of its scheme returns."""
-
-    @pytest.mark.parametrize("scheme, fitter, extra", [
-        ("em_gmm", em_gmm_fit, {}),
-        ("vi_gmm", vi_gmm_fit, {}),
-        ("em_tmm", em_tmm_fit, {}),
-        ("em_tmm", em_tmm_fit, {"fixed_dof": 5.0}),
-    ])
-    def test_fit_equals_public_fitter(self, tmp_path, scheme, fitter, extra):
-        samples = outlier_fixture()
-        csv_path = _write_samples_csv(tmp_path / "s.csv", samples)
-        out = tmp_path / "m.csv"
-        flags = ["--fixed-dof", "5"] if extra else []
-        assert main(["fit", csv_path, "--scheme", scheme, "-M", "3", "--reg-radius", "0.05",
-                     "--seed", "41", "--out", str(out), *flags]) == 0
-        config = AdaptationConfig(scheme=Scheme(scheme), components=3, reg_radius=0.05,
-                                  **extra)
-        fit = fitter(samples, 3, config, np.random.default_rng(41))
-        write_mixtures_csv([(0, fit.mixture)], tmp_path / "want.csv")
-        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
-
-    @pytest.mark.parametrize("steps", [0, 3, None])
-    def test_sa_equals_steps_of_sa_gmm_update(self, tmp_path, steps):
-        # no --sa-steps takes one step
-        samples = outlier_fixture()
-        csv_path = _write_samples_csv(tmp_path / "s.csv", samples)
-        init = outlier_fixture_true_mixture()
-        init_path = str(tmp_path / "init.csv")
-        write_mixtures_csv([(0, init)], init_path)
-        out = tmp_path / "m.csv"
-        flags = [] if steps is None else ["--sa-steps", str(steps)]
-        assert main(["fit", csv_path, "--scheme", "sa_gmm", "-M", "3", "--init", init_path,
-                     *flags, "--reg-radius", "0.05", "--out", str(out)]) == 0
-        steps = 1 if steps is None else steps
-        schedule = LearningRateSchedule()
-        mixture = read_mixtures_csv(init_path)[0][1]
-        want = [(0, mixture)] if steps == 0 else []
-        for step in range(1, steps + 1):
-            mixture = sa_gmm_update(mixture, samples, schedule.rate(step), 0.05)
-            want.append((step, mixture))
-        write_mixtures_csv(want, tmp_path / "want.csv")
-        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+def test_fit_is_not_a_command(capsys):
+    # the fitters are reached through run() and the library only
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "samples.csv", "--scheme", "em_gmm", "-M", "2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'fit'" in capsys.readouterr().err

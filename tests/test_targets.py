@@ -253,10 +253,15 @@ class TestLoadCovtype:
         with pytest.raises(ValueError):
             load_covtype("/nonexistent/covtype.csv", 10, 9, 0.5, 0)
 
-    def test_malformed_row_names_line(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ("1.0,2.0,1\n1.0,oops,2\n", "bad.csv:2"),
+        # a blank line is skipped but still counted
+        ("1.0,2.0,1\n\n1.0,2.0,3.0,1\n", "bad.csv:3: expected 3 fields, got 4"),
+    ], ids=["unparseable", "ragged-after-blank"])
+    def test_malformed_row_names_line(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
-        path.write_text("1.0,2.0,1\n1.0,oops,2\n")
-        with pytest.raises(ValueError, match="bad.csv:2"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
             load_covtype(path, 1, 1, 0.5, 0)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])

@@ -8,10 +8,7 @@ runs under the key ``logistic-covtype:generated`` on a covtype-format CSV
 written from ``COVTYPE_SEED`` (``COVTYPE_ROWS`` rows of ``COVTYPE_FEATURES``
 features and a class label of 1, 2 or 3), shortened by ``COVTYPE_OVERRIDES``: 400 of those rows, 300 iterations, 100 of them
 burn-in. After each run, ``rgess report <out>`` recomputes the diagnostics into
-``report.csv``. The script also runs ``rgess fit`` once per adaptation
-scheme, under the key ``fit:<scheme>``, on a sample CSV written from a
-fixed seed, with a header line and a blank line; the ``sa_gmm`` fit starts
-from the ``em_gmm`` fit's output.
+``report.csv``.
 Last, it steps each per-chain kernel of ``KERNELS`` directly, under the key
 ``kernel:<name>``: ``KERNEL_STEPS`` steps of one chain on the acceptance
 gate's 1-D bimodal target (test criterion 3), from -2.5 with seed
@@ -21,9 +18,10 @@ Each run is a fresh process with BLAS pinned to one thread, uses the
 ``rgess`` under ``src/`` next to this script, and writes into a temporary
 directory that is removed afterwards. The script prints one JSON line that
 maps each run's key to the sha256 of its ``trace.csv``, ``mixtures.csv``,
-``summary.csv`` and ``report.csv``, of the mixture CSV a fit writes, or of
-a kernel chain's steps (``"steps"``: each step's point, region and
-rejection count).
+``summary.csv`` and ``report.csv``, or of a kernel chain's steps
+(``"steps"``: each step's point, region and rejection count). Every
+adaptation scheme has a preset, so each fitter's output bytes are in a
+preset's ``mixtures.csv``.
 
 Two trees whose outputs are byte-identical print the same line, so running
 this script in both is the check that a change keeps every trace.
@@ -45,10 +43,6 @@ PRESET_DIR = os.path.join(ROOT, "src", "rgess", "presets")
 SKIPPED = ("logistic-covtype",)
 FILES = ("trace.csv", "mixtures.csv", "summary.csv", "report.csv")
 ONE_THREAD = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# ``rgess fit`` runs in this order, so that sa_gmm can start from em_gmm
-FIT_SCHEMES = ("em_gmm", "vi_gmm", "em_tmm", "sa_gmm")
-FIT_FLAGS = ("-M", "3", "--reg-radius", "0.05", "--seed", "7")
-FIT_SAMPLES_SEED = 2718
 COVTYPE_SEED = 1414
 COVTYPE_ROWS = 500
 COVTYPE_FEATURES = 12
@@ -110,20 +104,6 @@ def preset_digests(preset: str, env: dict, overrides=()) -> dict:
         return {name: _sha256(os.path.join(out, name)) for name in FILES}
 
 
-def write_fit_samples(path) -> None:
-    """Three 2-D clusters of 40 points from ``FIT_SAMPLES_SEED``, written
-    with ``repr`` so that they read back exactly. A header line comes first
-    and a blank line follows the first cluster; ``rgess fit`` skips both."""
-    rng = random.Random(FIT_SAMPLES_SEED)
-    with open(path, "w") as fh:
-        fh.write("x0,x1\n")
-        for cx, cy in ((-6.0, 0.0), (0.0, 5.0), (6.0, -1.0)):
-            for _ in range(40):
-                fh.write(f"{cx + rng.gauss(0.0, 1.0)!r},{cy + rng.gauss(0.0, 1.5)!r}\n")
-            if cx < 0:
-                fh.write("\n")
-
-
 def write_covtype_samples(path) -> None:
     """``COVTYPE_ROWS`` covtype-format rows from ``COVTYPE_SEED``: class 1, 2
     or 3 with probabilities 0.45, 0.4 and 0.15, then ``COVTYPE_FEATURES``
@@ -146,22 +126,6 @@ def covtype_digests(env: dict) -> dict:
         write_covtype_samples(path)
         overrides = (f"target.path={path}", *COVTYPE_OVERRIDES)
         return {"logistic-covtype:generated": preset_digests("logistic-covtype", env, overrides)}
-
-
-def fit_digests(env: dict) -> dict:
-    """Run ``rgess fit`` once per scheme of ``FIT_SCHEMES`` in a temporary
-    directory; return ``{"fit:<scheme>": {"mixture.csv": sha256}}``."""
-    digests = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        samples = os.path.join(tmp, "samples.csv")
-        write_fit_samples(samples)
-        for scheme in FIT_SCHEMES:
-            out = os.path.join(tmp, f"{scheme}.csv")
-            start = (["--init", os.path.join(tmp, "em_gmm.csv"), "--sa-steps", "3"]
-                     if scheme == "sa_gmm" else [])
-            _rgess(["fit", samples, "--scheme", scheme, *FIT_FLAGS, *start, "--out", out], env)
-            digests[f"fit:{scheme}"] = {"mixture.csv": _sha256(out)}
-    return digests
 
 
 def _bimodal_logpdf(x) -> float:
@@ -238,7 +202,6 @@ def main() -> int:
     try:
         digests = {preset: preset_digests(preset, env) for preset in covered_runs()}
         digests.update(covtype_digests(env))
-        digests.update(fit_digests(env))
         digests.update(kernel_digests(env))
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
