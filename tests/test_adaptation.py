@@ -34,6 +34,7 @@ from rgess.adaptation import (
     sa_update_directions,
     vi_gmm_fit,
 )
+from rgess.diagnostics import read_mixtures_csv, write_mixtures_csv
 from rgess.distributions import Gaussian, MixtureModel, StudentT
 
 
@@ -292,6 +293,12 @@ class TestSaGmm:
         with pytest.raises(ValueError):
             sa_gmm_update(current, np.zeros((5, 1)), 0.1)
 
+    @pytest.mark.parametrize("rate", [0.0, -0.1, np.nan])
+    def test_rejects_non_positive_rate(self, rate):
+        current = MixtureModel([1.0], [Gaussian([0.0], [[1.0]])])
+        with pytest.raises(ValueError, match="learning rate must be positive"):
+            sa_gmm_update(current, np.zeros((5, 1)), rate)
+
 
 class TestEmTmm:
     def test_gaussian_limit_recovers_clusters(self):
@@ -373,7 +380,17 @@ class TestAdaptationConfig:
         with pytest.raises(ValueError, match="em_max_iters"):
             _config(em_max_iters=iters)
 
-    @pytest.mark.parametrize("reg_radius", [np.nan, np.inf])
+    @pytest.mark.parametrize("interval", [0, -1])
+    def test_rejects_interval_below_one(self, interval):
+        with pytest.raises(ValueError, match="adaptation interval must be >= 1"):
+            _config(interval=interval)
+
+    @pytest.mark.parametrize("components", [0, -1])
+    def test_rejects_components_below_one(self, components):
+        with pytest.raises(ValueError, match="components must be >= 1"):
+            _config(components=components)
+
+    @pytest.mark.parametrize("reg_radius", [np.nan, np.inf, -0.1])
     def test_rejects_bad_reg_radius(self, reg_radius):
         with pytest.raises(ValueError, match="reg_radius"):
             _config(reg_radius=reg_radius)
@@ -386,6 +403,17 @@ class TestAdaptationConfig:
     def test_rejects_infinite_fixed_dof(self):
         with pytest.raises(ValueError, match="fixed_dof must be finite"):
             _config(scheme=Scheme.EM_TMM, fixed_dof=np.inf)
+
+    @pytest.mark.parametrize("dof", [0.0, -2.0, np.nan])
+    def test_rejects_non_positive_fixed_dof(self, dof):
+        with pytest.raises(ValueError, match="fixed_dof must be finite and positive"):
+            _config(scheme=Scheme.EM_TMM, fixed_dof=dof)
+
+    @pytest.mark.parametrize("scheme", [Scheme.EM_GMM, Scheme.VI_GMM, Scheme.SA_GMM])
+    def test_fixed_dof_applies_only_to_em_tmm(self, scheme):
+        with pytest.raises(ValueError, match=f"fixed_dof applies only to the em_tmm scheme, "
+                                             f"not {scheme.value}"):
+            _config(scheme=scheme, fixed_dof=3.0)
 
 
 def _assert_same_mixture(got, want):
@@ -441,12 +469,44 @@ class TestRefit:
     @pytest.mark.parametrize("scheme, fitter, case", [(Scheme.EM_GMM, em_gmm_fit, "outliers"),
                                                       (Scheme.VI_GMM, vi_gmm_fit, "outliers"),
                                                       (Scheme.EM_TMM, em_tmm_fit, "outliers"),
-                                                      (Scheme.EM_TMM, em_tmm_fit, "fixed_dof")])
+                                                      (Scheme.EM_TMM, em_tmm_fit, "fixed_dof"),
+                                                      (Scheme.EM_GMM, em_gmm_fit, "two_clusters"),
+                                                      (Scheme.VI_GMM, vi_gmm_fit, "two_clusters"),
+                                                      (Scheme.EM_TMM, em_tmm_fit, "heavy_tails"),
+                                                      (Scheme.EM_GMM, em_gmm_fit, "degenerate"),
+                                                      (Scheme.VI_GMM, vi_gmm_fit, "degenerate"),
+                                                      (Scheme.EM_TMM, em_tmm_fit, "degenerate")])
     def test_scheme_fits_with_its_fitter(self, scheme, fitter, case):
         samples, m, kwargs, seed = _reference_case(case)
         config = _config(scheme=scheme, components=m, **kwargs)
         got = refit(config, None, samples, np.random.default_rng(seed), 4)
         _assert_same_mixture(got, fitter(samples, m, config, np.random.default_rng(seed)).mixture)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_points(self, scheme, bad):
+        current, samples = random_sa_instance(3)
+        samples = samples.copy()
+        samples[1, 0] = bad
+        config = _config(scheme=scheme, components=current.n_components)
+        with pytest.raises(ValueError, match="samples contain non-finite values"):
+            refit(config, current, samples, np.random.default_rng(0), 1)
+
+    @pytest.mark.parametrize("scheme, case", [(Scheme.EM_GMM, "outliers"),
+                                              (Scheme.VI_GMM, "outliers"),
+                                              (Scheme.EM_TMM, "outliers"),
+                                              (Scheme.EM_TMM, "fixed_dof"),
+                                              (Scheme.SA_GMM, "outliers")])
+    def test_fit_round_trips_through_mixtures_csv(self, tmp_path, scheme, case):
+        # a fit written with write_mixtures_csv reads back equal in every stack
+        samples, m, kwargs, seed = _reference_case(case)
+        config = _config(scheme=scheme, components=m, **kwargs)
+        current = em_gmm_fit(samples, m, config, np.random.default_rng(seed)).mixture
+        fitted = refit(config, current, samples, np.random.default_rng(seed), 1)
+        write_mixtures_csv([(0, fitted)], tmp_path / "mixture.csv")
+        ((iteration, back),) = read_mixtures_csv(tmp_path / "mixture.csv")
+        assert iteration == 0
+        _assert_same_mixture(back, fitted)
 
     @pytest.mark.parametrize("update_index", [1, 5])
     def test_sa_steps_at_the_scheduled_rate(self, update_index):
@@ -454,3 +514,12 @@ class TestRefit:
         config = _config(scheme=Scheme.SA_GMM, reg_radius=0.05)
         got = refit(config, current, samples, np.random.default_rng(0), update_index)
         _assert_same_mixture(got, sa_gmm_update(current, samples, 0.5 / (10 + update_index), 0.05))
+
+    def test_successive_sa_refits_step_at_each_index(self):
+        current, samples = random_sa_instance(4)
+        config = _config(scheme=Scheme.SA_GMM, reg_radius=0.05)
+        got = want = current
+        for update_index in range(1, 4):
+            got = refit(config, got, samples, np.random.default_rng(update_index), update_index)
+            want = sa_gmm_update(want, samples, 0.5 / (10 + update_index), 0.05)
+        _assert_same_mixture(got, want)

@@ -159,7 +159,9 @@ class TestCmdRun:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("key, value", [("reg_radius", "nan"), ("reg_radius", "inf"),
-                                            ("em_tol", "nan"), ("em_tol", "-1e-6")])
+                                            ("em_tol", "nan"), ("em_tol", "-1e-6"),
+                                            ("reg_radius", "-0.5"), ("components", "0"),
+                                            ("interval", "0")])
     def test_bad_adaptation_number_exits_one_writes_nothing(self, tmp_path, capsys,
                                                             key, value):
         out = str(tmp_path / "out")

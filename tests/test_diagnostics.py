@@ -282,6 +282,19 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=re.escape(f"cannot read mixtures CSV {mpath}")):
             read_trace_csv(path, mpath)
 
+    @pytest.mark.parametrize("name", ["missing.csv", "directory"])
+    def test_read_mixtures_of_unreadable_path_is_an_error(self, tmp_path, name):
+        (tmp_path / "directory").mkdir()
+        mpath = tmp_path / name
+        with pytest.raises(ValueError, match=re.escape(f"cannot read mixtures CSV {mpath}")):
+            read_mixtures_csv(mpath)
+
+    def test_empty_mixtures_file_is_missing_its_header(self, tmp_path):
+        mpath = tmp_path / "mixtures.csv"
+        mpath.write_text("")
+        with pytest.raises(ValueError, match=re.escape(f"{mpath}:1: missing header")):
+            read_mixtures_csv(mpath)
+
     def test_mixture_weights_round_trip_within_invariant(self, tmp_path):
         weights = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 - 2.0 / 3.0])
         m = MixtureModel(weights, [Gaussian([float(i)], [[1.0]]) for i in range(3)])
