@@ -27,6 +27,10 @@ EM, VI and SA normalise responsibilities with ``distributions._logsumexp``,
 the log-sum-exp that ``MixtureModel._log_mixture`` is built on, and EM's
 expected precisions use the distances of ``MixtureModel._mahalanobis_sq``,
 which also set the t kernels' auxiliary rate.
+
+``scipy.optimize`` is imported inside ``_solve_dof``, at its first interior
+root: only an ``em_tmm`` fit that estimates the dof calls ``brentq``, and a
+module-level import would load it into every process that imports rgess.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import digamma, gammaln
 
 from .distributions import MixtureModel, _logsumexp, _mixture, ensure_spd, regularize_cov
@@ -155,9 +158,15 @@ def _clean_cov(covs: np.ndarray, reg_radius: float):
 
 
 def _moment_cov(x: np.ndarray, reg_radius: float):
-    """:func:`_clean_cov` of the MLE covariance of (n, D) samples, a stack of one."""
-    d = x.shape[1]
-    return _clean_cov(np.cov(x, rowvar=False, bias=True).reshape(1, d, d), reg_radius)
+    """:func:`_clean_cov` of the MLE covariance of (n, D) samples, a stack of
+    one. Finite samples can still overflow it (coordinates near 1e154);
+    that raises ``ValueError``."""
+    n, d = x.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = np.cov(x, rowvar=False, bias=True)
+    if not np.all(np.isfinite(cov)):
+        raise ValueError(f"the covariance of the {n} samples is not finite")
+    return _clean_cov(cov.reshape(1, d, d), reg_radius)
 
 
 def _kmeanspp_centers(x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -217,6 +226,8 @@ def _solve_dof(nu_old: float, d: int, resp_k: np.ndarray, u_k: np.ndarray) -> fl
             return hi
         if eq(lo) <= 0.0:
             return lo
+        from scipy.optimize import brentq
+
         return float(brentq(eq, lo, hi, xtol=1e-8))
     except (ValueError, RuntimeError):
         logger.warning("dof root-finding failed; retaining nu=%g", nu_old)
@@ -248,8 +259,9 @@ def _em_fit(samples, m: int, config: AdaptationConfig,
             converged=True, iterations_used=0,
         )
 
-    means = _kmeanspp_centers(x, m, rng)
+    # before k-means++, whose squared distances overflow on the same samples
     global_cov, global_chol = _moment_cov(x, reg)
+    means = _kmeanspp_centers(x, m, rng)
     scales = np.repeat(global_cov, m, axis=0)
     chols = np.repeat(global_chol, m, axis=0)
     dofs = None if dof0 is None else np.full(m, float(dof0))

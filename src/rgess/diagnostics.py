@@ -8,8 +8,8 @@ its rows. Blank rows are skipped. A row with the wrong number of fields or
 a value that does not parse raises a ``ValueError`` that names it as
 ``path:line``, and so does a file that cannot be opened; the command line
 reports either with exit 1. Covtype data, the one input that may carry a
-header, is read through ``_read_data_csv``: line 1 is a header only when
-none of its fields parses as a number.
+header, is read by ``rgess.targets.load_covtype``, which holds the header
+rule.
 
 All decimals are written with 17 significant digits so that float64 values
 round-trip exactly through the CSV files.
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     chain: int
     iteration: int
@@ -152,22 +152,6 @@ def _read_csv(path, what):
         raise ValueError(f"cannot read {what} {path}: {exc}") from exc
     except csv.Error as exc:
         raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
-
-
-def _is_number(field: str) -> bool:
-    try:
-        float(field)
-    except ValueError:
-        return False
-    return True
-
-
-def _read_data_csv(path, what):
-    """:func:`_read_csv` of a file of numeric rows, without line 1 when none
-    of its fields parses as a number: that line is a header."""
-    for line, fields in _read_csv(path, what):
-        if line != 1 or any(map(_is_number, fields)):
-            yield line, fields
 
 
 def _parse_row(path, line, fields, width, parse):

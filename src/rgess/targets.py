@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .diagnostics import ModeSpec, _parse_row, _read_data_csv
+from .diagnostics import ModeSpec, _parse_row, _read_csv
 from .distributions import _mixture
 from .samplers import TargetDensity
 
@@ -164,6 +164,14 @@ def _standardize_split(train_x, test_x):
     return (train_x - mean) / sd, (test_x - mean) / sd, mean, sd
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def _covtype_row(fields) -> list:
     try:
         values = [float(v) for v in fields]
@@ -192,7 +200,9 @@ def load_covtype(path, n_select: int, n_features: int, train_fraction: float,
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     rows = []
-    for line, fields in _read_data_csv(path, "covtype CSV"):
+    for line, fields in _read_csv(path, "covtype CSV"):
+        if line == 1 and not any(map(_is_number, fields)):
+            continue
         width = len(rows[0]) if rows else len(fields)
         rows.append(_parse_row(path, line, fields, width, _covtype_row))
     if not rows:

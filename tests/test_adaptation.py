@@ -5,6 +5,8 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy.special import digamma
 
 from helpers import (
     assert_fit_matches_reference,
@@ -26,6 +28,7 @@ from rgess.adaptation import (
     AdaptationConfig,
     Scheme,
     _sa_rate,
+    _solve_dof,
     em_gmm_fit,
     em_tmm_fit,
     initial_mixture,
@@ -365,6 +368,49 @@ class TestEmTmm:
             assert fit.iterations_used > 1
 
 
+class TestSolveDof:
+    """Each branch of ``_solve_dof``; the estimating equation is written out
+    here from Peel & McLachlan (2000)."""
+
+    @staticmethod
+    def _equation(nu_old, d, resp, u):
+        const = (1.0 + (resp @ (np.log(u) - u)) / resp.sum()
+                 + digamma(0.5 * (nu_old + d)) - np.log(0.5 * (nu_old + d)))
+        return lambda nu: -digamma(0.5 * nu) + np.log(0.5 * nu) + const
+
+    @staticmethod
+    def _interior_case():
+        resp = np.random.default_rng(4).uniform(0.1, 1.0, 50)
+        u = np.random.default_rng(3).uniform(0.2, 2.0, 50)
+        return 4.0, 2, resp, u
+
+    def test_upper_bound_when_every_precision_is_one(self):
+        # u = 1 is Gaussian data: the equation stays positive up to 200
+        assert _solve_dof(1e6, 1, np.ones(5), np.ones(5)) == 200.0
+
+    def test_lower_bound_when_precisions_are_tiny(self):
+        assert _solve_dof(4.0, 1, np.ones(5), np.full(5, 1e-10)) == 0.1
+
+    def test_interior_root_is_brentq_bitwise(self):
+        nu_old, d, resp, u = self._interior_case()
+        got = _solve_dof(nu_old, d, resp, u)
+        want = scipy.optimize.brentq(self._equation(nu_old, d, resp, u), 0.1, 200.0,
+                                     xtol=1e-8)
+        assert 0.1 < got < 200.0
+        assert got == want
+
+    @pytest.mark.parametrize("error", [ValueError, RuntimeError])
+    def test_failed_root_keeps_old_dof(self, monkeypatch, caplog, error):
+        def fail(*_args, **_kwargs):
+            raise error("no convergence")
+
+        monkeypatch.setattr(scipy.optimize, "brentq", fail)
+        nu_old, d, resp, u = self._interior_case()
+        with caplog.at_level(logging.WARNING, logger="rgess.adaptation"):
+            assert _solve_dof(nu_old, d, resp, u) == nu_old
+        assert any("dof root-finding failed" in r.getMessage() for r in caplog.records)
+
+
 class TestDegenerateSurrogate:
     @pytest.mark.parametrize("fitter", [em_gmm_fit, em_tmm_fit, vi_gmm_fit])
     def test_fits_without_iterating(self, fitter):
@@ -456,6 +502,15 @@ class TestInitialMixture:
         cov = reference_clean_cov(np.cov(samples, rowvar=False, bias=True).reshape(d, d), 0.01)
         want = reference_mixture([1.0], [samples.mean(axis=0)], [cov], dofs)
         _assert_same_mixture(got, want)
+
+    @pytest.mark.parametrize("scheme", [Scheme.EM_GMM, Scheme.EM_TMM, Scheme.SA_GMM])
+    def test_overflowing_covariance_is_an_error(self, scheme):
+        # finite points whose squared deviations sum past the float range;
+        # SA starts from a two-component EM fit
+        points = np.array([[1e154, -1e154], [-1e154, 1e154], [1.2e154, 0.9e154]])
+        with pytest.raises(ValueError, match="the covariance of the 3 samples is not finite"):
+            initial_mixture(_config(scheme=scheme, components=2), points,
+                            np.random.default_rng(0))
 
     def test_sa_starts_from_em_fit(self):
         samples, m, kwargs, seed = _reference_case("two_clusters")

@@ -456,13 +456,16 @@ class TestCmdRun:
         assert not os.path.exists(tmp_path / "out")
 
     def test_overflowing_init_exits_two_leaves_no_directory(self, tmp_path, capsys):
-        # init.cov_scale = 1e308 passes validation, and the run then fails
-        # while fitting the initial mixture
+        # init.cov_scale = 1e308 passes validation, and the run then fails,
+        # with no numpy warning, while fitting the initial mixture
         out = tmp_path / "X" / "deep"
-        assert main(["run", "gauss-mix-tmrgess", "--out", str(out),
-                     "--set", "init.cov_scale=1e308", "--set", "run.iterations=30",
-                     "--set", "run.burn_in=10", "--set", "run.chains=4"]) == 2
-        assert "run failed" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "gauss-mix-tmrgess", "--out", str(out),
+                         "--set", "init.cov_scale=1e308", "--set", "run.iterations=30",
+                         "--set", "run.burn_in=10", "--set", "run.chains=4"]) == 2
+        assert ("run failed: the covariance of the 4 samples is not finite"
+                in capsys.readouterr().err)
         assert not os.path.exists(tmp_path / "X")
 
 

@@ -1,5 +1,7 @@
 """Diagnostics and CSV persistence."""
 
+import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -31,6 +33,38 @@ def _trace(chain, rows):
                     rejections=r, region=g)
         for i, p, r, g in rows
     ]
+
+
+class TestTraceRecord:
+    def _record(self, point=(1.5, -2.25)):
+        return TraceRecord(chain=3, iteration=17, point=np.array(point), rejections=4,
+                           region=1)
+
+    def test_is_slotted(self):
+        record = self._record()
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.region = 0
+
+    def test_equality_compares_every_field(self):
+        # a one-coordinate point, whose elementwise == has a truth value
+        record = self._record(point=(1.5,))
+        assert dataclasses.replace(record, point=np.array([1.5])) == record
+        for name, value in [("chain", 4), ("iteration", 18), ("point", np.array([2.0])),
+                            ("rejections", 5), ("region", 0)]:
+            assert dataclasses.replace(record, **{name: value}) != record
+
+    def test_pickle_round_trip_keeps_every_field(self):
+        record = self._record()
+        again = pickle.loads(pickle.dumps(record))
+        assert type(again) is TraceRecord
+        for field in dataclasses.fields(TraceRecord):
+            got, want = getattr(again, field.name), getattr(record, field.name)
+            assert type(got) is type(want)
+            if field.name == "point":
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            else:
+                assert got == want
 
 
 class TestRejectionRateSeries:

@@ -1,8 +1,13 @@
 """Public names: every name a module exports resolves, so a deleted
-function cannot leave a dangling export behind."""
+function cannot leave a dangling export behind. Import paths: what a process
+that uses rgess loads."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -23,3 +28,41 @@ def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from rgess import *", namespace)
     assert set(rgess.__all__) <= namespace.keys()
+
+
+# Runs in a fresh interpreter: other test modules import scipy.optimize.
+LAZY_OPTIMIZE = textwrap.dedent("""
+    import sys
+
+    import numpy as np
+
+    import rgess
+    import rgess.cli
+    from rgess.adaptation import AdaptationConfig, Scheme, em_tmm_fit
+    from rgess.config import build_experiment
+    from rgess.samplers import ChainState, tmrgess_step
+
+    exp = build_experiment(rgess.cli.resolve_config_source("gauss-mix-tmrgess"))
+    target, _ = rgess.cli.build_target(exp)
+    acfg = exp.run_config.adaptation
+    assert acfg.fixed_dof is not None
+    rng = np.random.default_rng(0)
+    mixture = em_tmm_fit(rng.normal(5.0, 3.0, size=(200, 2)), acfg.components,
+                         acfg, rng).mixture
+    x = np.array([5.0, 5.0])
+    tmrgess_step(ChainState(point=x, region=mixture.assign_region(x)), mixture,
+                 target, rng)
+    assert "scipy.optimize" not in sys.modules, "loaded without a dof solve"
+
+    config = AdaptationConfig(scheme=Scheme.EM_TMM, components=1, reg_radius=0.0)
+    em_tmm_fit(rng.standard_t(3.0, size=(400, 1)), 1, config, rng)
+    assert "scipy.optimize" in sys.modules, "not loaded by a dof solve"
+""")
+
+
+def test_scipy_optimize_loads_only_at_a_dof_solve():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", LAZY_OPTIMIZE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
