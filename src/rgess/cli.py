@@ -15,8 +15,6 @@ import os
 import sys
 from importlib import resources
 
-import numpy as np
-
 from . import targets as tg
 from .config import (
     _TARGET_KEYS,
@@ -28,6 +26,7 @@ from .config import (
     serialize_config,
 )
 from .diagnostics import (
+    Traces,
     _fmt,
     _write_csv,
     accuracy,
@@ -82,14 +81,13 @@ def build_target(exp: ExperimentConfig):
     return dataset.training_target().as_target_density(), {"dataset": dataset}
 
 
-def compute_summary_rows(traces, exp: ExperimentConfig, window: int, extras: dict):
+def compute_summary_rows(traces: Traces, exp: ExperimentConfig, window: int, extras: dict):
     """Diagnostic rows recomputable from traces plus the experiment config."""
     burn_in = exp.run_config.burn_in
     rows = [("rejection_window", "", str(window))]
     for idx, value in enumerate(rejection_rate_series(traces, window)):
         rows.append(("rejection_rate", str(idx), _fmt(value)))
-    all_rej = [rec.rejections for chain in traces for rec in chain]
-    rows.append(("mean_rejections_per_iteration", "", _fmt(float(np.mean(all_rej)))))
+    rows.append(("mean_rejections_per_iteration", "", _fmt(traces.rejections.mean())))
     beta_hat = posterior_mean(traces, burn_in)
     for idx, value in enumerate(beta_hat):
         rows.append(("posterior_mean", str(idx), _fmt(value)))
@@ -155,7 +153,7 @@ def cmd_report(args) -> int:
         )
         rc = exp.run_config
         recorded = list(range(1, rc.iterations + 1))
-        if len(traces) != rc.chains or [rec.iteration for rec in traces[0]] != recorded:
+        if len(traces) != rc.chains or traces.iterations.tolist() != recorded:
             raise ConfigError(f"{trace_path}: config.cfg records {rc.chains} chains at "
                               f"iterations 1 to {rc.iterations}; this file does not")
         target, extras = build_target(exp)

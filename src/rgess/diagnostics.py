@@ -1,6 +1,11 @@
 """Rejection-rate series, accuracy, mode coverage, moment summaries and CSV
 trace persistence.
 
+A run's traces are one :class:`Traces`: the iteration numbers, and the
+points, regions and rejection counts of every chain as arrays. Every trace
+function here takes or returns that type, and reads its arrays; a
+:class:`TraceRecord` is built only when a chain is indexed.
+
 Every CSV file rgess reads (traces, mixtures, covtype data) goes through
 one reader, ``_read_csv``, with each row checked by ``_parse_row``; every
 CSV file it writes goes through one writer, ``_write_csv``, which streams
@@ -27,6 +32,7 @@ import numpy as np
 from .distributions import _mixture
 
 __all__ = [
+    "Traces",
     "TraceRecord",
     "ModeSpec",
     "rejection_rate_series",
@@ -42,11 +48,69 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class TraceRecord:
+    """One recorded iteration of one chain: a row of ``trace.csv``."""
+
     chain: int
     iteration: int
     point: np.ndarray
     rejections: int
     region: int
+
+    def __eq__(self, other):
+        if type(other) is not TraceRecord:
+            return NotImplemented
+        return ((self.chain, self.iteration, self.rejections, self.region)
+                == (other.chain, other.iteration, other.rejections, other.region)
+                and np.array_equal(self.point, other.point))
+
+
+@dataclass(frozen=True, eq=False)
+class Traces:
+    """Every recorded iteration of K chains, as arrays in chain-major layout.
+
+    ``iterations`` (N,) are the iteration numbers every chain records, in
+    increasing order; ``points`` (K, N, D), ``regions`` (K, N) and
+    ``rejections`` (K, N) hold chain k's values at ``iterations[n]`` in row
+    ``[k, n]``. Flattened over (k, n), the rows are those of ``trace.csv``
+    in order.
+
+    ``traces[k]`` is chain k as a list of :class:`TraceRecord`, built when it
+    is indexed; iterating yields the chains in order.
+    """
+
+    iterations: np.ndarray
+    points: np.ndarray
+    regions: np.ndarray
+    rejections: np.ndarray
+
+    def __post_init__(self):
+        shape = self.points.shape
+        if (len(shape) != 3 or self.iterations.shape != shape[1:2]
+                or self.regions.shape != shape[:2] or self.rejections.shape != shape[:2]):
+            raise ValueError(
+                f"traces need iterations (N,), points (K, N, D), regions and "
+                f"rejections (K, N); got {self.iterations.shape}, {self.points.shape}, "
+                f"{self.regions.shape} and {self.rejections.shape}")
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, chain: int) -> list:
+        chain = range(len(self))[chain]
+        points = self.points[chain]
+        return [TraceRecord(chain=chain, iteration=n, point=point, rejections=rej, region=g)
+                for n, point, rej, g in zip(self.iterations.tolist(), points,
+                                            self.rejections[chain].tolist(),
+                                            self.regions[chain].tolist())]
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    def __eq__(self, other):
+        if type(other) is not Traces:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f))
+                   for f in ("iterations", "points", "regions", "rejections"))
 
 
 @dataclass(frozen=True)
@@ -69,7 +133,7 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def rejection_rate_series(traces, window: int):
+def rejection_rate_series(traces: Traces, window: int):
     """Mean rejections over all chains within consecutive iteration windows.
 
     Iterations are windowed in trace order; a trailing partial window is
@@ -77,16 +141,11 @@ def rejection_rate_series(traces, window: int):
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    if not traces or all(len(t) == 0 for t in traces):
+    rej = traces.rejections
+    if rej.size == 0:
         raise ValueError("empty traces")
-    n_iters = len(traces[0])
-    if any(len(t) != n_iters for t in traces):
-        raise ValueError("trace lengths differ across chains")
-    rej = np.array([[rec.rejections for rec in chain] for chain in traces], dtype=float)
-    series = []
-    for start in range(0, n_iters, window):
-        series.append(float(rej[:, start:start + window].mean()))
-    return series
+    return [float(rej[:, start:start + window].mean())
+            for start in range(0, rej.shape[1], window)]
 
 
 def accuracy(beta_hat, test) -> float:
@@ -107,16 +166,21 @@ def accuracy(beta_hat, test) -> float:
     return float(np.mean(pred == test.test_y))
 
 
-def _post_burn_in_points(traces, burn_in: int):
-    return [rec.point for chain in traces for rec in chain if rec.iteration > burn_in]
+def _post_burn_in_points(traces: Traces, burn_in: int) -> np.ndarray:
+    """The (n, D) points recorded after ``burn_in``, chain-major, as one
+    C-contiguous block: reductions over it see the layout ``np.stack`` of
+    the points would give them, so their bits do not depend on how the
+    traces were stored."""
+    start = np.searchsorted(traces.iterations, burn_in, side="right")
+    selected = np.ascontiguousarray(traces.points[:, start:])
+    return selected.reshape(-1, traces.points.shape[2])
 
 
-def mode_coverage(traces, modes: ModeSpec, burn_in: int):
+def mode_coverage(traces: Traces, modes: ModeSpec, burn_in: int):
     """Per-mode fraction of post-burn-in samples within the mode's ball."""
-    points = _post_burn_in_points(traces, burn_in)
-    if not points:
+    pts = _post_burn_in_points(traces, burn_in)
+    if not len(pts):
         return [0.0 for _ in modes.centers]
-    pts = np.stack(points)
     fractions = []
     for center in modes.centers:
         dist = np.linalg.norm(pts - center[None, :], axis=1)
@@ -124,12 +188,12 @@ def mode_coverage(traces, modes: ModeSpec, burn_in: int):
     return fractions
 
 
-def posterior_mean(traces, burn_in: int) -> np.ndarray:
+def posterior_mean(traces: Traces, burn_in: int) -> np.ndarray:
     """Arithmetic mean of post-burn-in samples pooled over chains."""
-    points = _post_burn_in_points(traces, burn_in)
-    if not points:
+    pts = _post_burn_in_points(traces, burn_in)
+    if not len(pts):
         raise ValueError("no post-burn-in samples selected")
-    return np.stack(points).mean(axis=0)
+    return pts.mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +256,20 @@ def write_mixtures_csv(mixture_history, path, dim: int | None = None) -> None:
     _write_csv(path, _mixtures_header(dim or 0), rows)
 
 
-def write_trace_csv(traces, mixture_history, path, mixtures_path) -> None:
+def _trace_rows(traces: Traces):
+    """``trace.csv``'s rows, chain-major, built one chain at a time."""
+    iterations = traces.iterations.tolist()
+    for k in range(len(traces)):
+        for iteration, region, rejections, point in zip(
+                iterations, traces.regions[k].tolist(), traces.rejections[k].tolist(),
+                traces.points[k].tolist()):
+            yield [k, iteration, region, rejections, *map(_fmt, point)]
+
+
+def write_trace_csv(traces: Traces, mixture_history, path, mixtures_path) -> None:
     """Write traces to ``path`` and the mixture history to ``mixtures_path``."""
-    dim = next((len(chain[0].point) for chain in traces if chain), 0)
-    rows = ([rec.chain, rec.iteration, rec.region, rec.rejections, *map(_fmt, rec.point)]
-            for chain in traces for rec in chain)
-    _write_csv(path, _TRACE_COLUMNS + [f"x{i}" for i in range(dim)], rows)
+    dim = traces.points.shape[2]
+    _write_csv(path, _TRACE_COLUMNS + [f"x{i}" for i in range(dim)], _trace_rows(traces))
     write_mixtures_csv(mixture_history, mixtures_path, dim=dim)
 
 
@@ -250,22 +322,22 @@ def read_mixtures_csv(path):
     return mixture_history
 
 
-def _trace_record(fields):
+def _trace_row(fields):
     chain, iteration, region, rejections = map(int, fields[:4])
     point = [float(v) for v in fields[4:]]
     if not all(map(math.isfinite, point)):
         raise ValueError("non-finite value")
-    return TraceRecord(chain, iteration, np.array(point), rejections, region)
+    return chain, iteration, region, rejections, point
 
 
 def read_trace_csv(path, mixtures_path):
     """Read back traces and mixture history written by :func:`write_trace_csv`.
 
-    Returns ``(traces, mixture_history)``; the mixture file is optional and an
-    empty history is returned when ``mixtures_path`` does not exist. Every
-    coordinate must be finite, and the chains must be numbered 0..K-1 and
-    record the same iterations, each in increasing order; otherwise a
-    ``ValueError`` names the file.
+    Returns ``(traces, mixture_history)``, a :class:`Traces` and a list; the
+    mixture file is optional and an empty history is returned when
+    ``mixtures_path`` does not exist. Every coordinate must be finite, and
+    the chains must be numbered 0..K-1 and record the same iterations, each
+    in increasing order; otherwise a ``ValueError`` names the file.
     """
     rows = _read_csv(path, "trace CSV")
     line, header = next(rows, (1, None))
@@ -275,19 +347,28 @@ def read_trace_csv(path, mixtures_path):
         raise ValueError(f"{path}:{line}: unrecognized header {header[:4]}")
     per_chain = {}
     for line, fields in rows:
-        rec = _parse_row(path, line, fields, len(header), _trace_record)
-        chain = per_chain.setdefault(rec.chain, [])
-        if chain and rec.iteration <= chain[-1].iteration:
-            raise ValueError(f"{path}:{line}: iteration {rec.iteration} does not "
-                             f"increase within chain {rec.chain}")
-        chain.append(rec)
+        chain, *row = _parse_row(path, line, fields, len(header), _trace_row)
+        recorded = per_chain.setdefault(chain, [])
+        if recorded and row[0] <= recorded[-1][0]:
+            raise ValueError(f"{path}:{line}: iteration {row[0]} does not "
+                             f"increase within chain {chain}")
+        recorded.append(row)
     ids = sorted(per_chain)
     if ids and (ids[0], ids[-1]) != (0, len(ids) - 1):
         raise ValueError(f"{path}: chain ids run from {ids[0]} to {ids[-1]}, not 0..{len(ids) - 1}")
-    traces = [per_chain[c] for c in ids]
-    recorded = [[rec.iteration for rec in chain] for chain in traces]
+    chains = [per_chain[c] for c in ids]
+    recorded = [[row[0] for row in chain] for chain in chains] or [[]]
     if any(iterations != recorded[0] for iterations in recorded):
         raise ValueError(f"{path}: the chains record different iterations")
+    shape = (len(chains), len(recorded[0]))
+
+    def column(i, dtype):
+        return np.array([[row[i] for row in chain] for chain in chains], dtype=dtype)
+
+    traces = Traces(iterations=np.array(recorded[0], dtype=int),
+                    points=column(3, float).reshape(*shape, len(header) - 4),
+                    regions=column(1, int).reshape(shape),
+                    rejections=column(2, int).reshape(shape))
     if not os.path.exists(mixtures_path):
         return traces, []
     return traces, read_mixtures_csv(mixtures_path)

@@ -10,10 +10,14 @@ chains' current points in chain order. Every iteration is recorded.
 
 ``run`` is one loop over segments: refit at the barrier, then
 ``chains.segment``, which returns every iteration's points, regions and
-rejection sums. It steps two kinds of chain. The regional ESS kernel
-(``rgess``) advances all chains as one batch: the runner keeps their
-points, regions, target and component log densities and squared
-Mahalanobis distances as arrays, and
+rejection sums as (I, K, ...) arrays. ``run`` copies them into the arrays of
+one :class:`rgess.diagnostics.Traces`, allocated for the whole run, so a
+run holds no object per recorded iteration.
+
+``run`` steps two kinds of chain. The regional ESS kernel (``rgess``)
+advances all chains as one batch: the runner keeps their points, regions,
+target and component log densities and squared Mahalanobis distances as
+arrays, and
 :func:`rgess.samplers.regional_ess_segment` evaluates one proposal of every
 chain still in the segment per round, a chain starting its next step in the
 round after its last one ended. Each chain still draws from its own
@@ -26,7 +30,8 @@ that ``run`` does not step.
 
 A chain that fails stops; the others run until none can fail at a lower
 (iteration, chain), and :class:`RunError` names the lowest: the same
-failure whatever order the chains ran in.
+failure whatever order the chains ran in. A chain fails when its kernel
+raises ``ValueError`` or its target raises any exception.
 
 The batch's pseudo-prior comes from ``rgess.adaptation.initial_mixture``
 and, at each barrier, ``rgess.adaptation.refit``; its kind, t for ``em_tmm``
@@ -41,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adaptation import AdaptationConfig, initial_mixture, refit
-from .diagnostics import TraceRecord
+from .diagnostics import Traces
 from .distributions import Gaussian, MixtureModel
 from .samplers import (  # noqa: F401 (gmrgess_step and tmrgess_step: see below)
     ChainFailure,
@@ -125,7 +130,11 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    traces: list
+    """``traces`` holds every chain's point, region and rejection count at
+    iterations 1..N; ``mixture_history`` the ``(iteration, mixture)`` of the
+    initial fit and of every refit."""
+
+    traces: Traces
     mixture_history: list
 
 
@@ -160,7 +169,7 @@ class _MH:
                         outcome = _mh_step(state, chol, target, rng)
                         state = outcome.next
                         rejected += outcome.rejections
-                except ValueError as exc:
+                except Exception as exc:  # noqa: BLE001 - the target may raise anything
                     failure = ChainFailure(k, exc, i)
                     break
                 points[i, k] = state.point
@@ -242,7 +251,10 @@ def run(config: RunConfig, target: TargetDensity) -> RunResult:
         barriers = [n for n in range(first_adapt, config.iterations + 1)
                     if n % acfg.interval == 0]
     bounds = [1] + barriers + [config.iterations + 1]
-    traces = [[] for _ in range(k_chains)]
+    shape = (k_chains, config.iterations)
+    traces = Traces(iterations=np.arange(1, config.iterations + 1),
+                    points=np.empty(shape + (config.init.dim,)),
+                    regions=np.empty(shape, dtype=int), rejections=np.empty(shape, dtype=int))
 
     for update_index, (start, end) in enumerate(zip(bounds, bounds[1:])):
         if update_index:
@@ -254,12 +266,9 @@ def run(config: RunConfig, target: TargetDensity) -> RunResult:
                                                          config.steps_per_iteration)
         except ChainFailure as exc:
             raise RunError(exc.chain, start + exc.iteration, exc.cause) from exc
-        for k, trace in enumerate(traces):
-            trace.extend(
-                TraceRecord(chain=k, iteration=n, point=point, rejections=rej, region=region)
-                for n, point, rej, region in zip(range(start, end), points[:, k],
-                                                 rejections[:, k].tolist(),
-                                                 regions[:, k].tolist())
-            )
+        # the segment's (I, K) arrays fill columns start-1..end-2 of (K, N)
+        traces.points[:, start - 1:end - 1] = points.swapaxes(0, 1)
+        traces.regions[:, start - 1:end - 1] = regions.T
+        traces.rejections[:, start - 1:end - 1] = rejections.T
 
     return RunResult(traces=traces, mixture_history=mixture_history)

@@ -119,8 +119,8 @@ class StepOutcome(NamedTuple):
 
 
 class ChainFailure(ValueError):
-    """A ``ValueError`` raised while stepping chain ``chain`` of a batch, in
-    the 0-based ``iteration`` of a segment (0 outside one)."""
+    """``cause``, an exception raised while stepping chain ``chain`` of a
+    batch, in the 0-based ``iteration`` of a segment (0 outside one)."""
 
     def __init__(self, chain: int, cause: Exception, iteration: int = 0):
         super().__init__(str(cause))
@@ -319,24 +319,24 @@ def log_pi_rows(target: TargetDensity, points: np.ndarray, chains) -> np.ndarray
     """``log_pi`` at each row of ``points``, through ``target.log_pi_batch``
     when the target has one.
 
-    Row r belongs to chain ``chains[r]``: a ``ValueError`` of ``log_pi`` at
-    that row is raised as :class:`ChainFailure` of that chain. When
-    ``log_pi_batch`` raises one, the rows are evaluated again one at a time
-    with ``log_pi``, which the contract makes equal bit for bit, so the
-    failure names the chain of the first row that raises.
+    Row r belongs to chain ``chains[r]``: an exception of ``log_pi`` at that
+    row, of any type, is raised as :class:`ChainFailure` of that chain. When
+    ``log_pi_batch`` raises, the rows are evaluated again one at a time with
+    ``log_pi``, which the contract makes equal bit for bit, so the failure
+    names the chain of the first row that raises.
     """
     batch = target.log_pi_batch
     if batch is not None:
         try:
             return np.asarray(batch(points), dtype=float)
-        except ValueError:
+        except Exception:  # noqa: BLE001 - the row loop names the failing chain
             pass
     log_pi = target.log_pi
     out = np.empty(len(points))
     for r, x in enumerate(points):
         try:
             out[r] = log_pi(x)
-        except ValueError as exc:
+        except Exception as exc:  # noqa: BLE001 - a target failure fails its chain
             raise ChainFailure(int(chains[r]), exc) from exc
     return out
 
@@ -388,7 +388,7 @@ def regional_ess_segment(points, regions, log_pis, comps, quads, mixture: Mixtur
     A chain that cannot start a step fails: a non-finite point or current
     ``log_pi``, an infinite auxiliary rate (t mixtures) or a non-finite
     density of the current region's component (Gaussian mixtures). So does a
-    chain whose target evaluation raises ``ValueError``. A failed chain
+    chain whose target evaluation raises any exception. A failed chain
     stops; the others run until none can fail at a lower (iteration, chain),
     and then :class:`ChainFailure` is raised for the lowest, with its
     ``iteration`` the 0-based index of the segment's iteration.

@@ -19,7 +19,7 @@ from rgess.adaptation import (
     refit,
     sa_update_directions,
 )
-from rgess.diagnostics import TraceRecord, write_trace_csv
+from rgess.diagnostics import Traces, write_trace_csv
 from rgess.distributions import (
     Gaussian,
     MixtureModel,
@@ -611,7 +611,7 @@ def trace_csv_bytes(traces, history, out_dir):
 
 def reference_chain_major_run(config, target):
     """Chain-major oracle for ``rgess.runner.run``; returns ``(traces,
-    mixture_history)``.
+    mixture_history)``, ``traces`` a ``Traces`` filled one record at a time.
 
     Seeds, barriers and refits are those of ``run``, but between two barriers
     chain 0 takes all of the segment's iterations, then chain 1, and so on,
@@ -649,7 +649,10 @@ def reference_chain_major_run(config, target):
             return gmrgess_step(state, mixture, target, rng)
         return tmrgess_step(state, mixture, target, rng)
 
-    traces = [[] for _ in range(k_chains)]
+    shape = (k_chains, config.iterations)
+    traces = Traces(iterations=np.arange(1, config.iterations + 1),
+                    points=np.empty(shape + (config.init.dim,)),
+                    regions=np.empty(shape, dtype=int), rejections=np.empty(shape, dtype=int))
     starts = [1] + barriers
     ends = barriers + [config.iterations + 1]
     for update_index, (start, end) in enumerate(zip(starts, ends)):
@@ -666,9 +669,8 @@ def reference_chain_major_run(config, target):
                     outcome = step(state, rngs[k])
                     state = outcome.next
                     rejections += outcome.rejections
-                traces[k].append(TraceRecord(
-                    chain=k, iteration=n, point=np.array(state.point, copy=True),
-                    rejections=rejections, region=state.region,
-                ))
+                traces.points[k, n - 1] = state.point
+                traces.regions[k, n - 1] = state.region
+                traces.rejections[k, n - 1] = rejections
             states[k] = state
     return traces, history

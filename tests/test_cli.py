@@ -7,9 +7,24 @@ import warnings
 import numpy as np
 import pytest
 
-from rgess.cli import available_presets, main, resolve_config_source
+from rgess.cli import (
+    available_presets,
+    build_target,
+    compute_summary_rows,
+    main,
+    resolve_config_source,
+)
 from rgess.config import build_experiment, parse_config_text, serialize_config
-from rgess.diagnostics import ModeSpec, _fmt, mode_coverage, read_mixtures_csv, read_trace_csv
+from rgess.diagnostics import (
+    ModeSpec,
+    TraceRecord,
+    _fmt,
+    mode_coverage,
+    read_mixtures_csv,
+    read_trace_csv,
+    write_trace_csv,
+)
+from rgess.runner import run
 from rgess.targets import GaussMixTarget
 
 TINY_RUN = """
@@ -593,3 +608,54 @@ def test_fit_is_not_a_command(capsys):
         main(["fit", "samples.csv", "--scheme", "em_gmm", "-M", "2"])
     assert exc.value.code == 2
     assert "invalid choice: 'fit'" in capsys.readouterr().err
+
+
+class TestTracesStayArrays:
+    """A run's traces stay arrays from ``run`` to the CSV files; records
+    exist only for a caller that indexes a chain."""
+
+    @staticmethod
+    def _run():
+        exp = build_experiment(parse_config_text(TINY_RUN))
+        target, extras = build_target(exp)
+        return exp, extras, run(exp.run_config, target)
+
+    def test_run_write_and_summary_build_no_records(self, tmp_path, monkeypatch):
+        built = []
+        init = TraceRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TraceRecord, "__init__", counting_init)
+        exp, extras, result = self._run()
+        write_trace_csv(result.traces, result.mixture_history, tmp_path / "trace.csv",
+                        tmp_path / "mixtures.csv")
+        compute_summary_rows(result.traces, exp, exp.report_window, extras)
+        assert built == []
+        # the count does see records built on access
+        assert len(result.traces[0]) == len(built) == exp.run_config.iterations
+
+    def test_chains_read_as_records(self, tmp_path):
+        # the reads of a benchmark round: len, chains, and each record's fields
+        exp, _, result = self._run()
+        traces, cfg = result.traces, exp.run_config
+        assert len(traces) == cfg.chains
+        for k, chain in enumerate(traces):
+            assert len(chain) == cfg.iterations
+            for n, rec in enumerate(chain):
+                assert (rec.chain, rec.iteration, rec.region, rec.rejections) == (
+                    k, n + 1, traces.regions[k, n], traces.rejections[k, n])
+                assert all(type(v) is int for v in (rec.chain, rec.iteration, rec.region,
+                                                     rec.rejections))
+                assert rec.point.tobytes() == traces.points[k, n].tobytes()
+        draws = np.array([[rec.point for rec in chain if rec.iteration > cfg.burn_in]
+                          for chain in traces])
+        np.testing.assert_array_equal(draws, traces.points[:, cfg.burn_in:])
+        write_trace_csv(traces, result.mixture_history, tmp_path / "trace.csv",
+                        tmp_path / "mixtures.csv")
+        back, _ = read_trace_csv(tmp_path / "trace.csv", tmp_path / "mixtures.csv")
+        assert len(back) == len(traces)
+        for chain, back_chain in zip(traces, back):
+            assert len(chain) == len(back_chain) and chain == back_chain

@@ -14,6 +14,7 @@ from helpers import random_mixture_stacks
 from rgess.diagnostics import (
     ModeSpec,
     TraceRecord,
+    Traces,
     accuracy,
     mode_coverage,
     posterior_mean,
@@ -27,12 +28,18 @@ from rgess.distributions import Gaussian, MixtureModel, StudentT, _mixture
 from rgess.targets import Dataset
 
 
-def _trace(chain, rows):
-    return [
-        TraceRecord(chain=chain, iteration=i, point=np.asarray(p, dtype=float),
-                    rejections=r, region=g)
-        for i, p, r, g in rows
-    ]
+def _traces(*chains):
+    """``Traces`` of chains given as ``(iteration, point, rejections,
+    region)`` rows; every chain records the same iterations."""
+    rows = [row for chain in chains for row in chain]
+    shape = (len(chains), len(chains[0]) if chains else 0)
+    return Traces(
+        iterations=np.array([row[0] for row in chains[0]] if chains else [], dtype=int),
+        points=np.array([row[1] for row in rows], dtype=float).reshape(
+            *shape, len(rows[0][1]) if rows else 0),
+        rejections=np.array([row[2] for row in rows], dtype=int).reshape(shape),
+        regions=np.array([row[3] for row in rows], dtype=int).reshape(shape),
+    )
 
 
 class TestTraceRecord:
@@ -46,12 +53,14 @@ class TestTraceRecord:
         with pytest.raises(dataclasses.FrozenInstanceError):
             record.region = 0
 
-    def test_equality_compares_every_field(self):
-        # a one-coordinate point, whose elementwise == has a truth value
-        record = self._record(point=(1.5,))
-        assert dataclasses.replace(record, point=np.array([1.5])) == record
-        for name, value in [("chain", 4), ("iteration", 18), ("point", np.array([2.0])),
-                            ("rejections", 5), ("region", 0)]:
+    @pytest.mark.parametrize("point", [(1.5,), (1.5, -2.25)])
+    def test_equality_compares_every_field(self, point):
+        record = self._record(point=point)
+        assert dataclasses.replace(record, point=np.array(point)) == record
+        moved = np.array(point) + 0.5
+        for name, value in [("chain", 4), ("iteration", 18), ("point", moved),
+                            ("point", np.append(point, 0.0)), ("rejections", 5),
+                            ("region", 0)]:
             assert dataclasses.replace(record, **{name: value}) != record
 
     def test_pickle_round_trip_keeps_every_field(self):
@@ -67,31 +76,70 @@ class TestTraceRecord:
                 assert got == want
 
 
+class TestTraces:
+    @staticmethod
+    def _two_chains():
+        return _traces([(1, [0.5, 1.0], 2, 0), (3, [1.5, 2.0], 0, 1)],
+                       [(1, [-0.5, 4.0], 1, 1), (3, [2.5, 3.0], 5, 0)])
+
+    def test_indexing_a_chain_builds_its_records(self):
+        traces = self._two_chains()
+        assert len(traces) == 2
+        assert traces[1] == [
+            TraceRecord(chain=1, iteration=1, point=np.array([-0.5, 4.0]), rejections=1,
+                        region=1),
+            TraceRecord(chain=1, iteration=3, point=np.array([2.5, 3.0]), rejections=5,
+                        region=0),
+        ]
+        assert traces[-1] == traces[1] and list(traces) == [traces[0], traces[1]]
+        rec = traces[0][1]
+        assert all(type(v) is int for v in (rec.chain, rec.iteration, rec.rejections,
+                                             rec.region))
+        with pytest.raises(IndexError):
+            traces[2]
+
+    def test_equality_compares_every_array(self):
+        traces = self._two_chains()
+        assert traces == self._two_chains()
+        for name in ("iterations", "points", "regions", "rejections"):
+            changed = getattr(traces, name).copy()
+            changed.flat[0] += 1
+            assert dataclasses.replace(traces, **{name: changed}) != traces
+        assert traces != _traces([(1, [0.5, 1.0], 2, 0), (3, [1.5, 2.0], 0, 1)])
+
+    @pytest.mark.parametrize("name, shape", [
+        ("iterations", (3,)), ("points", (2, 2)), ("points", (2, 3, 2)),
+        ("regions", (2,)), ("rejections", (1, 2)),
+    ])
+    def test_shapes_must_agree(self, name, shape):
+        traces = self._two_chains()
+        with pytest.raises(ValueError, match=r"points \(K, N, D\)"):
+            dataclasses.replace(traces, **{name: np.zeros(shape, dtype=int)})
+
+
 class TestRejectionRateSeries:
     def test_all_zero(self):
-        traces = [_trace(0, [(i, [0.0], 0, 0) for i in range(1, 5)])]
+        traces = _traces([(i, [0.0], 0, 0) for i in range(1, 5)])
         assert rejection_rate_series(traces, 2) == [0.0, 0.0]
 
     def test_constant_three(self):
-        traces = [_trace(0, [(i, [0.0], 3, 0) for i in range(1, 7)])]
+        traces = _traces([(i, [0.0], 3, 0) for i in range(1, 7)])
         assert rejection_rate_series(traces, 3) == [3.0, 3.0]
 
     def test_hand_built_two_chain_example(self):
-        chain0 = _trace(0, [(1, [0.0], 0, 0), (2, [0.0], 1, 0),
-                            (3, [0.0], 2, 0), (4, [0.0], 1, 0)])
-        chain1 = _trace(1, [(1, [0.0], 2, 0), (2, [0.0], 3, 0),
-                            (3, [0.0], 0, 0), (4, [0.0], 1, 0)])
-        assert rejection_rate_series([chain0, chain1], 2) == [1.5, 1.0]
+        chain0 = [(1, [0.0], 0, 0), (2, [0.0], 1, 0), (3, [0.0], 2, 0), (4, [0.0], 1, 0)]
+        chain1 = [(1, [0.0], 2, 0), (2, [0.0], 3, 0), (3, [0.0], 0, 0), (4, [0.0], 1, 0)]
+        assert rejection_rate_series(_traces(chain0, chain1), 2) == [1.5, 1.0]
 
     def test_empty_traces_error(self):
         with pytest.raises(ValueError):
-            rejection_rate_series([], 2)
+            rejection_rate_series(_traces(), 2)
         with pytest.raises(ValueError):
-            rejection_rate_series([[]], 2)
+            rejection_rate_series(_traces([]), 2)
 
     def test_bad_window(self):
         with pytest.raises(ValueError):
-            rejection_rate_series([_trace(0, [(1, [0.0], 0, 0)])], 0)
+            rejection_rate_series(_traces([(1, [0.0], 0, 0)]), 0)
 
 
 def _dataset(test_x, test_y):
@@ -137,7 +185,7 @@ class TestAccuracy:
 
 class TestModeCoverage:
     def test_all_samples_at_one_center(self):
-        traces = [_trace(0, [(i, [1.0, 1.0], 0, 0) for i in range(1, 11)])]
+        traces = _traces([(i, [1.0, 1.0], 0, 0) for i in range(1, 11)])
         spec = ModeSpec(centers=(np.array([1.0, 1.0]), np.array([9.0, 9.0])), radius=1.0)
         assert mode_coverage(traces, spec, burn_in=0) == [1.0, 0.0]
 
@@ -145,7 +193,7 @@ class TestModeCoverage:
         rows = [(i, [0.0, 0.0], 0, 0) for i in range(1, 6)]
         rows += [(i, [10.0, 0.0], 0, 0) for i in range(6, 9)]
         rows += [(i, [100.0, 100.0], 0, 0) for i in range(9, 11)]
-        traces = [_trace(0, rows)]
+        traces = _traces(rows)
         spec = ModeSpec(centers=(np.zeros(2), np.array([10.0, 0.0])), radius=2.0)
         fractions = mode_coverage(traces, spec, burn_in=0)
         assert fractions == [0.5, 0.3]
@@ -153,7 +201,7 @@ class TestModeCoverage:
 
     def test_burn_in_respected(self):
         rows = [(1, [5.0, 5.0], 0, 0), (2, [0.0, 0.0], 0, 0)]
-        traces = [_trace(0, rows)]
+        traces = _traces(rows)
         spec = ModeSpec(centers=(np.zeros(2),), radius=0.5)
         assert mode_coverage(traces, spec, burn_in=1) == [1.0]
 
@@ -167,23 +215,32 @@ class TestModeSpec:
 
 class TestPosteriorMean:
     def test_single_sample(self):
-        traces = [_trace(0, [(1, [3.0, -1.0], 0, 0)])]
+        traces = _traces([(1, [3.0, -1.0], 0, 0)])
         np.testing.assert_array_equal(posterior_mean(traces, 0), [3.0, -1.0])
 
     def test_two_samples(self):
-        traces = [_trace(0, [(1, [0.0, 0.0], 0, 0), (2, [2.0, 2.0], 0, 0)])]
+        traces = _traces([(1, [0.0, 0.0], 0, 0), (2, [2.0, 2.0], 0, 0)])
         np.testing.assert_array_equal(posterior_mean(traces, 0), [1.0, 1.0])
 
     def test_iid_normal_clt(self):
         rng = np.random.default_rng(1)
         mu = np.array([0.7, -0.2])
         rows = [(i, rng.normal(size=2) + mu, 0, 0) for i in range(1, 10_001)]
-        traces = [_trace(0, rows)]
+        traces = _traces(rows)
         mean = posterior_mean(traces, 0)
         assert np.all(np.abs(mean - mu) < 4.0 / np.sqrt(10_000))
 
+    def test_bits_equal_the_mean_of_stacked_records(self):
+        # the reduction of the record-list form, kept as the reference
+        rng = np.random.default_rng(4)
+        traces = _traces(*[[(i, rng.normal(size=3) * 1e3, 0, 0) for i in range(1, 41)]
+                           for _ in range(5)])
+        expected = np.stack([rec.point for chain in traces for rec in chain
+                             if rec.iteration > 7]).mean(axis=0)
+        assert posterior_mean(traces, 7).tobytes() == expected.tobytes()
+
     def test_empty_selection_errors(self):
-        traces = [_trace(0, [(1, [0.0], 0, 0)])]
+        traces = _traces([(1, [0.0], 0, 0)])
         with pytest.raises(ValueError):
             posterior_mean(traces, burn_in=5)
 
@@ -203,22 +260,15 @@ def _mixture_history():
 class TestCsvRoundTrip:
     def test_trace_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(2)
-        traces = [
-            _trace(c, [(i, rng.normal(size=2) * 1e-7, int(rng.integers(5)), int(rng.integers(2)))
-                       for i in range(1, 9)])
-            for c in range(3)
-        ]
+        traces = _traces(*[
+            [(i, rng.normal(size=2) * 1e-7, int(rng.integers(5)), int(rng.integers(2)))
+             for i in range(1, 9)]
+            for _ in range(3)
+        ])
         path, mpath = tmp_path / "trace.csv", tmp_path / "mixtures.csv"
         write_trace_csv(traces, _mixture_history(), path, mpath)
         back, history = read_trace_csv(path, mpath)
-        assert len(back) == 3
-        for orig_chain, new_chain in zip(traces, back):
-            for a, b in zip(orig_chain, new_chain):
-                assert a.chain == b.chain
-                assert a.iteration == b.iteration
-                assert a.rejections == b.rejections
-                assert a.region == b.region
-                np.testing.assert_array_equal(a.point, b.point)
+        assert len(back) == 3 and back == traces
         assert [it for it, _ in history] == [0, 20]
         orig1 = _mixture_history()[1][1].components[0]
         new1 = history[1][1].components[0]
@@ -228,9 +278,9 @@ class TestCsvRoundTrip:
 
     def test_empty_traces_round_trip(self, tmp_path):
         path, mpath = tmp_path / "trace.csv", tmp_path / "mixtures.csv"
-        write_trace_csv([], [], path, mpath)
+        write_trace_csv(_traces(), [], path, mpath)
         back, history = read_trace_csv(path, mpath)
-        assert back == []
+        assert back == _traces()
         assert history == []
         assert path.read_text().startswith("chain,iteration,region,rejections")
 
@@ -282,11 +332,10 @@ class TestCsvRoundTrip:
 
     def test_series_recomputed_from_round_trip_matches(self, tmp_path):
         rng = np.random.default_rng(3)
-        traces = [
-            _trace(c, [(i, rng.normal(size=1), int(rng.integers(7)), 0)
-                       for i in range(1, 13)])
-            for c in range(2)
-        ]
+        traces = _traces(*[
+            [(i, rng.normal(size=1), int(rng.integers(7)), 0) for i in range(1, 13)]
+            for _ in range(2)
+        ])
         before = rejection_rate_series(traces, 3)
         path, mpath = tmp_path / "trace.csv", tmp_path / "mixtures.csv"
         write_trace_csv(traces, [], path, mpath)
@@ -296,13 +345,13 @@ class TestCsvRoundTrip:
     def test_explicit_mixtures_path(self, tmp_path):
         path = tmp_path / "trace.csv"
         mpath = tmp_path / "mixtures.csv"
-        write_trace_csv([], _mixture_history(), path, mixtures_path=mpath)
+        write_trace_csv(_traces(), _mixture_history(), path, mixtures_path=mpath)
         assert mpath.exists()
         assert len(read_mixtures_csv(mpath)) == 2
 
     def test_absent_mixtures_file_reads_as_empty_history(self, tmp_path):
         path, mpath = tmp_path / "trace.csv", tmp_path / "mixtures.csv"
-        write_trace_csv([_trace(0, [(1, [0.5], 0, 0)])], _mixture_history(), path, mpath)
+        write_trace_csv(_traces([(1, [0.5], 0, 0)]), _mixture_history(), path, mpath)
         mpath.unlink()
         back, history = read_trace_csv(path, mpath)
         assert len(back) == 1 and history == []
@@ -310,7 +359,7 @@ class TestCsvRoundTrip:
     def test_unreadable_mixtures_file_is_an_error(self, tmp_path):
         # only a mixtures file that does not exist reads as an empty history
         path, mpath = tmp_path / "trace.csv", tmp_path / "mixtures.csv"
-        write_trace_csv([_trace(0, [(1, [0.5], 0, 0)])], [], path, mpath)
+        write_trace_csv(_traces([(1, [0.5], 0, 0)]), [], path, mpath)
         mpath.unlink()
         mpath.mkdir()
         with pytest.raises(ValueError, match=re.escape(f"cannot read mixtures CSV {mpath}")):
@@ -360,12 +409,8 @@ def _persisted_run(draw):
     points = draw(hnp.arrays(np.float64, (k, n, d), elements=coords))
     counts = hnp.arrays(np.int64, (k, n), elements=st.integers(0, 10**6))
     regions, rejections = draw(counts), draw(counts)
-    traces = [
-        [TraceRecord(chain=c, iteration=it, point=points[c, i],
-                     rejections=int(rejections[c, i]), region=int(regions[c, i]))
-         for i, it in enumerate(iterations)]
-        for c in range(k)
-    ]
+    traces = Traces(iterations=np.array(iterations), points=points, regions=regions,
+                    rejections=rejections)
     return traces, history
 
 
@@ -381,13 +426,9 @@ class TestCsvRoundTripProperty:
         path, mpath = out / "trace.csv", out / "mixtures.csv"
         write_trace_csv(traces, history, path, mpath)
         back, back_history = read_trace_csv(path, mpath)
-        assert len(back) == len(traces)
-        for chain, back_chain in zip(traces, back):
-            assert len(back_chain) == len(chain)
-            for a, b in zip(chain, back_chain):
-                assert (b.chain, b.iteration, b.region, b.rejections) == (
-                    a.chain, a.iteration, a.region, a.rejections)
-                assert b.point.tobytes() == a.point.tobytes()
+        for name in ("iterations", "points", "regions", "rejections"):
+            x, y = getattr(traces, name), getattr(back, name)
+            assert (y.dtype, y.shape, y.tobytes()) == (x.dtype, x.shape, x.tobytes()), name
         assert [it for it, _ in back_history] == [it for it, _ in history]
         for (_, a), (_, b) in zip(history, back_history):
             assert b.kind == a.kind

@@ -408,3 +408,63 @@ class TestFailureOrder:
         with pytest.raises(RunError, match="beyond the bound") as info:
             run(config, _bounded_normal_target())
         assert (info.value.iteration, info.value.chain) == (n0, 0)
+
+
+def _normal_raising_at(point, batch):
+    """The 1-D standard normal, whose ``log_pi`` raises ``ZeroDivisionError``
+    at ``point`` alone; with ``batch``, so does its ``log_pi_batch`` at any
+    set of rows that holds ``point``."""
+    def log_pi(x):
+        if np.array_equal(x, point):
+            raise ZeroDivisionError("division by zero")
+        return -0.5 * float(x @ x)
+
+    def log_pi_batch(xs):
+        if (xs == point).all(axis=1).any():
+            raise ZeroDivisionError("division by zero")
+        return -0.5 * (xs[:, 0] * xs[:, 0])
+
+    return TargetDensity(dim=1, log_pi=log_pi, log_pi_batch=log_pi_batch if batch else None)
+
+
+class TestTargetExceptions:
+    """A target that raises an exception other than ``ValueError`` fails its
+    chain, and ``run`` raises ``RunError`` naming that chain and iteration."""
+
+    @staticmethod
+    def _config(kernel):
+        if kernel is Kernel.MH:
+            return RunConfig(chains=4, iterations=20, burn_in=0, kernel=kernel,
+                             init=Gaussian([0.0], [[1.0]]), master_seed=8,
+                             mh_proposal_scale=1.0)
+        return RunConfig(chains=4, iterations=20, burn_in=0, kernel=kernel,
+                         init=Gaussian([0.0], [[1.0]]), master_seed=8,
+                         adaptation=AdaptationConfig(scheme=Scheme.EM_TMM, components=2,
+                                                     interval=10, reg_radius=0.5))
+
+    @pytest.mark.parametrize("kernel, batch", [
+        (Kernel.RGESS, False), (Kernel.RGESS, True), (Kernel.MH, False),
+    ], ids=["rgess", "rgess-batch", "mh"])
+    def test_zero_division_names_chain_and_iteration(self, kernel, batch):
+        config = self._config(kernel)
+        clean = run(config, _std_normal_target(1)).traces
+        chain, iteration = 2, 13
+        # the point chain 2 moves to in iteration 13, evaluated there first
+        point = clean.points[chain, iteration - 1]
+        assert clean.rejections[chain, iteration - 1] == 0 or kernel is Kernel.RGESS
+        assert not np.array_equal(point, clean.points[chain, iteration - 2])
+        with pytest.raises(RunError) as info:
+            run(config, _normal_raising_at(point, batch))
+        assert (info.value.chain, info.value.iteration) == (chain, iteration)
+        assert type(info.value.cause) is ZeroDivisionError
+        assert str(info.value) == "chain 2 failed at iteration 13: division by zero"
+
+    def test_batch_error_of_any_type_falls_back_to_rows(self):
+        config = self._config(Kernel.RGESS)
+
+        def broken_batch(xs):
+            raise ZeroDivisionError("division by zero")
+
+        target = TargetDensity(dim=1, log_pi=_std_normal_target(1).log_pi,
+                               log_pi_batch=broken_batch)
+        assert run(config, target).traces == run(config, _std_normal_target(1)).traces
