@@ -31,6 +31,10 @@ which also set the t kernels' auxiliary rate.
 ``scipy.optimize`` is imported inside ``_solve_dof``, at its first interior
 root: only an ``em_tmm`` fit that estimates the dof calls ``brentq``, and a
 module-level import would load it into every process that imports rgess.
+``digamma`` is imported the same way, inside ``_solve_dof`` and
+``vi_gmm_fit``, its only two callers, so ``scipy.special`` loads at the first
+dof solve or VI fit and not on the sampling path. Every log-gamma here is
+``distributions._gammaln``, which needs no scipy.
 """
 
 from __future__ import annotations
@@ -40,9 +44,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
-from .distributions import MixtureModel, _logsumexp, _mixture, ensure_spd, regularize_cov
+from .distributions import MixtureModel, _gammaln, _logsumexp, _mixture, ensure_spd, regularize_cov
 
 __all__ = [
     "Scheme",
@@ -209,6 +212,8 @@ def _is_degenerate(x: np.ndarray) -> bool:
 def _solve_dof(nu_old: float, d: int, resp_k: np.ndarray, u_k: np.ndarray) -> float:
     """Root of the degrees-of-freedom estimating equation on the bounded
     interval; the root is unique because the equation is decreasing in nu."""
+    from scipy.special import digamma
+
     nk = resp_k.sum()
     const = (
         1.0
@@ -355,7 +360,7 @@ def _log_wishart_b(w_inv_chol_logdet: float, nu: float, d: int) -> float:
         -0.5 * nu * log_det_w
         - 0.5 * nu * d * np.log(2.0)
         - 0.25 * d * (d - 1) * np.log(np.pi)
-        - np.sum(gammaln(0.5 * (nu - np.arange(d))))
+        - np.sum(_gammaln(0.5 * (nu - np.arange(d))))
     )
 
 
@@ -371,6 +376,8 @@ def vi_gmm_fit(samples, m: int, config: AdaptationConfig,
     locations and inverse expected precisions as covariances. Components whose
     expected weight is tiny are retained; VI prunes softly by construction.
     """
+    from scipy.special import digamma
+
     x = _as_sample_matrix(samples, m)
     n, d = x.shape
     reg = config.reg_radius
@@ -440,7 +447,7 @@ def vi_gmm_fit(samples, m: int, config: AdaptationConfig,
             - d * ln2pi
         ))
         e_p_z = float(np.sum(resp * ln_pi_tilde))
-        ln_c_alpha0 = gammaln(m * alpha0) - m * gammaln(alpha0)
+        ln_c_alpha0 = _gammaln(m * alpha0) - m * _gammaln(alpha0)
         e_p_pi = ln_c_alpha0 + (alpha0 - 1.0) * np.sum(ln_pi_tilde)
         e_p_mu_lambda = float(
             0.5 * np.sum(
@@ -454,7 +461,7 @@ def vi_gmm_fit(samples, m: int, config: AdaptationConfig,
             - 0.5 * np.sum(nu * np.array([np.trace(w0_inv @ wk[k]) for k in range(m)]))
         )
         e_q_z = float(np.sum(resp * np.where(resp > 0, np.log(np.where(resp > 0, resp, 1.0)), 0.0)))
-        ln_c_alpha = gammaln(alpha.sum()) - np.sum(gammaln(alpha))
+        ln_c_alpha = _gammaln(alpha.sum()) - np.sum(_gammaln(alpha))
         e_q_pi = float(np.sum((alpha - 1.0) * ln_pi_tilde) + ln_c_alpha)
         wishart_entropy = np.array([
             -_log_wishart_b(np.linalg.slogdet(w_inv[k])[1], nu[k], d)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -335,9 +336,13 @@ def read_trace_csv(path, mixtures_path):
 
     Returns ``(traces, mixture_history)``, a :class:`Traces` and a list; the
     mixture file is optional and an empty history is returned when
-    ``mixtures_path`` does not exist. Every coordinate must be finite, and
-    the chains must be numbered 0..K-1 and record the same iterations, each
-    in increasing order; otherwise a ``ValueError`` names the file.
+    ``mixtures_path`` does not exist. Every coordinate must be finite, every
+    iteration, region and rejection count a 64-bit integer, and the chains
+    must be numbered 0..K-1 and record the same iterations, each in
+    increasing order; otherwise a ``ValueError`` names the file.
+
+    The rows are parsed into flat columns, then grouped by chain with one
+    stable sort, so no Python object outlives its row.
     """
     rows = _read_csv(path, "trace CSV")
     line, header = next(rows, (1, None))
@@ -345,30 +350,45 @@ def read_trace_csv(path, mixtures_path):
         raise ValueError(f"{path}:1: missing header")
     if header[:4] != _TRACE_COLUMNS:
         raise ValueError(f"{path}:{line}: unrecognized header {header[:4]}")
-    per_chain = {}
+    chain_ids = []
+    columns = {name: array("q") for name in _TRACE_COLUMNS[1:]}
+    coords = array("d")
+    last = {}  # the last iteration of each chain
     for line, fields in rows:
-        chain, *row = _parse_row(path, line, fields, len(header), _trace_row)
-        recorded = per_chain.setdefault(chain, [])
-        if recorded and row[0] <= recorded[-1][0]:
-            raise ValueError(f"{path}:{line}: iteration {row[0]} does not "
+        chain, iteration, region, rejections, point = _parse_row(
+            path, line, fields, len(header), _trace_row)
+        if chain in last and iteration <= last[chain]:
+            raise ValueError(f"{path}:{line}: iteration {iteration} does not "
                              f"increase within chain {chain}")
-        recorded.append(row)
-    ids = sorted(per_chain)
+        last[chain] = iteration
+        try:
+            columns["iteration"].append(iteration)
+            columns["region"].append(region)
+            columns["rejections"].append(rejections)
+        except OverflowError:
+            raise ValueError(f"{path}:{line}: integer out of 64-bit range") from None
+        chain_ids.append(chain)
+        coords.extend(point)
+    ids = sorted(last)
     if ids and (ids[0], ids[-1]) != (0, len(ids) - 1):
         raise ValueError(f"{path}: chain ids run from {ids[0]} to {ids[-1]}, not 0..{len(ids) - 1}")
-    chains = [per_chain[c] for c in ids]
-    recorded = [[row[0] for row in chain] for chain in chains] or [[]]
-    if any(iterations != recorded[0] for iterations in recorded):
+    chain = np.array(chain_ids, dtype=np.int64)
+    per_chain = np.bincount(chain, minlength=len(ids))
+    if (per_chain != per_chain[:1]).any():
         raise ValueError(f"{path}: the chains record different iterations")
-    shape = (len(chains), len(recorded[0]))
+    shape = (len(ids), int(per_chain[0]) if ids else 0)
+    order = np.argsort(chain, kind="stable")
 
-    def column(i, dtype):
-        return np.array([[row[i] for row in chain] for chain in chains], dtype=dtype)
+    def grouped(column, *tail):
+        return np.asarray(column).reshape(len(chain), *tail)[order].reshape(*shape, *tail)
 
-    traces = Traces(iterations=np.array(recorded[0], dtype=int),
-                    points=column(3, float).reshape(*shape, len(header) - 4),
-                    regions=column(1, int).reshape(shape),
-                    rejections=column(2, int).reshape(shape))
+    iterations = grouped(columns["iteration"])
+    if (iterations != iterations[:1]).any():
+        raise ValueError(f"{path}: the chains record different iterations")
+    traces = Traces(iterations=iterations[:1].reshape(shape[1]),
+                    points=grouped(coords, len(header) - 4),
+                    regions=grouped(columns["region"]),
+                    rejections=grouped(columns["rejections"]))
     if not os.path.exists(mixtures_path):
         return traces, []
     return traces, read_mixtures_csv(mixtures_path)

@@ -8,10 +8,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .diagnostics import ModeSpec, _parse_row, _read_csv
-from .distributions import _mixture
+from .distributions import _gammaln, _mixture
 from .samplers import TargetDensity
 
 __all__ = [
@@ -323,7 +322,7 @@ class LitterTarget:
         self._x = np.array([o[1] for o in obs], dtype=float)
         self._count = np.array([o[2] for o in obs], dtype=float)
         self._log_binom = (
-            gammaln(self._n + 1) - gammaln(self._x + 1) - gammaln(self._n - self._x + 1)
+            _gammaln(self._n + 1) - _gammaln(self._x + 1) - _gammaln(self._n - self._x + 1)
         )
 
     @property

@@ -309,6 +309,31 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="trace.csv:2"):
             read_trace_csv(path, tmp_path / "mixtures.csv")
 
+    def test_interleaved_chains_read_as_chain_major(self, tmp_path):
+        rng = np.random.default_rng(4)
+        traces = _traces(*[
+            [(i, rng.normal(size=2), int(rng.integers(5)), int(rng.integers(3)))
+             for i in range(1, 6)]
+            for _ in range(3)
+        ])
+        path, mpath = tmp_path / "trace.csv", tmp_path / "mixtures.csv"
+        write_trace_csv(traces, [], path, mpath)
+        header, *rows = path.read_text().splitlines()
+        # iteration-major: row n of every chain, then row n + 1
+        interleaved = [rows[k * 5 + n] for n in range(5) for k in (2, 0, 1)]
+        path.write_text("\n".join([header, *interleaved]) + "\n")
+        back, _ = read_trace_csv(path, mpath)
+        assert back == traces
+
+    @pytest.mark.parametrize("row", ["0,1,9223372036854775808,0,0.5",
+                                     "1,-9223372036854775809,0,0,0.5",
+                                     "0,1,0,99999999999999999999,0.5"])
+    def test_integer_beyond_64_bits_names_line(self, tmp_path, row):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"chain,iteration,region,rejections,x0\n0,0,0,0,0.5\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: integer out of 64-bit range")):
+            read_trace_csv(path, tmp_path / "mixtures.csv")
+
     def test_non_increasing_iteration_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text(

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import stats
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from helpers import (
     InverseGammaParams,
@@ -23,8 +23,10 @@ from rgess.distributions import (
     Gaussian,
     MixtureModel,
     StudentT,
+    _gammaln,
     _logsumexp,
     _mixture,
+    _t_log_gamma_ratio,
     ensure_spd,
     nearest_psd,
     regularize_cov,
@@ -150,6 +152,65 @@ class TestStudentT:
             )
             for x in points:
                 assert abs(t.log_density(x) - g.log_density(x)) < 1e-4
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dof", [1e9, 1e12, 1e17])
+    def test_huge_dof_tends_to_gaussian_at_mode(self, dof, dim):
+        # the t density at its mode exceeds N(0, I)'s by O(dim^2 / dof)
+        t = StudentT(np.zeros(dim), np.eye(dim), dof)
+        gaussian = -0.5 * dim * math.log(2.0 * math.pi)
+        assert abs(t.log_density(np.zeros(dim)) - gaussian) < 1e-8
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.floats(1e-3, 2e8), st.integers(1, 9))
+    def test_dof_up_to_2e8_keeps_the_log_gamma_difference(self, dof, dim):
+        want = gammaln(0.5 * (dof + dim)) - gammaln(0.5 * dof)
+        assert _t_log_gamma_ratio(dof, dim) == want
+
+
+# Through every branch of cephes lgam: the reflection below -34, the
+# recurrence for negative non-integers and on (0, 2) and [3, 13), the poles,
+# the rational fit on [2, 3), Stirling's series with its correction on
+# [13, 1000) and [1000, 1e8], without it above 1e8, the overflow above
+# 2.556348e305, and the non-finite values.
+_LGAM_GRID = np.concatenate([
+    np.linspace(-1000.3, -34.1, 1000), -np.geomspace(35.5, 1e300, 300),
+    np.linspace(-33.9, -0.001, 1000),
+    [0.0, -0.0, -1.0, -2.0, -34.0, -35.0, -1e300],
+    np.geomspace(1e-300, 2.0, 500, endpoint=False), np.linspace(0.0, 2.0, 500)[1:],
+    np.linspace(2.0, 3.0, 500, endpoint=False),
+    np.linspace(3.0, 13.0, 1000, endpoint=False),
+    np.linspace(13.0, 1000.0, 1000, endpoint=False),
+    np.geomspace(1000.0, 1e8, 1000),
+    np.geomspace(np.nextafter(1e8, np.inf), 2.556348e305, 1000),
+    [np.nextafter(2.556348e305, np.inf), 1e306, np.finfo(float).max],
+    [np.inf, -np.inf, np.nan],
+])
+
+
+class TestGammaln:
+    """``_gammaln`` equals ``scipy.special.gammaln`` bit for bit."""
+
+    def test_every_branch_bitwise(self):
+        assert _gammaln(_LGAM_GRID).tobytes() == gammaln(_LGAM_GRID).tobytes()
+
+    @settings(deadline=None, max_examples=300)
+    @given(hnp.arrays(np.float64, st.integers(0, 20),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_finite_floats_bitwise(self, x):
+        assert _gammaln(x).tobytes() == gammaln(x).tobytes()
+
+    @pytest.mark.parametrize("x", [2.5, -3.5, 0.0, np.float64(40.0), np.array(7.25), 3])
+    def test_zero_d_input_gives_a_float64(self, x):
+        got = _gammaln(x)
+        assert type(got) is np.float64
+        assert got.tobytes() == gammaln(x).tobytes()
+
+    @pytest.mark.parametrize("x", [[0.5, 1.5, 2.5], np.arange(1, 6), [], np.array([-40.5])])
+    def test_one_d_input_keeps_its_shape(self, x):
+        got = _gammaln(x)
+        assert (got.dtype, got.shape) == (np.float64, np.shape(x))
+        assert got.tobytes() == gammaln(np.asarray(x, dtype=float)).tobytes()
 
 
 class TestInverseGamma:

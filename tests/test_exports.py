@@ -60,9 +60,61 @@ LAZY_OPTIMIZE = textwrap.dedent("""
 """)
 
 
-def test_scipy_optimize_loads_only_at_a_dof_solve():
+def _run_fresh(script: str, *args: str) -> None:
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", LAZY_OPTIMIZE], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_optimize_loads_only_at_a_dof_solve():
+    _run_fresh(LAZY_OPTIMIZE)
+
+
+# The sampling path of a fixed-dof t-mixture run, then the loader named by
+# argv[1]: a VI fit or an estimated-dof EM fit, the two users of digamma.
+LAZY_SPECIAL = textwrap.dedent("""
+    import sys
+    import tempfile
+
+    import numpy as np
+
+    import rgess
+    import rgess.cli
+    from rgess.adaptation import AdaptationConfig, Scheme, em_tmm_fit, vi_gmm_fit
+    from rgess.config import build_experiment
+    from rgess.samplers import ChainState, tmrgess_step
+    from rgess.targets import LitterTarget
+
+    exp = build_experiment(rgess.cli.resolve_config_source("gauss-mix-tmrgess"))
+    target, _ = rgess.cli.build_target(exp)
+    acfg = exp.run_config.adaptation
+    assert acfg.fixed_dof is not None
+    rng = np.random.default_rng(0)
+    mixture = em_tmm_fit(rng.normal(5.0, 3.0, size=(200, 2)), acfg.components,
+                         acfg, rng).mixture
+    x = np.array([5.0, 5.0])
+    tmrgess_step(ChainState(point=x, region=mixture.assign_region(x)), mixture,
+                 target, rng)
+    LitterTarget()
+    with tempfile.TemporaryDirectory() as out:
+        sets = ["--set", "run.chains=8", "--set", "run.iterations=60",
+                "--set", "run.burn_in=20"]
+        assert rgess.cli.main(["run", "gauss-mix-tmrgess", "--out", out, *sets]) == 0
+        assert rgess.cli.main(["report", out]) == 0
+    assert "scipy.special" not in sys.modules, "loaded on the sampling path"
+
+    if sys.argv[1] == "vi":
+        config = AdaptationConfig(scheme=Scheme.VI_GMM, components=2)
+        vi_gmm_fit(rng.normal(size=(200, 2)), 2, config, rng)
+    else:
+        config = AdaptationConfig(scheme=Scheme.EM_TMM, components=1, reg_radius=0.0)
+        em_tmm_fit(rng.standard_t(3.0, size=(400, 1)), 1, config, rng)
+    assert "scipy.special" in sys.modules, "not loaded by " + sys.argv[1]
+""")
+
+
+@pytest.mark.parametrize("loader", ["vi", "dof"])
+def test_scipy_special_loads_only_at_a_vi_fit_or_dof_solve(loader):
+    _run_fresh(LAZY_SPECIAL, loader)
