@@ -16,10 +16,10 @@ kernels, the SA update and the CSV writer read rows of the stacks; a
 mixture's ``components`` are built from its rows on each read.
 
 ``_factorise`` checks and factors a stack in one batched Cholesky call (or
-takes factors already computed) and inverts each factor with the LAPACK
-routine that ``scipy.linalg.solve_triangular`` wraps. ``Gaussian`` and
-``StudentT`` call it on a stack of one. Every mixture is built by
-``MixtureModel._build``, which calls it on the whole stack:
+takes factors already computed) and inverts each factor with ``dtrtrs``,
+the LAPACK routine that ``scipy.linalg.solve_triangular`` wraps.
+``Gaussian`` and ``StudentT`` call it on a stack of one. Every mixture is
+built by ``MixtureModel._build``, which calls it on the whole stack:
 ``MixtureModel(weights, components)`` passes the components' stacked rows
 and factors, and ``_mixture`` the parameter stacks, so a mixture built from
 stacks equals one built from components bit for bit.
@@ -39,16 +39,34 @@ substitute: it differs from scipy's in the last bits for 53-96% of the
 arguments tested, depending on the range. Nor is a numpy-vectorised port:
 numpy's SIMD ``log`` rounds some arguments apart from the C library's
 ``log`` that cephes calls. The t normaliser's dof part,
-``_t_log_gamma_ratio``, takes Stirling's difference in closed form beyond
-dof = 2e8, where the two log-gammas would cancel to nothing.
+``_t_log_gamma_ratio``, takes Stirling's difference in closed form, with
+its first correction, beyond dof = 2e4, where the difference of the two
+log-gammas loses digits to cancellation (2.2e-7 nats at dof = 2e8).
+
+``dtrtrs`` comes from scipy's compiled LAPACK wrapper module,
+``scipy.linalg._flapack``, which ``_flapack`` loads from its file after
+importing the top-level ``scipy`` package alone. ``scipy.linalg``'s package
+``__init__`` does not run: it would load some 330 more modules and about
+27 MB for this one routine. The module is registered under its own name,
+so a later ``import scipy.linalg`` (``scipy.optimize`` does one at the
+first dof solve) reuses the same module object, and ``dtrtrs`` is the same
+routine called with the same arguments either way. Two substitutes were
+rejected: a numpy forward substitution changes the bits of L^-1 from
+D = 3, because OpenBLAS's triangular solve uses fused multiply-adds, and
+``ctypes`` into the bundled OpenBLAS depends on the wheel's library file
+names.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 __all__ = [
     "Gaussian",
@@ -62,6 +80,30 @@ __all__ = [
 _SYMMETRY_ATOL = 1e-10
 _PSD_JITTER = 1e-10
 _LOG_2PI = np.log(2.0 * np.pi)
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack():
+    """scipy's LAPACK wrapper module ``scipy.linalg._flapack``, loaded from
+    its file without running ``scipy.linalg``; the module already imported,
+    if there is one. ImportError, naming the directory, if scipy has none."""
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    import scipy  # the top-level package only: scipy's own library set-up
+
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    found = importlib.machinery.PathFinder.find_spec("_flapack", [directory])
+    if found is None:
+        raise ImportError(f"no _flapack module in {directory}", name=_FLAPACK)
+    spec = importlib.util.spec_from_file_location(_FLAPACK, found.origin)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_FLAPACK] = module
+    return module
+
+
+dtrtrs = _flapack().dtrtrs
 
 
 def _check_weights(weights: np.ndarray, m: int) -> None:
@@ -100,6 +142,8 @@ _LOG_PI = 1.14472988584940017414
 _LOG_SQRT_2PI = 0.91893853320467274178
 _LGAM_MAX = 2.556348e305
 _LGAM_STIRLING_ONLY = 1.0e8
+# dof / 2 beyond which _t_log_gamma_ratio takes Stirling's difference
+_T_RATIO_STIRLING = 1.0e4
 
 
 def _lgam(x: float) -> float:
@@ -170,20 +214,23 @@ def _gammaln(x):
     return np.array([_lgam(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
 
+@functools.lru_cache(maxsize=256)
 def _t_log_gamma_ratio(dof: float, d: int) -> float:
     """log Gamma((dof + d) / 2) - log Gamma(dof / 2), the dof part of a
-    D-variate t normaliser.
+    D-variate t normaliser. Memoised: a fixed-dof fit asks for the same
+    value at every mixture it builds, one per EM iteration.
 
-    Where dof / 2 exceeds 1e8, ``_lgam`` is Stirling's formula alone, and
-    the difference of two such values of size dof would cancel to nothing;
-    there it is Stirling's difference taken in closed form, which tends to
-    (d / 2) log(dof / 2). Every smaller dof gives the difference of the two
-    log-gammas, bit for bit.
+    Where x = dof / 2 exceeds ``_T_RATIO_STIRLING`` the two log-gammas,
+    each of size x log x, would cancel most of their digits; there it is
+    Stirling's difference in closed form with its first correction,
+    -a / (12 x (x + a)) for a = d / 2, which tends to a log x. Every smaller
+    dof gives the difference of the two log-gammas, bit for bit.
     """
     x = 0.5 * dof
-    if x > _LGAM_STIRLING_ONLY:
+    if x > _T_RATIO_STIRLING:
         a = 0.5 * d
-        return a * math.log(x) + (x + a - 0.5) * math.log1p(a / x) - a
+        return (a * math.log(x) + (x + a - 0.5) * math.log1p(a / x) - a
+                - a / (12.0 * x * (x + a)))
     return _lgam(0.5 * (dof + d)) - _lgam(x)
 
 

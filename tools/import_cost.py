@@ -5,11 +5,12 @@
 Starts N (default 20) fresh interpreters, one after another, each with the
 ``rgess`` under ``ROOT/src`` first on the path (default: the tree next to
 this script) and BLAS on one thread. Each one times ``import rgess.cli``
-with ``time.perf_counter`` and reports its own ``ru_maxrss`` and the
-``scipy.*`` subpackages in ``sys.modules`` after the import. The script
-prints the median and quartiles of the import time (ms) and of the peak
-RSS (MB) over the N processes, then the scipy subpackages that loaded.
-Running it on two trees compares their import cost.
+with ``time.perf_counter`` and reports its own ``ru_maxrss``, the number
+of modules in ``sys.modules`` and the names of the ``scipy`` modules among
+them after the import. The script prints the median and quartiles of the
+import time (ms), of the peak RSS (MB) and of the module count over the N
+processes, then every scipy module that loaded. Running it on two trees
+compares their import cost.
 """
 
 from __future__ import annotations
@@ -31,15 +32,15 @@ t1 = time.perf_counter()
 print(json.dumps({
     "import_ms": 1e3 * (t1 - t0),
     "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-    "scipy": sorted(m for m, module in sys.modules.items()
-                    if m.startswith("scipy.") and m.count(".") == 1
-                    and hasattr(module, "__path__") and not m.startswith("scipy._")),
+    "modules": len(sys.modules),
+    "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
 }))
 """
 
 
 def probe(root: str) -> dict:
-    """One fresh process's import time, peak RSS and scipy subpackages."""
+    """One fresh process's import time, peak RSS, module count and scipy
+    modules."""
     proc = subprocess.run([sys.executable, "-c", PROBE], env=preset_env(root),
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
@@ -64,8 +65,9 @@ def main(argv: list[str]) -> int:
     print(f"import rgess.cli from {root}/src, {args.n} processes")
     print(f"  import time (ms)   {quartiles([r['import_ms'] for r in runs])}")
     print(f"  peak RSS (MB)      {quartiles([r['maxrss_mb'] for r in runs])}")
+    print(f"  sys.modules        {quartiles([r['modules'] for r in runs])}")
     loaded = sorted({name for r in runs for name in r["scipy"]})
-    print(f"  scipy subpackages  {', '.join(loaded) or 'none'}")
+    print(f"  scipy modules ({len(loaded)})  {', '.join(loaded) or 'none'}")
     return 0
 
 
