@@ -23,7 +23,14 @@ chain still in the segment per round, a chain starting its next step in the
 round after its last one ended. Each chain still draws from its own
 generator through the per-chain kernels' draw routine,
 :func:`rgess.samplers._step_draws`, so the traces equal those of the
-per-chain kernels bit for bit. The mh kernel steps one chain at a time,
+per-chain kernels bit for bit. Every iteration of an rgess chain ends with
+one independence jump from the segment's mixture, which is not in the
+paper's algorithm (see :mod:`rgess.samplers`): right after each barrier the
+batch draws the segment's (I, K) block of proposals and accept draws from a
+generator of its own with :func:`rgess.samplers.jump_block`, and the
+segment applies jump (i, k) when chain k ends iteration i's steps, so a
+chain stepped alone with the per-chain kernels and then the same jumps
+gives the same trace. The mh kernel steps one chain at a time,
 chain-major, with no mixture and every chain in region 0.
 :func:`rgess.samplers.regional_mh_step` is a per-chain reference kernel
 that ``run`` does not step.
@@ -54,6 +61,7 @@ from .samplers import (  # noqa: F401 (gmrgess_step and tmrgess_step: see below)
     TargetDensity,
     _mh_step,
     gmrgess_step,
+    jump_block,
     log_pi_rows,
     regional_ess_segment,
     tmrgess_step,
@@ -90,6 +98,7 @@ class RunConfig:
     init: Gaussian
     adaptation: AdaptationConfig = field(default_factory=AdaptationConfig)
     master_seed: int = 0
+    # ESS steps per iteration; each rgess iteration ends with one jump
     steps_per_iteration: int = 1
     # the mh kernel's proposal covariance is mh_proposal_scale * I
     mh_proposal_scale: float | None = None
@@ -184,8 +193,9 @@ class _Batched:
     """Chains of a regional ESS kernel, stepped together by
     :func:`rgess.samplers.regional_ess_segment`."""
 
-    def __init__(self, target: TargetDensity, points, mixture: MixtureModel):
+    def __init__(self, target: TargetDensity, points, mixture: MixtureModel, jump_rng):
         self.target = target
+        self.jump_rng = jump_rng
         self.points = np.array(points, dtype=float)
         self.log_pis = log_pi_rows(target, self.points, range(len(self.points)))
         self.set_mixture(mixture)
@@ -200,9 +210,11 @@ class _Batched:
         return list(self.points.copy())
 
     def segment(self, rngs, iterations: int, steps_per_iteration: int):
+        """The segment's jump block, from ``jump_rng``, then the segment."""
+        jump = jump_block(self.mixture, self.target, self.jump_rng, iterations, len(rngs))
         return regional_ess_segment(self.points, self.regions, self.log_pis, self.comps,
                                     self.quads, self.mixture, self.target, rngs,
-                                    iterations, steps_per_iteration)
+                                    iterations, steps_per_iteration, jump)
 
 
 def _check_target(config: RunConfig, target: TargetDensity) -> None:
@@ -217,8 +229,10 @@ def _check_target(config: RunConfig, target: TargetDensity) -> None:
 def run(config: RunConfig, target: TargetDensity) -> RunResult:
     """Execute the configured multi-chain run against ``target``.
 
-    Chain k draws from the k-th of K + 1 seeds spawned from the master seed,
-    and adaptation from the last. At a barrier the mixture is refitted from
+    Chain k draws from the k-th of K + 2 seeds spawned from the master seed,
+    adaptation from the (K + 1)-th and the rgess kernel's jumps from the
+    last, so the chains' and the refits' streams are those of K + 1 seeds.
+    At a barrier the mixture is refitted from
     the pooled points that existed before the barrier's iteration, all chain
     regions are reassigned under the new mixture, and only then do chains
     advance, through the segment up to the next barrier.
@@ -227,7 +241,7 @@ def run(config: RunConfig, target: TargetDensity) -> RunResult:
 
     k_chains = config.chains
     seed_seq = np.random.SeedSequence(config.master_seed)
-    children = seed_seq.spawn(k_chains + 1)
+    children = seed_seq.spawn(k_chains + 2)
     rngs = [np.random.default_rng(children[k]) for k in range(k_chains)]
     adapt_rng = np.random.default_rng(children[k_chains])
 
@@ -241,7 +255,8 @@ def run(config: RunConfig, target: TargetDensity) -> RunResult:
         mixture = initial_mixture(acfg, points, adapt_rng)
         mixture_history.append((0, mixture))
         try:
-            chains = _Batched(target, points, mixture)
+            chains = _Batched(target, points, mixture,
+                              np.random.default_rng(children[k_chains + 1]))
         except ChainFailure as exc:
             raise RunError(exc.chain, 1, exc.cause) from exc
 

@@ -31,6 +31,18 @@ chain's result equals the per-chain kernel's bit for bit. The kernels read
 the region's row of the mixture's stacks, and regional_mh_step draws from it
 with ``MixtureModel._sample``.
 
+Every iteration of the segment ends with one mixture-independence jump:
+x' ~ g, g the whole fitted mixture, accepted when log u < (log pi(x') -
+log g(x')) - (log pi(x) - log g(x)). That is Metropolis-Hastings with an
+independence proposal, so it leaves pi invariant for a fixed mixture, and
+so does its composition with the ESS steps (Tierney 1994). It is not in the
+paper's algorithm: it lets chains cross between well-separated modes, which
+the regional steps alone do not. The proposals do not depend on the
+chains, so :func:`jump_block` draws a segment's whole block from a
+generator of its own and evaluates it in one call each for the target and
+the densities, and :func:`_jump_accepts` is the one acceptance rule, over
+rows.
+
 :func:`gmrgess_step` and :func:`tmrgess_step` stay for single chains
 (criterion 3, the kernel-1d benchmark), which they step three to five times
 faster: on criterion 3's t set-up (20k steps from -2.5, seed 1003) a
@@ -60,6 +72,8 @@ __all__ = [
     "gmrgess_step",
     "tmrgess_step",
     "regional_ess_segment",
+    "JumpBlock",
+    "jump_block",
     "log_pi_rows",
     "regional_mh_step",
     "mh_step",
@@ -315,6 +329,31 @@ def tmrgess_step(state: ChainState, mixture: MixtureModel, target: TargetDensity
     return _regional_ess_step(state, mixture, target, rng)
 
 
+def _log_pi_held(target: TargetDensity, points: np.ndarray):
+    """``(values, raised)``: ``log_pi`` at each row of ``points``, through
+    ``target.log_pi_batch`` when the target has one, and ``(row,
+    exception)`` for each row at which ``log_pi`` raised an exception of any
+    type, in row order; those rows' values are nan. When ``log_pi_batch``
+    raises, every row is evaluated again with ``log_pi``, which the
+    contract makes equal bit for bit, so the raising rows are found."""
+    batch = target.log_pi_batch
+    if batch is not None:
+        try:
+            return np.asarray(batch(points), dtype=float), []
+        except Exception:  # noqa: BLE001 - the row loop finds the raising rows
+            pass
+    log_pi = target.log_pi
+    out = np.empty(len(points))
+    raised = []
+    for r, x in enumerate(points):
+        try:
+            out[r] = log_pi(x)
+        except Exception as exc:  # noqa: BLE001 - a target failure fails its chain
+            out[r] = math.nan
+            raised.append((r, exc))
+    return out, raised
+
+
 def log_pi_rows(target: TargetDensity, points: np.ndarray, chains) -> np.ndarray:
     """``log_pi`` at each row of ``points``, through ``target.log_pi_batch``
     when the target has one.
@@ -325,20 +364,90 @@ def log_pi_rows(target: TargetDensity, points: np.ndarray, chains) -> np.ndarray
     ``log_pi``, which the contract makes equal bit for bit, so the failure
     names the chain of the first row that raises.
     """
-    batch = target.log_pi_batch
-    if batch is not None:
-        try:
-            return np.asarray(batch(points), dtype=float)
-        except Exception:  # noqa: BLE001 - the row loop names the failing chain
-            pass
-    log_pi = target.log_pi
-    out = np.empty(len(points))
-    for r, x in enumerate(points):
-        try:
-            out[r] = log_pi(x)
-        except Exception as exc:  # noqa: BLE001 - a target failure fails its chain
-            raise ChainFailure(int(chains[r]), exc) from exc
-    return out
+    values, raised = _log_pi_held(target, points)
+    if raised:
+        row, exc = raised[0]
+        raise ChainFailure(int(chains[row]), exc) from exc
+    return values
+
+
+class JumpBlock(NamedTuple):
+    """A segment's mixture-independence jump proposals, drawn and evaluated
+    by :func:`jump_block`: one per iteration and chain, in iteration-major
+    rows, row ``i K + k`` being chain k's jump at the end of the segment's
+    iteration i.
+
+    ``rows`` (I K, D + 1 + 2 M) packs each proposal's point, log pi,
+    component log densities and squared Mahalanobis distances, the layout
+    of a chain's state row in :func:`regional_ess_segment`; ``regions`` is
+    each proposal's region. ``log_ratios`` holds log pi - log g at each
+    proposal, g the mixture density, and -inf where the jump must be
+    rejected; ``log_us`` the accept draws, log u with u ~ Uniform(0, 1].
+    ``failures`` maps ``(i, k)`` to the exception the target raised at that
+    proposal; it is chain k's failure at iteration i if the chain gets
+    there.
+    """
+
+    rows: np.ndarray
+    regions: np.ndarray
+    log_ratios: np.ndarray
+    log_us: np.ndarray
+    failures: dict
+
+
+def jump_block(mixture: MixtureModel, target: TargetDensity, rng, iterations: int,
+               chains: int) -> JumpBlock:
+    """Draw and evaluate the independence proposals x' ~ g, g the whole
+    ``mixture``, of ``iterations`` iterations of ``chains`` chains, from
+    ``rng`` alone. They do not depend on the chains, so a segment's block
+    is drawn before it starts.
+
+    The draws, in order: each row's component, one uniform against the
+    cumulative weights; the (I K, D) standard normal noise; for t
+    components each row's scale s ~ IG(nu/2, nu/2); each row's log u. The
+    target, the distances, the component densities and log g are each
+    evaluated for the whole block in one call. A proposal with a
+    non-finite coordinate (a t scale can overflow) is not passed to the
+    target, and its ratio is -inf, as it is wherever log pi - log g is not
+    finite: a -inf target value, or an exception, which is held in
+    ``failures`` rather than raised.
+    """
+    n = iterations * chains
+    cumulative = np.cumsum(mixture.weights)
+    cumulative /= cumulative[-1]
+    comp = np.searchsorted(cumulative, rng.random(n), side="right")
+    noise = rng.standard_normal((n, mixture._dim))
+    points = (mixture._chols[comp] @ noise[:, :, None])[:, :, 0]
+    if mixture._dofs is not None:
+        half_dofs = 0.5 * mixture._dofs[comp]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            points *= np.sqrt(1.0 / rng.gamma(half_dofs, 1.0 / half_dofs))[:, None]
+    with np.errstate(invalid="ignore"):
+        points += mixture._means[comp]
+    log_us = np.log(1.0 - rng.random(n))
+
+    log_pis = np.full(n, -math.inf)
+    evaluated = np.flatnonzero(np.isfinite(points).all(axis=1))
+    values, raised = _log_pi_held(target, points[evaluated])
+    log_pis[evaluated] = values
+    failures = {divmod(int(evaluated[row]), chains): exc for row, exc in raised}
+    with np.errstate(over="ignore", invalid="ignore"):
+        quads = mixture._mahalanobis_sq(points)
+        comps = mixture._log_densities_from_quad(quads)
+        log_ratios = log_pis - mixture._log_mixture(comps)
+    log_ratios[~np.isfinite(log_ratios)] = -math.inf
+    rows = np.concatenate((points, log_pis[:, None], comps, quads), axis=1)
+    return JumpBlock(rows, mixture._region_of(comps), log_ratios, log_us, failures)
+
+
+def _jump_accepts(log_us, log_ratios, log_pis, comps, mixture: MixtureModel):
+    """The jump's acceptance rule over rows: accept x' when log u < (log
+    pi(x') - log g(x')) - (log pi(x) - log g(x)). ``log_us`` and
+    ``log_ratios`` are rows of a :class:`JumpBlock`; ``log_pis`` (n,) and
+    ``comps`` (n, M) the target and component log densities at the current
+    points x, from which log g(x) is taken. A nan difference rejects."""
+    with np.errstate(invalid="ignore"):
+        return log_us < log_ratios - (log_pis - mixture._log_mixture(comps))
 
 
 def _entry_failures(points, log_pis, aux, aux_message) -> list:
@@ -362,12 +471,15 @@ def _entry_failures(points, log_pis, aux, aux_message) -> list:
 
 def regional_ess_segment(points, regions, log_pis, comps, quads, mixture: MixtureModel,
                          target: TargetDensity, rngs, iterations: int,
-                         steps_per_iteration: int):
-    """``iterations`` iterations of ``steps_per_iteration`` :func:`gmrgess_step`
-    or :func:`tmrgess_step` steps (by the mixture's kind) for each of K
-    chains; returns ``(points, regions, rejections)`` at the end of every
-    iteration, of shapes (I, K, D), (I, K) and (I, K), the last summed over
-    the iteration's steps.
+                         steps_per_iteration: int, jump: JumpBlock):
+    """``iterations`` iterations for each of K chains, each iteration
+    ``steps_per_iteration`` :func:`gmrgess_step` or :func:`tmrgess_step`
+    steps (by the mixture's kind) and then one mixture-independence jump
+    from ``jump``, the segment's :class:`JumpBlock` from :func:`jump_block`;
+    returns ``(points, regions, rejections)`` at the end of every iteration,
+    after its jump, of shapes (I, K, D), (I, K) and (I, K), the last the ESS
+    shrink rejections summed over the iteration's steps. Jumps count in no
+    column.
 
     The chains' state is five arrays, updated in place: ``points`` (K, D),
     ``regions`` (K,), ``log_pis`` (K,) and ``comps`` (K, M), the target and
@@ -385,16 +497,31 @@ def regional_ess_segment(points, regions, log_pis, comps, quads, mixture: Mixtur
     a round is computed on its own, so each chain's points, regions and
     rejections equal the per-chain kernel's bit for bit.
 
+    Jump (i, k), row i K + k of ``jump``, is applied in the round in which
+    chain k ends the last step of iteration i, before the iteration is
+    recorded, so it adds no round. :func:`_jump_accepts` decides it from
+    the chain's current log pi and component densities; an accepted jump
+    writes the proposal's point, log pi, component densities, distances and
+    region into the chain's state, so the next step starts from fresh
+    values. A chain stepped alone by the per-chain kernel, with jump (i, k)
+    applied by the same rule after iteration i's steps, gives the batch's
+    results bit for bit.
+
     A chain that cannot start a step fails: a non-finite point or current
     ``log_pi``, an infinite auxiliary rate (t mixtures) or a non-finite
     density of the current region's component (Gaussian mixtures). So does a
-    chain whose target evaluation raises any exception. A failed chain
-    stops; the others run until none can fail at a lower (iteration, chain),
-    and then :class:`ChainFailure` is raised for the lowest, with its
-    ``iteration`` the 0-based index of the segment's iteration.
+    chain whose target evaluation raises any exception, and chain k when it
+    ends iteration i's steps and ``jump.failures`` holds an exception for
+    (i, k). A failed chain stops; the others run until none can fail at a
+    lower (iteration, chain), and then :class:`ChainFailure` is raised for
+    the lowest, with its ``iteration`` the 0-based index of the segment's
+    iteration.
     """
     k_chains, dim = points.shape
     m = comps.shape[1]
+    if len(jump.log_us) != iterations * k_chains:
+        raise ValueError(f"a jump block of {len(jump.log_us)} rows for {iterations} "
+                         f"iterations of {k_chains} chains")
     per = steps_per_iteration
     steps = iterations * per
     out_points = np.empty((iterations, k_chains, dim))
@@ -513,17 +640,16 @@ def regional_ess_segment(points, regions, log_pis, comps, quads, mixture: Mixtur
         sin_t = np.fromiter(map(sin, angles), float, n)[:, None]
         e = ellipse.take(idx, axis=0)
         x_prop = e[:, :dim] * cos_t + e[:, dim:2 * dim] * sin_t + e[:, 2 * dim:3 * dim]
-        while True:
-            try:
-                log_pi_prop = log_pi_rows(target, x_prop, active)
-                break
-            except ChainFailure as exc:
-                fail(exc.chain, exc.cause)
-                keep = [row for row, k in enumerate(active) if k != exc.chain]
-                active = [active[row] for row in keep]
-                idx, x_prop, e = idx[keep], x_prop[keep], e[keep]
-        if not active:
-            continue
+        log_pi_prop, raised = _log_pi_held(target, x_prop)
+        if raised:
+            for row, exc in raised:
+                fail(active[row], exc)
+            failed = {row for row, _ in raised}
+            keep = [row for row in range(n) if row not in failed]
+            active = [active[row] for row in keep]
+            idx, x_prop, e, log_pi_prop = idx[keep], x_prop[keep], e[keep], log_pi_prop[keep]
+            if not active:
+                continue
         quad_prop = mahalanobis_sq(x_prop)
         comp_prop = from_quad(quad_prop)
         j = region_of(comp_prop)
@@ -556,16 +682,29 @@ def regional_ess_segment(points, regions, log_pis, comps, quads, mixture: Mixtur
             # The step ended: accepted, or the current point at the cap.
             summed[k] += rejections[k]
             ended = taken[k] + 1
-            taken[k] = ended
             if ended % per == 0:
+                # The iteration's jump follows, unless the target raised at
+                # its proposal: then the chain fails in this iteration.
+                cause = jump.failures.get((ended // per - 1, k))
+                if cause is not None:
+                    fail(k, cause)
+                    continue
                 record.append(k)
+            taken[k] = ended
             if ended < steps:
                 starting.append(k)
         active = still
         if record:
             rec = np.array(record)
-            # rows of the outputs' (I K) flattening, iteration-major
+            # rows of the outputs' and the jump block's (I K) flattening,
+            # iteration-major
             at = np.array([(taken[k] // per - 1) * k_chains + k for k in record])
+            jumped = _jump_accepts(jump.log_us[at], jump.log_ratios[at],
+                                   current[rec, log_pi_col], current[rec, comp_col:quad_col],
+                                   mixture)
+            if jumped.any():
+                current[rec[jumped]] = jump.rows[at[jumped]]
+                regions[rec[jumped]] = jump.regions[at[jumped]]
             flat_points[at] = current[rec, :dim]
             flat_regions[at] = regions.take(rec)
             flat_rejections[at] = [summed[k] for k in record]

@@ -28,14 +28,66 @@ from rgess.distributions import (
     ensure_spd,
     regularize_cov,
 )
-from rgess.runner import Kernel
+from rgess.runner import Kernel, RunError
 from rgess.samplers import (
     ChainState,
     StepOutcome,
+    _jump_accepts,
     gmrgess_step,
+    jump_block,
     mh_step,
     tmrgess_step,
 )
+
+
+# Criterion 3's 1-D target, 0.6 N(-2.5, 1) + 0.4 N(2.5, 1.5^2): its log
+# density, an exact sampler and its exact E[x], E[x^2] and P(x < 0).
+_LOG_W1, _LOG_W2 = math.log(0.6), math.log(0.4)
+_C1 = -0.5 * math.log(2.0 * math.pi * 1.0)
+_C2 = -0.5 * math.log(2.0 * math.pi * 2.25)
+BIMODAL_MEAN = 0.6 * -2.5 + 0.4 * 2.5
+BIMODAL_SECOND_MOMENT = 0.6 * (1.0 + 6.25) + 0.4 * (2.25 + 6.25)
+BIMODAL_P_NEGATIVE = (0.6 * 0.5 * math.erfc(-2.5 / math.sqrt(2.0))
+                      + 0.4 * 0.5 * math.erfc(2.5 / (1.5 * math.sqrt(2.0))))
+
+
+def bimodal_logpdf(x):
+    """Log density of criterion 3's target at the 1-D point ``x``."""
+    v = x[0]
+    a = _LOG_W1 + _C1 - 0.5 * (v + 2.5) ** 2
+    b = _LOG_W2 + _C2 - 0.5 * (v - 2.5) ** 2 / 2.25
+    m = a if a > b else b
+    return m + math.log(math.exp(a - m) + math.exp(b - m))
+
+
+def sample_bimodal(rng, n):
+    """``n`` exact draws from criterion 3's target, shape (n, 1)."""
+    left = rng.random(n) < 0.6
+    return np.where(left, -2.5 + rng.standard_normal(n),
+                    2.5 + 1.5 * rng.standard_normal(n))[:, None]
+
+
+def jump_chain(state, block, i, k, chains, mixture, target):
+    """Chain k's state after jump (i, k) of the ``JumpBlock`` ``block`` of
+    ``chains`` chains: the rule the batch applies, ``samplers._jump_accepts``,
+    on one row, from the log pi and component densities in ``state.cache``.
+    An accepted jump's state carries the proposal's values in its cache.
+    Raises the exception ``block.failures`` holds for (i, k)."""
+    cause = block.failures.get((i, k))
+    if cause is not None:
+        raise cause
+    row = i * chains + k
+    cache = state.cache
+    accepted = _jump_accepts(block.log_us[row:row + 1], block.log_ratios[row:row + 1],
+                             np.array([cache[3]]), cache[4][None], mixture)
+    if not accepted[0]:
+        return state
+    d, m = mixture.dim, mixture.n_components
+    values = block.rows[row]
+    point = values[:d].copy()
+    return ChainState(point=point, region=int(block.regions[row]),
+                      cache=(point, mixture, target.log_pi, float(values[d]),
+                             values[d + 1:d + 1 + m].copy(), values[d + 1 + m:].copy()))
 
 
 def two_cluster_samples(rng, n_per=500, center=10.0, sd=1.0):
@@ -619,12 +671,18 @@ def reference_chain_major_run(config, target):
     nothing between barriers give the same traces in either order. Every
     kernel is stepped one chain at a time with its public per-chain step
     function, also those ``run`` steps as one batch; the rgess kernel steps
-    ``gmrgess_step`` or ``tmrgess_step`` by the kind of the mixture.
+    ``gmrgess_step`` or ``tmrgess_step`` by the kind of the mixture, and
+    ends each iteration with the segment's jump, from ``jump_block`` on
+    ``run``'s jump seed, applied by :func:`jump_chain`.
+
+    A chain that raises stops; the others run on, and ``RunError`` names
+    the lowest failing (iteration, chain), as ``run`` does.
     """
     k_chains = config.chains
-    children = np.random.SeedSequence(config.master_seed).spawn(k_chains + 1)
+    children = np.random.SeedSequence(config.master_seed).spawn(k_chains + 2)
     rngs = [np.random.default_rng(child) for child in children[:k_chains]]
     adapt_rng = np.random.default_rng(children[k_chains])
+    jump_rng = np.random.default_rng(children[k_chains + 1])
     acfg = config.adaptation
     kernel = config.kernel
 
@@ -661,16 +719,30 @@ def reference_chain_major_run(config, target):
             mixture = refit(acfg, mixture, points, adapt_rng, update_index)
             history.append((start, mixture))
             states = [s._replace(region=mixture.assign_region(s.point)) for s in states]
+        block = None
+        if uses_mixture:
+            block = jump_block(mixture, target, jump_rng, end - start, k_chains)
+        failures = []
         for k in range(k_chains):
             state = states[k]
             for n in range(start, end):
                 rejections = 0
-                for _ in range(config.steps_per_iteration):
-                    outcome = step(state, rngs[k])
-                    state = outcome.next
-                    rejections += outcome.rejections
+                try:
+                    for _ in range(config.steps_per_iteration):
+                        outcome = step(state, rngs[k])
+                        state = outcome.next
+                        rejections += outcome.rejections
+                    if block is not None:
+                        state = jump_chain(state, block, n - start, k, k_chains, mixture,
+                                           target)
+                except Exception as exc:  # noqa: BLE001 - as run, any target error
+                    failures.append((n, k, exc))
+                    break
                 traces.points[k, n - 1] = state.point
                 traces.regions[k, n - 1] = state.region
                 traces.rejections[k, n - 1] = rejections
             states[k] = state
+        if failures:
+            n, k, exc = min(failures, key=lambda failure: failure[:2])
+            raise RunError(k, n, exc)
     return traces, history

@@ -19,6 +19,7 @@ from scipy.optimize import linear_sum_assignment, minimize
 
 from helpers import (
     assert_sa_matches_fd,
+    bimodal_logpdf as _bimodal_logpdf,
     min_distance_to_outliers,
     outlier_fixture,
     outlier_fixture_true_mixture,
@@ -129,19 +130,6 @@ def test_criterion_02():
 # ---------------------------------------------------------------------------
 # criterion 3: discretized stationarity oracle
 # ---------------------------------------------------------------------------
-
-_LOG_W1, _LOG_W2 = math.log(0.6), math.log(0.4)
-_C1 = -0.5 * math.log(2.0 * math.pi * 1.0)
-_C2 = -0.5 * math.log(2.0 * math.pi * 2.25)
-
-
-def _bimodal_logpdf(x):
-    v = x[0]
-    a = _LOG_W1 + _C1 - 0.5 * (v + 2.5) ** 2
-    b = _LOG_W2 + _C2 - 0.5 * (v - 2.5) ** 2 / 2.25
-    m = a if a > b else b
-    return m + math.log(math.exp(a - m) + math.exp(b - m))
-
 
 def _stationarity_tv(kernel_step, mixture, n_steps=1_000_000, burn=1000):
     target = TargetDensity(dim=1, log_pi=_bimodal_logpdf)

@@ -5,11 +5,20 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from helpers import reference_chain_major_run, reference_mh_step, trace_csv_bytes
+from helpers import jump_chain, reference_chain_major_run, reference_mh_step, trace_csv_bytes
 from rgess.adaptation import AdaptationConfig, Scheme, initial_mixture
+from rgess.cli import build_target, main as cli_main, resolve_config_source
+from rgess.config import build_experiment
 from rgess.distributions import Gaussian, MixtureModel
 from rgess.runner import Kernel, RunConfig, RunError, run
-from rgess.samplers import ChainState, TargetDensity, gmrgess_step, mh_step, tmrgess_step
+from rgess.samplers import (
+    ChainState,
+    TargetDensity,
+    gmrgess_step,
+    jump_block,
+    mh_step,
+    tmrgess_step,
+)
 from rgess.targets import gauss_mix_target
 
 
@@ -322,11 +331,15 @@ def _bounded_normal_target():
 def _first_failures(config):
     """``(iteration, target evaluations)`` at which each chain of ``run``
     first raises on the bounded target, stepped alone with its per-chain
-    kernel from ``run``'s seeds, or None when it never does. The config must
-    have no barrier."""
-    children = np.random.SeedSequence(config.master_seed).spawn(config.chains + 1)
-    rngs = [np.random.default_rng(child) for child in children[:-1]]
+    kernel from ``run``'s seeds and, for rgess, each iteration ended by its
+    jump from ``run``'s jump block, or None when it never does. Only the
+    steps' evaluations are counted: the block is evaluated before the
+    segment. The config must have no barrier."""
+    k_chains = config.chains
+    children = np.random.SeedSequence(config.master_seed).spawn(k_chains + 2)
+    rngs = [np.random.default_rng(child) for child in children[:k_chains]]
     points = [config.init.sample(rng) for rng in rngs]
+    jump = None
     if config.kernel is Kernel.MH:
         cov = config.mh_proposal_scale * np.eye(1)
 
@@ -334,13 +347,16 @@ def _first_failures(config):
             return mh_step(state, cov, target, rng)
     else:
         mixture = initial_mixture(config.adaptation, points,
-                                  np.random.default_rng(children[-1]))
+                                  np.random.default_rng(children[k_chains]))
         kernel = gmrgess_step if mixture.kind == "gaussian" else tmrgess_step
+        jump = jump_block(mixture, _bounded_normal_target(),
+                          np.random.default_rng(children[k_chains + 1]),
+                          config.iterations, k_chains)
 
         def step(state, target, rng):
             return kernel(state, mixture, target, rng)
     failures = []
-    for point, rng in zip(points, rngs):
+    for k, (point, rng) in enumerate(zip(points, rngs)):
         calls = [0]
         bounded = _bounded_normal_target()
 
@@ -356,6 +372,8 @@ def _first_failures(config):
             try:
                 for _ in range(config.steps_per_iteration):
                     state = step(state, target, rng).next
+                if jump is not None:
+                    state = jump_chain(state, jump, n - 1, k, k_chains, mixture, target)
             except ValueError:
                 failure = (n, calls[0])
                 break
@@ -381,7 +399,7 @@ class TestFailureOrder:
     stops, and the others run until none can fail lower."""
 
     @pytest.mark.parametrize("kernel, scheme, seed", [
-        (Kernel.RGESS, Scheme.EM_GMM, 562),
+        (Kernel.RGESS, Scheme.EM_GMM, 137),
         (Kernel.RGESS, Scheme.EM_TMM, 19),
         (Kernel.MH, Scheme.EM_GMM, 4),
     ], ids=["gaussian", "student_t", "mh"])
@@ -394,37 +412,52 @@ class TestFailureOrder:
         # through the segment first.
         assert n1 < n0
         assert kernel is Kernel.MH or calls0 < calls1
-        with pytest.raises(RunError, match="beyond the bound") as info:
-            run(config, _bounded_normal_target())
-        assert (info.value.iteration, info.value.chain) == (n1, 1)
+        for runner in (run, reference_chain_major_run):
+            with pytest.raises(RunError, match="beyond the bound") as info:
+                runner(config, _bounded_normal_target())
+            assert (info.value.iteration, info.value.chain) == (n1, 1)
 
-    @pytest.mark.parametrize("scheme, seed", [(Scheme.EM_GMM, 1), (Scheme.EM_TMM, 700)],
+    @pytest.mark.parametrize("scheme, seed", [(Scheme.EM_GMM, 1), (Scheme.EM_TMM, 188)],
                              ids=["gaussian", "student_t"])
     def test_lowest_chain_of_the_iteration_is_named(self, scheme, seed):
         # both chains fail in the same iteration
         config = _failing_config(Kernel.RGESS, scheme, seed)
         (n0, _), (n1, _) = _first_failures(config)
         assert n0 == n1
-        with pytest.raises(RunError, match="beyond the bound") as info:
-            run(config, _bounded_normal_target())
-        assert (info.value.iteration, info.value.chain) == (n0, 0)
+        for runner in (run, reference_chain_major_run):
+            with pytest.raises(RunError, match="beyond the bound") as info:
+                runner(config, _bounded_normal_target())
+            assert (info.value.iteration, info.value.chain) == (n0, 0)
 
 
-def _normal_raising_at(point, batch):
-    """The 1-D standard normal, whose ``log_pi`` raises ``ZeroDivisionError``
-    at ``point`` alone; with ``batch``, so does its ``log_pi_batch`` at any
-    set of rows that holds ``point``."""
-    def log_pi(x):
-        if np.array_equal(x, point):
+def _raising_at(target, points, batch):
+    """``target``, whose ``log_pi`` raises ``ZeroDivisionError`` at each of
+    ``points`` alone; with ``batch``, so does its ``log_pi_batch`` at any
+    set of rows that holds one of them, and without, it has none."""
+    points = np.asarray(points)
+
+    def check(xs):
+        if (xs[:, None, :] == points[None]).all(axis=2).any():
             raise ZeroDivisionError("division by zero")
-        return -0.5 * float(x @ x)
+
+    def log_pi(x):
+        check(x[None])
+        return target.log_pi(x)
 
     def log_pi_batch(xs):
-        if (xs == point).all(axis=1).any():
-            raise ZeroDivisionError("division by zero")
-        return -0.5 * (xs[:, 0] * xs[:, 0])
+        check(xs)
+        return target.log_pi_batch(xs)
 
-    return TargetDensity(dim=1, log_pi=log_pi, log_pi_batch=log_pi_batch if batch else None)
+    return TargetDensity(dim=target.dim, log_pi=log_pi,
+                         log_pi_batch=log_pi_batch if batch else None)
+
+
+def _normal_raising_at(points, batch):
+    """The 1-D standard normal, raising at each of ``points``: see
+    :func:`_raising_at`."""
+    normal = TargetDensity(dim=1, log_pi=lambda x: -0.5 * float(x @ x),
+                           log_pi_batch=lambda xs: -0.5 * (xs[:, 0] * xs[:, 0]))
+    return _raising_at(normal, points, batch)
 
 
 class TestTargetExceptions:
@@ -454,7 +487,7 @@ class TestTargetExceptions:
         assert clean.rejections[chain, iteration - 1] == 0 or kernel is Kernel.RGESS
         assert not np.array_equal(point, clean.points[chain, iteration - 2])
         with pytest.raises(RunError) as info:
-            run(config, _normal_raising_at(point, batch))
+            run(config, _normal_raising_at([point], batch))
         assert (info.value.chain, info.value.iteration) == (chain, iteration)
         assert type(info.value.cause) is ZeroDivisionError
         assert str(info.value) == "chain 2 failed at iteration 13: division by zero"
@@ -468,3 +501,72 @@ class TestTargetExceptions:
         target = TargetDensity(dim=1, log_pi=_std_normal_target(1).log_pi,
                                log_pi_batch=broken_batch)
         assert run(config, target).traces == run(config, _std_normal_target(1)).traces
+
+
+def _jump_proposals(config, history, dim):
+    """Every jump proposal of an rgess run of ``config`` whose mixture
+    history is ``history``, shape (N, K, D): ``[n - 1, k]`` ends chain k's
+    iteration n. Replays ``run``'s jump seed; the proposals do not depend
+    on the target."""
+    k_chains = config.chains
+    children = np.random.SeedSequence(config.master_seed).spawn(k_chains + 2)
+    rng = np.random.default_rng(children[k_chains + 1])
+    starts = [max(iteration, 1) for iteration, _ in history]
+    ends = starts[1:] + [config.iterations + 1]
+    flat = _std_normal_target(dim)
+    blocks = [jump_block(mixture, flat, rng, end - start, k_chains).rows[:, :dim]
+              for (_, mixture), start, end in zip(history, starts, ends)]
+    return np.concatenate(blocks).reshape(config.iterations, k_chains, dim)
+
+
+class TestJumpFailures:
+    """A target exception at jump proposal (iteration n, chain k) is chain
+    k's failure at iteration n. The segment's block is evaluated before the
+    segment, so the exception is held until chain k ends iteration n's
+    steps, and ``RunError`` names it only if no lower (iteration, chain)
+    fails while stepping. ``run`` and the chain-major reference name the
+    same failure."""
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["rows", "batch"])
+    @pytest.mark.parametrize("jump_at, step_at, named", [
+        ((13, 2), None, (13, 2)),  # a jump of the second segment
+        ((7, 0), (4, 3), (4, 3)),  # a higher chain steps into an earlier failure
+        ((7, 1), (4, 1), (4, 1)),  # the chain fails before it reaches its jump
+        ((5, 0), (5, 3), (5, 0)),  # the lower chain's jump, in the same iteration
+    ], ids=["jump", "earlier-step", "same-chain", "lower-chain"])
+    def test_lowest_failure_is_named(self, jump_at, step_at, named, batch):
+        config = TestTargetExceptions._config(Kernel.RGESS)
+        clean = run(config, _std_normal_target(1))
+        proposals = _jump_proposals(config, clean.mixture_history, 1)
+        raising = [proposals[jump_at[0] - 1, jump_at[1]]]
+        if step_at is not None:
+            n, k = step_at
+            point = clean.traces.points[k, n - 1]
+            # an ESS step's point: neither the jump proposal nor the last point
+            assert not np.array_equal(point, proposals[n - 1, k])
+            assert not np.array_equal(point, clean.traces.points[k, n - 2])
+            raising.append(point)
+        target = _normal_raising_at(raising, batch)
+        for runner in (run, reference_chain_major_run):
+            with pytest.raises(RunError) as info:
+                runner(config, target)
+            assert (info.value.iteration, info.value.chain) == named, runner.__name__
+            assert type(info.value.cause) is ZeroDivisionError
+
+    def test_cli_run_exits_two_and_leaves_no_directory(self, tmp_path, monkeypatch, capsys):
+        sets = {"run.iterations": "30", "run.burn_in": "10", "run.chains": "8"}
+        entries = resolve_config_source("gauss-mix-tmrgess")
+        entries.update(sets)
+        exp = build_experiment(entries)
+        target, extras = build_target(exp)
+        clean = run(exp.run_config, target)
+        proposals = _jump_proposals(exp.run_config, clean.mixture_history, 2)
+        raising = _raising_at(target, [proposals[24, 3]], batch=True)
+        monkeypatch.setattr("rgess.cli.build_target", lambda _exp: (raising, extras))
+        out = tmp_path / "out"
+        args = ["run", "gauss-mix-tmrgess", "--out", str(out)]
+        for key, value in sets.items():
+            args += ["--set", f"{key}={value}"]
+        assert cli_main(args) == 2
+        assert "chain 3 failed at iteration 25: division by zero" in capsys.readouterr().err
+        assert not out.exists()

@@ -11,10 +11,16 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from helpers import (
+    BIMODAL_MEAN,
+    BIMODAL_P_NEGATIVE,
+    BIMODAL_SECOND_MOMENT,
+    bimodal_logpdf,
+    jump_chain,
     random_mixture_stacks,
     reference_mixture,
     reference_regional_ess_step,
     reference_regional_mh_step,
+    sample_bimodal,
 )
 from rgess.distributions import Gaussian, MixtureModel, StudentT
 from rgess.samplers import (
@@ -22,8 +28,10 @@ from rgess.samplers import (
     ChainFailure,
     ChainState,
     TargetDensity,
+    _jump_accepts,
     ess_step,
     gmrgess_step,
+    jump_block,
     log_pi_rows,
     mh_step,
     regional_ess_segment,
@@ -401,15 +409,17 @@ def _batch_step(points, mixture, target):
     regions = comps.argmax(axis=1)
     log_pis = log_pi_rows(target, points, range(len(points)))
     rngs = [np.random.default_rng(k) for k in range(len(points))]
+    jump = jump_block(mixture, target, np.random.default_rng(len(points)), 1, len(points))
     return regional_ess_segment(points, regions, log_pis, comps, quads, mixture, target,
-                                rngs, 1, 1)
+                                rngs, 1, 1, jump)
 
 
 @st.composite
 def _batch_case(draw):
     """A random Gaussian or t pseudo-prior mixture (M in 1..4, D in 1..9),
     a random Gaussian-mixture target of the same dimension, K in 1..6
-    starting points drawn from the target, and a generator seed per chain."""
+    starting points drawn from the target, and a generator seed per chain,
+    the last for the jump block."""
     kind = draw(st.sampled_from(["gaussian", "student_t"]))
     m = draw(st.integers(1, 4))
     d = draw(st.integers(1, 9))
@@ -418,19 +428,20 @@ def _batch_case(draw):
     mixture = reference_mixture(*random_mixture_stacks(rng, kind, m, d))
     target_mix = reference_mixture(*random_mixture_stacks(rng, "gaussian", 3, d))
     points = np.stack([target_mix.sample(rng) for _ in range(k)])
-    seeds = rng.integers(2**32, size=k).tolist()
+    seeds = rng.integers(2**32, size=k + 1).tolist()
     return mixture, TargetDensity(dim=d, log_pi=target_mix.log_density), points, seeds
 
 
 class TestBatchEqualsPerChainSteps:
     """A ``regional_ess_segment`` of one step over K chains equals K calls of
-    the per-chain kernel bit for bit: points, regions, rejections and the
-    generators' final states."""
+    the per-chain kernel, each followed by the chain's jump from the same
+    block, bit for bit: points, regions, rejections and the generators'
+    final states."""
 
     @settings(deadline=None, max_examples=100)
     @given(_batch_case())
     def test_one_step_bitwise(self, case):
-        mixture, target, points, seeds = case
+        mixture, target, points, (*seeds, jump_seed) = case
         step = gmrgess_step if mixture.kind == "gaussian" else tmrgess_step
         quads = mixture._mahalanobis_sq(points)
         comps = mixture._log_densities_from_quad(quads)
@@ -438,14 +449,16 @@ class TestBatchEqualsPerChainSteps:
         log_pis = log_pi_rows(target, points, range(len(points)))
         starts = points.copy()
         rngs = [np.random.default_rng(seed) for seed in seeds]
+        jump = jump_block(mixture, target, np.random.default_rng(jump_seed), 1, len(seeds))
         rejections = regional_ess_segment(points, regions, log_pis, comps, quads,
-                                          mixture, target, rngs, 1, 1)[2][0]
+                                          mixture, target, rngs, 1, 1, jump)[2][0]
         for k, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
             state = ChainState(point=starts[k], region=mixture.assign_region(starts[k]))
             out = step(state, mixture, target, rng)
-            assert out.next.point.tobytes() == points[k].tobytes()
-            assert out.next.region == regions[k]
+            state = jump_chain(out.next, jump, 0, k, len(seeds), mixture, target)
+            assert state.point.tobytes() == points[k].tobytes()
+            assert state.region == regions[k]
             assert out.rejections == rejections[k]
             assert rng.bit_generator.state == rngs[k].bit_generator.state
 
@@ -453,15 +466,16 @@ class TestBatchEqualsPerChainSteps:
 class TestSegmentEqualsChainMajorSteps:
     """A ``regional_ess_segment`` of 1-4 iterations of 1-3 steps over K
     chains equals each chain stepped alone through the segment with the
-    per-chain kernel, bit for bit: every iteration's points, regions and
-    rejection sums, the final state arrays and the generators' final
-    states. A small shrinkage cap makes steps end at the cap."""
+    per-chain kernel, with jump (i, k) of the same block after iteration
+    i's steps, bit for bit: every iteration's points, regions and rejection
+    sums, the final state arrays and the generators' final states. A small
+    shrinkage cap makes steps end at the cap."""
 
     @settings(deadline=None, max_examples=100)
     @given(_batch_case(), st.integers(1, 4), st.integers(1, 3),
            st.sampled_from([1, 3, MAX_SHRINK_ITERS]))
     def test_segment_bitwise(self, case, iterations, steps_per_iteration, cap):
-        mixture, target, points, seeds = case
+        mixture, target, points, (*seeds, jump_seed) = case
         step = gmrgess_step if mixture.kind == "gaussian" else tmrgess_step
         quads = mixture._mahalanobis_sq(points)
         comps = mixture._log_densities_from_quad(quads)
@@ -469,11 +483,13 @@ class TestSegmentEqualsChainMajorSteps:
         log_pis = log_pi_rows(target, points, range(len(points)))
         starts = points.copy()
         rngs = [np.random.default_rng(seed) for seed in seeds]
+        jump = jump_block(mixture, target, np.random.default_rng(jump_seed), iterations,
+                          len(seeds))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("rgess.samplers.MAX_SHRINK_ITERS", cap)
             got_points, got_regions, got_rejections = regional_ess_segment(
                 points, regions, log_pis, comps, quads, mixture, target, rngs,
-                iterations, steps_per_iteration)
+                iterations, steps_per_iteration, jump)
             for k, seed in enumerate(seeds):
                 rng = np.random.default_rng(seed)
                 state = ChainState(point=starts[k], region=mixture.assign_region(starts[k]))
@@ -482,6 +498,7 @@ class TestSegmentEqualsChainMajorSteps:
                     for _ in range(steps_per_iteration):
                         out = step(state, mixture, target, rng)
                         state, rejections = out.next, rejections + out.rejections
+                    state = jump_chain(state, jump, i, k, len(seeds), mixture, target)
                     assert state.point.tobytes() == got_points[i, k].tobytes()
                     assert state.region == got_regions[i, k]
                     assert rejections == got_rejections[i, k]
@@ -525,7 +542,7 @@ class TestCarriedDistancesStayFresh:
     @settings(deadline=None, max_examples=60)
     @given(_batch_case())
     def test_per_chain_kernels(self, case):
-        mixture, target, points, seeds = case
+        mixture, target, points, (*seeds, _) = case
         ess = gmrgess_step if mixture.kind == "gaussian" else tmrgess_step
         for step in (ess, regional_mh_step):
             for x, seed in zip(points, seeds):
@@ -541,17 +558,21 @@ class TestCarriedDistancesStayFresh:
     @settings(deadline=None, max_examples=60)
     @given(_batch_case())
     def test_batch(self, case):
-        mixture, target, points, seeds = case
+        mixture, target, points, (*seeds, jump_seed) = case
         quads = mixture._mahalanobis_sq(points)
         comps = mixture._log_densities_from_quad(quads)
         regions = mixture._region_of(comps)
         log_pis = log_pi_rows(target, points, range(len(points)))
         rngs = [np.random.default_rng(seed) for seed in seeds]
+        jump_rng = np.random.default_rng(jump_seed)
         for _ in range(4):
+            jump = jump_block(mixture, target, jump_rng, 1, len(seeds))
             regional_ess_segment(points, regions, log_pis, comps, quads, mixture, target,
-                                 rngs, 1, 1)
+                                 rngs, 1, 1, jump)
             for k, x in enumerate(points):
                 _assert_carried_values_fresh(x, quads[k], comps[k], mixture)
+                assert log_pis[k] == target.log_pi(x)
+                assert regions[k] == mixture.assign_region(x)
 
 
 # Pseudo-prior mixtures and target of the criterion-3 stationarity check.
@@ -793,3 +814,132 @@ class TestMhStep:
         out = mh_step(state, np.eye(2), target, np.random.default_rng(1))
         assert out.rejections == 1
         assert out.next.point is anchor
+
+
+def _mixture_as_target(mixture):
+    """``mixture``'s log density as a target whose batch evaluates it
+    exactly as the jump block evaluates log g."""
+    return TargetDensity(
+        dim=mixture.dim, log_pi=mixture.log_density,
+        log_pi_batch=lambda xs: mixture._log_mixture(mixture._log_densities(xs)))
+
+
+def _jump_case(kind, chains, seed):
+    """A random two-component mixture of ``kind`` in 2-D and ``chains``
+    points drawn from it."""
+    rng = np.random.default_rng(seed)
+    mixture = reference_mixture(*random_mixture_stacks(rng, kind, 2, 2))
+    return mixture, np.stack([mixture.sample(rng) for _ in range(chains)])
+
+
+class TestJumpRule:
+    """The mixture-independence jump: its acceptance rule and what
+    ``jump_block`` hands it."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "student_t"])
+    def test_every_jump_accepted_when_g_is_the_target(self, kind):
+        # log pi - log g is 0 at every point, so log u < 0 accepts
+        mixture, points = _jump_case(kind, 6, 5)
+        target = _mixture_as_target(mixture)
+        quads = mixture._mahalanobis_sq(points)
+        comps = mixture._log_densities_from_quad(quads)
+        regions = mixture._region_of(comps)
+        log_pis = log_pi_rows(target, points, range(6))
+        rngs = [np.random.default_rng(k) for k in range(6)]
+        jump = jump_block(mixture, target, np.random.default_rng(6), 3, 6)
+        assert np.all(jump.log_ratios == 0.0)
+        got_points, got_regions, _ = regional_ess_segment(
+            points, regions, log_pis, comps, quads, mixture, target, rngs, 3, 2, jump)
+        assert got_points.reshape(-1, 2).tobytes() == jump.rows[:, :2].tobytes()
+        assert np.array_equal(got_regions.reshape(-1), jump.regions)
+
+    def test_block_must_cover_every_iteration_and_chain(self):
+        mixture, points = _jump_case("gaussian", 3, 12)
+        target = _mixture_as_target(mixture)
+        quads = mixture._mahalanobis_sq(points)
+        comps = mixture._log_densities_from_quad(quads)
+        jump = jump_block(mixture, target, np.random.default_rng(13), 2, 3)
+        with pytest.raises(ValueError, match="a jump block of 6 rows for 3 iterations"):
+            regional_ess_segment(points, mixture._region_of(comps),
+                                 log_pi_rows(target, points, range(3)), comps, quads,
+                                 mixture, target, [np.random.default_rng(k) for k in range(3)],
+                                 3, 1, jump)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "student_t"])
+    def test_minus_inf_proposal_never_accepted(self, kind):
+        mixture, points = _jump_case(kind, 2000, 7)
+        log_pi = mixture.log_density
+        target = TargetDensity(dim=2, log_pi=lambda x: -np.inf if x[0] > 0.0 else log_pi(x))
+        jump = jump_block(mixture, target, np.random.default_rng(8), 1, 2000)
+        outside = jump.rows[:, 0] > 0.0
+        assert 0 < outside.sum() < 2000
+        assert np.all(jump.log_ratios[outside] == -np.inf)
+        assert np.isfinite(jump.log_ratios[~outside]).all()
+        # a current point of tiny target density accepts every finite ratio
+        accepted = _jump_accepts(jump.log_us, jump.log_ratios, np.full(2000, -700.0),
+                                 mixture._log_densities(points), mixture)
+        assert not accepted[outside].any()
+        assert accepted[~outside].all()
+
+    def test_non_finite_proposal_is_rejected_unevaluated(self):
+        # dof 1e-3: the inverse-gamma scale overflows to inf for most rows
+        mixture = MixtureModel([0.5, 0.5], [StudentT([-1.0], [[1.0]], 1e-3),
+                                            StudentT([1.0], [[1.0]], 1e-3)])
+
+        def finite_only(x):
+            if not np.isfinite(x).all():
+                raise AssertionError(f"evaluated at {x}")
+            return -0.5 * float(x @ x)
+
+        target = TargetDensity(dim=1, log_pi=finite_only)
+        with np.errstate(all="raise"):
+            jump = jump_block(mixture, target, np.random.default_rng(9), 4, 50)
+        finite = np.isfinite(jump.rows[:, 0])
+        assert 0 < finite.sum() < 200
+        assert jump.failures == {}
+        assert np.all(jump.log_ratios[~finite] == -np.inf)
+
+    def test_target_exception_is_held_per_iteration_and_chain(self):
+        mixture, _ = _jump_case("gaussian", 1, 10)
+
+        def raising(x):
+            if x[0] > 0.0:
+                raise ZeroDivisionError("division by zero")
+            return 0.0
+
+        jump = jump_block(mixture, TargetDensity(dim=2, log_pi=raising),
+                          np.random.default_rng(11), 5, 8)
+        rows = np.flatnonzero(jump.rows[:, 0] > 0.0)
+        assert 0 < len(rows) < 40
+        assert set(jump.failures) == {divmod(int(r), 8) for r in rows}
+        assert all(type(exc) is ZeroDivisionError for exc in jump.failures.values())
+        assert np.all(jump.log_ratios[rows] == -np.inf)
+
+
+class TestJumpInvariance:
+    """One jump from N = 100k exact draws of criterion 3's target, under
+    its fixed Gaussian and t mixtures, leaves them exact draws: the z of
+    E[x], E[x^2] and P(x < 0) against their exact values, with iid standard
+    errors, stays within 4. A jump is Metropolis-Hastings with an
+    independence proposal, so this holds for any mixture."""
+
+    @pytest.mark.parametrize("seed", [3101, 3102])
+    @pytest.mark.parametrize("kind", ["gaussian", "student_t"])
+    def test_one_jump_from_exact_starts(self, kind, seed):
+        n = 100_000
+        mixture = _C3_MIXTURES[kind]()
+        target = TargetDensity(dim=1, log_pi=bimodal_logpdf)
+        rng = np.random.default_rng(seed)
+        starts = sample_bimodal(rng, n)
+        jump = jump_block(mixture, target, rng, 1, n)
+        accepted = _jump_accepts(jump.log_us, jump.log_ratios,
+                                 log_pi_rows(target, starts, range(n)),
+                                 mixture._log_densities(starts), mixture)
+        # enough mass moves for the check to see a wrong rule
+        assert 0.3 < accepted.mean() < 0.95
+        x = np.where(accepted, jump.rows[:, 0], starts[:, 0])
+        for values, exact in ((x, BIMODAL_MEAN), (x * x, BIMODAL_SECOND_MOMENT),
+                              (x < 0.0, BIMODAL_P_NEGATIVE)):
+            values = values.astype(float)
+            z = (values.mean() - exact) / (values.std() / math.sqrt(n))
+            assert abs(z) <= 4.0, (kind, seed, exact, z)
