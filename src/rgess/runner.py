@@ -9,29 +9,27 @@ chain 1, gives the same traces as any interleaving. A refit reads the
 chains' current points in chain order. Every iteration is recorded.
 
 ``run`` is one loop over segments: refit at the barrier, then
-``chains.segment``, which returns every iteration's points, regions and
-rejection sums as (I, K, ...) arrays. ``run`` copies them into the arrays of
-one :class:`rgess.diagnostics.Traces`, allocated for the whole run, so a
-run holds no object per recorded iteration.
+``chains.segment(mixture, ...)``, which returns every iteration's points,
+regions and rejection sums as (I, K, ...) arrays. ``run`` copies them into
+the arrays of one :class:`rgess.diagnostics.Traces`, allocated for the
+whole run, so a run holds no object per recorded iteration.
 
 ``run`` steps two kinds of chain. The regional ESS kernel (``rgess``)
-advances all chains as one batch: the runner keeps their points, regions,
-target and component log densities and squared Mahalanobis distances as
-arrays, and
-:func:`rgess.samplers.regional_ess_segment` evaluates one proposal of every
-chain still in the segment per round, a chain starting its next step in the
-round after its last one ended. Each chain still draws from its own
-generator through the per-chain kernels' draw routine,
+advances all chains as one batch: between barriers the runner keeps only
+their points and log pi, and :func:`rgess.samplers.regional_ess_segment`
+derives everything else from the segment's mixture. It evaluates one
+proposal of every chain still in the segment per round, a chain starting
+its next step in the round after its last one ended. Each chain still draws
+from its own generator through the per-chain kernels' draw routine,
 :func:`rgess.samplers._step_draws`, so the traces equal those of the
 per-chain kernels bit for bit. Every iteration of an rgess chain ends with
 one independence jump from the segment's mixture, which is not in the
-paper's algorithm (see :mod:`rgess.samplers`): right after each barrier the
-batch draws the segment's (I, K) block of proposals and accept draws from a
-generator of its own with :func:`rgess.samplers.jump_block`, and the
-segment applies jump (i, k) when chain k ends iteration i's steps, so a
-chain stepped alone with the per-chain kernels and then the same jumps
-gives the same trace. The mh kernel steps one chain at a time,
-chain-major, with no mixture and every chain in region 0.
+paper's algorithm (see :mod:`rgess.samplers`): each segment draws its
+(I, K) block of proposals and accept draws from the run's jump generator
+and applies jump (i, k) when chain k ends iteration i's steps, so a chain
+stepped alone with the per-chain kernels and then the same jumps gives the
+same trace. The mh kernel steps one chain at a time, chain-major, with no
+mixture and every chain in region 0.
 :func:`rgess.samplers.regional_mh_step` is a per-chain reference kernel
 that ``run`` does not step.
 
@@ -61,7 +59,6 @@ from .samplers import (  # noqa: F401 (gmrgess_step and tmrgess_step: see below)
     TargetDensity,
     _mh_step,
     gmrgess_step,
-    jump_block,
     log_pi_rows,
     regional_ess_segment,
     tmrgess_step,
@@ -156,9 +153,9 @@ class _MH:
         self.chol = np.linalg.cholesky(config.mh_proposal_scale * np.eye(config.init.dim))
         self.target = target
 
-    def segment(self, rngs, iterations: int, steps_per_iteration: int):
-        """``iterations`` iterations of every chain, chain-major; returns the
-        ``(points, regions, rejections)`` of
+    def segment(self, _mixture, rngs, iterations: int, steps_per_iteration: int):
+        """``iterations`` iterations of every chain, chain-major, with no
+        mixture; returns the ``(points, regions, rejections)`` of
         :func:`rgess.samplers.regional_ess_segment`.
 
         A chain that fails stops, and the later chains run only the
@@ -191,30 +188,22 @@ class _MH:
 
 class _Batched:
     """Chains of a regional ESS kernel, stepped together by
-    :func:`rgess.samplers.regional_ess_segment`."""
+    :func:`rgess.samplers.regional_ess_segment`; between barriers their
+    state is their points and log pi."""
 
-    def __init__(self, target: TargetDensity, points, mixture: MixtureModel, jump_rng):
+    def __init__(self, target: TargetDensity, points, jump_rng):
         self.target = target
         self.jump_rng = jump_rng
         self.points = np.array(points, dtype=float)
         self.log_pis = log_pi_rows(target, self.points, range(len(self.points)))
-        self.set_mixture(mixture)
-
-    def set_mixture(self, mixture: MixtureModel):
-        self.mixture = mixture
-        self.quads = mixture._mahalanobis_sq(self.points)
-        self.comps = mixture._log_densities_from_quad(self.quads)
-        self.regions = mixture._region_of(self.comps)
 
     def snapshot(self) -> list:
         return list(self.points.copy())
 
-    def segment(self, rngs, iterations: int, steps_per_iteration: int):
-        """The segment's jump block, from ``jump_rng``, then the segment."""
-        jump = jump_block(self.mixture, self.target, self.jump_rng, iterations, len(rngs))
-        return regional_ess_segment(self.points, self.regions, self.log_pis, self.comps,
-                                    self.quads, self.mixture, self.target, rngs,
-                                    iterations, steps_per_iteration, jump)
+    def segment(self, mixture: MixtureModel, rngs, iterations: int,
+                steps_per_iteration: int):
+        return regional_ess_segment(self.points, self.log_pis, mixture, self.target, rngs,
+                                    self.jump_rng, iterations, steps_per_iteration)
 
 
 def _check_target(config: RunConfig, target: TargetDensity) -> None:
@@ -233,9 +222,9 @@ def run(config: RunConfig, target: TargetDensity) -> RunResult:
     adaptation from the (K + 1)-th and the rgess kernel's jumps from the
     last, so the chains' and the refits' streams are those of K + 1 seeds.
     At a barrier the mixture is refitted from
-    the pooled points that existed before the barrier's iteration, all chain
-    regions are reassigned under the new mixture, and only then do chains
-    advance, through the segment up to the next barrier.
+    the pooled points that existed before the barrier's iteration, and the
+    segment up to the next barrier assigns every chain its region under the
+    new mixture before any chain advances.
     """
     _check_target(config, target)
 
@@ -255,8 +244,7 @@ def run(config: RunConfig, target: TargetDensity) -> RunResult:
         mixture = initial_mixture(acfg, points, adapt_rng)
         mixture_history.append((0, mixture))
         try:
-            chains = _Batched(target, points, mixture,
-                              np.random.default_rng(children[k_chains + 1]))
+            chains = _Batched(target, points, np.random.default_rng(children[k_chains + 1]))
         except ChainFailure as exc:
             raise RunError(exc.chain, 1, exc.cause) from exc
 
@@ -275,9 +263,8 @@ def run(config: RunConfig, target: TargetDensity) -> RunResult:
         if update_index:
             mixture = refit(acfg, mixture, chains.snapshot(), adapt_rng, update_index)
             mixture_history.append((start, mixture))
-            chains.set_mixture(mixture)
         try:
-            points, regions, rejections = chains.segment(rngs, end - start,
+            points, regions, rejections = chains.segment(mixture, rngs, end - start,
                                                          config.steps_per_iteration)
         except ChainFailure as exc:
             raise RunError(exc.chain, start + exc.iteration, exc.cause) from exc

@@ -17,13 +17,15 @@ The regional kernels keep the current point's squared Mahalanobis distances
 to every component (``MixtureModel._mahalanobis_sq``) with it, next to the
 component log densities built from them
 (``MixtureModel._log_densities_from_quad``): in ``ChainState.cache``, and in
-the ``quads`` and ``comps`` arrays of :func:`regional_ess_segment`. Both t
+each chain's packed state row inside :func:`regional_ess_segment`. Both t
 kernels take the rate of the auxiliary inverse-gamma scale, (nu + d^2)/2,
 from those distances, the ones the component densities and EM's expected
 precisions are built on, so no distance is computed twice.
 
 :func:`regional_ess_segment` steps many chains through a segment of
-iterations, the iterations between two refit barriers, in rounds. Each round
+iterations, the iterations between two refit barriers, in rounds. Between
+barriers a chain's state is its point and log pi; the segment derives
+everything else from its mixture on entry. Each round
 evaluates one proposal of every chain still in the segment in one call, and
 a chain that ends a step starts its next one in the next round. It draws
 from each chain's generator in the per-chain kernels' order, so every
@@ -38,10 +40,10 @@ independence proposal, so it leaves pi invariant for a fixed mixture, and
 so does its composition with the ESS steps (Tierney 1994). It is not in the
 paper's algorithm: it lets chains cross between well-separated modes, which
 the regional steps alone do not. The proposals do not depend on the
-chains, so :func:`jump_block` draws a segment's whole block from a
-generator of its own and evaluates it in one call each for the target and
-the densities, and :func:`_jump_accepts` is the one acceptance rule, over
-rows.
+chains, so the segment draws its whole block on entry with
+:func:`jump_block`, from a generator of its own, and evaluates it in one
+call each for the target and the densities; :func:`_jump_accepts` is the
+one acceptance rule, over rows.
 
 :func:`gmrgess_step` and :func:`tmrgess_step` stay for single chains
 (criterion 3, the kernel-1d benchmark), which they step three to five times
@@ -92,7 +94,8 @@ class TargetDensity:
 
     ``log_pi_batch``, if given, maps an (n, D) array to the (n,) values of
     ``log_pi`` at its rows, each equal to ``log_pi`` at that row bit for bit.
-    Without it, batched stepping calls ``log_pi`` once per row.
+    Without it, or when it raises or returns another shape, batched stepping
+    calls ``log_pi`` once per row.
     """
 
     __slots__ = ("dim", "log_pi", "log_pi_batch")
@@ -334,12 +337,15 @@ def _log_pi_held(target: TargetDensity, points: np.ndarray):
     ``target.log_pi_batch`` when the target has one, and ``(row,
     exception)`` for each row at which ``log_pi`` raised an exception of any
     type, in row order; those rows' values are nan. When ``log_pi_batch``
-    raises, every row is evaluated again with ``log_pi``, which the
-    contract makes equal bit for bit, so the raising rows are found."""
+    raises, or returns a result whose shape is not (n,), every row is
+    evaluated again with ``log_pi``, which the contract makes equal bit for
+    bit, so the raising rows are found."""
     batch = target.log_pi_batch
     if batch is not None:
         try:
-            return np.asarray(batch(points), dtype=float), []
+            values = np.asarray(batch(points), dtype=float)
+            if values.shape == (len(points),):
+                return values, []
         except Exception:  # noqa: BLE001 - the row loop finds the raising rows
             pass
     log_pi = target.log_pi
@@ -360,7 +366,7 @@ def log_pi_rows(target: TargetDensity, points: np.ndarray, chains) -> np.ndarray
 
     Row r belongs to chain ``chains[r]``: an exception of ``log_pi`` at that
     row, of any type, is raised as :class:`ChainFailure` of that chain. When
-    ``log_pi_batch`` raises, the rows are evaluated again one at a time with
+    ``log_pi_batch`` fails, the rows are evaluated again one at a time with
     ``log_pi``, which the contract makes equal bit for bit, so the failure
     names the chain of the first row that raises.
     """
@@ -469,23 +475,22 @@ def _entry_failures(points, log_pis, aux, aux_message) -> list:
     return failures
 
 
-def regional_ess_segment(points, regions, log_pis, comps, quads, mixture: MixtureModel,
-                         target: TargetDensity, rngs, iterations: int,
-                         steps_per_iteration: int, jump: JumpBlock):
+def regional_ess_segment(points, log_pis, mixture: MixtureModel, target: TargetDensity,
+                         rngs, jump_rng, iterations: int, steps_per_iteration: int):
     """``iterations`` iterations for each of K chains, each iteration
     ``steps_per_iteration`` :func:`gmrgess_step` or :func:`tmrgess_step`
-    steps (by the mixture's kind) and then one mixture-independence jump
-    from ``jump``, the segment's :class:`JumpBlock` from :func:`jump_block`;
+    steps (by the mixture's kind) and then one mixture-independence jump;
     returns ``(points, regions, rejections)`` at the end of every iteration,
     after its jump, of shapes (I, K, D), (I, K) and (I, K), the last the ESS
     shrink rejections summed over the iteration's steps. Jumps count in no
     column.
 
-    The chains' state is five arrays, updated in place: ``points`` (K, D),
-    ``regions`` (K,), ``log_pis`` (K,) and ``comps`` (K, M), the target and
-    component log densities at ``points`` under ``mixture``, and ``quads``
-    (K, M), the squared Mahalanobis distances of ``points`` that ``comps``
-    is built from (``MixtureModel._mahalanobis_sq``).
+    Between barriers the chains' state is ``points`` (K, D) and ``log_pis``
+    (K,), the target at them, updated in place. On entry the segment
+    derives the rest from the points under ``mixture``: the squared
+    Mahalanobis distances (``MixtureModel._mahalanobis_sq``), the component
+    log densities and the regions. It draws its :class:`JumpBlock` from
+    ``jump_rng`` with :func:`jump_block`.
 
     The driver works in rounds. Each round proposes one point for every
     chain in the middle of a step and evaluates the target and the
@@ -497,31 +502,34 @@ def regional_ess_segment(points, regions, log_pis, comps, quads, mixture: Mixtur
     a round is computed on its own, so each chain's points, regions and
     rejections equal the per-chain kernel's bit for bit.
 
-    Jump (i, k), row i K + k of ``jump``, is applied in the round in which
+    Jump (i, k), row i K + k of the block, is applied in the round in which
     chain k ends the last step of iteration i, before the iteration is
     recorded, so it adds no round. :func:`_jump_accepts` decides it from
     the chain's current log pi and component densities; an accepted jump
     writes the proposal's point, log pi, component densities, distances and
     region into the chain's state, so the next step starts from fresh
     values. A chain stepped alone by the per-chain kernel, with jump (i, k)
-    applied by the same rule after iteration i's steps, gives the batch's
-    results bit for bit.
+    of an equally seeded block applied by the same rule after iteration i's
+    steps, gives the batch's results bit for bit.
 
     A chain that cannot start a step fails: a non-finite point or current
     ``log_pi``, an infinite auxiliary rate (t mixtures) or a non-finite
     density of the current region's component (Gaussian mixtures). So does a
     chain whose target evaluation raises any exception, and chain k when it
-    ends iteration i's steps and ``jump.failures`` holds an exception for
-    (i, k). A failed chain stops; the others run until none can fail at a
-    lower (iteration, chain), and then :class:`ChainFailure` is raised for
+    ends iteration i's steps and the block's ``failures`` holds an exception
+    for (i, k). A failed chain stops; the others run until none can fail at
+    a lower (iteration, chain), and then :class:`ChainFailure` is raised for
     the lowest, with its ``iteration`` the 0-based index of the segment's
     iteration.
     """
     k_chains, dim = points.shape
+    # A huge point's distances overflow; the entry check fails its chain.
+    with np.errstate(over="ignore", invalid="ignore"):
+        quads = mixture._mahalanobis_sq(points)
+        comps = mixture._log_densities_from_quad(quads)
+    regions = mixture._region_of(comps)
     m = comps.shape[1]
-    if len(jump.log_us) != iterations * k_chains:
-        raise ValueError(f"a jump block of {len(jump.log_us)} rows for {iterations} "
-                         f"iterations of {k_chains} chains")
+    jump = jump_block(mixture, target, jump_rng, iterations, k_chains)
     per = steps_per_iteration
     steps = iterations * per
     out_points = np.empty((iterations, k_chains, dim))
@@ -713,8 +721,6 @@ def regional_ess_segment(points, regions, log_pis, comps, quads, mixture: Mixtur
 
     points[:] = current[:, :dim]
     log_pis[:] = current[:, log_pi_col]
-    comps[:] = current[:, comp_col:quad_col]
-    quads[:] = current[:, quad_col:]
     if lowest is not None:
         iteration, chain, cause = lowest
         raise ChainFailure(chain, cause, iteration)

@@ -157,9 +157,14 @@ class Dataset:
 
 
 def _standardize_split(train_x, test_x):
+    """Standardize both splits by the training split's mean and sd; a
+    constant training column, whose coefficient is unidentified, raises."""
     mean = train_x.mean(axis=0)
     sd = train_x.std(axis=0)
-    sd = np.where(sd < 1e-12, 1.0, sd)
+    constant = np.flatnonzero(sd < 1e-12)
+    if len(constant):
+        raise ValueError(f"feature column {constant[0]} (0-based) is constant over the "
+                         f"{len(train_x)} training rows; its coefficient is not identified")
     return (train_x - mean) / sd, (test_x - mean) / sd, mean, sd
 
 

@@ -343,6 +343,7 @@ class TestCmdRun:
         ("n_test=-5", "n_test must be >= 0, got -5"),
         ("n_features=0", "n_features must be >= 1, got 0"),
         ("beta_scale=nan", "beta_scale must be finite and positive, got nan"),
+        ("n_train=1", "feature column 0 (0-based) is constant over the 1 training rows"),
     ])
     def test_logistic_synth_without_data_exits_one_writes_nothing(self, tmp_path, capsys,
                                                                   setting, message):

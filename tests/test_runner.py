@@ -502,6 +502,17 @@ class TestTargetExceptions:
                                log_pi_batch=broken_batch)
         assert run(config, target).traces == run(config, _std_normal_target(1)).traces
 
+    @pytest.mark.parametrize("wrong", [lambda v: v[:, None], lambda v: v[:-1], lambda v: v[0]],
+                             ids=["column", "short", "scalar"])
+    def test_batch_of_another_shape_falls_back_to_rows(self, wrong):
+        config = self._config(Kernel.RGESS)
+        target = TargetDensity(dim=1, log_pi=_std_normal_target(1).log_pi,
+                               log_pi_batch=lambda xs: wrong(-0.5 * (xs[:, 0] * xs[:, 0])))
+        got = run(config, target).traces
+        expected = run(config, _std_normal_target(1)).traces
+        for field in ("points", "regions", "rejections"):
+            assert getattr(got, field).tobytes() == getattr(expected, field).tobytes()
+
 
 def _jump_proposals(config, history, dim):
     """Every jump proposal of an rgess run of ``config`` whose mixture

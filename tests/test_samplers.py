@@ -400,27 +400,21 @@ class TestNonFiniteStart:
 
 
 def _batch_step(points, mixture, target):
-    """A ``regional_ess_segment`` of one step from ``points``, regions
-    assigned."""
+    """A ``regional_ess_segment`` of one step from ``points``."""
     points = np.array(points, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        quads = mixture._mahalanobis_sq(points)
-        comps = mixture._log_densities_from_quad(quads)
-    regions = comps.argmax(axis=1)
     log_pis = log_pi_rows(target, points, range(len(points)))
     rngs = [np.random.default_rng(k) for k in range(len(points))]
-    jump = jump_block(mixture, target, np.random.default_rng(len(points)), 1, len(points))
-    return regional_ess_segment(points, regions, log_pis, comps, quads, mixture, target,
-                                rngs, 1, 1, jump)
+    return regional_ess_segment(points, log_pis, mixture, target, rngs,
+                                np.random.default_rng(len(points)), 1, 1)
 
 
 @st.composite
-def _batch_case(draw):
-    """A random Gaussian or t pseudo-prior mixture (M in 1..4, D in 1..9),
-    a random Gaussian-mixture target of the same dimension, K in 1..6
-    starting points drawn from the target, and a generator seed per chain,
-    the last for the jump block."""
-    kind = draw(st.sampled_from(["gaussian", "student_t"]))
+def _batch_case(draw, kinds=("gaussian", "student_t")):
+    """A random pseudo-prior mixture of one of ``kinds`` (M in 1..4, D in
+    1..9), a random Gaussian-mixture target of the same dimension, K in
+    1..6 starting points drawn from the target, and a generator seed per
+    chain, the last for the jump block."""
+    kind = draw(st.sampled_from(kinds))
     m = draw(st.integers(1, 4))
     d = draw(st.integers(1, 9))
     k = draw(st.integers(1, 6))
@@ -434,24 +428,22 @@ def _batch_case(draw):
 
 class TestBatchEqualsPerChainSteps:
     """A ``regional_ess_segment`` of one step over K chains equals K calls of
-    the per-chain kernel, each followed by the chain's jump from the same
-    block, bit for bit: points, regions, rejections and the generators'
-    final states."""
+    the per-chain kernel, each followed by the chain's jump from the block
+    that ``jump_block`` draws from an equally seeded generator, bit for bit:
+    points, regions, rejections and the generators' final states."""
 
     @settings(deadline=None, max_examples=100)
     @given(_batch_case())
     def test_one_step_bitwise(self, case):
         mixture, target, points, (*seeds, jump_seed) = case
         step = gmrgess_step if mixture.kind == "gaussian" else tmrgess_step
-        quads = mixture._mahalanobis_sq(points)
-        comps = mixture._log_densities_from_quad(quads)
-        regions = mixture._region_of(comps)
         log_pis = log_pi_rows(target, points, range(len(points)))
         starts = points.copy()
         rngs = [np.random.default_rng(seed) for seed in seeds]
+        _, regions, rejections = regional_ess_segment(
+            points, log_pis, mixture, target, rngs, np.random.default_rng(jump_seed), 1, 1)
         jump = jump_block(mixture, target, np.random.default_rng(jump_seed), 1, len(seeds))
-        rejections = regional_ess_segment(points, regions, log_pis, comps, quads,
-                                          mixture, target, rngs, 1, 1, jump)[2][0]
+        regions, rejections = regions[0], rejections[0]
         for k, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
             state = ChainState(point=starts[k], region=mixture.assign_region(starts[k]))
@@ -466,9 +458,10 @@ class TestBatchEqualsPerChainSteps:
 class TestSegmentEqualsChainMajorSteps:
     """A ``regional_ess_segment`` of 1-4 iterations of 1-3 steps over K
     chains equals each chain stepped alone through the segment with the
-    per-chain kernel, with jump (i, k) of the same block after iteration
-    i's steps, bit for bit: every iteration's points, regions and rejection
-    sums, the final state arrays and the generators' final states. A small
+    per-chain kernel, with jump (i, k) after iteration i's steps from the
+    block that ``jump_block`` draws from an equally seeded generator, bit
+    for bit: every iteration's points, regions and rejection sums, the
+    final points and log pi and the generators' final states. A small
     shrinkage cap makes steps end at the cap."""
 
     @settings(deadline=None, max_examples=100)
@@ -477,9 +470,6 @@ class TestSegmentEqualsChainMajorSteps:
     def test_segment_bitwise(self, case, iterations, steps_per_iteration, cap):
         mixture, target, points, (*seeds, jump_seed) = case
         step = gmrgess_step if mixture.kind == "gaussian" else tmrgess_step
-        quads = mixture._mahalanobis_sq(points)
-        comps = mixture._log_densities_from_quad(quads)
-        regions = mixture._region_of(comps)
         log_pis = log_pi_rows(target, points, range(len(points)))
         starts = points.copy()
         rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -488,8 +478,8 @@ class TestSegmentEqualsChainMajorSteps:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("rgess.samplers.MAX_SHRINK_ITERS", cap)
             got_points, got_regions, got_rejections = regional_ess_segment(
-                points, regions, log_pis, comps, quads, mixture, target, rngs,
-                iterations, steps_per_iteration, jump)
+                points, log_pis, mixture, target, rngs, np.random.default_rng(jump_seed),
+                iterations, steps_per_iteration)
             for k, seed in enumerate(seeds):
                 rng = np.random.default_rng(seed)
                 state = ChainState(point=starts[k], region=mixture.assign_region(starts[k]))
@@ -503,10 +493,7 @@ class TestSegmentEqualsChainMajorSteps:
                     assert state.region == got_regions[i, k]
                     assert rejections == got_rejections[i, k]
                 assert state.point.tobytes() == points[k].tobytes()
-                assert state.region == regions[k]
                 assert state.cache[3] == log_pis[k]
-                assert state.cache[4].tobytes() == comps[k].tobytes()
-                assert state.cache[5].tobytes() == quads[k].tobytes()
                 assert rng.bit_generator.state == rngs[k].bit_generator.state
 
 
@@ -535,9 +522,10 @@ def _assert_carried_values_fresh(point, quad, comps, mixture):
 
 class TestCarriedDistancesStayFresh:
     """The squared distances and component log densities that a regional
-    kernel keeps with its point (``ChainState.cache``, the batch's
-    ``quads`` and ``comps``) equal a fresh evaluation at that point after
-    every step, accepted or not."""
+    kernel keeps with its point in ``ChainState.cache`` equal a fresh
+    evaluation at that point after every step, accepted or not; the log pi
+    a segment leaves and the regions it records equal a fresh evaluation
+    too."""
 
     @settings(deadline=None, max_examples=60)
     @given(_batch_case())
@@ -559,20 +547,39 @@ class TestCarriedDistancesStayFresh:
     @given(_batch_case())
     def test_batch(self, case):
         mixture, target, points, (*seeds, jump_seed) = case
-        quads = mixture._mahalanobis_sq(points)
-        comps = mixture._log_densities_from_quad(quads)
-        regions = mixture._region_of(comps)
         log_pis = log_pi_rows(target, points, range(len(points)))
         rngs = [np.random.default_rng(seed) for seed in seeds]
         jump_rng = np.random.default_rng(jump_seed)
         for _ in range(4):
-            jump = jump_block(mixture, target, jump_rng, 1, len(seeds))
-            regional_ess_segment(points, regions, log_pis, comps, quads, mixture, target,
-                                 rngs, 1, 1, jump)
+            regions = regional_ess_segment(points, log_pis, mixture, target, rngs, jump_rng,
+                                           1, 1)[1][-1]
             for k, x in enumerate(points):
-                _assert_carried_values_fresh(x, quads[k], comps[k], mixture)
                 assert log_pis[k] == target.log_pi(x)
                 assert regions[k] == mixture.assign_region(x)
+
+
+class TestJumpBlockRowsFresh:
+    """Every finite row of a ``jump_block`` carries the log pi, component
+    log densities and squared distances of a single-point evaluation at its
+    point, bit for bit, and the region ``assign_region`` gives it. An
+    accepted jump writes the row into its chain's state, and the per-chain
+    reference copies the same row, so only this test sees a stale one."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "student_t"])
+    @settings(deadline=None, max_examples=40)
+    @given(case=st.data(), iterations=st.integers(1, 3))
+    def test_rows_equal_a_single_point_evaluation(self, kind, case, iterations):
+        mixture, target, _, seeds = case.draw(_batch_case(kinds=(kind,)))
+        d, m = mixture.dim, mixture.n_components
+        jump = jump_block(mixture, target, np.random.default_rng(seeds[-1]), iterations,
+                          len(seeds) - 1)
+        finite = np.isfinite(jump.rows[:, :d]).all(axis=1)
+        assert finite.any()
+        for row, region in zip(jump.rows[finite], jump.regions[finite]):
+            x = row[:d]
+            assert row[d:d + 1].tobytes() == np.array([target.log_pi(x)]).tobytes()
+            _assert_carried_values_fresh(x, row[d + 1 + m:], row[d + 1:d + 1 + m], mixture)
+            assert region == mixture.assign_region(x)
 
 
 # Pseudo-prior mixtures and target of the criterion-3 stationarity check.
@@ -841,29 +848,14 @@ class TestJumpRule:
         # log pi - log g is 0 at every point, so log u < 0 accepts
         mixture, points = _jump_case(kind, 6, 5)
         target = _mixture_as_target(mixture)
-        quads = mixture._mahalanobis_sq(points)
-        comps = mixture._log_densities_from_quad(quads)
-        regions = mixture._region_of(comps)
         log_pis = log_pi_rows(target, points, range(6))
         rngs = [np.random.default_rng(k) for k in range(6)]
+        got_points, got_regions, _ = regional_ess_segment(
+            points, log_pis, mixture, target, rngs, np.random.default_rng(6), 3, 2)
         jump = jump_block(mixture, target, np.random.default_rng(6), 3, 6)
         assert np.all(jump.log_ratios == 0.0)
-        got_points, got_regions, _ = regional_ess_segment(
-            points, regions, log_pis, comps, quads, mixture, target, rngs, 3, 2, jump)
         assert got_points.reshape(-1, 2).tobytes() == jump.rows[:, :2].tobytes()
         assert np.array_equal(got_regions.reshape(-1), jump.regions)
-
-    def test_block_must_cover_every_iteration_and_chain(self):
-        mixture, points = _jump_case("gaussian", 3, 12)
-        target = _mixture_as_target(mixture)
-        quads = mixture._mahalanobis_sq(points)
-        comps = mixture._log_densities_from_quad(quads)
-        jump = jump_block(mixture, target, np.random.default_rng(13), 2, 3)
-        with pytest.raises(ValueError, match="a jump block of 6 rows for 3 iterations"):
-            regional_ess_segment(points, mixture._region_of(comps),
-                                 log_pi_rows(target, points, range(3)), comps, quads,
-                                 mixture, target, [np.random.default_rng(k) for k in range(3)],
-                                 3, 1, jump)
 
     @pytest.mark.parametrize("kind", ["gaussian", "student_t"])
     def test_minus_inf_proposal_never_accepted(self, kind):

@@ -249,6 +249,17 @@ class TestLoadCovtype:
         assert np.max(np.abs(ds.train_x.var(axis=0) - 1.0)) < 1e-6
         ds.training_target()  # construction enforces the invariant
 
+    def test_constant_training_column_names_it(self, tmp_path):
+        rng = np.random.default_rng(8)
+        path = _write_covtype_fixture(tmp_path / "cov.csv", rng)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        for row in rows:
+            row[3] = "2.5"
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        message = "feature column 3 (0-based) is constant over the 64 training rows"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_covtype(path, n_select=80, n_features=9, train_fraction=0.8, seed=1)
+
     def test_missing_file_errors(self):
         with pytest.raises(ValueError):
             load_covtype("/nonexistent/covtype.csv", 10, 9, 0.5, 0)
@@ -338,6 +349,12 @@ class TestSyntheticLogistic:
         with pytest.raises(ValueError, match=re.escape(message)):
             make_synthetic_logistic(n_train, n_test, n_features, seed=11,
                                     beta_scale=beta_scale)
+
+    def test_one_training_row_names_a_constant_column(self):
+        # every column of a single training row is constant
+        message = "feature column 0 (0-based) is constant over the 1 training rows"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_synthetic_logistic(1, 100, 5, seed=11)
 
     def test_empty_test_set_allowed(self):
         ds, _ = make_synthetic_logistic(30, 0, 2, seed=11)
