@@ -101,15 +101,25 @@ def compute_summary_rows(traces: Traces, exp: ExperimentConfig, window: int, ext
     return rows
 
 
+def _check_command_line_value(key: str, value: str) -> None:
+    """Raise ``ConfigError`` if ``value`` holds ``#``: it starts a comment in
+    ``config.cfg``, so the run's copy of its config could not hold it."""
+    if "#" in value:
+        raise ConfigError(f"{key}: a value given on the command line cannot contain '#', "
+                          "which starts a comment in config.cfg")
+
+
 def cmd_run(args) -> int:
     try:
         entries = resolve_config_source(args.config)
         for override in args.set or []:
-            if "=" not in override:
+            key, equals, value = override.partition("=")
+            if not equals:
                 raise ConfigError(f"--set expects key=value, got {override!r}")
-            text = override.replace("=", " = ", 1)
-            entries.update(parse_config_text(text, origin="--set"))
+            _check_command_line_value(key.strip(), value)
+            entries.update(parse_config_text(f"{key} = {value}", origin="--set"))
         if args.out is not None:
+            _check_command_line_value("output.dir", args.out)
             entries["output.dir"] = args.out
         exp = build_experiment(entries)
         target, extras = build_target(exp)

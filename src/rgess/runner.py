@@ -8,16 +8,18 @@ a segment never changes results: chain 0 through the whole segment, then
 chain 1, gives the same traces as any interleaving. A refit reads the
 chains' current points in chain order. Every iteration is recorded.
 
-``run`` is one loop over segments: refit at the barrier, then
-``chains.segment(mixture, ...)``, which returns every iteration's points,
-regions and rejection sums as (I, K, ...) arrays. ``run`` copies them into
-the arrays of one :class:`rgess.diagnostics.Traces`, allocated for the
-whole run, so a run holds no object per recorded iteration.
+``run`` is one loop over segments: refit at the barrier, then one segment
+of the run's kernel, which returns every iteration's points, regions and
+rejection sums as (I, K, ...) arrays. ``run`` copies them into the arrays
+of one :class:`rgess.diagnostics.Traces`, allocated for the whole run, so a
+run holds no object per recorded iteration.
 
-``run`` steps two kinds of chain. The regional ESS kernel (``rgess``)
-advances all chains as one batch: between barriers the runner keeps only
-their points and log pi, and :func:`rgess.samplers.regional_ess_segment`
-derives everything else from the segment's mixture. It evaluates one
+Between barriers a chain's state is its point alone: ``run`` holds one
+(K, D) array of the points, which each segment updates in place and each
+refit reads a copy of. ``run`` steps two kinds of chain. The regional ESS
+kernel (``rgess``) advances all chains as one batch:
+:func:`rgess.samplers.regional_ess_segment` evaluates log pi at the points
+and derives everything else from the segment's mixture. It evaluates one
 proposal of every chain still in the segment per round, a chain starting
 its next step in the round after its last one ended. Each chain still draws
 from its own generator through the per-chain kernels' draw routine,
@@ -28,8 +30,8 @@ paper's algorithm (see :mod:`rgess.samplers`): each segment draws its
 (I, K) block of proposals and accept draws from the run's jump generator
 and applies jump (i, k) when chain k ends iteration i's steps, so a chain
 stepped alone with the per-chain kernels and then the same jumps gives the
-same trace. The mh kernel steps one chain at a time, chain-major, with no
-mixture and every chain in region 0.
+same trace. The mh kernel's :func:`_mh_segment` steps one chain at a time,
+chain-major, with no mixture and every chain in region 0.
 :func:`rgess.samplers.regional_mh_step` is a per-chain reference kernel
 that ``run`` does not step.
 
@@ -52,14 +54,13 @@ import numpy as np
 
 from .adaptation import AdaptationConfig, initial_mixture, refit
 from .diagnostics import Traces
-from .distributions import Gaussian, MixtureModel
+from .distributions import Gaussian
 from .samplers import (  # noqa: F401 (gmrgess_step and tmrgess_step: see below)
     ChainFailure,
     ChainState,
     TargetDensity,
     _mh_step,
     gmrgess_step,
-    log_pi_rows,
     regional_ess_segment,
     tmrgess_step,
 )
@@ -144,66 +145,38 @@ class RunResult:
     mixture_history: list
 
 
-class _MH:
-    """Chains of the mh kernel, stepped one at a time; every chain stays in
-    region 0."""
-
-    def __init__(self, config: RunConfig, target: TargetDensity, points):
-        self.states = [ChainState(point=p) for p in points]
-        self.chol = np.linalg.cholesky(config.mh_proposal_scale * np.eye(config.init.dim))
-        self.target = target
-
-    def segment(self, _mixture, rngs, iterations: int, steps_per_iteration: int):
-        """``iterations`` iterations of every chain, chain-major, with no
-        mixture; returns the ``(points, regions, rejections)`` of
-        :func:`rgess.samplers.regional_ess_segment`.
-
-        A chain that fails stops, and the later chains run only the
-        iterations before it, so the :class:`ChainFailure` raised is the
-        lowest (iteration, chain)."""
-        k_chains = len(self.states)
-        points = np.empty((iterations, k_chains, len(self.states[0].point)))
-        rejections = np.zeros((iterations, k_chains), dtype=int)
-        chol, target = self.chol, self.target
-        failure = None
-        for k, rng in enumerate(rngs):
-            state = self.states[k]
-            for i in range(iterations if failure is None else failure.iteration):
-                rejected = 0
-                try:
-                    for _ in range(steps_per_iteration):
-                        outcome = _mh_step(state, chol, target, rng)
-                        state = outcome.next
-                        rejected += outcome.rejections
-                except Exception as exc:  # noqa: BLE001 - the target may raise anything
-                    failure = ChainFailure(k, exc, i)
-                    break
-                points[i, k] = state.point
-                rejections[i, k] = rejected
-            self.states[k] = state
-        if failure is not None:
-            raise failure
-        return points, np.zeros((iterations, k_chains), dtype=int), rejections
-
-
-class _Batched:
-    """Chains of a regional ESS kernel, stepped together by
-    :func:`rgess.samplers.regional_ess_segment`; between barriers their
-    state is their points and log pi."""
-
-    def __init__(self, target: TargetDensity, points, jump_rng):
-        self.target = target
-        self.jump_rng = jump_rng
-        self.points = np.array(points, dtype=float)
-        self.log_pis = log_pi_rows(target, self.points, range(len(self.points)))
-
-    def snapshot(self) -> list:
-        return list(self.points.copy())
-
-    def segment(self, mixture: MixtureModel, rngs, iterations: int,
+def _mh_segment(points, chol, target: TargetDensity, rngs, iterations: int,
                 steps_per_iteration: int):
-        return regional_ess_segment(self.points, self.log_pis, mixture, self.target, rngs,
-                                    self.jump_rng, iterations, steps_per_iteration)
+    """``iterations`` iterations of every chain of the mh kernel, chain-major,
+    each from its row of ``points`` (K, D), to which it writes its last
+    point; returns the ``(points, regions, rejections)`` of
+    :func:`rgess.samplers.regional_ess_segment`, every chain in region 0.
+
+    A chain that fails stops, and the later chains run only the iterations
+    before it, so the :class:`ChainFailure` raised is the lowest (iteration,
+    chain)."""
+    k_chains, dim = points.shape
+    out = np.empty((iterations, k_chains, dim))
+    rejections = np.zeros((iterations, k_chains), dtype=int)
+    failure = None
+    for k, rng in enumerate(rngs):
+        state = ChainState(point=points[k])
+        for i in range(iterations if failure is None else failure.iteration):
+            rejected = 0
+            try:
+                for _ in range(steps_per_iteration):
+                    outcome = _mh_step(state, chol, target, rng)
+                    state = outcome.next
+                    rejected += outcome.rejections
+            except Exception as exc:  # noqa: BLE001 - the target may raise anything
+                failure = ChainFailure(k, exc, i)
+                break
+            out[i, k] = state.point
+            rejections[i, k] = rejected
+        points[k] = state.point
+    if failure is not None:
+        raise failure
+    return out, np.zeros((iterations, k_chains), dtype=int), rejections
 
 
 def _check_target(config: RunConfig, target: TargetDensity) -> None:
@@ -235,18 +208,15 @@ def run(config: RunConfig, target: TargetDensity) -> RunResult:
     adapt_rng = np.random.default_rng(children[k_chains])
 
     acfg = config.adaptation
-    points = [config.init.sample(rng) for rng in rngs]
+    points = np.array([config.init.sample(rng) for rng in rngs])
     mixture = None
     mixture_history = []
     if config.kernel is Kernel.MH:
-        chains = _MH(config, target, points)
+        chol = np.linalg.cholesky(config.mh_proposal_scale * np.eye(config.init.dim))
     else:
-        mixture = initial_mixture(acfg, points, adapt_rng)
+        mixture = initial_mixture(acfg, points.copy(), adapt_rng)
         mixture_history.append((0, mixture))
-        try:
-            chains = _Batched(target, points, np.random.default_rng(children[k_chains + 1]))
-        except ChainFailure as exc:
-            raise RunError(exc.chain, 1, exc.cause) from exc
+        jump_rng = np.random.default_rng(children[k_chains + 1])
 
     barriers = []
     if mixture is not None:
@@ -261,15 +231,20 @@ def run(config: RunConfig, target: TargetDensity) -> RunResult:
 
     for update_index, (start, end) in enumerate(zip(bounds, bounds[1:])):
         if update_index:
-            mixture = refit(acfg, mixture, chains.snapshot(), adapt_rng, update_index)
+            mixture = refit(acfg, mixture, points.copy(), adapt_rng, update_index)
             mixture_history.append((start, mixture))
         try:
-            points, regions, rejections = chains.segment(mixture, rngs, end - start,
-                                                         config.steps_per_iteration)
+            if config.kernel is Kernel.MH:
+                recorded = _mh_segment(points, chol, target, rngs, end - start,
+                                       config.steps_per_iteration)
+            else:
+                recorded = regional_ess_segment(points, mixture, target, rngs, jump_rng,
+                                                end - start, config.steps_per_iteration)
         except ChainFailure as exc:
             raise RunError(exc.chain, start + exc.iteration, exc.cause) from exc
+        recorded_points, regions, rejections = recorded
         # the segment's (I, K) arrays fill columns start-1..end-2 of (K, N)
-        traces.points[:, start - 1:end - 1] = points.swapaxes(0, 1)
+        traces.points[:, start - 1:end - 1] = recorded_points.swapaxes(0, 1)
         traces.regions[:, start - 1:end - 1] = regions.T
         traces.rejections[:, start - 1:end - 1] = rejections.T
 

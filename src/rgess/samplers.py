@@ -24,14 +24,14 @@ precisions are built on, so no distance is computed twice.
 
 :func:`regional_ess_segment` steps many chains through a segment of
 iterations, the iterations between two refit barriers, in rounds. Between
-barriers a chain's state is its point and log pi; the segment derives
-everything else from its mixture on entry. Each round
-evaluates one proposal of every chain still in the segment in one call, and
-a chain that ends a step starts its next one in the next round. It draws
-from each chain's generator in the per-chain kernels' order, so every
-chain's result equals the per-chain kernel's bit for bit. The kernels read
-the region's row of the mixture's stacks, and regional_mh_step draws from it
-with ``MixtureModel._sample``.
+barriers a chain's state is its point alone; on entry the segment
+evaluates log pi there and derives everything else from its mixture. Each
+round evaluates one proposal of every chain still in the segment in one
+call, and a chain that ends a step starts its next one in the next round.
+It draws from each chain's generator in the per-chain kernels' order, so
+every chain's result equals the per-chain kernel's bit for bit. The kernels
+read the region's row of the mixture's stacks, and regional_mh_step draws
+from it with ``MixtureModel._sample``.
 
 Every iteration of the segment ends with one mixture-independence jump:
 x' ~ g, g the whole fitted mixture, accepted when log u < (log pi(x') -
@@ -76,7 +76,6 @@ __all__ = [
     "regional_ess_segment",
     "JumpBlock",
     "jump_block",
-    "log_pi_rows",
     "regional_mh_step",
     "mh_step",
 ]
@@ -137,9 +136,9 @@ class StepOutcome(NamedTuple):
 
 class ChainFailure(ValueError):
     """``cause``, an exception raised while stepping chain ``chain`` of a
-    batch, in the 0-based ``iteration`` of a segment (0 outside one)."""
+    batch, in the 0-based ``iteration`` of a segment."""
 
-    def __init__(self, chain: int, cause: Exception, iteration: int = 0):
+    def __init__(self, chain: int, cause: Exception, iteration: int):
         super().__init__(str(cause))
         self.chain = chain
         self.cause = cause
@@ -360,21 +359,14 @@ def _log_pi_held(target: TargetDensity, points: np.ndarray):
     return out, raised
 
 
-def log_pi_rows(target: TargetDensity, points: np.ndarray, chains) -> np.ndarray:
-    """``log_pi`` at each row of ``points``, through ``target.log_pi_batch``
-    when the target has one.
-
-    Row r belongs to chain ``chains[r]``: an exception of ``log_pi`` at that
-    row, of any type, is raised as :class:`ChainFailure` of that chain. When
-    ``log_pi_batch`` fails, the rows are evaluated again one at a time with
-    ``log_pi``, which the contract makes equal bit for bit, so the failure
-    names the chain of the first row that raises.
-    """
-    values, raised = _log_pi_held(target, points)
-    if raised:
-        row, exc = raised[0]
-        raise ChainFailure(int(chains[row]), exc) from exc
-    return values
+def _log_pi_at_finite(target: TargetDensity, points: np.ndarray):
+    """:func:`_log_pi_held` at the rows of ``points`` whose coordinates are
+    all finite, with the raising rows numbered in ``points``; the other rows
+    are not passed to the target, and their values are -inf."""
+    values = np.full(len(points), -math.inf)
+    evaluated = np.flatnonzero(np.isfinite(points).all(axis=1))
+    values[evaluated], raised = _log_pi_held(target, points[evaluated])
+    return values, [(int(evaluated[row]), exc) for row, exc in raised]
 
 
 class JumpBlock(NamedTuple):
@@ -432,11 +424,8 @@ def jump_block(mixture: MixtureModel, target: TargetDensity, rng, iterations: in
         points += mixture._means[comp]
     log_us = np.log(1.0 - rng.random(n))
 
-    log_pis = np.full(n, -math.inf)
-    evaluated = np.flatnonzero(np.isfinite(points).all(axis=1))
-    values, raised = _log_pi_held(target, points[evaluated])
-    log_pis[evaluated] = values
-    failures = {divmod(int(evaluated[row]), chains): exc for row, exc in raised}
+    log_pis, raised = _log_pi_at_finite(target, points)
+    failures = {divmod(row, chains): exc for row, exc in raised}
     with np.errstate(over="ignore", invalid="ignore"):
         quads = mixture._mahalanobis_sq(points)
         comps = mixture._log_densities_from_quad(quads)
@@ -475,8 +464,8 @@ def _entry_failures(points, log_pis, aux, aux_message) -> list:
     return failures
 
 
-def regional_ess_segment(points, log_pis, mixture: MixtureModel, target: TargetDensity,
-                         rngs, jump_rng, iterations: int, steps_per_iteration: int):
+def regional_ess_segment(points, mixture: MixtureModel, target: TargetDensity, rngs,
+                         jump_rng, iterations: int, steps_per_iteration: int):
     """``iterations`` iterations for each of K chains, each iteration
     ``steps_per_iteration`` :func:`gmrgess_step` or :func:`tmrgess_step`
     steps (by the mixture's kind) and then one mixture-independence jump;
@@ -485,12 +474,13 @@ def regional_ess_segment(points, log_pis, mixture: MixtureModel, target: TargetD
     shrink rejections summed over the iteration's steps. Jumps count in no
     column.
 
-    Between barriers the chains' state is ``points`` (K, D) and ``log_pis``
-    (K,), the target at them, updated in place. On entry the segment
-    derives the rest from the points under ``mixture``: the squared
-    Mahalanobis distances (``MixtureModel._mahalanobis_sq``), the component
-    log densities and the regions. It draws its :class:`JumpBlock` from
-    ``jump_rng`` with :func:`jump_block`.
+    Between barriers the chains' state is ``points`` (K, D), updated in
+    place. On entry the segment derives the rest from the points: log pi at
+    each (through ``log_pi_batch`` when the target has one) and, under
+    ``mixture``, the squared Mahalanobis distances
+    (``MixtureModel._mahalanobis_sq``), the component log densities and the
+    regions. It draws its :class:`JumpBlock` from ``jump_rng`` with
+    :func:`jump_block`.
 
     The driver works in rounds. Each round proposes one point for every
     chain in the middle of a step and evaluates the target and the
@@ -512,17 +502,18 @@ def regional_ess_segment(points, log_pis, mixture: MixtureModel, target: TargetD
     of an equally seeded block applied by the same rule after iteration i's
     steps, gives the batch's results bit for bit.
 
-    A chain that cannot start a step fails: a non-finite point or current
-    ``log_pi``, an infinite auxiliary rate (t mixtures) or a non-finite
-    density of the current region's component (Gaussian mixtures). So does a
-    chain whose target evaluation raises any exception, and chain k when it
-    ends iteration i's steps and the block's ``failures`` holds an exception
-    for (i, k). A failed chain stops; the others run until none can fail at
-    a lower (iteration, chain), and then :class:`ChainFailure` is raised for
-    the lowest, with its ``iteration`` the 0-based index of the segment's
-    iteration.
+    A chain that cannot start a step fails: a non-finite point, a current
+    ``log_pi`` that raises or is not finite, an infinite auxiliary rate (t
+    mixtures) or a non-finite density of the current region's component
+    (Gaussian mixtures). So does a chain whose target evaluation raises any
+    exception, and chain k when it ends iteration i's steps and the block's
+    ``failures`` holds an exception for (i, k). A failed chain stops; the
+    others run until none can fail at a lower (iteration, chain), and then
+    :class:`ChainFailure` is raised for the lowest, with its ``iteration``
+    the 0-based index of the segment's iteration.
     """
     k_chains, dim = points.shape
+    log_pis, raised = _log_pi_at_finite(target, points)
     # A huge point's distances overflow; the entry check fails its chain.
     with np.errstate(over="ignore", invalid="ignore"):
         quads = mixture._mahalanobis_sq(points)
@@ -573,6 +564,11 @@ def regional_ess_segment(points, log_pis, mixture: MixtureModel, target: TargetD
         key = (taken[k] // per, k)
         if lowest is None or key < lowest[:2]:
             lowest = key + (cause,)
+
+    # A chain whose log pi raised fails in iteration 0; like every failed
+    # chain, it is not below the lowest failure, so it never starts.
+    for k, cause in raised:
+        fail(k, cause)
 
     active = []
     starting = list(range(k_chains))
@@ -720,7 +716,6 @@ def regional_ess_segment(points, log_pis, mixture: MixtureModel, target: TargetD
                 summed[k] = 0
 
     points[:] = current[:, :dim]
-    log_pis[:] = current[:, log_pi_col]
     if lowest is not None:
         iteration, chain, cause = lowest
         raise ChainFailure(chain, cause, iteration)

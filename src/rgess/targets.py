@@ -320,7 +320,7 @@ class LitterTarget:
             ]
         obs = [(int(n), int(x), int(c)) for n, x, c in observations]
         for n, x, c in obs:
-            if c < 0 or x > n or n > 18:
+            if c < 0 or not 0 <= x <= n or not 1 <= n <= 18:
                 raise ValueError(f"invalid litter cell (n={n}, x={x}, count={c})")
         self.observations = tuple(obs)
         self._n = np.array([o[0] for o in obs], dtype=float)

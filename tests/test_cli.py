@@ -309,6 +309,21 @@ class TestCmdRun:
         assert "output.dir must name a directory, got ''" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("args, key", [
+        (["--set", "init.mean=5,5#,50"], "init.mean"),
+        (["--set", "output.dir=run#1"], "output.dir"),
+        (["--out", "run#1"], "output.dir"),
+    ], ids=["set", "set-output", "out"])
+    def test_hash_in_value_exits_one_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                    args, key):
+        # config.cfg reads '#' as a comment, so it could not hold the value
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "gauss-mix-tmrgess", "--set", "run.iterations=30",
+                     "--set", "run.burn_in=10", *args]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "'#'" in err
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("preset, key, value", [
         ("gauss-mix-em-gmrgess", "adaptation.weighted_regions", "true"),
         ("gauss-mix-vi-gmrgess", "adaptation.vi_alpha0", "1"),

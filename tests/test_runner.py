@@ -564,6 +564,21 @@ class TestJumpFailures:
             assert (info.value.iteration, info.value.chain) == named, runner.__name__
             assert type(info.value.cause) is ZeroDivisionError
 
+    @pytest.mark.parametrize("batch", [False, True], ids=["rows", "batch"])
+    def test_start_point_failure_of_a_higher_chain(self, batch):
+        # chain 3 fails at its start point, chain 1 at its iteration-1 jump
+        config = TestTargetExceptions._config(Kernel.RGESS)
+        clean = run(config, _std_normal_target(1))
+        proposals = _jump_proposals(config, clean.mixture_history, 1)
+        seeds = np.random.SeedSequence(config.master_seed).spawn(config.chains + 2)
+        start = config.init.sample(np.random.default_rng(seeds[3]))
+        target = _normal_raising_at([start, proposals[0, 1]], batch)
+        for runner in (run, reference_chain_major_run):
+            with pytest.raises(RunError) as info:
+                runner(config, target)
+            assert (info.value.iteration, info.value.chain) == (1, 1), runner.__name__
+            assert type(info.value.cause) is ZeroDivisionError
+
     def test_cli_run_exits_two_and_leaves_no_directory(self, tmp_path, monkeypatch, capsys):
         sets = {"run.iterations": "30", "run.burn_in": "10", "run.chains": "8"}
         entries = resolve_config_source("gauss-mix-tmrgess")

@@ -29,10 +29,10 @@ from rgess.samplers import (
     ChainState,
     TargetDensity,
     _jump_accepts,
+    _log_pi_held,
     ess_step,
     gmrgess_step,
     jump_block,
-    log_pi_rows,
     mh_step,
     regional_ess_segment,
     regional_mh_step,
@@ -402,9 +402,8 @@ class TestNonFiniteStart:
 def _batch_step(points, mixture, target):
     """A ``regional_ess_segment`` of one step from ``points``."""
     points = np.array(points, dtype=float)
-    log_pis = log_pi_rows(target, points, range(len(points)))
     rngs = [np.random.default_rng(k) for k in range(len(points))]
-    return regional_ess_segment(points, log_pis, mixture, target, rngs,
+    return regional_ess_segment(points, mixture, target, rngs,
                                 np.random.default_rng(len(points)), 1, 1)
 
 
@@ -437,11 +436,10 @@ class TestBatchEqualsPerChainSteps:
     def test_one_step_bitwise(self, case):
         mixture, target, points, (*seeds, jump_seed) = case
         step = gmrgess_step if mixture.kind == "gaussian" else tmrgess_step
-        log_pis = log_pi_rows(target, points, range(len(points)))
         starts = points.copy()
         rngs = [np.random.default_rng(seed) for seed in seeds]
         _, regions, rejections = regional_ess_segment(
-            points, log_pis, mixture, target, rngs, np.random.default_rng(jump_seed), 1, 1)
+            points, mixture, target, rngs, np.random.default_rng(jump_seed), 1, 1)
         jump = jump_block(mixture, target, np.random.default_rng(jump_seed), 1, len(seeds))
         regions, rejections = regions[0], rejections[0]
         for k, seed in enumerate(seeds):
@@ -461,7 +459,7 @@ class TestSegmentEqualsChainMajorSteps:
     per-chain kernel, with jump (i, k) after iteration i's steps from the
     block that ``jump_block`` draws from an equally seeded generator, bit
     for bit: every iteration's points, regions and rejection sums, the
-    final points and log pi and the generators' final states. A small
+    final points and the generators' final states. A small
     shrinkage cap makes steps end at the cap."""
 
     @settings(deadline=None, max_examples=100)
@@ -470,7 +468,6 @@ class TestSegmentEqualsChainMajorSteps:
     def test_segment_bitwise(self, case, iterations, steps_per_iteration, cap):
         mixture, target, points, (*seeds, jump_seed) = case
         step = gmrgess_step if mixture.kind == "gaussian" else tmrgess_step
-        log_pis = log_pi_rows(target, points, range(len(points)))
         starts = points.copy()
         rngs = [np.random.default_rng(seed) for seed in seeds]
         jump = jump_block(mixture, target, np.random.default_rng(jump_seed), iterations,
@@ -478,7 +475,7 @@ class TestSegmentEqualsChainMajorSteps:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("rgess.samplers.MAX_SHRINK_ITERS", cap)
             got_points, got_regions, got_rejections = regional_ess_segment(
-                points, log_pis, mixture, target, rngs, np.random.default_rng(jump_seed),
+                points, mixture, target, rngs, np.random.default_rng(jump_seed),
                 iterations, steps_per_iteration)
             for k, seed in enumerate(seeds):
                 rng = np.random.default_rng(seed)
@@ -493,13 +490,13 @@ class TestSegmentEqualsChainMajorSteps:
                     assert state.region == got_regions[i, k]
                     assert rejections == got_rejections[i, k]
                 assert state.point.tobytes() == points[k].tobytes()
-                assert state.cache[3] == log_pis[k]
                 assert rng.bit_generator.state == rngs[k].bit_generator.state
 
 
-class TestLogPiRows:
-    def test_batch_failure_names_the_failing_row_chain(self):
-        # the batch raises for rows 2 and 3; the failure names row 2's chain
+class TestStartLogPi:
+    def test_raising_start_points_fail_the_lowest_chain_at_iteration_0(self):
+        # The batch raises at the start rows of chains 2 and 3, so the
+        # segment evaluates the rows one at a time and names chain 2.
         def log_pi(x):
             if x[0] > 1.0:
                 raise ValueError(f"{x[0]} is out of range")
@@ -507,10 +504,10 @@ class TestLogPiRows:
 
         target = TargetDensity(dim=1, log_pi=log_pi,
                                log_pi_batch=lambda xs: np.array([log_pi(x) for x in xs]))
-        points = np.array([[0.0], [0.5], [2.0], [3.0]])
+        mixture = MixtureModel([1.0], [Gaussian([0.0], [[0.01]])])
         with pytest.raises(ChainFailure, match="2.0 is out of range") as info:
-            log_pi_rows(target, points, [7, 4, 9, 2])
-        assert info.value.chain == 9
+            _batch_step([[0.0], [0.5], [2.0], [3.0]], mixture, target)
+        assert (info.value.chain, info.value.iteration) == (2, 0)
 
 
 def _assert_carried_values_fresh(point, quad, comps, mixture):
@@ -523,9 +520,8 @@ def _assert_carried_values_fresh(point, quad, comps, mixture):
 class TestCarriedDistancesStayFresh:
     """The squared distances and component log densities that a regional
     kernel keeps with its point in ``ChainState.cache`` equal a fresh
-    evaluation at that point after every step, accepted or not; the log pi
-    a segment leaves and the regions it records equal a fresh evaluation
-    too."""
+    evaluation at that point after every step, accepted or not; the
+    regions a segment records equal a fresh evaluation too."""
 
     @settings(deadline=None, max_examples=60)
     @given(_batch_case())
@@ -547,14 +543,12 @@ class TestCarriedDistancesStayFresh:
     @given(_batch_case())
     def test_batch(self, case):
         mixture, target, points, (*seeds, jump_seed) = case
-        log_pis = log_pi_rows(target, points, range(len(points)))
         rngs = [np.random.default_rng(seed) for seed in seeds]
         jump_rng = np.random.default_rng(jump_seed)
         for _ in range(4):
-            regions = regional_ess_segment(points, log_pis, mixture, target, rngs, jump_rng,
+            regions = regional_ess_segment(points, mixture, target, rngs, jump_rng,
                                            1, 1)[1][-1]
             for k, x in enumerate(points):
-                assert log_pis[k] == target.log_pi(x)
                 assert regions[k] == mixture.assign_region(x)
 
 
@@ -848,10 +842,9 @@ class TestJumpRule:
         # log pi - log g is 0 at every point, so log u < 0 accepts
         mixture, points = _jump_case(kind, 6, 5)
         target = _mixture_as_target(mixture)
-        log_pis = log_pi_rows(target, points, range(6))
         rngs = [np.random.default_rng(k) for k in range(6)]
         got_points, got_regions, _ = regional_ess_segment(
-            points, log_pis, mixture, target, rngs, np.random.default_rng(6), 3, 2)
+            points, mixture, target, rngs, np.random.default_rng(6), 3, 2)
         jump = jump_block(mixture, target, np.random.default_rng(6), 3, 6)
         assert np.all(jump.log_ratios == 0.0)
         assert got_points.reshape(-1, 2).tobytes() == jump.rows[:, :2].tobytes()
@@ -925,7 +918,7 @@ class TestJumpInvariance:
         starts = sample_bimodal(rng, n)
         jump = jump_block(mixture, target, rng, 1, n)
         accepted = _jump_accepts(jump.log_us, jump.log_ratios,
-                                 log_pi_rows(target, starts, range(n)),
+                                 _log_pi_held(target, starts)[0],
                                  mixture._log_densities(starts), mixture)
         # enough mass moves for the check to see a wrong rule
         assert 0.3 < accepted.mean() < 0.95

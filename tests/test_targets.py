@@ -197,9 +197,14 @@ class TestLitterModel:
     def test_non_finite_params_give_neg_inf(self):
         assert litter_log_likelihood(np.array([np.nan, 0.0, 0.0])) == -np.inf
 
-    def test_invalid_cells_rejected(self):
-        with pytest.raises(ValueError):
-            LitterTarget([(5, 7, 3)])  # x > n
+    @pytest.mark.parametrize("cells", [
+        [(5, 7, 3)],  # x > n
+        [(3, -1, 2), (10, 2, 5)],  # x < 0
+        [(0, 0, 2)],  # n < 1
+    ], ids=["dead-above-size", "negative-dead", "empty-litter"])
+    def test_invalid_cells_rejected(self, cells):
+        with pytest.raises(ValueError, match="invalid litter cell"):
+            LitterTarget(cells)
 
 
 def _write_covtype_fixture(path, rng, counts=(50, 40, 10)):

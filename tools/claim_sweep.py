@@ -11,7 +11,7 @@ is removed afterwards. Then it prints one row per preset, over the draws
 after each run's ``run.burn_in``:
 
 - ``shares``: each mode's share of the draws of all seeds, a draw
-  belonging to its nearest mode (``MODES``);
+  belonging to its nearest mode (``PRESETS``);
 - ``reach``: the share of seeds in which some draw belongs to each mode;
 - ``rejections``: the mean of ``trace.csv``'s rejection column over every
   iteration, and over the first and the last quarter of the iterations;
@@ -20,14 +20,15 @@ after each run's ``run.burn_in``:
 - ``min ESS``: each seed's smallest bulk ESS over the coordinates, as the
   median over seeds and the worst seed.
 
-Split-R-hat and bulk ESS are those of the benchmark, ``perfbench/ess.py``
-next to this script. Pass the root of this tree or of another checkout,
-so that two trees can be compared with the same measurement.
+Each run's outputs are read with the ``rgess`` of this tree, whatever
+``ROOT`` is, and split-R-hat and bulk ESS are those of the benchmark,
+``perfbench/ess.py`` next to this script. Pass the root of this tree or of
+another checkout, so that two trees can be compared with the same
+measurement.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 import statistics
 import sys
@@ -37,46 +38,35 @@ import numpy as np
 
 from preset_digests import ROOT, preset_env, run_preset
 
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
 from ess import bulk_ess, split_rhat  # noqa: E402
+from rgess.config import build_experiment, load_config_file  # noqa: E402
+from rgess.diagnostics import read_trace_csv  # noqa: E402
+from rgess.targets import GaussMixTarget  # noqa: E402
 
 SEEDS = (20240501, 11, 19, 23, 101, 202, 303, 404)
-GAUSS_MIX_MODES = ((25.0, 50.0), (5.0, 5.0), (50.0, 5.0), (50.0, 50.0))
 # the litter likelihood's two interior optima, the label-swap pair of test
 # criterion 7
 LITTER_MODES = ((3.106795, -2.819267, -0.088135), (-3.106795, -0.088135, -2.819267))
 PRESETS = {
-    "gauss-mix-tmrgess": GAUSS_MIX_MODES,
-    "gauss-mix-em-gmrgess": GAUSS_MIX_MODES,
-    "gauss-mix-vi-gmrgess": GAUSS_MIX_MODES,
-    "gauss-mix-sa-gmrgess": GAUSS_MIX_MODES,
-    "gauss-mix-gess": GAUSS_MIX_MODES,
+    "gauss-mix-tmrgess": GaussMixTarget.MEANS,
+    "gauss-mix-em-gmrgess": GaussMixTarget.MEANS,
+    "gauss-mix-vi-gmrgess": GaussMixTarget.MEANS,
+    "gauss-mix-sa-gmrgess": GaussMixTarget.MEANS,
+    "gauss-mix-gess": GaussMixTarget.MEANS,
     "litter-em-tmrgess": LITTER_MODES,
 }
 
 
-def _burn_in(out: str) -> int:
-    """``run.burn_in`` of the resolved ``config.cfg`` of a run."""
-    with open(os.path.join(out, "config.cfg"), encoding="utf-8") as fh:
-        for line in fh:
-            key, _, value = line.partition("=")
-            if key.strip() == "run.burn_in":
-                return int(value.split("#")[0])
-    raise ValueError(f"{out}/config.cfg has no run.burn_in")
-
-
 def read_run(out: str):
     """``(draws, rejections)`` of a run's ``trace.csv``: the points after
-    burn-in, (chains, draws, D), and the rejection counts, (chains,
-    iterations)."""
-    with open(os.path.join(out, "trace.csv"), newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    table = np.array([[float(v) for v in row] for row in rows if row])
-    chains = int(table[:, 0].max()) + 1
-    table = table.reshape(chains, -1, table.shape[1])
-    after = table[:, :, 1] > _burn_in(out)
-    points = table[:, :, 4:]
-    return points[:, after[0]], table[:, :, 3]
+    its config's ``run.burn_in``, (chains, draws, D), and the rejection
+    counts, (chains, iterations)."""
+    exp = build_experiment(load_config_file(os.path.join(out, "config.cfg")))
+    traces, _ = read_trace_csv(os.path.join(out, "trace.csv"),
+                               os.path.join(out, "mixtures.csv"))
+    after = traces.iterations > exp.run_config.burn_in
+    return traces.points[:, after], traces.rejections
 
 
 def seed_summary(draws, rejections, modes) -> dict:
