@@ -102,11 +102,12 @@ def compute_summary_rows(traces: Traces, exp: ExperimentConfig, window: int, ext
 
 
 def _check_command_line_value(key: str, value: str) -> None:
-    """Raise ``ConfigError`` if ``value`` holds ``#``: it starts a comment in
-    ``config.cfg``, so the run's copy of its config could not hold it."""
-    if "#" in value:
-        raise ConfigError(f"{key}: a value given on the command line cannot contain '#', "
-                          "which starts a comment in config.cfg")
+    """Raise ``ConfigError`` if ``value`` holds ``#``, which starts a comment
+    in ``config.cfg``, or a line break (any ``str.splitlines`` boundary),
+    which ends an entry there: the run's copy of its config could not hold it."""
+    if "#" in value or "".join(value.splitlines()) != value:
+        raise ConfigError(f"{key}: a value given on the command line cannot contain '#' or "
+                          "a line break, which start a comment and end an entry in config.cfg")
 
 
 def cmd_run(args) -> int:
@@ -116,7 +117,7 @@ def cmd_run(args) -> int:
             key, equals, value = override.partition("=")
             if not equals:
                 raise ConfigError(f"--set expects key=value, got {override!r}")
-            _check_command_line_value(key.strip(), value)
+            _check_command_line_value(key.strip(), override)
             entries.update(parse_config_text(f"{key} = {value}", origin="--set"))
         if args.out is not None:
             _check_command_line_value("output.dir", args.out)
@@ -168,6 +169,9 @@ def cmd_report(args) -> int:
                               f"iterations 1 to {rc.iterations}; this file does not")
         target, extras = build_target(exp)
         _check_target(rc, target)
+        if traces.points.shape[2] != rc.init.dim:
+            raise ConfigError(f"{trace_path}: config.cfg's init.mean has {rc.init.dim} "
+                              f"coordinates; this file records {traces.points.shape[2]}")
         window = args.window if args.window is not None else exp.report_window
         if window < 1:
             raise ConfigError(f"window must be >= 1, got {window}")

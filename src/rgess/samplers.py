@@ -17,10 +17,12 @@ The regional kernels keep the current point's squared Mahalanobis distances
 to every component (``MixtureModel._mahalanobis_sq``) with it, next to the
 component log densities built from them
 (``MixtureModel._log_densities_from_quad``): in ``ChainState.cache``, and in
-each chain's packed state row inside :func:`regional_ess_segment`. Both t
-kernels take the rate of the auxiliary inverse-gamma scale, (nu + d^2)/2,
-from those distances, the ones the component densities and EM's expected
-precisions are built on, so no distance is computed twice.
+each chain's packed state row inside :func:`regional_ess_segment` (the
+point, log pi, w = log pi - log g, the densities and the distances, built by
+:func:`_state_rows`). Both t kernels take the rate of the auxiliary
+inverse-gamma scale, (nu + d^2)/2, from those distances, the ones the
+component densities and EM's expected precisions are built on, so no
+distance is computed twice.
 
 :func:`regional_ess_segment` steps many chains through a segment of
 iterations, the iterations between two refit barriers, in rounds. Between
@@ -43,7 +45,7 @@ the regional steps alone do not. The proposals do not depend on the
 chains, so the segment draws its whole block on entry with
 :func:`jump_block`, from a generator of its own, and evaluates it in one
 call each for the target and the densities; :func:`_jump_accepts` is the
-one acceptance rule, over rows.
+one acceptance rule, over the rows' w = log pi - log g.
 
 :func:`gmrgess_step` and :func:`tmrgess_step` stay for single chains
 (criterion 3, the kernel-1d benchmark), which they step three to five times
@@ -369,18 +371,30 @@ def _log_pi_at_finite(target: TargetDensity, points: np.ndarray):
     return values, [(int(evaluated[row]), exc) for row, exc in raised]
 
 
+def _state_rows(mixture: MixtureModel, points: np.ndarray, log_pis: np.ndarray):
+    """``(rows, regions)`` of (n, D) ``points`` with target values
+    ``log_pis``: each row (D + 2 + 2 M,) holds the point, log pi, w (log pi
+    minus log g, from ``MixtureModel._log_mixture``), the component log
+    densities and the squared distances, computed apart from the other rows.
+    Overflow and a non-finite w pass silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        quads = mixture._mahalanobis_sq(points)
+        comps = mixture._log_densities_from_quad(quads)
+        w = log_pis - mixture._log_mixture(comps)
+    rows = np.concatenate((points, log_pis[:, None], w[:, None], comps, quads), axis=1)
+    return rows, mixture._region_of(comps)
+
+
 class JumpBlock(NamedTuple):
     """A segment's mixture-independence jump proposals, drawn and evaluated
     by :func:`jump_block`: one per iteration and chain, in iteration-major
     rows, row ``i K + k`` being chain k's jump at the end of the segment's
     iteration i.
 
-    ``rows`` (I K, D + 1 + 2 M) packs each proposal's point, log pi,
-    component log densities and squared Mahalanobis distances, the layout
-    of a chain's state row in :func:`regional_ess_segment`; ``regions`` is
-    each proposal's region. ``log_ratios`` holds log pi - log g at each
-    proposal, g the mixture density, and -inf where the jump must be
-    rejected; ``log_us`` the accept draws, log u with u ~ Uniform(0, 1].
+    ``rows`` (I K, D + 2 + 2 M) are each proposal's state rows from
+    :func:`_state_rows`, with -inf in the w column, column D + 1, wherever
+    the jump must be rejected; ``regions`` is each proposal's region.
+    ``log_us`` holds the accept draws, log u with u ~ Uniform(0, 1].
     ``failures`` maps ``(i, k)`` to the exception the target raised at that
     proposal; it is chain k's failure at iteration i if the chain gets
     there.
@@ -388,7 +402,6 @@ class JumpBlock(NamedTuple):
 
     rows: np.ndarray
     regions: np.ndarray
-    log_ratios: np.ndarray
     log_us: np.ndarray
     failures: dict
 
@@ -403,12 +416,12 @@ def jump_block(mixture: MixtureModel, target: TargetDensity, rng, iterations: in
     The draws, in order: each row's component, one uniform against the
     cumulative weights; the (I K, D) standard normal noise; for t
     components each row's scale s ~ IG(nu/2, nu/2); each row's log u. The
-    target, the distances, the component densities and log g are each
-    evaluated for the whole block in one call. A proposal with a
-    non-finite coordinate (a t scale can overflow) is not passed to the
-    target, and its ratio is -inf, as it is wherever log pi - log g is not
-    finite: a -inf target value, or an exception, which is held in
-    ``failures`` rather than raised.
+    target is evaluated for the whole block in one call, and
+    :func:`_state_rows` builds its rows. A proposal with a non-finite
+    coordinate (a t scale can overflow) is not passed to the target, and
+    its w is -inf, as it is wherever log pi - log g is not finite: a -inf
+    target value, or an exception, which is held in ``failures`` rather
+    than raised.
     """
     n = iterations * chains
     cumulative = np.cumsum(mixture.weights)
@@ -426,23 +439,19 @@ def jump_block(mixture: MixtureModel, target: TargetDensity, rng, iterations: in
 
     log_pis, raised = _log_pi_at_finite(target, points)
     failures = {divmod(row, chains): exc for row, exc in raised}
-    with np.errstate(over="ignore", invalid="ignore"):
-        quads = mixture._mahalanobis_sq(points)
-        comps = mixture._log_densities_from_quad(quads)
-        log_ratios = log_pis - mixture._log_mixture(comps)
-    log_ratios[~np.isfinite(log_ratios)] = -math.inf
-    rows = np.concatenate((points, log_pis[:, None], comps, quads), axis=1)
-    return JumpBlock(rows, mixture._region_of(comps), log_ratios, log_us, failures)
+    rows, regions = _state_rows(mixture, points, log_pis)
+    w = rows[:, mixture._dim + 1]
+    w[~np.isfinite(w)] = -math.inf
+    return JumpBlock(rows, regions, log_us, failures)
 
 
-def _jump_accepts(log_us, log_ratios, log_pis, comps, mixture: MixtureModel):
-    """The jump's acceptance rule over rows: accept x' when log u < (log
-    pi(x') - log g(x')) - (log pi(x) - log g(x)). ``log_us`` and
-    ``log_ratios`` are rows of a :class:`JumpBlock`; ``log_pis`` (n,) and
-    ``comps`` (n, M) the target and component log densities at the current
-    points x, from which log g(x) is taken. A nan difference rejects."""
+def _jump_accepts(log_us, proposed, current):
+    """The jump's acceptance rule over rows: accept x' when log u < w(x') -
+    w(x), w = log pi - log g. ``log_us`` and ``proposed`` are rows of a
+    :class:`JumpBlock`'s accept draws and w column, ``current`` the w of the
+    current points' state rows. A nan difference rejects."""
     with np.errstate(invalid="ignore"):
-        return log_us < log_ratios - (log_pis - mixture._log_mixture(comps))
+        return log_us < proposed - current
 
 
 def _entry_failures(points, log_pis, aux, aux_message) -> list:
@@ -477,10 +486,9 @@ def regional_ess_segment(points, mixture: MixtureModel, target: TargetDensity, r
     Between barriers the chains' state is ``points`` (K, D), updated in
     place. On entry the segment derives the rest from the points: log pi at
     each (through ``log_pi_batch`` when the target has one) and, under
-    ``mixture``, the squared Mahalanobis distances
-    (``MixtureModel._mahalanobis_sq``), the component log densities and the
-    regions. It draws its :class:`JumpBlock` from ``jump_rng`` with
-    :func:`jump_block`.
+    ``mixture``, each chain's state row and region, with :func:`_state_rows`
+    as for each round's proposals. It draws its :class:`JumpBlock` from
+    ``jump_rng`` with :func:`jump_block`.
 
     The driver works in rounds. Each round proposes one point for every
     chain in the middle of a step and evaluates the target and the
@@ -495,12 +503,11 @@ def regional_ess_segment(points, mixture: MixtureModel, target: TargetDensity, r
     Jump (i, k), row i K + k of the block, is applied in the round in which
     chain k ends the last step of iteration i, before the iteration is
     recorded, so it adds no round. :func:`_jump_accepts` decides it from
-    the chain's current log pi and component densities; an accepted jump
-    writes the proposal's point, log pi, component densities, distances and
-    region into the chain's state, so the next step starts from fresh
-    values. A chain stepped alone by the per-chain kernel, with jump (i, k)
-    of an equally seeded block applied by the same rule after iteration i's
-    steps, gives the batch's results bit for bit.
+    the w of the proposal's row and of the chain's; an accepted jump writes
+    the proposal's row and region into the chain's state. A chain stepped
+    alone by the per-chain kernel, with jump (i, k) of an equally seeded
+    block applied by the same rule after iteration i's steps, gives the
+    batch's results bit for bit.
 
     A chain that cannot start a step fails: a non-finite point, a current
     ``log_pi`` that raises or is not finite, an infinite auxiliary rate (t
@@ -513,13 +520,10 @@ def regional_ess_segment(points, mixture: MixtureModel, target: TargetDensity, r
     the 0-based index of the segment's iteration.
     """
     k_chains, dim = points.shape
+    m = mixture._m
     log_pis, raised = _log_pi_at_finite(target, points)
     # A huge point's distances overflow; the entry check fails its chain.
-    with np.errstate(over="ignore", invalid="ignore"):
-        quads = mixture._mahalanobis_sq(points)
-        comps = mixture._log_densities_from_quad(quads)
-    regions = mixture._region_of(comps)
-    m = comps.shape[1]
+    current, regions = _state_rows(mixture, points, log_pis)
     jump = jump_block(mixture, target, jump_rng, iterations, k_chains)
     per = steps_per_iteration
     steps = iterations * per
@@ -532,9 +536,6 @@ def regional_ess_segment(points, mixture: MixtureModel, target: TargetDensity, r
     means, chols = mixture._means, mixture._chols
     student_t = mixture._dofs is not None
     dofs, shapes = mixture._dofs, mixture._half_dof_plus_dim
-    mahalanobis_sq = mixture._mahalanobis_sq
-    from_quad = mixture._log_densities_from_quad
-    region_of = mixture._region_of
     cap = MAX_SHRINK_ITERS
     two_pi = 2.0 * math.pi
     cos, sin = math.cos, math.sin
@@ -542,14 +543,14 @@ def regional_ess_segment(points, mixture: MixtureModel, target: TargetDensity, r
     first_rows = np.arange(k_chains)  # row numbers of a round's arrays
 
     # One row per chain, so that a round moves a chain's values in one
-    # gather or scatter. ``current``: the point, log pi, the component log
-    # densities and the squared distances at it. ``ellipse``: the step
-    # under way, as the centred point, the centred auxiliary point, the
-    # centre and the right side of the residual-form test of
-    # _regional_ess_step, log pi(x) - log f_J(x) + log u for every region J.
+    # gather or scatter. ``current``: the chain's row from _state_rows, the
+    # point, log pi, w, the component log densities and the squared
+    # distances at it. ``ellipse``: the step under way, as the centred
+    # point, the centred auxiliary point, the centre and the right side of
+    # the residual-form test of _regional_ess_step, log pi(x) - log f_J(x) +
+    # log u for every region J.
     # A chain's rows change only when its step ends or starts.
-    log_pi_col, comp_col, quad_col = dim, dim + 1, dim + 1 + m
-    current = np.concatenate((points, log_pis[:, None], comps, quads), axis=1)
+    log_pi_col, w_col, comp_col, quad_col = dim, dim + 1, dim + 2, dim + 2 + m
     ellipse = np.empty((k_chains, 3 * dim + m))
     theta = [0.0] * k_chains
     theta_min = [0.0] * k_chains
@@ -654,19 +655,16 @@ def regional_ess_segment(points, mixture: MixtureModel, target: TargetDensity, r
             idx, x_prop, e, log_pi_prop = idx[keep], x_prop[keep], e[keep], log_pi_prop[keep]
             if not active:
                 continue
-        quad_prop = mahalanobis_sq(x_prop)
-        comp_prop = from_quad(quad_prop)
-        j = region_of(comp_prop)
+        prop, j = _state_rows(mixture, x_prop, log_pi_prop)
         rows_n = first_rows[:len(active)]
         # A -inf target value fails the test without the per-chain early
         # exit: the left side is -inf, or nan when the density is -inf too.
         with np.errstate(invalid="ignore"):
-            ok = (log_pi_prop - comp_prop[rows_n, regions.take(idx)]
+            ok = (log_pi_prop - prop[rows_n, comp_col + regions.take(idx)]
                   > e[:, 3 * dim:][rows_n, j])
         done = idx.compress(ok)
         if len(done):
-            current[done] = np.concatenate(
-                (x_prop, log_pi_prop[:, None], comp_prop, quad_prop), axis=1).compress(ok, axis=0)
+            current[done] = prop.compress(ok, axis=0)
             regions[done] = j.compress(ok)
         still = []
         record = []
@@ -703,9 +701,7 @@ def regional_ess_segment(points, mixture: MixtureModel, target: TargetDensity, r
             # rows of the outputs' and the jump block's (I K) flattening,
             # iteration-major
             at = np.array([(taken[k] // per - 1) * k_chains + k for k in record])
-            jumped = _jump_accepts(jump.log_us[at], jump.log_ratios[at],
-                                   current[rec, log_pi_col], current[rec, comp_col:quad_col],
-                                   mixture)
+            jumped = _jump_accepts(jump.log_us[at], jump.rows[at, w_col], current[rec, w_col])
             if jumped.any():
                 current[rec[jumped]] = jump.rows[at[jumped]]
                 regions[rec[jumped]] = jump.regions[at[jumped]]

@@ -70,24 +70,25 @@ def sample_bimodal(rng, n):
 def jump_chain(state, block, i, k, chains, mixture, target):
     """Chain k's state after jump (i, k) of the ``JumpBlock`` ``block`` of
     ``chains`` chains: the rule the batch applies, ``samplers._jump_accepts``,
-    on one row, from the log pi and component densities in ``state.cache``.
-    An accepted jump's state carries the proposal's values in its cache.
-    Raises the exception ``block.failures`` holds for (i, k)."""
+    on one row, with the current point's w = log pi - log g derived here
+    from the log pi and component densities in ``state.cache``. An accepted
+    jump's state carries the proposal's values in its cache. Raises the
+    exception ``block.failures`` holds for (i, k)."""
     cause = block.failures.get((i, k))
     if cause is not None:
         raise cause
     row = i * chains + k
+    d, m = mixture.dim, mixture.n_components
     cache = state.cache
-    accepted = _jump_accepts(block.log_us[row:row + 1], block.log_ratios[row:row + 1],
-                             np.array([cache[3]]), cache[4][None], mixture)
+    w = np.array([cache[3]]) - mixture._log_mixture(cache[4][None])
+    accepted = _jump_accepts(block.log_us[row:row + 1], block.rows[row:row + 1, d + 1], w)
     if not accepted[0]:
         return state
-    d, m = mixture.dim, mixture.n_components
     values = block.rows[row]
     point = values[:d].copy()
     return ChainState(point=point, region=int(block.regions[row]),
                       cache=(point, mixture, target.log_pi, float(values[d]),
-                             values[d + 1:d + 1 + m].copy(), values[d + 1 + m:].copy()))
+                             values[d + 2:d + 2 + m].copy(), values[d + 2 + m:].copy()))
 
 
 def two_cluster_samples(rng, n_per=500, center=10.0, sd=1.0):

@@ -324,6 +324,22 @@ class TestCmdRun:
         assert key in err and "'#'" in err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\u2028"], ids=["lf", "cr", "u2028"])
+    @pytest.mark.parametrize("args, key", [
+        (["--set", "run.burn_in=10{}run.iterations=30"], "run.burn_in"),
+        (["--set", "output.dir=run{}1"], "output.dir"),
+        (["--out", "run{}1"], "output.dir"),
+    ], ids=["set", "set-output", "out"])
+    def test_line_break_in_value_exits_one_writes_nothing(self, tmp_path, capsys,
+                                                          monkeypatch, args, key, brk):
+        # config.cfg ends an entry at every boundary str.splitlines splits at
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "gauss-mix-tmrgess", "--set", "run.iterations=30",
+                     "--set", "run.burn_in=10", args[0], args[1].format(brk)]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "line break" in err
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("preset, key, value", [
         ("gauss-mix-em-gmrgess", "adaptation.weighted_regions", "true"),
         ("gauss-mix-vi-gmrgess", "adaptation.vi_alpha0", "1"),
@@ -592,26 +608,23 @@ class TestCmdReport:
         assert main(["report", str(tmp_path)]) == 1
         assert "trace.csv" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("keep, rename, message", [
-        (lambda c, n: n != 30, None, "records 6 chains at iterations 1 to 30"),
-        (lambda c, n: c != 5, None, "records 6 chains at iterations 1 to 30"),
-        (lambda c, n: (c, n) != (2, 10), None, "the chains record different iterations"),
-        (None, (5, 9), "chain ids run from 0 to 9, not 0..5"),
-    ], ids=["iteration-30-dropped", "chain-5-dropped", "one-row-dropped", "chain-5-renamed"])
-    def test_misaligned_trace_exits_one(self, tmp_path, capsys, keep, rename, message):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda f: None if f[1] == "30" else f, "records 6 chains at iterations 1 to 30"),
+        (lambda f: None if f[0] == "5" else f, "records 6 chains at iterations 1 to 30"),
+        (lambda f: None if f[:2] == ["2", "10"] else f,
+         "the chains record different iterations"),
+        (lambda f: ["9", *f[1:]] if f[0] == "5" else f, "chain ids run from 0 to 9, not 0..5"),
+        (lambda f: f[:-1], "init.mean has 2 coordinates; this file records 1"),
+    ], ids=["iteration-30-dropped", "chain-5-dropped", "one-row-dropped", "chain-5-renamed",
+            "coordinate-dropped"])
+    def test_misaligned_trace_exits_one(self, tmp_path, capsys, edit, message):
+        # ``edit`` maps the fields of each line, the header's too, to the
+        # fields written back, or None to drop the line
         out = tmp_path / "out"
         assert main(["run", _write_config(tmp_path), "--out", str(out)]) == 0
         trace = out / "trace.csv"
-        header, *rows = trace.read_text().splitlines()
-        edited = [header]
-        for row in rows:
-            chain, iteration, rest = row.split(",", 2)
-            if keep is not None and not keep(int(chain), int(iteration)):
-                continue
-            if rename is not None and int(chain) == rename[0]:
-                chain = str(rename[1])
-            edited.append(",".join([chain, iteration, rest]))
-        trace.write_text("\n".join(edited) + "\n")
+        lines = (edit(line.split(",")) for line in trace.read_text().splitlines())
+        trace.write_text("".join(",".join(f) + "\n" for f in lines if f is not None))
         assert main(["report", str(out)]) == 1
         err = capsys.readouterr().err
         assert "trace.csv" in err and message in err

@@ -555,9 +555,11 @@ class TestCarriedDistancesStayFresh:
 class TestJumpBlockRowsFresh:
     """Every finite row of a ``jump_block`` carries the log pi, component
     log densities and squared distances of a single-point evaluation at its
-    point, bit for bit, and the region ``assign_region`` gives it. An
-    accepted jump writes the row into its chain's state, and the per-chain
-    reference copies the same row, so only this test sees a stale one."""
+    point, bit for bit, and the region ``assign_region`` gives it; its w is
+    ``log_pi(x) - mixture.log_density(x)``, or -inf where that is not
+    finite. An accepted jump writes the row into its chain's state, and the
+    per-chain reference copies the same row, so only this test sees a stale
+    one."""
 
     @pytest.mark.parametrize("kind", ["gaussian", "student_t"])
     @settings(deadline=None, max_examples=40)
@@ -571,8 +573,12 @@ class TestJumpBlockRowsFresh:
         assert finite.any()
         for row, region in zip(jump.rows[finite], jump.regions[finite]):
             x = row[:d]
-            assert row[d:d + 1].tobytes() == np.array([target.log_pi(x)]).tobytes()
-            _assert_carried_values_fresh(x, row[d + 1 + m:], row[d + 1:d + 1 + m], mixture)
+            log_pi = target.log_pi(x)
+            assert row[d:d + 1].tobytes() == np.array([log_pi]).tobytes()
+            w = log_pi - mixture.log_density(x)
+            w = w if math.isfinite(w) else -math.inf
+            assert row[d + 1:d + 2].tobytes() == np.array([w]).tobytes()
+            _assert_carried_values_fresh(x, row[d + 2 + m:], row[d + 2:d + 2 + m], mixture)
             assert region == mixture.assign_region(x)
 
 
@@ -846,7 +852,7 @@ class TestJumpRule:
         got_points, got_regions, _ = regional_ess_segment(
             points, mixture, target, rngs, np.random.default_rng(6), 3, 2)
         jump = jump_block(mixture, target, np.random.default_rng(6), 3, 6)
-        assert np.all(jump.log_ratios == 0.0)
+        assert np.all(jump.rows[:, 3] == 0.0)  # w, column D + 1
         assert got_points.reshape(-1, 2).tobytes() == jump.rows[:, :2].tobytes()
         assert np.array_equal(got_regions.reshape(-1), jump.regions)
 
@@ -857,12 +863,13 @@ class TestJumpRule:
         target = TargetDensity(dim=2, log_pi=lambda x: -np.inf if x[0] > 0.0 else log_pi(x))
         jump = jump_block(mixture, target, np.random.default_rng(8), 1, 2000)
         outside = jump.rows[:, 0] > 0.0
+        w = jump.rows[:, 3]  # column D + 1
         assert 0 < outside.sum() < 2000
-        assert np.all(jump.log_ratios[outside] == -np.inf)
-        assert np.isfinite(jump.log_ratios[~outside]).all()
+        assert np.all(w[outside] == -np.inf)
+        assert np.isfinite(w[~outside]).all()
         # a current point of tiny target density accepts every finite ratio
-        accepted = _jump_accepts(jump.log_us, jump.log_ratios, np.full(2000, -700.0),
-                                 mixture._log_densities(points), mixture)
+        accepted = _jump_accepts(jump.log_us, w,
+                                 -700.0 - mixture._log_mixture(mixture._log_densities(points)))
         assert not accepted[outside].any()
         assert accepted[~outside].all()
 
@@ -882,7 +889,7 @@ class TestJumpRule:
         finite = np.isfinite(jump.rows[:, 0])
         assert 0 < finite.sum() < 200
         assert jump.failures == {}
-        assert np.all(jump.log_ratios[~finite] == -np.inf)
+        assert np.all(jump.rows[~finite, 2] == -np.inf)  # w, column D + 1
 
     def test_target_exception_is_held_per_iteration_and_chain(self):
         mixture, _ = _jump_case("gaussian", 1, 10)
@@ -898,7 +905,7 @@ class TestJumpRule:
         assert 0 < len(rows) < 40
         assert set(jump.failures) == {divmod(int(r), 8) for r in rows}
         assert all(type(exc) is ZeroDivisionError for exc in jump.failures.values())
-        assert np.all(jump.log_ratios[rows] == -np.inf)
+        assert np.all(jump.rows[rows, 3] == -np.inf)  # w, column D + 1
 
 
 class TestJumpInvariance:
@@ -917,9 +924,9 @@ class TestJumpInvariance:
         rng = np.random.default_rng(seed)
         starts = sample_bimodal(rng, n)
         jump = jump_block(mixture, target, rng, 1, n)
-        accepted = _jump_accepts(jump.log_us, jump.log_ratios,
-                                 _log_pi_held(target, starts)[0],
-                                 mixture._log_densities(starts), mixture)
+        accepted = _jump_accepts(jump.log_us, jump.rows[:, 2],  # w, column D + 1
+                                 _log_pi_held(target, starts)[0]
+                                 - mixture._log_mixture(mixture._log_densities(starts)))
         # enough mass moves for the check to see a wrong rule
         assert 0.3 < accepted.mean() < 0.95
         x = np.where(accepted, jump.rows[:, 0], starts[:, 0])
